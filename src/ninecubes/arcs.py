@@ -73,6 +73,7 @@ class ArcDissection:
     Q: int
     arcs: tuple[MajorArc, ...]
     major_measure: Fraction
+    arc_lows: tuple[Fraction, ...]  # arc.lo in arc order, for bisection
 
 
 def build_dissection(N: int, D: int, epsilon: float = 0.01, c: float = 1.0) -> ArcDissection:
@@ -104,7 +105,8 @@ def build_dissection(N: int, D: int, epsilon: float = 0.01, c: float = 1.0) -> A
             measure += 2 * half
     arcs.sort(key=lambda arc: arc.lo)
     return ArcDissection(
-        N=N, D=D, epsilon=epsilon, c=c, P=P, Q=Q, arcs=tuple(arcs), major_measure=measure
+        N=N, D=D, epsilon=epsilon, c=c, P=P, Q=Q, arcs=tuple(arcs), major_measure=measure,
+        arc_lows=tuple(arc.lo for arc in arcs),
     )
 
 
@@ -120,11 +122,7 @@ def normalize(alpha: float | Fraction, dissection: ArcDissection) -> Fraction:
 def classify(alpha: float | Fraction, dissection: ArcDissection) -> tuple[int, int] | None:
     """(q, a) of the major arc containing alpha, or None on the minor arcs."""
     x = normalize(alpha, dissection)
-    lows = getattr(dissection, "_lows", None)
-    if lows is None:
-        lows = [arc.lo for arc in dissection.arcs]
-        object.__setattr__(dissection, "_lows", lows)
-    i = bisect.bisect_right(lows, x)
+    i = bisect.bisect_right(dissection.arc_lows, x)
     if i:
         arc = dissection.arcs[i - 1]
         if arc.contains(x):

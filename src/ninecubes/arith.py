@@ -88,39 +88,6 @@ def euler_phi(n: int) -> int:
     return val
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise DomainError(f"mobius requires n >= 1, got {n}")
-    fact = factorize(n)
-    if any(e > 1 for _, e in fact):
-        return 0
-    return -1 if len(fact) % 2 else 1
-
-
-def divisor_count(n: int) -> int:
-    if n < 1:
-        raise DomainError(f"divisor_count requires n >= 1, got {n}")
-    val = 1
-    for _, e in factorize(n):
-        val *= e + 1
-    return val
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    if n < 1:
-        raise DomainError(f"omega requires n >= 1, got {n}")
-    return len(factorize(n))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors, ascending."""
-    ds = [1]
-    for p, e in factorize(n):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 def icbrt(n: int) -> int:
     """Exact floor of the real cube root of n >= 0."""
     if n < 0:
@@ -133,20 +100,6 @@ def icbrt(n: int) -> int:
     while (r + 1) ** 3 <= n:
         r += 1
     return r
-
-
-def count_cube_roots_of_unity(p: int, alpha: int = 1) -> int:
-    """Number of solutions of x^3 = 1 mod p^alpha for an odd prime p.
-
-    The unit group mod p^alpha is cyclic of order p^(alpha-1)(p-1), so the
-    count is gcd(3, phi).  For p != 3 this is 3 when p = 1 mod 3 and 1
-    otherwise, independent of alpha.
-    """
-    if p % 2 == 0 or not is_prime(p):
-        raise DomainError(f"count_cube_roots_of_unity requires an odd prime, got {p}")
-    if alpha < 1:
-        raise DomainError(f"alpha must be >= 1, got {alpha}")
-    return math.gcd(3, euler_phi(p**alpha))
 
 
 def _primitive_root(p: int) -> int:

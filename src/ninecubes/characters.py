@@ -9,7 +9,6 @@ so no drift accumulates from repeated multiplication.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +20,6 @@ from . import arith
 from .errors import DomainError
 
 VALUE_TABLE_CACHE_MAX_Q = 10**4
-CACHE_DIR_ENV = "CGL_CACHE_DIR"
 
 
 def e_of(x: float) -> complex:
@@ -83,32 +81,6 @@ class DirichletCharacter:
         """chi(k) for k = 0..q-1 as a complex array (cached for small q)."""
         return _value_table(self)
 
-    def conductor(self) -> int:
-        return _conductor(self)
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor() == self.modulus
-
-    def order(self) -> int:
-        """Order of the character in the dual group."""
-        return math.lcm(
-            *(c.order // math.gcd(e, c.order) for e, c in zip(self.exponents, self.group.components)),
-            1,
-        )
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if other.modulus != self.modulus:
-            raise DomainError("can only multiply characters of equal modulus")
-        comps = self.group.components
-        vec = tuple((a + b) % c.order for a, b, c in zip(self.exponents, other.exponents, comps))
-        return DirichletCharacter(self.modulus, vec)
-
-
-def principal_character(q: int) -> DirichletCharacter:
-    ug = arith.unit_group(q)
-    return DirichletCharacter(q, (0,) * len(ug.components))
-
 
 def character_group(q: int, cap: int = arith.UNIT_GROUP_CAP) -> list[DirichletCharacter]:
     """All phi(q) characters mod q, principal first."""
@@ -120,27 +92,12 @@ def character_group(q: int, cap: int = arith.UNIT_GROUP_CAP) -> list[DirichletCh
 _table_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
 
-def _cache_path(chi: DirichletCharacter) -> str | None:
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        return None
-    tag = "-".join(str(e) for e in chi.exponents) or "0"
-    return os.path.join(root, f"chartab-q{chi.modulus}-e{tag}.npy")
-
-
 def _value_table(chi: DirichletCharacter) -> np.ndarray:
     key = (chi.modulus, chi.exponents)
     tab = _table_cache.get(key)
     if tab is not None:
         return tab
-    path = _cache_path(chi)
-    if path is not None and os.path.exists(path):
-        tab = np.load(path)
-    else:
-        tab = _build_value_table(chi)
-        if path is not None:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            np.save(path, tab)
+    tab = _build_value_table(chi)
     tab.flags.writeable = False
     if chi.modulus <= VALUE_TABLE_CACHE_MAX_Q:
         _table_cache[key] = tab
@@ -162,50 +119,3 @@ def _build_value_table(chi: DirichletCharacter) -> np.ndarray:
     tab = np.zeros(q, dtype=np.complex128)
     tab[units] = unit_roots(lam)[num[units]]
     return tab
-
-
-_conductor_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
-def _conductor(chi: DirichletCharacter) -> int:
-    """Smallest f | q such that chi factors through (Z/fZ)*."""
-    key = (chi.modulus, chi.exponents)
-    hit = _conductor_cache.get(key)
-    if hit is not None:
-        return hit
-    q = chi.modulus
-    if q == 1:
-        return 1
-    for f in arith.divisors(q):
-        ok = True
-        for u in range(1, q, f):  # candidates with u = 1 mod f
-            if math.gcd(u, q) != 1:
-                continue
-            if chi.angle(u) != 0:
-                ok = False
-                break
-        if ok:
-            _conductor_cache[key] = f
-            return f
-    raise AssertionError("unreachable: f = q always works")
-
-
-def induce(chi: DirichletCharacter, q: int) -> DirichletCharacter:
-    """The character mod q induced by chi (requires chi.modulus | q)."""
-    f = chi.modulus
-    if q % f != 0:
-        raise DomainError(f"cannot induce mod {q}: {f} does not divide {q}")
-    ug = arith.unit_group(q)
-    vec = []
-    for c in ug.components:
-        a = chi.angle(c.lifted)
-        if a is None:  # lifted generator is a unit mod q, hence mod f
-            raise AssertionError("unreachable")
-        e = a * c.order
-        assert e.denominator == 1
-        vec.append(int(e) % c.order)
-    return DirichletCharacter(q, tuple(vec))
-
-
-def primitive_characters(q: int) -> list[DirichletCharacter]:
-    return [chi for chi in character_group(q) if chi.is_primitive]

@@ -1,7 +1,9 @@
 """Command-line interface with deterministic JSON and CSV reports.
 
-Every run is described by a RunConfig, assembled from a flat key=value
-config file (--config) with command-line flags taking precedence.
+Every run is described by a RunConfig, whose fields are the options.
+COMMANDS lists each subcommand's runner and options; each option comes
+from its flag, else the flat key=value config file (--config), else the
+subcommand's default.
 Serialization is canonical: object keys sorted, floats printed at 12
 significant digits, so identical configs produce byte-identical output.
 
@@ -19,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -27,19 +30,6 @@ from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
 USAGE_EXIT = 64
-
-SUBCOMMANDS = (
-    "validate",
-    "local",
-    "series",
-    "integral",
-    "rn",
-    "arcs",
-    "scan-minor",
-    "search",
-    "thresholds",
-    "selftest",
-)
 
 
 class UsageError(Exception):
@@ -51,30 +41,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in str(text).split(","))
+
+
+def output_format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(f"expected json or csv, got {text!r}")
+    return text
+
+
+def _option(parse, help: str, default=None):
+    """A RunConfig field that is also a flag and a config-file key."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One CLI invocation, flat enough to round-trip through key=value text."""
+    """One CLI invocation, flat enough to round-trip through key=value text.
+
+    Every field but subcommand is an option: its metadata holds the parser
+    for flag and config-file values and the --help text.
+    """
 
     subcommand: str
-    coeffs: tuple[int, ...] | None = None
-    n: int | None = None
-    M: int | None = None
-    N: int | None = None
-    q: int | None = None
-    qmax: int | None = None
-    prime_bound: int | None = None
-    grid_step: float | None = None
-    epsilon: float | None = None
-    c: float | None = None
-    D: int | None = None
-    grid: str | None = None
-    n_lo: int | None = None
-    n_hi: int | None = None
-    only: str | None = None
-    seed: int | None = None
-    threads: int | None = None
-    out: str | None = None
-    format: str = "json"
+    coeffs: tuple[int, ...] | None = _option(int_list, "nine comma-separated nonzero integers")
+    n: int | None = _option(int, "target value")
+    M: int | None = _option(int, "window lower bound (exclusive)")
+    N: int | None = _option(int, "window upper bound (inclusive)")
+    q: int | None = _option(int, "modulus for the local report")
+    qmax: int | None = _option(int, "series cutoff")
+    prime_bound: int | None = _option(int, "largest prime tried")
+    grid_step: float | None = _option(float, "scan grid spacing")
+    epsilon: float | None = _option(float, "arc exponent offset")
+    c: float | None = _option(float, "log exponent in the arc parameter Q")
+    D: int | None = _option(int, "coefficient bound for the dissection")
+    grid: str | None = _option(str, "semicolon-separated coefficient systems")
+    n_lo: int | None = _option(int, "scan range start")
+    n_hi: int | None = _option(int, "scan range end")
+    only: str | None = _option(str, "comma-separated selftest check names")
+    seed: int | None = _option(int, "seed for randomized checks")
+    threads: int | None = _option(int, "worker threads for the selftest")
+    out: str | None = _option(str, "write output to this file instead of stdout")
+    format: str = _option(output_format, "output format: json or csv", "json")
 
     def config_text(self) -> str:
         """key=value lines that parse back to an identical RunConfig."""
@@ -89,28 +98,11 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_PARSERS = {
-    "subcommand": str,
-    "coeffs": lambda s: tuple(int(part) for part in str(s).split(",")),
-    "n": int,
-    "M": int,
-    "N": int,
-    "q": int,
-    "qmax": int,
-    "prime_bound": int,
-    "grid_step": float,
-    "epsilon": float,
-    "c": float,
-    "D": int,
-    "grid": str,
-    "n_lo": int,
-    "n_hi": int,
-    "only": str,
-    "seed": int,
-    "threads": int,
-    "out": str,
-    "format": str,
-}
+OPTIONS = {f.name: f.metadata for f in dataclasses.fields(RunConfig) if f.metadata}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def parse_config_file(path: str) -> dict:
@@ -125,26 +117,16 @@ def parse_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_PARSERS:
+            if key == "subcommand":  # config_text writes it; the command line decides
+                values[key] = value.strip()
+                continue
+            if key not in OPTIONS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _FIELD_PARSERS[key](value.strip())
+                values[key] = OPTIONS[key]["parse"](value.strip())
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
-
-
-def config_from_text(subcommand: str, text: str) -> RunConfig:
-    """Parse config_text output back into a RunConfig (round-trip helper)."""
-    values: dict = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = _FIELD_PARSERS[key.strip()](value.strip())
-    values.setdefault("subcommand", subcommand)
-    return RunConfig(**values)
 
 
 def _json_ready(obj):
@@ -229,12 +211,11 @@ def _require(config: RunConfig, *names: str):
     if missing:
         raise UsageError(
             f"{config.subcommand}: missing required option(s): "
-            + ", ".join("--" + name.replace("_", "-") for name in missing)
+            + ", ".join(_flag(name) for name in missing)
         )
 
 
 def _system(config: RunConfig) -> CoefficientSystem:
-    _require(config, "coeffs", "n")
     if len(config.coeffs) != 9:
         raise UsageError(f"--coeffs needs 9 comma-separated integers, got {len(config.coeffs)}")
     return CoefficientSystem.make(config.coeffs, config.n)
@@ -269,35 +250,26 @@ def _run_validate(config: RunConfig):
 
 def _run_local(config: RunConfig):
     system = _valid_system(config)
-    _require(config, "q")
     return localdata.local_data(config.q, system), 0
 
 
 def _run_series(config: RunConfig):
     system = _valid_system(config)
-    qmax = config.qmax if config.qmax is not None else singular.DEFINITION_ROUTE_MAX
-    return singular.singular_series_partial(system, qmax), 0
+    return singular.singular_series_partial(system, config.qmax), 0
 
 
 def _run_integral(config: RunConfig):
     system = _valid_system(config)
-    _require(config, "M", "N")
     return singular.singular_integral(system, config.M, config.N), 0
 
 
 def _run_rn(config: RunConfig):
     system = _valid_system(config)
-    _require(config, "M", "N")
-    qmax = config.qmax if config.qmax is not None else singular.DEFINITION_ROUTE_MAX
-    return expsum.rn_report(system, config.M, config.N, qmax), 0
+    return expsum.rn_report(system, config.M, config.N, config.qmax), 0
 
 
 def _run_arcs(config: RunConfig):
-    _require(config, "N")
-    D = config.D if config.D is not None else 2
-    epsilon = config.epsilon if config.epsilon is not None else 0.01
-    c = config.c if config.c is not None else 1.0
-    dis = arcs.build_dissection(config.N, D, epsilon, c)
+    dis = arcs.build_dissection(config.N, config.D, config.epsilon, config.c)
     report = {
         "N": dis.N,
         "D": dis.D,
@@ -313,22 +285,17 @@ def _run_arcs(config: RunConfig):
 
 def _run_scan_minor(config: RunConfig):
     system = _valid_system(config)
-    _require(config, "M", "N")
-    epsilon = config.epsilon if config.epsilon is not None else 0.01
-    c = config.c if config.c is not None else 1.0
-    grid_step = config.grid_step if config.grid_step is not None else 1e-3
-    dis = arcs.build_dissection(config.N, system.size_bound, epsilon, c)
-    return expsum.minor_arc_sup(system, dis, config.M, config.N, grid_step), 0
+    dis = arcs.build_dissection(config.N, system.size_bound, config.epsilon, config.c)
+    return expsum.minor_arc_sup(system, dis, config.M, config.N, config.grid_step), 0
 
 
 def _run_search(config: RunConfig):
     system = _valid_system(config)
-    bound = config.prime_bound if config.prime_bound is not None else 10**4
     window = None
     if config.M is not None or config.N is not None:
         _require(config, "M", "N")
         window = (config.M, config.N)
-    result = search.find_solution(system, bound, window)
+    result = search.find_solution(system, config.prime_bound, window)
     if isinstance(result, search.SolutionRecord):
         report = {
             "found": True,
@@ -351,7 +318,6 @@ def _run_search(config: RunConfig):
 
 
 def _run_thresholds(config: RunConfig):
-    _require(config, "grid", "n_lo", "n_hi")
     grid = []
     for part in config.grid.split(";"):
         part = part.strip()
@@ -363,8 +329,7 @@ def _run_thresholds(config: RunConfig):
         grid.append(coeffs)
     if not grid:
         raise UsageError("empty coefficient grid")
-    bound = config.prime_bound if config.prime_bound is not None else 100
-    rows = search.threshold_scan(grid, range(config.n_lo, config.n_hi + 1), bound)
+    rows = search.threshold_scan(grid, range(config.n_lo, config.n_hi + 1), config.prime_bound)
     return rows, 0
 
 
@@ -376,9 +341,7 @@ def _run_selftest(config: RunConfig):
         unknown = [name for name in names if name not in known]
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(unknown)}")
-    threads = config.threads if config.threads is not None else (os.cpu_count() or 1)
-    seed = config.seed if config.seed is not None else selftest.DEFAULT_SEED
-    results = selftest.run_all(names, threads=threads, seed=seed)
+    results = selftest.run_all(names, threads=config.threads, seed=config.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         sys.stderr.write(f"{status} {res.name} ({res.elapsed:.2f}s): {res.detail}\n")
@@ -390,17 +353,41 @@ def _run_selftest(config: RunConfig):
     return report, code
 
 
-_RUNNERS = {
-    "validate": _run_validate,
-    "local": _run_local,
-    "series": _run_series,
-    "integral": _run_integral,
-    "rn": _run_rn,
-    "arcs": _run_arcs,
-    "scan-minor": _run_scan_minor,
-    "search": _run_search,
-    "thresholds": _run_thresholds,
-    "selftest": _run_selftest,
+REQUIRED = object()  # option default meaning "the subcommand needs this option"
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its runner and its options, each mapped to a default.
+
+    The default is REQUIRED, None (optional, no default), or a value.
+    --config, --out and --format are added to every subcommand.
+    """
+
+    runner: Callable[[RunConfig], tuple[object, int]]
+    options: dict[str, object]
+
+
+_SYSTEM = {"coeffs": REQUIRED, "n": REQUIRED}
+_WINDOW = {"M": REQUIRED, "N": REQUIRED}
+_ARC_SHAPE = {"epsilon": 0.01, "c": 1.0}
+
+COMMANDS = {
+    "validate": Command(_run_validate, _SYSTEM),
+    "local": Command(_run_local, {**_SYSTEM, "q": REQUIRED}),
+    "series": Command(_run_series, {**_SYSTEM, "qmax": singular.DEFINITION_ROUTE_MAX}),
+    "integral": Command(_run_integral, {**_SYSTEM, **_WINDOW}),
+    "rn": Command(_run_rn, {**_SYSTEM, **_WINDOW, "qmax": singular.DEFINITION_ROUTE_MAX}),
+    "arcs": Command(_run_arcs, {"N": REQUIRED, "D": 2, **_ARC_SHAPE}),
+    "scan-minor": Command(_run_scan_minor, {**_SYSTEM, **_WINDOW, **_ARC_SHAPE, "grid_step": 1e-3}),
+    "search": Command(_run_search, {**_SYSTEM, "M": None, "N": None, "prime_bound": 10**4}),
+    "thresholds": Command(
+        _run_thresholds, {"grid": REQUIRED, "n_lo": REQUIRED, "n_hi": REQUIRED, "prime_bound": 100}
+    ),
+    "selftest": Command(
+        _run_selftest,
+        {"only": None, "seed": selftest.DEFAULT_SEED, "threads": os.cpu_count() or 1},
+    ),
 }
 
 
@@ -410,67 +397,29 @@ def build_parser() -> _Parser:
         description="Windowed prime-cube representation counts and their local predictions.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    shared: dict[str, dict] = {
-        "--coeffs": dict(type=str, help="nine comma-separated nonzero integers"),
-        "--n": dict(type=int, help="target value"),
-        "--M": dict(type=int, help="window lower bound (exclusive)"),
-        "--N": dict(type=int, help="window upper bound (inclusive)"),
-        "--q": dict(type=int, help="modulus for the local report"),
-        "--qmax": dict(type=int, help="series cutoff"),
-        "--prime-bound": dict(type=int, dest="prime_bound", help="largest prime tried"),
-        "--grid-step": dict(type=float, dest="grid_step", help="scan grid spacing"),
-        "--epsilon": dict(type=float, help="arc exponent offset"),
-        "--c": dict(type=float, help="log exponent in the arc parameter Q"),
-        "--D": dict(type=int, help="coefficient bound for the dissection"),
-        "--grid": dict(type=str, help="semicolon-separated coefficient systems"),
-        "--n-lo": dict(type=int, dest="n_lo", help="scan range start"),
-        "--n-hi": dict(type=int, dest="n_hi", help="scan range end"),
-        "--only": dict(type=str, help="comma-separated selftest check names"),
-        "--seed": dict(type=int, help="seed for randomized checks"),
-        "--threads": dict(type=int, help="worker threads for the selftest"),
-        "--config": dict(type=str, help="key=value config file; flags override"),
-        "--out": dict(type=str, help="write output to this file instead of stdout"),
-        "--format": dict(type=str, choices=("json", "csv"), help="output format"),
-    }
-    wanted = {
-        "validate": ("--coeffs", "--n"),
-        "local": ("--coeffs", "--n", "--q"),
-        "series": ("--coeffs", "--n", "--qmax"),
-        "integral": ("--coeffs", "--n", "--M", "--N"),
-        "rn": ("--coeffs", "--n", "--M", "--N", "--qmax"),
-        "arcs": ("--N", "--D", "--epsilon", "--c"),
-        "scan-minor": ("--coeffs", "--n", "--M", "--N", "--epsilon", "--c", "--grid-step"),
-        "search": ("--coeffs", "--n", "--M", "--N", "--prime-bound"),
-        "thresholds": ("--grid", "--n-lo", "--n-hi", "--prime-bound"),
-        "selftest": ("--only", "--seed", "--threads"),
-    }
-    for name in SUBCOMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name, add_help=True)
-        for flag in wanted[name] + ("--config", "--out", "--format"):
-            p.add_argument(flag, **shared[flag])
+        for option in (*command.options, "out", "format"):
+            meta = OPTIONS[option]
+            p.add_argument(_flag(option), dest=option, type=meta["parse"], help=meta["help"])
+        p.add_argument("--config", help="key=value config file; flags override")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        file_values = parse_config_file(args.config)
-    file_values.pop("subcommand", None)
+    """Each option from its flag, else the config file, else the subcommand default."""
+    file_values = parse_config_file(args.config) if args.config else {}
+    defaults = COMMANDS[args.subcommand].options
     values: dict = {"subcommand": args.subcommand}
-    for field in dataclasses.fields(RunConfig):
-        if field.name == "subcommand":
-            continue
-        flag = getattr(args, field.name, None)
-        if field.name == "coeffs" and isinstance(flag, str):
-            try:
-                flag = _FIELD_PARSERS["coeffs"](flag)
-            except ValueError as exc:
-                raise UsageError(f"bad --coeffs value: {exc}") from exc
-        if field.name == "format":
-            values[field.name] = flag if flag is not None else file_values.get("format", "json")
-            continue
-        values[field.name] = flag if flag is not None else file_values.get(field.name)
-    return RunConfig(**values)
+    for name in OPTIONS:
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_values.get(name, defaults.get(name))
+        if value is not None and value is not REQUIRED:
+            values[name] = value
+    config = RunConfig(**values)
+    _require(config, *(name for name, default in defaults.items() if default is REQUIRED))
+    return config
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -479,9 +428,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "subcommand", None):
-            raise UsageError("missing subcommand; expected one of " + ", ".join(SUBCOMMANDS))
+            raise UsageError("missing subcommand; expected one of " + ", ".join(COMMANDS))
         config = _merge_config(args)
-        report, code = _RUNNERS[config.subcommand](config)
+        report, code = COMMANDS[config.subcommand].runner(config)
         payload = emit(report, config.format)
         if config.out:
             with open(config.out, "wb") as fh:

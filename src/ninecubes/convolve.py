@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericIntegrityError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 CELL_CAP = 2 * 10**8
 _DIRECT_COST_LIMIT = 3 * 10**7
@@ -140,24 +140,3 @@ def convolve_full(parts: Sequence[IndexedWeights], cap: int = CELL_CAP) -> Index
     for p in parts[1:]:
         acc = convolve_pair(acc, p)
     return acc
-
-
-def count_read(parts: Sequence[IndexedWeights], target: int, cap: int = CELL_CAP) -> int:
-    """Like convolve_read for integer counts.
-
-    Inputs must hold nonnegative integer values.  The accumulation runs in
-    float64; a product-of-column-sums bound below 2^40 keeps the result
-    unambiguous even when a stage falls back to the FFT path.
-    """
-    bound = 1.0
-    for p in parts:
-        if len(p.values) and p.values.min() < 0:
-            raise DomainError("count_read needs nonnegative values")
-        bound *= float(p.values.sum()) if len(p.values) else 0.0
-    if bound >= 2.0**40:
-        raise ResourceLimitError("counts may exceed the unambiguous float range")
-    val = convolve_read(parts, target, cap=cap)
-    out = int(round(val))
-    if abs(val - out) > 0.25:
-        raise NumericIntegrityError("count accumulation lost integrality")
-    return out

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, convolve, singular
-from .characters import DirichletCharacter
 from .errors import DomainError, ResourceLimitError
 from .localdata import CoefficientSystem
 
 FOURIER_T_CAP = 1 << 26
-MOMENT_SPAN_CAP = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,44 +61,10 @@ def cube_support(system: CoefficientSystem, j: int, M: int, N: int) -> WeightedC
     )
 
 
-def prime_cube_sum(alpha: float, j: int, system: CoefficientSystem, M: int, N: int) -> complex:
-    """S_j(alpha), the log-weighted exponential sum of slot j."""
-    sup = cube_support(system, j, M, N)
-    if len(sup) == 0:
-        return 0j
+def support_sum(sup: WeightedCubeSupport, alpha: float) -> complex:
+    """S_j(alpha) = sum over the support of log(p) e(a_j p^3 alpha)."""
     phase = (sup.indices.astype(np.float64) * alpha) % 1.0
     return complex(np.dot(sup.weights, np.exp(2j * np.pi * phase)))
-
-
-def integer_cube_sum(lam: float, j: int, system: CoefficientSystem, M: int, N: int) -> complex:
-    """V_j(lambda): the same sum over all integers m in the window, unit weights."""
-    aj = system.a[j]
-    mag = abs(aj)
-    m_hi = arith.icbrt(N // mag)
-    ms = np.array([m for m in range(1, m_hi + 1) if mag * m**3 > M], dtype=np.int64)
-    if len(ms) == 0:
-        return 0j
-    phase = ((aj * ms**3).astype(np.float64) * lam) % 1.0
-    return complex(np.exp(2j * np.pi * phase).sum())
-
-
-def char_twisted_difference(
-    chi: DirichletCharacter, lam: float, j: int, system: CoefficientSystem, M: int, N: int
-) -> complex:
-    """W_j(chi, lambda): twisted prime sum minus its expected main term.
-
-    For principal chi the subtracted term is the full integer sum V_j, so
-    the value measures how well log-weighted primes fill the window.
-    """
-    sup = cube_support(system, j, M, N)
-    twisted = 0j
-    if len(sup):
-        vals = np.array([chi(int(p)) for p in sup.primes], dtype=np.complex128)
-        phase = (sup.indices.astype(np.float64) * lam) % 1.0
-        twisted = complex(np.dot(sup.weights * vals, np.exp(2j * np.pi * phase)))
-    if chi.is_principal:
-        return twisted - integer_cube_sum(lam, j, system, M, N)
-    return twisted
 
 
 def _supports(system: CoefficientSystem, M: int, N: int) -> list[WeightedCubeSupport]:
@@ -116,17 +80,6 @@ def weighted_count_direct(
         return 0.0
     parts = [convolve.from_sparse(s.indices, s.weights, cap=cap) for s in sups]
     return convolve.convolve_read(parts, system.n, cap=cap)
-
-
-def solution_tuple_count(
-    system: CoefficientSystem, M: int, N: int, cap: int = convolve.CELL_CAP
-) -> int:
-    """Number of prime 9-tuples counted by r(n), exact."""
-    sups = _supports(system, M, N)
-    if any(len(s) == 0 for s in sups):
-        return 0
-    parts = [convolve.from_sparse(s.indices, np.ones(len(s)), cap=cap) for s in sups]
-    return convolve.count_read(parts, system.n, cap=cap)
 
 
 def weighted_count_fourier(
@@ -157,28 +110,6 @@ def weighted_count_fourier(
         np.add.at(grid, s.indices % T, s.weights)
         spectrum *= np.fft.rfft(grid)
     return float(np.fft.irfft(spectrum, T)[n % T])
-
-
-def eighth_power_moment(
-    system: CoefficientSystem, j: int, M: int, N: int, cap: int = MOMENT_SPAN_CAP
-) -> float:
-    """Integral of |S_j|^8 over [0,1]: the weighted count of p1^3+..+p4^3 = p5^3+..+p8^3.
-
-    Computed as the sum of squared coefficients of S_j^4, which is a
-    four-fold convolution of the support.
-    """
-    sup = cube_support(system, j, M, N)
-    if len(sup) == 0:
-        return 0.0
-    base = convolve.from_sparse(sup.primes**3, sup.weights, cap=cap)
-    h = convolve.convolve_full([base] * 4, cap=cap)
-    return float(np.dot(h.values, h.values))
-
-
-@dataclass(frozen=True)
-class MinorScanPoint:
-    alpha: float
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -226,8 +157,7 @@ def minor_arc_sup(
         if classify(alpha, dissection) is not None:
             continue
         minor += 1
-        phase = (sup.indices.astype(np.float64) * alpha) % 1.0
-        mag = abs(np.dot(sup.weights, np.exp(2j * np.pi * phase)))
+        mag = abs(support_sum(sup, alpha))
         if best is None or mag > best[0]:
             best = (float(mag), alpha)
     return MinorScanReport(

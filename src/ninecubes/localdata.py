@@ -3,9 +3,9 @@
 For a system a_1 x_1^3 + ... + a_9 x_9^3 = n the objects computed here are
 
     C_chi(a)  = sum_{k=1..q} chi(k) e(a k^3 / q)
-    B(q)      = sum_{k mod q, gcd(k,q)=1} e(-k n / q) prod_j C_{chi_j}(a_j k)
+    B(q)      = sum_{k mod q, gcd(k,q)=1} e(-k n / q) prod_j C_{chi_0}(a_j k)
     F(q)      = the same sum over all k mod q
-    A(q)      = B(q, principal characters) / phi(q)^9
+    A(q)      = B(q) / phi(q)^9
     N(q)      = #{unit 9-tuples (x_j) with sum a_j x_j^3 = n mod q}
     s(p)      = 1 + A(p) = p N(p) / phi(p)^9
 
@@ -99,10 +99,6 @@ class CoefficientSystem:
     def is_valid(self) -> bool:
         return not self.violations()
 
-    @property
-    def all_positive(self) -> bool:
-        return all(x > 0 for x in self.a)
-
 
 def _check_q(q: int, cap: int = LOCAL_Q_CAP) -> None:
     if q < 1:
@@ -171,41 +167,8 @@ def char_sum_bound_ok(chi: DirichletCharacter, a: int, slack: float = 1e-6) -> b
     return abs(cubic_char_sum(chi, a)) <= bound + slack
 
 
-def twisted_sum_units(q: int, chars, system: CoefficientSystem) -> complex:
-    """B(q): the nine-fold twisted sum over k coprime to q."""
-    return _twisted_sum(q, chars, system, units_only=True)
-
-
-def twisted_sum_all(q: int, chars, system: CoefficientSystem) -> complex:
-    """F(q): the nine-fold twisted sum over all k mod q."""
-    return _twisted_sum(q, chars, system, units_only=False)
-
-
-def _twisted_sum(q: int, chars, system: CoefficientSystem, units_only: bool) -> complex:
-    _check_q(q)
-    chars = list(chars)
-    if len(chars) != 9:
-        raise DomainError(f"expected 9 characters, got {len(chars)}")
-    if any(chi.modulus != q for chi in chars):
-        raise DomainError("all characters must have modulus q")
-    if q == 1:
-        return 1 + 0j
-    tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    for chi in chars:
-        key = (chi.modulus, chi.exponents)
-        if key not in tables:
-            tables[key] = cubic_char_sum_table(chi)
-    k = np.arange(q, dtype=np.int64)
-    if units_only:
-        k = k[_unit_mask(q)]
-    total = unit_roots(q)[(-system.n) % q * k % q].copy()
-    for chi, aj in zip(chars, system.a):
-        total *= tables[(chi.modulus, chi.exponents)][aj % q * k % q]
-    return complex(total.sum())
-
-
-def _principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -> complex:
-    """B(q) or F(q) at principal characters, without character machinery."""
+def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -> complex:
+    """B(q) (k coprime to q) or F(q) (all k mod q) at principal characters."""
     _check_q(q)
     if q == 1:
         return 1 + 0j
@@ -223,26 +186,23 @@ def _principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) 
 def series_term(q: int, system: CoefficientSystem) -> float:
     """A(q) = B(q at principal characters) / phi(q)^9, verified real."""
     _check_q(q)
-    b = _principal_twisted_sum(q, system, units_only=True)
+    b = principal_twisted_sum(q, system, units_only=True)
     scale = 1.0 + abs(b)
     if abs(b.imag) > 1e-9 * scale:
         raise NumericIntegrityError(f"A({q}) has imaginary part {b.imag:.3e} (scale {scale:.3e})")
     return b.real / arith.euler_phi(q) ** 9
 
 
-def _cube_histograms(q: int, system: CoefficientSystem, units_only: bool) -> list[np.ndarray]:
-    cubes = _cube_table(q)
-    if units_only:
-        cubes = cubes[_unit_mask(q)]
+def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]:
+    cubes = _cube_table(q)[_unit_mask(q)]
     return [np.bincount(aj % q * cubes % q, minlength=q) for aj in system.a]
 
 
-def _count_solutions_crt(q: int, system: CoefficientSystem, units_only: bool) -> int:
-    """Exact tuple count via cyclic convolutions run modulo several primes."""
+def _count_solutions_crt(q: int, system: CoefficientSystem) -> int:
+    """Exact unit-tuple count via cyclic convolutions run modulo several primes."""
     if q == 1:
         return 1
-    base = arith.euler_phi(q) if units_only else q
-    bound = base**9  # trivial upper bound for any stage value
+    bound = arith.euler_phi(q) ** 9  # trivial upper bound for any stage value
     moduli: list[int] = []
     prod = 1
     for m in _CRT_MODULI:
@@ -252,7 +212,7 @@ def _count_solutions_crt(q: int, system: CoefficientSystem, units_only: bool) ->
             break
     if prod <= 2 * bound:
         raise ResourceLimitError(f"count mod {q} exceeds the CRT capacity")
-    hists = _cube_histograms(q, system, units_only)
+    hists = _unit_cube_histograms(q, system)
     target = system.n % q
     residues = []
     for m in moduli:
@@ -269,14 +229,7 @@ def _count_solutions_crt(q: int, system: CoefficientSystem, units_only: bool) ->
 def unit_solution_count(q: int, system: CoefficientSystem, cap: int = EXACT_COUNT_CAP) -> int:
     """N(q): unit 9-tuples with sum a_j x_j^3 = n mod q, exact."""
     _check_q(q, cap=cap)
-    return _count_solutions_crt(q, system, units_only=True)
-
-
-@lru_cache(maxsize=65536)
-def residue_solution_count(q: int, system: CoefficientSystem, cap: int = EXACT_COUNT_CAP) -> int:
-    """Auxiliary count over all residue 9-tuples mod q, exact."""
-    _check_q(q, cap=cap)
-    return _count_solutions_crt(q, system, units_only=False)
+    return _count_solutions_crt(q, system)
 
 
 def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
@@ -284,7 +237,7 @@ def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
     _check_q(q)
     if q == 1:
         return 1.0
-    hists = _cube_histograms(q, system, units_only=True)
+    hists = _unit_cube_histograms(q, system)
     spectrum = np.ones(q // 2 + 1, dtype=np.complex128)
     for h in hists:
         spectrum *= np.fft.rfft(h.astype(np.float64))
@@ -323,40 +276,3 @@ def local_data(q: int, system: CoefficientSystem) -> LocalData:
     n_q = unit_solution_count(q, system)
     s_p = euler_factor(q, system) if arith.is_prime(q) else None
     return LocalData(q=q, series_term=a_q, unit_solutions=n_q, euler_factor=s_p)
-
-
-def cube_twist_vanishing_threshold(p: int, alpha: int, t_max: int = 6) -> int | None:
-    """Least t with C over modulus p^t vanishing for primitive chi mod p^alpha.
-
-    Scans t = alpha..t_max, inducing a primitive character mod p^alpha to
-    modulus p^t and testing C(a) = 0 for all a coprime to p.  Returns the
-    least t from which vanishing holds through t_max, or None.
-    """
-    from .characters import character_group, induce, principal_character
-
-    if not arith.is_prime(p):
-        raise DomainError(f"expected a prime, got {p}")
-    if alpha == 0:
-        base = [principal_character(1)]
-    else:
-        base = [chi for chi in character_group(p**alpha) if chi.is_primitive]
-        if not base:
-            return None
-    vanish_from: int | None = None
-    for t in range(max(alpha, 1), t_max + 1):
-        q = p**t
-        coprime = np.ones(q, dtype=bool)
-        coprime[::p] = False
-        all_zero = True
-        for chi in base[:3]:  # a few primitive characters suffice for the scan
-            lifted = induce(chi, q)
-            tab = cubic_char_sum_table(lifted)
-            if np.abs(tab[coprime]).max(initial=0.0) > 1e-7 * q:
-                all_zero = False
-                break
-        if all_zero:
-            if vanish_from is None:
-                vanish_from = t
-        else:
-            vanish_from = None
-    return vanish_from

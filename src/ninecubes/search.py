@@ -22,18 +22,13 @@ import numpy as np
 
 from . import arith, expsum
 from .errors import DomainError, ResourceLimitError
-from .localdata import CoefficientSystem, validate_coefficients
+from .localdata import CoefficientSystem
 
 PRIME_BOUND_CAP = 10**4
 # element visits across index build + complement scan
 ENUM_CAP = 2 * 10**8
 # total stored sums across the suffix-reachability refinement
 REFINE_CAP = 3 * 10**7
-
-
-def validate_system(system: CoefficientSystem) -> list[str]:
-    """Violated solubility conditions, empty when the system is admissible."""
-    return validate_coefficients(system.a, system.n)
 
 
 @dataclass(frozen=True)

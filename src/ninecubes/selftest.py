@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,14 +45,12 @@ def random_valid_system(
     n_lo: int,
     n_hi: int,
     max_prime_slots: int = 3,
-    all_positive: bool = False,
 ) -> CoefficientSystem:
     """A coefficient system satisfying the solubility side conditions.
 
     Magnitudes are 1 except for up to max_prime_slots distinct small
-    primes, which keeps pairwise coprimality automatic; signs are random
-    unless all_positive.  n is drawn from [n_lo, n_hi] and nudged by one
-    to fix parity.
+    primes, which keeps pairwise coprimality automatic; signs are random.
+    n is drawn from [n_lo, n_hi] and nudged by one to fix parity.
     """
     k = int(rng.integers(0, max_prime_slots + 1))
     mags = [1] * 9
@@ -59,7 +58,7 @@ def random_valid_system(
     slots = rng.choice(9, size=k, replace=False)
     for slot, pick in zip(slots, picks):
         mags[slot] = _COEFF_POOL[pick]
-    signs = [1] * 9 if all_positive else [1 if rng.random() < 0.5 else -1 for _ in range(9)]
+    signs = [1 if rng.random() < 0.5 else -1 for _ in range(9)]
     coeffs = tuple(s * m for s, m in zip(signs, mags))
     n = int(rng.integers(n_lo, n_hi + 1))
     if (sum(coeffs) - n) % 2 != 0:
@@ -192,8 +191,7 @@ def check_full_sum_count_identity(rng: np.random.Generator) -> tuple[bool, str]:
     """Principal-character full sum F(q) equals q times the unit solution count."""
     for system in _mult_test_systems():
         for q in range(1, 51):
-            chars = tuple([characters.principal_character(q)] * 9)
-            f = localdata.twisted_sum_all(q, chars, system)
+            f = localdata.principal_twisted_sum(q, system, units_only=False)
             qn = q * localdata.unit_solution_count(q, system)
             if abs(f.imag) > 1e-9 * (1 + abs(qn)):
                 return False, f"F({q}) has imaginary part {f.imag:.3g}"
@@ -275,14 +273,16 @@ def check_arc_dissection(rng: np.random.Generator) -> tuple[bool, str]:
 def check_main_term_corridor(rng: np.random.Generator) -> tuple[bool, str]:
     """r(n)/main-term corridor at n = N, with a block-averaged diagnostic.
 
-    At n = N with window (N/10, N] the nine slot values all exceed N/10,
-    so the least attainable sum is 9(N/10 + ...) > N; n = N also has the
-    wrong parity for nine odd cubes.  r(N) is therefore exactly 0 and
-    the pointwise corridor cannot be met at these sizes (the attainable
-    sums number only a few thousand across a range of width ~8N, so
-    r(n) = 0 at almost every n).  The check reports the faithful ratios
-    and, for context, the block-averaged corridor from
-    corridor_block_diagnostic.
+    At n = N with window (N/10, N] every slot value is an odd prime cube
+    above N/10, so every attainable sum is odd while N is even.  At
+    N = 1e5 and 3e5 the least attainable sum (9 * 23^3 = 109503 and
+    9 * 37^3 = 455877) also exceeds N; at N = 1e6 it does not
+    (9 * 47^3 = 934407 < N), and parity alone forces the zero.  r(N) is
+    therefore exactly 0 at all three sizes and the pointwise corridor
+    cannot be met (the attainable sums number only a few thousand across
+    a range of width ~8N, so r(n) = 0 at almost every n).  The check
+    reports the faithful ratios and, for context, the block-averaged
+    corridor from corridor_block_diagnostic.
     """
     ratios = []
     for N in (10**5, 3 * 10**5, 10**6):
@@ -306,7 +306,8 @@ def check_main_term_corridor(rng: np.random.Generator) -> tuple[bool, str]:
     return ok, detail
 
 
-def corridor_block_diagnostic() -> tuple[list[float], list[float]]:
+@lru_cache(maxsize=None)
+def corridor_block_diagnostic() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Averaged corridor over the bulk block n in [4N, 6N], n odd.
 
     Sums r(n) over the block and compares with the averaged prediction
@@ -315,7 +316,8 @@ def corridor_block_diagnostic() -> tuple[list[float], list[float]]:
     class changes the block sums by less than a part in 10^4.  The raw
     ratio carries the ninth power of the window's prime-mass deficit
     theta/(N^(1/3) - M^(1/3)); the corrected ratio divides that factor
-    out and is the meaningful finite-size figure.
+    out and is the meaningful finite-size figure.  The result is
+    computed once per process.
     """
     raw, corrected = [], []
     for N in (10**5, 3 * 10**5, 10**6):
@@ -326,7 +328,7 @@ def corridor_block_diagnostic() -> tuple[list[float], list[float]]:
         kappa9 = (theta / (N ** (1.0 / 3.0) - M ** (1.0 / 3.0))) ** 9
         parts = [convolve.from_sparse(sup.indices, sup.weights) for _ in range(9)]
         r_all = convolve.convolve_full(parts)
-        iparts = [singular._integral_support(1, M, N, singular.INTEGRAL_N_CAP * 10) for _ in range(9)]
+        iparts = [singular.integral_support(1, M, N) for _ in range(9)]
         j_all = convolve.convolve_full(iparts)
         lo_b, hi_b = 4 * N, 6 * N
 
@@ -342,7 +344,7 @@ def corridor_block_diagnostic() -> tuple[list[float], list[float]]:
         mt_sum = 3.0**-9 * 2.0 * odd_block_sum(j_all)
         raw.append(r_sum / mt_sum if mt_sum else float("nan"))
         corrected.append(raw[-1] / kappa9)
-    return raw, corrected
+    return tuple(raw), tuple(corrected)
 
 
 def check_search_consistency(rng: np.random.Generator) -> tuple[bool, str]:
@@ -412,7 +414,9 @@ def run_all(
     unknown = [name for name in names if name not in table]
     if unknown:
         raise DomainError(f"unknown checks: {', '.join(unknown)}")
-    jobs = [(name, table[name], seed + i) for i, name in enumerate(names)]
+    # seeded by position in CHECKS, so any selection reproduces the full run
+    index = {name: i for i, (name, _) in enumerate(CHECKS)}
+    jobs = [(name, table[name], seed + index[name]) for name in names]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_run_one, *job) for job in jobs]

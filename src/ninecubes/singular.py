@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -139,7 +138,7 @@ class IntegralReport:
     solution_count: float
 
 
-def _integral_support(aj: int, M: int, N: int, cap: int) -> convolve.IndexedWeights:
+def integral_support(aj: int, M: int, N: int, cap: int = INTEGRAL_N_CAP) -> convolve.IndexedWeights:
     """Weights m^(-2/3) at indices aj * m over the window M < |aj| m <= N."""
     mag = abs(aj)
     m_lo = M // mag + 1  # least m with |aj| m > M
@@ -167,7 +166,7 @@ def singular_integral(
         raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
     if N > cap:
         raise ResourceLimitError(f"window bound {N} exceeds cap {cap}")
-    parts = [_integral_support(aj, M, N, cap) for aj in system.a]
+    parts = [integral_support(aj, M, N, cap) for aj in system.a]
     value = convolve.convolve_read(parts, system.n)
     ones = [
         convolve.IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts

@@ -1,17 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from ninecubes import arith, characters
-from ninecubes.characters import (
-    DirichletCharacter,
-    character_group,
-    e_of,
-    induce,
-    primitive_characters,
-    principal_character,
-)
+from ninecubes.characters import DirichletCharacter, character_group, e_of
 from ninecubes.errors import DomainError
 
 MODULI = (1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 35, 63)
@@ -61,23 +52,6 @@ def test_multiplicative_values():
             assert abs(chi(a * b) - chi(a) * chi(b)) < 1e-12
 
 
-def test_product_and_order():
-    rng = np.random.default_rng(212)
-    for q in (9, 16, 63):
-        group = character_group(q)
-        for _ in range(20):
-            c1 = group[rng.integers(0, len(group))]
-            c2 = group[rng.integers(0, len(group))]
-            prod = c1 * c2
-            k = int(rng.integers(0, q))
-            assert abs(prod(k) - c1(k) * c2(k)) < 1e-12
-        for chi in group:
-            power = principal_character(q)
-            for _ in range(chi.order()):
-                power = power * chi
-            assert power.is_principal
-
-
 def test_value_table_matches_calls():
     for q in (7, 12, 63):
         for chi in character_group(q):
@@ -85,43 +59,6 @@ def test_value_table_matches_calls():
             assert table.shape == (q,)
             for k in range(q):
                 assert abs(table[k] - chi(k)) < 1e-12
-
-
-def test_primitive_counts():
-    # number of primitive characters mod q is sum_{d | q} mu(q/d) phi(d)
-    for q in range(1, 61):
-        want = sum(arith.mobius(q // d) * arith.euler_phi(d) for d in arith.divisors(q))
-        assert len(primitive_characters(q)) == max(want, 0)
-
-
-def test_conductor_divides_and_detects_principal():
-    for q in MODULI:
-        for chi in character_group(q):
-            f = chi.conductor()
-            assert q % f == 0
-            if chi.is_principal:
-                assert f == 1
-
-
-def test_induce_round_trip():
-    rng = np.random.default_rng(213)
-    for f, q in [(3, 9), (3, 12), (5, 35), (7, 63), (4, 16), (8, 16), (9, 63)]:
-        for psi in primitive_characters(f):
-            chi = induce(psi, q)
-            assert chi.modulus == q
-            assert chi.conductor() == f
-            for _ in range(25):
-                k = int(rng.integers(0, q))
-                if math.gcd(k, q) != 1:
-                    assert chi(k) == 0
-                else:
-                    assert abs(chi(k) - psi(k)) < 1e-12
-
-
-def test_induce_requires_divisibility():
-    psi = character_group(5)[1]
-    with pytest.raises(DomainError):
-        induce(psi, 12)
 
 
 def test_bad_exponents_rejected():

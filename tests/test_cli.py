@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from ninecubes import cli
-from ninecubes.cli import RunConfig, config_from_text, parse_config_file, run
+from ninecubes.cli import RunConfig, parse_config_file, run
 from ninecubes.errors import NumericIntegrityError
 
 ONES = "1,1,1,1,1,1,1,1,1"
@@ -94,7 +95,8 @@ def test_numeric_integrity_exit(monkeypatch, tmp_path):
     def broken(config):
         raise NumericIntegrityError("forced for the exit-code contract")
 
-    monkeypatch.setitem(cli._RUNNERS, "local", broken)
+    local = dataclasses.replace(cli.COMMANDS["local"], runner=broken)
+    monkeypatch.setitem(cli.COMMANDS, "local", local)
     code, _ = run_to_file(tmp_path, ["local", "--coeffs", ONES, "--n", "23", "--q", "9"])
     assert code == 3
 
@@ -104,7 +106,7 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_config_round_trip():
+def test_config_round_trip(tmp_path):
     config = RunConfig(
         subcommand="rn",
         coeffs=(1, 1, 1, 1, 1, 1, 1, 1, 1),
@@ -113,9 +115,12 @@ def test_config_round_trip():
         N=8,
         qmax=500,
         seed=11,
+        grid_step=0.25,
+        format="csv",
     )
-    again = config_from_text("rn", config.config_text())
-    assert again == config
+    cfg = tmp_path / "rn.cfg"
+    cfg.write_text(config.config_text())
+    assert RunConfig(**parse_config_file(str(cfg))) == config
 
 
 def test_config_file_and_flag_override(tmp_path):

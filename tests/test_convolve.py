@@ -7,7 +7,6 @@ from ninecubes.convolve import (
     convolve_full,
     convolve_pair,
     convolve_read,
-    count_read,
     from_sparse,
 )
 from ninecubes.errors import DomainError, ResourceLimitError
@@ -88,28 +87,6 @@ def test_read_brute_force_small():
 
     for target in range(-20, 21, 5):
         assert convolve_read(parts, target) == pytest.approx(brute(target), abs=1e-10)
-
-
-def test_count_read_exact():
-    rng = np.random.default_rng(415)
-    for _ in range(10):
-        parts = []
-        for _ in range(5):
-            length = int(rng.integers(1, 10))
-            vals = rng.integers(0, 50, size=length).astype(np.float64)
-            parts.append(IndexedWeights(int(rng.integers(0, 8)), vals))
-        full = convolve_full(parts)
-        t = int(rng.integers(full.lo, full.hi + 1))
-        assert count_read(parts, t) == round(full.coefficient(t))
-
-
-def test_count_read_guards():
-    neg = IndexedWeights(0, np.array([1.0, -1.0]))
-    with pytest.raises(DomainError):
-        count_read([neg, neg], 0)
-    big = IndexedWeights(0, np.full(4, 2048.0))
-    with pytest.raises(ResourceLimitError):
-        count_read([big] * 4, 6)
 
 
 def test_empty_factor_annihilates():

@@ -7,18 +7,13 @@ import pytest
 from ninecubes.arcs import build_dissection
 from ninecubes.errors import DomainError
 from ninecubes.expsum import (
-    char_twisted_difference,
     cube_support,
-    eighth_power_moment,
-    integer_cube_sum,
     minor_arc_sup,
-    prime_cube_sum,
     rn_report,
-    solution_tuple_count,
+    support_sum,
     weighted_count_direct,
     weighted_count_fourier,
 )
-from ninecubes.characters import character_group
 from ninecubes.localdata import CoefficientSystem
 
 ONES = CoefficientSystem.make([1] * 9, 23)
@@ -56,16 +51,15 @@ def test_single_atom_window_gives_log_power():
     want = math.log(2.0) ** 9
     assert weighted_count_direct(system, 7, 8) == pytest.approx(want, rel=1e-12)
     assert weighted_count_fourier(system, 7, 8) == pytest.approx(want, rel=1e-9)
-    assert solution_tuple_count(system, 7, 8) == 1
 
 
 def test_conjugate_symmetry():
     rng = np.random.default_rng(611)
     for _ in range(25):
         alpha = float(rng.uniform(0, 1))
-        j = int(rng.integers(0, 9))
-        s1 = prime_cube_sum(alpha, j, MIXED, 10, 5000)
-        s2 = prime_cube_sum(1.0 - alpha, j, MIXED, 10, 5000)
+        sup = cube_support(MIXED, int(rng.integers(0, 9)), 10, 5000)
+        s1 = support_sum(sup, alpha)
+        s2 = support_sum(sup, 1.0 - alpha)
         assert s2 == pytest.approx(s1.conjugate(), abs=1e-8)
 
 
@@ -96,44 +90,6 @@ def test_counts_match_brute_force():
     assert count > 0
     assert weighted_count_direct(MIXED, 8, 1000) == pytest.approx(want, rel=1e-9)
     assert weighted_count_fourier(MIXED, 8, 1000) == pytest.approx(want, rel=1e-6)
-    assert solution_tuple_count(MIXED, 8, 1000) == count
-
-
-def test_eighth_moment_counts_quadruple_pairs():
-    sup = cube_support(ONES, 0, 8, 1000)
-    cubes = [int(p) ** 3 for p in sup.primes]
-    logs = [float(w) for w in sup.weights]
-    total = 0.0
-    for quad in itertools.product(range(len(cubes)), repeat=4):
-        s1 = sum(cubes[i] for i in quad)
-        w1 = math.prod(logs[i] for i in quad)
-        for quad2 in itertools.product(range(len(cubes)), repeat=4):
-            if sum(cubes[i] for i in quad2) == s1:
-                total += w1 * math.prod(logs[i] for i in quad2)
-    assert eighth_power_moment(ONES, 0, 8, 1000) == pytest.approx(total, rel=1e-9)
-
-
-def test_integer_sum_basics():
-    v0 = integer_cube_sum(0.0, 0, ONES, 8, 1000)
-    assert v0 == pytest.approx(8.0)  # m = 3..10
-    rng = np.random.default_rng(612)
-    for _ in range(10):
-        lam = float(rng.uniform(0, 1))
-        assert abs(integer_cube_sum(lam, 0, ONES, 8, 1000)) <= 8.0 + 1e-12
-
-
-def test_twisted_difference_definition():
-    sup = cube_support(ONES, 2, 8, 4000)
-    for chi in character_group(5)[:3]:
-        for lam in (0.0, 0.3):
-            got = char_twisted_difference(chi, lam, 2, ONES, 8, 4000)
-            want = sum(
-                chi(int(p)) * math.log(p) * np.exp(2j * np.pi * ((int(p) ** 3 * lam) % 1.0))
-                for p in sup.primes
-            )
-            if chi.is_principal:
-                want -= integer_cube_sum(lam, 2, ONES, 8, 4000)
-            assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_minor_scan_report_shape():

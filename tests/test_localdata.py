@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 
 from ninecubes import localdata
-from ninecubes.characters import character_group, principal_character
+from ninecubes.characters import character_group
 from ninecubes.errors import DomainError
 from ninecubes.localdata import (
     CoefficientSystem,
-    cube_twist_vanishing_threshold,
     cubic_char_sum,
     char_sum_bound_ok,
     euler_factor,
     local_data,
-    residue_solution_count,
+    principal_cubic_table,
+    principal_twisted_sum,
     series_term,
-    twisted_sum_all,
-    twisted_sum_units,
     unit_solution_count,
     validate_coefficients,
 )
@@ -26,13 +24,13 @@ ONES = CoefficientSystem.make([1] * 9, 23)
 MIXED = CoefficientSystem.make([1, 1, 1, -2, 3, 1, 5, 1, -1], 14)
 
 
-def brute_count(q, system, units_only):
-    """Residue-class solution count by direct dict convolution (exact ints)."""
+def brute_count(q, system):
+    """Unit-tuple solution count by direct dict convolution (exact ints)."""
     counts = {0: 1}
     for a in system.a:
         hist = {}
         for k in range(q):
-            if units_only and math.gcd(k, q) != 1:
+            if math.gcd(k, q) != 1:
                 continue
             r = a * k**3 % q
             hist[r] = hist.get(r, 0) + 1
@@ -83,7 +81,6 @@ def test_system_construction_guards():
     assert ONES.size_bound == 2
     assert MIXED.size_bound == 5
     assert MIXED.coefficient_product == 30
-    assert not MIXED.all_positive and ONES.all_positive
 
 
 def test_counts_match_brute_force():
@@ -94,8 +91,7 @@ def test_counts_match_brute_force():
         systems.append(CoefficientSystem.make(coeffs, int(rng.integers(0, 50))))
     for q in (2, 3, 4, 5, 8, 9, 12, 16, 25, 27, 30):
         for system in systems:
-            assert unit_solution_count(q, system) == brute_count(q, system, True)
-            assert residue_solution_count(q, system) == brute_count(q, system, False)
+            assert unit_solution_count(q, system) == brute_count(q, system)
 
 
 def test_series_term_matches_definition():
@@ -124,36 +120,23 @@ def test_cubic_char_sum_matches_definition():
 
 def test_unit_weighted_sum_mod_2():
     # the single unit mod 2 gives B(2) = (-1)^(n + sum a)
-    chi0 = principal_character(2)
     for n in (23, 31, 1):
         system = CoefficientSystem.make([1] * 9, n)
-        value = twisted_sum_units(2, [chi0] * 9, system)
+        value = principal_twisted_sum(2, system, units_only=True)
         assert value == pytest.approx(1.0)
     even = CoefficientSystem.make([1] * 9, 14)
-    assert twisted_sum_units(2, [chi0] * 9, even) == pytest.approx(-1.0)
+    assert principal_twisted_sum(2, even, units_only=True) == pytest.approx(-1.0)
 
 
 def test_full_sum_counts_solutions():
     # summing the twist over all residues k recovers q times the unit count
     for q in (2, 3, 4, 9, 10, 27):
-        chars = [principal_character(q)] * 9
         for system in (ONES, MIXED):
-            value = twisted_sum_all(q, chars, system)
+            value = principal_twisted_sum(q, system, units_only=False)
             target = q * unit_solution_count(q, system)
             assert abs(value.imag) <= 1e-9 * (1 + target)
             assert round(value.real) == target
             assert abs(value.real - target) <= 1e-6 * (1 + target)
-
-
-def test_full_equals_unit_sum_for_primitive_characters():
-    rng = np.random.default_rng(313)
-    for q in (5, 7, 9):
-        prim = [chi for chi in character_group(q) if chi.is_primitive]
-        for _ in range(5):
-            chars = [prim[rng.integers(0, len(prim))] for _ in range(9)]
-            b = twisted_sum_units(q, chars, ONES)
-            f = twisted_sum_all(q, chars, ONES)
-            assert abs(f - b) < 1e-9 * q
 
 
 def test_series_term_multiplicative():
@@ -207,19 +190,20 @@ def test_char_bound_exhaustive_small():
 
 
 def test_cube_twist_vanishing_thresholds():
-    # principal cube twists die at level 2 away from 3 and at level 3 at 3
-    assert cube_twist_vanishing_threshold(2, 0) == 2
-    assert cube_twist_vanishing_threshold(5, 0) == 2
-    assert cube_twist_vanishing_threshold(7, 0) == 2
-    assert cube_twist_vanishing_threshold(3, 0) == 3
-    assert cube_twist_vanishing_threshold(3, 1) == 3
-    assert cube_twist_vanishing_threshold(2, 1) is None
+    # principal cube sums C(a) mod p^t, a prime to p, vanish from level 2
+    # away from 3 and from level 3 at 3, and not below
+    for p, first in [(2, 2), (5, 2), (7, 2), (3, 3)]:
+        for t in range(1, 7):
+            q = p**t
+            coprime = np.arange(q) % p != 0
+            vanishes = np.abs(principal_cubic_table(q)[coprime]).max() <= 1e-7 * q
+            assert vanishes == (t >= first), (p, t)
 
 
 def test_local_data_bundle():
     data = local_data(9, ONES)
     assert data.q == 9
-    assert data.unit_solutions == brute_count(9, ONES, True)
+    assert data.unit_solutions == brute_count(9, ONES)
     assert data.euler_factor is None
     prime = local_data(7, ONES)
     assert prime.euler_factor == pytest.approx(1.0 + prime.series_term, rel=1e-9)

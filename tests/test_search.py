@@ -9,7 +9,6 @@ from ninecubes.search import (
     find_solution,
     solution_exists,
     threshold_scan,
-    validate_system,
 )
 
 
@@ -162,11 +161,6 @@ def test_prime_bound_guards():
     huge = CoefficientSystem.make([10**15] * 8 + [1], 72)
     with pytest.raises(ResourceLimitError):
         find_solution(huge, prime_bound=10**4)
-
-
-def test_validate_system_passthrough():
-    assert validate_system(CoefficientSystem.make([1] * 9, 23)) == []
-    assert validate_system(CoefficientSystem.make([1] * 9, 24))
 
 
 def test_threshold_rows():

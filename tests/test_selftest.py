@@ -3,7 +3,7 @@ import pytest
 
 from ninecubes import selftest
 from ninecubes.errors import DomainError
-from ninecubes.selftest import CHECKS, DEFAULT_SEED, random_valid_system, run_all
+from ninecubes.selftest import CHECKS, DEFAULT_SEED, _run_one, random_valid_system, run_all
 
 
 def test_registry_names_are_unique():
@@ -17,8 +17,8 @@ def test_random_systems_are_valid():
         system = random_valid_system(rng, 500, 5000)
         assert system.is_valid
         assert len(system.a) == 9
-    flat = random_valid_system(rng, 500, 5000, max_prime_slots=0, all_positive=True)
-    assert all(abs(c) == 1 for c in flat.a) and flat.all_positive
+    flat = random_valid_system(rng, 500, 5000, max_prime_slots=0)
+    assert all(abs(c) == 1 for c in flat.a)
 
 
 def test_run_all_subset_deterministic():
@@ -28,6 +28,16 @@ def test_run_all_subset_deterministic():
     assert first[0].name == "arc_dissection"
     assert first[0].passed
     assert first[0].detail == second[0].detail
+
+
+def test_selection_reproduces_full_run():
+    # a check is seeded by its position in CHECKS, so running it alone
+    # (selftest --only) gives the result it has in the full run
+    name = "search_consistency"
+    index = [n for n, _ in CHECKS].index(name)
+    full = _run_one(name, dict(CHECKS)[name], DEFAULT_SEED + index)
+    alone = run_all(names=[name])
+    assert alone[0].detail == full.detail
 
 
 def test_run_all_rejects_unknown_name():
