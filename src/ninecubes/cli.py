@@ -51,9 +51,11 @@ def output_format(text: str) -> str:
     return text
 
 
-def _option(parse, help: str, default=None):
+def _option(parse, help: str, default=None, metavar: str | None = None):
     """A RunConfig field that is also a flag and a config-file key."""
-    return dataclasses.field(default=default, metadata={"parse": parse, "help": help})
+    return dataclasses.field(
+        default=default, metadata={"parse": parse, "help": help, "metavar": metavar}
+    )
 
 
 @dataclass(frozen=True)
@@ -61,14 +63,15 @@ class RunConfig:
     """One CLI invocation, flat enough to round-trip through key=value text.
 
     Every field but subcommand is an option: its metadata holds the parser
-    for flag and config-file values and the --help text.
+    for flag and config-file values, the --help text and the --help metavar
+    (None: argparse's default, the upper-cased name).
     """
 
     subcommand: str
     coeffs: tuple[int, ...] | None = _option(int_list, "nine comma-separated nonzero integers")
-    n: int | None = _option(int, "target value")
+    n: int | None = _option(int, "target value", metavar="TARGET")
     M: int | None = _option(int, "window lower bound (exclusive)")
-    N: int | None = _option(int, "window upper bound (inclusive)")
+    N: int | None = _option(int, "window upper bound (inclusive)", metavar="BOUND")
     q: int | None = _option(int, "modulus for the local report")
     qmax: int | None = _option(int, "series cutoff")
     prime_bound: int | None = _option(int, "largest prime tried")
@@ -159,51 +162,21 @@ def _csv_escape(value) -> str:
     return text
 
 
-def emit(report, fmt: str) -> bytes:
-    """Canonical bytes for a report: sorted-key JSON or a documented CSV table."""
-    if fmt == "json":
+def emit(report, config: RunConfig) -> bytes:
+    """Canonical bytes for a report: sorted-key JSON or the subcommand's CSV table."""
+    if config.format == "json":
         payload = _json_ready(report)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         return text.encode("utf-8")
-    if fmt == "csv":
-        rows = _csv_rows(report)
-        if rows is None:
-            raise UsageError(
-                f"csv output is not defined for {type(report).__name__}; use json"
-            )
+    if config.format == "csv":
+        table = COMMANDS[config.subcommand].csv
+        if table is None:
+            raise UsageError(f"csv output is not defined for {config.subcommand}; use json")
         buf = io.StringIO()
-        for row in rows:
+        for row in table(report):
             buf.write(",".join(_csv_escape(_json_ready(v)) for v in row) + "\n")
         return buf.getvalue().encode("utf-8")
-    raise UsageError(f"unknown format {fmt!r}; expected json or csv")
-
-
-def _csv_rows(report):
-    if isinstance(report, singular.SeriesReport):
-        head = [("q", "term")]
-        return head + [(q, t) for q, t in report.terms]
-    if isinstance(report, list) and report and isinstance(report[0], search.ThresholdRow):
-        head = [("coeffs", "n", "found", "max_p", "n_cuberoot", "D")]
-        return head + [
-            (
-                " ".join(str(c) for c in row.coeffs),
-                row.n,
-                row.found,
-                row.max_p,
-                row.n_cuberoot,
-                row.D,
-            )
-            for row in report
-        ]
-    if (
-        isinstance(report, list)
-        and report
-        and isinstance(report[0], dict)
-        and set(report[0]) == {"name", "passed", "detail"}
-    ):
-        head = [("name", "passed", "detail")]
-        return head + [(r["name"], r["passed"], r["detail"]) for r in report]
-    return None
+    raise UsageError(f"unknown format {config.format!r}; expected json or csv")
 
 
 def _require(config: RunConfig, *names: str):
@@ -256,6 +229,10 @@ def _run_local(config: RunConfig):
 def _run_series(config: RunConfig):
     system = _valid_system(config)
     return singular.singular_series_partial(system, config.qmax), 0
+
+
+def _series_csv(report: singular.SeriesReport):
+    return [("q", "term")] + [(q, t) for q, t in report.terms]
 
 
 def _run_integral(config: RunConfig):
@@ -333,6 +310,14 @@ def _run_thresholds(config: RunConfig):
     return rows, 0
 
 
+def _thresholds_csv(rows: list[search.ThresholdRow]):
+    head = [("coeffs", "n", "found", "max_p", "n_cuberoot", "D")]
+    return head + [
+        (" ".join(str(c) for c in row.coeffs), row.n, row.found, row.max_p, row.n_cuberoot, row.D)
+        for row in rows
+    ]
+
+
 def _run_selftest(config: RunConfig):
     names = None
     if config.only:
@@ -353,6 +338,10 @@ def _run_selftest(config: RunConfig):
     return report, code
 
 
+def _selftest_csv(report: list[dict]):
+    return [("name", "passed", "detail")] + [(r["name"], r["passed"], r["detail"]) for r in report]
+
+
 REQUIRED = object()  # option default meaning "the subcommand needs this option"
 
 
@@ -361,11 +350,14 @@ class Command:
     """A subcommand: its runner and its options, each mapped to a default.
 
     The default is REQUIRED, None (optional, no default), or a value.
-    --config, --out and --format are added to every subcommand.
+    --config, --out and --format are added to every subcommand.  csv turns
+    the runner's report into rows, header first; None means the report has
+    no tabular form and --format csv is a usage error.
     """
 
     runner: Callable[[RunConfig], tuple[object, int]]
     options: dict[str, object]
+    csv: Callable[[object], list[tuple]] | None = None
 
 
 _SYSTEM = {"coeffs": REQUIRED, "n": REQUIRED}
@@ -375,18 +367,21 @@ _ARC_SHAPE = {"epsilon": 0.01, "c": 1.0}
 COMMANDS = {
     "validate": Command(_run_validate, _SYSTEM),
     "local": Command(_run_local, {**_SYSTEM, "q": REQUIRED}),
-    "series": Command(_run_series, {**_SYSTEM, "qmax": singular.DEFINITION_ROUTE_MAX}),
+    "series": Command(_run_series, {**_SYSTEM, "qmax": singular.DEFINITION_ROUTE_MAX}, _series_csv),
     "integral": Command(_run_integral, {**_SYSTEM, **_WINDOW}),
     "rn": Command(_run_rn, {**_SYSTEM, **_WINDOW, "qmax": singular.DEFINITION_ROUTE_MAX}),
     "arcs": Command(_run_arcs, {"N": REQUIRED, "D": 2, **_ARC_SHAPE}),
     "scan-minor": Command(_run_scan_minor, {**_SYSTEM, **_WINDOW, **_ARC_SHAPE, "grid_step": 1e-3}),
     "search": Command(_run_search, {**_SYSTEM, "M": None, "N": None, "prime_bound": 10**4}),
     "thresholds": Command(
-        _run_thresholds, {"grid": REQUIRED, "n_lo": REQUIRED, "n_hi": REQUIRED, "prime_bound": 100}
+        _run_thresholds,
+        {"grid": REQUIRED, "n_lo": REQUIRED, "n_hi": REQUIRED, "prime_bound": 100},
+        _thresholds_csv,
     ),
     "selftest": Command(
         _run_selftest,
         {"only": None, "seed": selftest.DEFAULT_SEED, "threads": os.cpu_count() or 1},
+        _selftest_csv,
     ),
 }
 
@@ -401,7 +396,10 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, add_help=True)
         for option in (*command.options, "out", "format"):
             meta = OPTIONS[option]
-            p.add_argument(_flag(option), dest=option, type=meta["parse"], help=meta["help"])
+            p.add_argument(
+                _flag(option), dest=option, type=meta["parse"], help=meta["help"],
+                metavar=meta["metavar"],
+            )
         p.add_argument("--config", help="key=value config file; flags override")
     return parser
 
@@ -431,7 +429,7 @@ def run(argv: list[str] | None = None) -> int:
             raise UsageError("missing subcommand; expected one of " + ", ".join(COMMANDS))
         config = _merge_config(args)
         report, code = COMMANDS[config.subcommand].runner(config)
-        payload = emit(report, config.format)
+        payload = emit(report, config)
         if config.out:
             with open(config.out, "wb") as fh:
                 fh.write(payload)

@@ -103,12 +103,19 @@ def weighted_count_fourier(
     T = 1 << reach.bit_length()  # least power of two > reach
     if T > t_cap:
         raise ResourceLimitError(f"sampling length {T} exceeds cap {t_cap}")
+    # equal coefficients give equal grids: one rfft per distinct a_j, multiplied
+    # in slot order, each spectrum dropped after its last slot to bound memory
+    last = {s.coefficient: j for j, s in enumerate(sups)}
+    spectra: dict[int, np.ndarray] = {}
     spectrum = np.ones(T // 2 + 1, dtype=np.complex128)
     grid = np.zeros(T, dtype=np.float64)
-    for s in sups:
-        grid[:] = 0.0
-        np.add.at(grid, s.indices % T, s.weights)
-        spectrum *= np.fft.rfft(grid)
+    for j, s in enumerate(sups):
+        a = s.coefficient
+        if a not in spectra:
+            grid[:] = 0.0
+            np.add.at(grid, s.indices % T, s.weights)
+            spectra[a] = np.fft.rfft(grid)
+        spectrum *= spectra.pop(a) if last[a] == j else spectra[a]
     return float(np.fft.irfft(spectrum, T)[n % T])
 
 

@@ -177,8 +177,13 @@ def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -
     if units_only:
         k = k[_unit_mask(q)]
     total = unit_roots(q)[(-system.n) % q * k % q].copy()
+    # one gather per distinct a_j mod q; the slot-order product keeps the rounding
+    factors: dict[int, np.ndarray] = {}
     for aj in system.a:
-        total *= tab[aj % q * k % q]
+        r = aj % q
+        if r not in factors:
+            factors[r] = tab[r * k % q]
+        total *= factors[r]
     return complex(total.sum())
 
 
@@ -233,14 +238,24 @@ def unit_solution_count(q: int, system: CoefficientSystem, cap: int = EXACT_COUN
 
 
 def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
-    """Float shadow of N(q) via FFT convolutions; ~1e-12 relative accuracy."""
+    """Float shadow of N(q) via FFT convolutions; ~1e-12 relative accuracy.
+
+    Transforms are shared per distinct unit-cube histogram: slots whose
+    coefficients differ by a cube unit factor (a and -a always; any two
+    units when 3 does not divide phi(q)) take one rfft between them.  The
+    spectra are still multiplied in slot order, so the result does not
+    depend on how many transforms were shared.
+    """
     _check_q(q)
     if q == 1:
         return 1.0
-    hists = _unit_cube_histograms(q, system)
+    spectra: dict[bytes, np.ndarray] = {}
     spectrum = np.ones(q // 2 + 1, dtype=np.complex128)
-    for h in hists:
-        spectrum *= np.fft.rfft(h.astype(np.float64))
+    for h in _unit_cube_histograms(q, system):
+        key = h.tobytes()
+        if key not in spectra:
+            spectra[key] = np.fft.rfft(h.astype(np.float64))
+        spectrum *= spectra[key]
     return float(np.fft.irfft(spectrum, q)[system.n % q])
 
 

@@ -211,6 +211,18 @@ def test_csv_unsupported_for_rn(tmp_path):
     assert code == 64
 
 
+def test_empty_selftest_selection_csv(tmp_path):
+    code, data = run_to_file(tmp_path, ["selftest", "--only", ",", "--format", "csv"], "empty.csv")
+    assert code == 0
+    assert data == b"name,passed,detail\n"
+
+
+def test_help_tells_target_from_bound(capsys):
+    assert run(["search", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--n TARGET" in usage and "--N BOUND" in usage
+
+
 def test_selftest_single_check(tmp_path, capsys):
     code, data = run_to_file(
         tmp_path, ["selftest", "--only", "arc_dissection", "--seed", "1"]

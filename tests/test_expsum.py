@@ -92,6 +92,31 @@ def test_counts_match_brute_force():
     assert weighted_count_fourier(MIXED, 8, 1000) == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "coeffs, primes, N",
+    [
+        ((1,) * 9, (2, 3, 5, 7, 11, 13, 17, 19, 23), 20000),  # all equal
+        ((3,) * 9, (2, 3, 5, 7, 11, 13, 11, 7, 5), 10000),  # all equal, not 1
+        ((1, -2, 3, 5, -7, 11, 13, 17, 19), (3, 2, 5, 3, 2, 3, 2, 2, 3), 5000),  # all distinct
+    ],
+)
+def test_fourier_matches_direct(coeffs, primes, N):
+    system = CoefficientSystem.make(coeffs, sum(a * p**3 for a, p in zip(coeffs, primes)))
+    want = weighted_count_direct(system, 7, N)
+    assert want > 0
+    assert weighted_count_fourier(system, 7, N) == pytest.approx(want, rel=1e-9)
+
+
+def test_fourier_transforms_once_per_distinct_coefficient(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, *a, **k: calls.append(1) or rfft(x, *a, **k))
+    coeffs = (1,) * 7 + (2, 3)
+    system = CoefficientSystem.make(coeffs, 7 * 8 + 2 * 27 + 3 * 125)
+    assert weighted_count_fourier(system, 7, 1000) > 0
+    assert len(calls) == 3
+
+
 def test_minor_scan_report_shape():
     dis = build_dissection(20000, 2, 0.01, 1.0)
     rep = minor_arc_sup(ONES, dis, 100, 20000, grid_step=0.01)

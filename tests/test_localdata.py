@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ninecubes import localdata
-from ninecubes.characters import character_group
+from ninecubes import arith, localdata
+from ninecubes.characters import character_group, unit_roots
 from ninecubes.errors import DomainError
 from ninecubes.localdata import (
     CoefficientSystem,
@@ -17,6 +17,7 @@ from ninecubes.localdata import (
     principal_twisted_sum,
     series_term,
     unit_solution_count,
+    unit_solution_count_float,
     validate_coefficients,
 )
 
@@ -94,6 +95,44 @@ def test_counts_match_brute_force():
             assert unit_solution_count(q, system) == brute_count(q, system)
 
 
+def shared_transform_systems(p):
+    """Systems with repeated, negated, cube-equivalent and p-divisible coefficients."""
+    n = 12345 + p
+    return [
+        CoefficientSystem.make([1] * 9, n),  # repeated
+        CoefficientSystem.make([2, 2, 2, 3, 3, 3, 5, 5, 7], n),  # repeated, several values
+        CoefficientSystem.make([1, -1, 1, -1, 2, -2, 3, -3, 1], n),  # negated
+        CoefficientSystem.make([3, 24, 3, 24, 5, 40, 1, 8, -1], n),  # a and 8a = a 2^3
+        CoefficientSystem.make([1] * 8 + [p], n),  # one slot vanishes mod p
+        CoefficientSystem.make([p, 2 * p, 1, 1, 2, 2, 3, 5, 7], n),  # two of them do
+    ]
+
+
+def test_float_count_matches_exact_count():
+    for p in arith.sieve_primes(500):
+        for system in shared_transform_systems(p):
+            exact = unit_solution_count(p, system)
+            shadow = unit_solution_count_float(p, system)
+            if exact < 2**48:  # a double still holds the count with room for FFT rounding
+                assert round(shadow) == exact
+            else:
+                assert shadow == pytest.approx(exact, rel=1e-13)
+
+
+def test_float_count_transforms_once_per_distinct_histogram(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, *a, **k: calls.append(1) or rfft(x, *a, **k))
+    # cubing permutes the units mod 503 = 2 mod 3, so every unit coefficient
+    # has the same histogram
+    unit_solution_count_float(503, ONES)
+    assert len(calls) == 1
+    calls.clear()
+    # mod 7 = 1 mod 3, 2 is not a cube: 1, -1 and 8 share, 2 does not
+    unit_solution_count_float(7, CoefficientSystem.make([1, -1, 8, 1, 1, 1, 1, 1, 2], 5))
+    assert len(calls) == 2
+
+
 def test_series_term_matches_definition():
     rng = np.random.default_rng(312)
     systems = [ONES, MIXED]
@@ -137,6 +176,23 @@ def test_full_sum_counts_solutions():
             assert abs(value.imag) <= 1e-9 * (1 + target)
             assert round(value.real) == target
             assert abs(value.real - target) <= 1e-6 * (1 + target)
+
+
+def test_twisted_sum_matches_slotwise_gathers():
+    # the reference gathers the table once per slot, as the definition reads
+    systems = [ONES, MIXED, CoefficientSystem.make([1, -1, 1, 8, 2, 2, 15, 30, 1], 17)]
+    for q in range(2, 61):
+        tab = principal_cubic_table(q)
+        for units_only in (True, False):
+            k = np.arange(q, dtype=np.int64)
+            if units_only:
+                k = k[np.gcd(k, q) == 1]
+            for system in systems:
+                total = unit_roots(q)[(-system.n) % q * k % q].copy()
+                for aj in system.a:
+                    total *= tab[aj % q * k % q]
+                want = complex(total.sum())
+                assert principal_twisted_sum(q, system, units_only) == want
 
 
 def test_series_term_multiplicative():
