@@ -199,8 +199,18 @@ def series_term(q: int, system: CoefficientSystem) -> float:
 
 
 def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]:
+    """Histogram of a_j u^3 mod q over units u, per slot.
+
+    One bincount per distinct a_j mod q; slots with equal residues share
+    one read-only array.
+    """
     cubes = _cube_table(q)[_unit_mask(q)]
-    return [np.bincount(aj % q * cubes % q, minlength=q) for aj in system.a]
+    hists: dict[int, np.ndarray] = {}
+    for r in (aj % q for aj in system.a):
+        if r not in hists:
+            hists[r] = np.bincount(r * cubes % q, minlength=q)
+            hists[r].flags.writeable = False
+    return [hists[aj % q] for aj in system.a]
 
 
 def _count_solutions_crt(q: int, system: CoefficientSystem) -> int:

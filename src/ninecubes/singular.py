@@ -145,11 +145,11 @@ def integral_support(aj: int, M: int, N: int, cap: int = INTEGRAL_N_CAP) -> conv
     m_hi = N // mag  # greatest m with |aj| m <= N
     if m_hi < m_lo:
         return convolve.IndexedWeights(0, np.zeros(0, dtype=np.float64))
-    m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-    w = m ** (-2.0 / 3.0)
     span = (m_hi - m_lo) * mag + 1
     if span > cap:
         raise ResourceLimitError(f"integral support span {span} exceeds cap {cap}")
+    m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
+    w = m ** (-2.0 / 3.0)
     vals = np.zeros(span, dtype=np.float64)
     if aj > 0:
         vals[::mag] = w

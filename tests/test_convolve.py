@@ -10,6 +10,9 @@ from ninecubes.convolve import (
     from_sparse,
 )
 from ninecubes.errors import DomainError, ResourceLimitError
+from ninecubes.expsum import cube_support
+from ninecubes.localdata import CoefficientSystem
+from ninecubes.singular import integral_support
 
 
 def random_part(rng, max_len=40, lo_range=(-50, 50)):
@@ -94,3 +97,108 @@ def test_empty_factor_annihilates():
     unit = IndexedWeights(3, np.array([2.0]))
     assert len(convolve_pair(empty, unit).values) == 0
     assert convolve_read([empty, unit], 3) == 0.0
+
+
+def numpy_chain(parts):
+    values = parts[0].values
+    for p in parts[1:]:
+        values = np.convolve(values, p.values)
+    return sum(p.offset for p in parts), values
+
+
+def count_rffts(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, *a, **k: calls.append(1) or rfft(x, *a, **k))
+    return calls
+
+
+def test_full_paths_match_numpy_chain():
+    rng = np.random.default_rng(415)
+    cases = []
+    for _ in range(20):
+        parts = [random_part(rng, max_len=30) for _ in range(int(rng.integers(1, 6)))]
+        for p in parts:
+            p.values[rng.random(len(p.values)) < 0.3] = 0.0
+        cases.append(parts)
+    base = random_part(rng, max_len=25, lo_range=(-60, -20))
+    other = random_part(rng, max_len=25)
+    # repeats passed as distinct but equal arrays, at different offsets
+    cases.append([IndexedWeights(base.offset + 7 * i, base.values.copy()) for i in range(4)] + [other])
+    cases.append([IndexedWeights(-5, np.array([0.0, -2.0, 0.0, 3.0]))])
+    for parts in cases:
+        offset, want = numpy_chain(parts)
+        scale = max(1.0, np.abs(want).max())
+        assert convolve._stages_direct(parts)
+        staged = convolve_full(parts)
+        spectral = convolve._spectral_product(parts, len(want), convolve.CELL_CAP)
+        for got in (staged, spectral):
+            assert got.offset == offset and len(got.values) == len(want)
+            assert np.abs(got.values - want).max() <= 1e-12 * scale
+
+
+def test_full_empty_factor_annihilates_on_both_routes():
+    empty = IndexedWeights(4, np.zeros(0))
+    dense = IndexedWeights(-3, np.ones(8000))
+    assert not convolve._stages_direct([dense, dense])
+    for parts in ([empty, dense], [dense, empty, dense]):
+        assert len(convolve_full(parts).values) == 0
+
+
+def test_spectral_transforms_once_per_distinct_factor(monkeypatch):
+    rng = np.random.default_rng(416)
+    a, b = rng.standard_normal(40), rng.standard_normal(40)
+    parts = [IndexedWeights(i, a.copy()) for i in range(5)] + [IndexedWeights(-9, b) for _ in range(2)]
+    calls = count_rffts(monkeypatch)
+    got = convolve._spectral_product(parts, 7 * 39 + 1, convolve.CELL_CAP)
+    assert len(calls) == 2
+    offset, want = numpy_chain(parts)
+    assert got.offset == offset
+    assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_full_route_on_window_tables(monkeypatch):
+    # small analogues of the benchmark's tables: sparse prime-cube supports
+    # stay on the direct chain, dense m^(-2/3) supports take one spectral
+    # product with one transform per distinct coefficient
+    coeffs = (1, -1, 1, 1, 1, 1, -1, 2, 3)
+    system = CoefficientSystem.make(coeffs, 1)
+    calls = count_rffts(monkeypatch)
+    for N in (10**4, 10**5):
+        sups = [cube_support(system, j, N // 10, N) for j in range(9)]
+        parts = [from_sparse(s.indices, s.weights) for s in sups]
+        assert convolve._stages_direct(parts)
+        convolve_full(parts)
+        assert calls == []
+    parts = [integral_support(a, 10**3, 10**4) for a in coeffs]
+    assert not convolve._stages_direct(parts)
+    got = convolve_full(parts)
+    assert len(calls) == 4
+    offset, want = numpy_chain(parts)
+    assert got.offset == offset
+    assert np.abs(got.values - want).max() <= 1e-12 * want.max()
+
+
+def test_spectral_cap_covers_padded_length(monkeypatch):
+    # span 11999 fits the cap, the 5-smooth FFT length 12000 does not
+    dense = IndexedWeights(0, np.ones(6000))
+    assert not convolve._stages_direct([dense, dense])
+    assert convolve._fft_length(11999) == 12000
+    calls = count_rffts(monkeypatch)
+    with pytest.raises(ResourceLimitError):
+        convolve_full([dense, dense], cap=11999)
+    assert calls == []
+    assert len(convolve_full([dense, dense], cap=12000).values) == 11999
+
+
+def test_fft_length_is_least_5_smooth():
+    def smooth(n):
+        for f in (2, 3, 5):
+            while n % f == 0:
+                n //= f
+        return n == 1
+
+    for n in range(1, 2000):
+        length = convolve._fft_length(n)
+        assert smooth(length) and length >= n
+        assert not any(smooth(m) for m in range(n, length))

@@ -133,6 +133,26 @@ def test_float_count_transforms_once_per_distinct_histogram(monkeypatch):
     assert len(calls) == 2
 
 
+def test_histograms_built_once_per_distinct_residue(monkeypatch):
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, *a, **k: calls.append(1) or bincount(x, *a, **k))
+    hists = localdata._unit_cube_histograms(13, ONES)
+    assert len(calls) == 1
+    assert all(h is hists[0] for h in hists)
+    calls.clear()
+    # (1, 1, 1, -2, 3, 1, 5, 1, -1) mod 7 = (1, 1, 1, 5, 3, 1, 5, 1, 6)
+    hists = localdata._unit_cube_histograms(7, MIXED)
+    assert len(calls) == 4
+    assert hists[0] is hists[1] is hists[2] is hists[5] is hists[7]
+    assert hists[3] is hists[6]
+    for aj, h in zip(MIXED.a, hists):
+        want = [0] * 7
+        for k in range(1, 7):
+            want[aj * k**3 % 7] += 1
+        assert h.tolist() == want
+
+
 def test_series_term_matches_definition():
     rng = np.random.default_rng(312)
     systems = [ONES, MIXED]

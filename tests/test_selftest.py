@@ -40,6 +40,18 @@ def test_selection_reproduces_full_run():
     assert alone[0].detail == full.detail
 
 
+def test_corridor_diagnostic_matches_staged_products():
+    # ratios from the staged FFT chain, which convolve_full ran for every
+    # table before it took spectral products
+    raw, corrected = selftest.corridor_block_diagnostic()
+    assert raw == pytest.approx(
+        (0.25046965924493747, 0.06890994999667555, 0.19740708897592718), rel=1e-12
+    )
+    assert corrected == pytest.approx(
+        (1.137434149185262, 0.8610608513457229, 0.6913175997508079), rel=1e-12
+    )
+
+
 def test_run_all_rejects_unknown_name():
     with pytest.raises(DomainError):
         run_all(names=["definitely_not_a_check"])

@@ -89,6 +89,14 @@ def test_integral_support_window_split():
         assert whole.values.sum() == pytest.approx(total, rel=1e-12)
 
 
+def test_integral_support_cap_refuses_before_allocating():
+    # a span of 1e15 cells must be refused by the cap, not by numpy's allocator
+    with pytest.raises(ResourceLimitError):
+        integral_support(1, 0, 10**15)
+    with pytest.raises(ResourceLimitError):
+        integral_support(-7, 0, 10**15)
+
+
 def test_integral_against_brute_force():
     # tiny window: enumerate integer tuples directly
     system = CoefficientSystem.make([1, 1, 1, 1, -1, 1, 1, 1, 1], 30)
