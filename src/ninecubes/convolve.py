@@ -23,10 +23,20 @@ spectrum multiplied into one accumulator once per slot that shares it,
 and a single irfft.  Sparse prime-cube supports up to N = 3e5 stay
 staged; dense m^(-2/3) supports and the sparse supports at N = 1e6 go
 spectral.
+
+A single coefficient is read the same two ways.  convolve_read always
+takes the cropped chain: r(n) needs it, as the direct route independent
+of the Fourier one and with the exact zeros of nonnegative weights.
+read_bounded, which reads J(n) and its tuple count, keeps that chain
+when every cropped stage would be direct and otherwise crops each factor
+to the indices that can still reach the target and reads the target from
+one spectral product, whose length need only keep aliases off the
+target; it returns the value with an a-priori rounding bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,6 +118,16 @@ def _crop(part: IndexedWeights, lo: int, hi: int) -> IndexedWeights:
     return IndexedWeights(lo, part.values[lo - part.offset : hi - part.offset + 1])
 
 
+def _suffix_bounds(parts: Sequence[IndexedWeights]) -> tuple[list[int], list[int]]:
+    """Least and greatest index sum of parts[i:], for i = 0 .. len(parts)."""
+    suffix_lo = [0] * (len(parts) + 1)
+    suffix_hi = [0] * (len(parts) + 1)
+    for i in range(len(parts) - 1, -1, -1):
+        suffix_lo[i] = suffix_lo[i + 1] + parts[i].lo
+        suffix_hi[i] = suffix_hi[i + 1] + parts[i].hi
+    return suffix_lo, suffix_hi
+
+
 def convolve_read(parts: Sequence[IndexedWeights], target: int, cap: int = CELL_CAP) -> float:
     """Coefficient of `target` in the product of all parts.
 
@@ -120,11 +140,7 @@ def convolve_read(parts: Sequence[IndexedWeights], target: int, cap: int = CELL_
         raise DomainError("need at least one factor")
     if any(len(p.values) == 0 for p in parts):
         return 0.0
-    suffix_lo = [0] * (len(parts) + 1)
-    suffix_hi = [0] * (len(parts) + 1)
-    for i in range(len(parts) - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + parts[i].lo
-        suffix_hi[i] = suffix_hi[i + 1] + parts[i].hi
+    suffix_lo, suffix_hi = _suffix_bounds(parts)
     if not suffix_lo[0] <= target <= suffix_hi[0]:
         return 0.0
     cells = 0
@@ -153,29 +169,37 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _stages_direct(parts: Sequence[IndexedWeights]) -> bool:
+def _stages_direct(parts: Sequence[IndexedWeights], target: int | None = None) -> bool:
     """True when every stage of the chain over parts takes the direct path.
 
     Follows _convolve_values' choice stage by stage, with the nonzero
     count of each partial product bounded by the product of its factors'
-    counts (a sumset is no larger than the product of its summands).
+    counts (a sumset is no larger than the product of its summands).  With
+    a target, follows convolve_read's chain, whose partial products are
+    cropped to the indices that can still reach the target.
     """
-    acc_len = len(parts[0].values)
+    if target is not None:
+        suffix_lo, suffix_hi = _suffix_bounds(parts)
+        parts = [_crop(parts[0], target - suffix_hi[1], target - suffix_lo[1]), *parts[1:]]
+    lo, hi = parts[0].lo, parts[0].hi
     acc_nnz = int(np.count_nonzero(parts[0].values))
-    for p in parts[1:]:
-        n = len(p.values)
+    for i, p in enumerate(parts[1:], 1):
+        if hi < lo:
+            return True  # the read has already come out 0
+        acc_len, n = hi - lo + 1, len(p.values)
         nnz = int(np.count_nonzero(p.values))
         short_nnz, long_len = (acc_nnz, n) if acc_len <= n else (nnz, acc_len)
         if short_nnz * long_len > _DIRECT_COST_LIMIT:
             return False
-        acc_len += n - 1
-        acc_nnz = min(acc_len, acc_nnz * nnz)
+        lo, hi = lo + p.lo, hi + p.hi
+        if target is not None:
+            lo, hi = max(lo, target - suffix_hi[i + 1]), min(hi, target - suffix_lo[i + 1])
+        acc_nnz = min(max(hi - lo + 1, 0), acc_nnz * nnz)
     return True
 
 
-def _spectral_product(parts: Sequence[IndexedWeights], span: int, cap: int) -> IndexedWeights:
-    """Product of all parts from one rfft per distinct factor and one irfft."""
-    nfft = _fft_length(span)
+def _product_spectrum(parts: Sequence[IndexedWeights], nfft: int, cap: int) -> np.ndarray:
+    """Length-nfft rfft of the product of all parts' values, one rfft per distinct factor."""
     if nfft > cap:
         raise ResourceLimitError(f"FFT length {nfft} exceeds cap {cap}")
     groups: list[list] = []  # [values, number of slots sharing them]
@@ -192,8 +216,53 @@ def _spectral_product(parts: Sequence[IndexedWeights], span: int, cap: int) -> I
         for _ in range(k):
             acc *= spectrum
         del spectrum  # before the next rfft: at most two spectra alive
+    return acc
+
+
+def _spectral_product(parts: Sequence[IndexedWeights], span: int, cap: int) -> IndexedWeights:
+    """Product of all parts from one rfft per distinct factor and one irfft."""
+    nfft = _fft_length(span)
     offset = sum(p.offset for p in parts)
-    return IndexedWeights(offset, np.fft.irfft(acc, nfft)[:span])
+    return IndexedWeights(offset, np.fft.irfft(_product_spectrum(parts, nfft, cap), nfft)[:span])
+
+
+def _spectral_read(parts: Sequence[IndexedWeights], target: int, cap: int) -> tuple[float, float]:
+    """Coefficient of `target` from one spectral product, and its rounding bound."""
+    lo_total = sum(p.lo for p in parts)
+    hi_total = sum(p.hi for p in parts)
+    if not lo_total <= target <= hi_total:
+        return 0.0, 0.0
+    parts = [_crop(p, target - (hi_total - p.hi), target - (lo_total - p.lo)) for p in parts]
+    span = sum(len(p.values) - 1 for p in parts) + 1
+    t = target - sum(p.lo for p in parts)
+    nfft = _fft_length(max(t + 1, span - t + 1, *(len(p.values) for p in parts)))
+    value = float(np.fft.irfft(_product_spectrum(parts, nfft, cap), nfft)[t])
+    mass = math.prod(float(np.abs(p.values).sum()) for p in parts)
+    return value, 64 * np.finfo(np.float64).eps * math.log2(nfft) * mass
+
+
+def read_bounded(
+    parts: Sequence[IndexedWeights], target: int, cap: int = CELL_CAP
+) -> tuple[float, float]:
+    """Coefficient of `target` in the product of all parts, and its rounding bound.
+
+    Staged (convolve_read) when every stage of its cropped chain would be
+    direct; that path only adds products, so it keeps the sign of
+    nonnegative weights and its bound is 0.  Otherwise each factor is
+    cropped to the indices from which the target is still reachable and
+    the coefficient is read from one spectral product at the least
+    5-smooth length L exceeding both the target's offset t in the cropped
+    product and span - t, so no alias lands on t.  The bound is then
+    64 eps log2(L) times the product of the factors' l1 norms.
+    """
+    parts = list(parts)
+    if not parts:
+        raise DomainError("need at least one factor")
+    if any(len(p.values) == 0 for p in parts):
+        return 0.0, 0.0
+    if _stages_direct(parts, target):
+        return convolve_read(parts, target, cap), 0.0
+    return _spectral_read(parts, target, cap)
 
 
 def convolve_full(parts: Sequence[IndexedWeights], cap: int = CELL_CAP) -> IndexedWeights:

@@ -10,7 +10,10 @@ multiplicatively from prime-power values above the definition cutoff.
 The singular integral J(n) sums (m_1 ... m_9)^(-2/3) over integer tuples
 with sum a_j m_j = n and M < |a_j| m_j <= N.  The constraint is linear in
 the m_j: each m_j stands for a cube p_j^3, so the per-variable window
-matches the cube window of the counting problem.
+matches the cube window of the counting problem.  J(n) and the number of
+such tuples are each one coefficient of a nine-fold product, read by
+convolve.read_bounded: by the staged chain for small windows, from one
+spectral product otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, convolve
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem, euler_factor, series_term
 
 SERIES_X_CAP = 10**4
@@ -158,27 +161,37 @@ def integral_support(aj: int, M: int, N: int, cap: int = INTEGRAL_N_CAP) -> conv
     return convolve.IndexedWeights(aj * m_hi, vals)
 
 
+def _clamped(value: float, bound: float, what: str) -> float:
+    """A read of nonnegative weights: 0 within its rounding bound below zero, else an error."""
+    if value < -bound:
+        raise NumericIntegrityError(f"{what} {value!r} is below minus its rounding bound {bound!r}")
+    return max(value, 0.0)
+
+
 def singular_integral(
     system: CoefficientSystem, M: int, N: int, cap: int = INTEGRAL_N_CAP
 ) -> IntegralReport:
-    """J(n) over the window M < |a_j| m_j <= N, by staged convolution."""
+    """J(n) and its tuple count over the window M < |a_j| m_j <= N.
+
+    Both are read by convolve.read_bounded.  The weights are nonnegative,
+    so a read below zero is rounding: it is clamped to 0 within the read's
+    bound and raises NumericIntegrityError beyond it.
+    """
     if not 0 < M < N:
         raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
     if N > cap:
         raise ResourceLimitError(f"window bound {N} exceeds cap {cap}")
     parts = [integral_support(aj, M, N, cap) for aj in system.a]
-    value = convolve.convolve_read(parts, system.n)
+    value = _clamped(*convolve.read_bounded(parts, system.n), "integral")
     ones = [
         convolve.IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts
     ]
-    count = convolve.convolve_read(ones, system.n)
+    count = _clamped(*convolve.read_bounded(ones, system.n), "tuple count")
     norm = value * abs(system.coefficient_product) ** (1.0 / 3.0) / float(N) ** 2
-    if value < -1e-9:
-        raise AssertionError("negative integral from nonnegative weights")
     return IntegralReport(
         window_m=M,
         window_n=N,
-        value=max(value, 0.0),
+        value=value,
         normalized=norm,
         solution_count=count,
     )

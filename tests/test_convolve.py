@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,9 @@ from ninecubes.convolve import (
     from_sparse,
 )
 from ninecubes.errors import DomainError, ResourceLimitError
-from ninecubes.expsum import cube_support
+from ninecubes.expsum import cube_support, weighted_count_direct
 from ninecubes.localdata import CoefficientSystem
-from ninecubes.singular import integral_support
+from ninecubes.singular import integral_support, singular_integral
 
 
 def random_part(rng, max_len=40, lo_range=(-50, 50)):
@@ -202,3 +205,105 @@ def test_fft_length_is_least_5_smooth():
         length = convolve._fft_length(n)
         assert smooth(length) and length >= n
         assert not any(smooth(m) for m in range(n, length))
+
+
+def brute_coefficient(parts, target):
+    """Sum of weight products over every index tuple that sums to target."""
+    total = 0.0
+    ranges = [zip(range(p.lo, p.hi + 1), p.values) for p in parts]
+    for combo in itertools.product(*(list(r) for r in ranges)):
+        if sum(i for i, _ in combo) == target:
+            total += math.prod(v for _, v in combo)
+    return total
+
+
+def test_spectral_read_matches_brute_force():
+    rng = np.random.default_rng(417)
+    shared = random_part(rng, max_len=5, lo_range=(-9, -3))
+    cases = [
+        [random_part(rng, max_len=6, lo_range=(-8, 8)) for _ in range(4)],
+        # strided supports (|a| = 2, 3) with a negated slot
+        [integral_support(2, 1, 12), integral_support(-3, 2, 15), integral_support(1, 3, 9)],
+        # equal factors as distinct arrays at different offsets, next to a signed one
+        [IndexedWeights(shared.offset + i, shared.values.copy()) for i in range(3)]
+        + [IndexedWeights(-2, np.array([1.5, 0.0, -0.5, 2.0]))],
+        [IndexedWeights(-4, np.array([0.0, 2.0, 1.0]))],
+    ]
+    for parts in cases:
+        lo, hi = sum(p.lo for p in parts), sum(p.hi for p in parts)
+        targets = [lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1]
+        for target in targets:
+            want = brute_coefficient(parts, target)
+            got, bound = convolve._spectral_read(parts, target, convolve.CELL_CAP)
+            assert abs(got - want) <= bound + 1e-15
+            assert got == pytest.approx(want, abs=1e-12)
+            if not lo <= target <= hi:
+                assert (got, bound) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("coeffs", [(1,) * 9, (1, 1, 1, -2, 3, 1, 5, 1, -1)])
+@pytest.mark.parametrize("N", [2 * 10**4, 10**5])
+def test_spectral_read_matches_staged_read(coeffs, N):
+    parts = [integral_support(a, N // 10, N) for a in coeffs]
+    for target in (5 * N + 1, N):
+        assert not convolve._stages_direct(parts, target)
+        got, bound = convolve._spectral_read(parts, target, convolve.CELL_CAP)
+        want = convolve_read(parts, target)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-12)
+        assert abs(got - want) <= bound
+        assert convolve.read_bounded(parts, target) == (got, bound)
+
+
+def test_read_route_on_integral_windows(monkeypatch):
+    # README-size windows and integral_stability's N <= 2000 stay staged
+    # (bound 0); at N = 2e4 one rfft per distinct factor: the mixed system
+    # has five distinct weight arrays, and its 0/1 arrays for a = 1 and
+    # a = -1 coincide, leaving four
+    calls = count_rffts(monkeypatch)
+    mixed = (1, 1, 1, -2, 3, 1, 5, 1, -1)
+    for coeffs, M, N, n in [
+        ((1,) * 9, 10, 100, 500),
+        ((1,) * 9, 100, 1000, 1000),
+        ((1,) * 9, 200, 2000, 2000),
+        (mixed, 100, 1000, 14),
+        (mixed, 200, 2000, 14),
+    ]:
+        rep = singular_integral(CoefficientSystem.make(coeffs, n), M, N)
+        assert rep.value > 0
+    assert calls == []
+    parts = [integral_support(a, 2000, 20000) for a in mixed]
+    ones = [IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts]
+    for factors, distinct in ((parts, 5), (ones, 4)):
+        calls.clear()
+        value, bound = convolve.read_bounded(factors, 100001)
+        assert len(calls) == distinct
+        assert value > 0 and bound > 0
+
+
+def test_direct_count_never_takes_the_spectral_read(monkeypatch):
+    # r(n) stays on convolve_read's chain even where read_bounded would
+    # go spectral
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral read reached")
+
+    monkeypatch.setattr(convolve, "_spectral_read", refuse)
+    monkeypatch.setattr(convolve, "_product_spectrum", refuse)
+    system = CoefficientSystem.make((1,) * 9, 5 * 10**5 + 1)
+    sups = [cube_support(system, j, 10**4, 10**5) for j in range(9)]
+    parts = [from_sparse(s.indices, s.weights) for s in sups]
+    assert not convolve._stages_direct(parts, system.n)
+    assert weighted_count_direct(system, 10**4, 10**5) == convolve_read(parts, system.n)
+
+
+def test_read_cap_covers_padded_length(monkeypatch):
+    # target 5999 sits mid-span: L must exceed 6000, so L = 6075 = 3^5 5^2
+    dense = IndexedWeights(0, np.ones(6000))
+    assert not convolve._stages_direct([dense, dense], 5999)
+    assert convolve._fft_length(6001) == 6075
+    calls = count_rffts(monkeypatch)
+    with pytest.raises(ResourceLimitError):
+        convolve.read_bounded([dense, dense], 5999, cap=6074)
+    assert calls == []
+    value, _ = convolve.read_bounded([dense, dense], 5999, cap=6075)
+    assert value == pytest.approx(6000.0, abs=1e-9)

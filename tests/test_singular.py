@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ninecubes import arith, singular
-from ninecubes.errors import DomainError, ResourceLimitError
+from ninecubes import arith, convolve, singular
+from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.localdata import CoefficientSystem, series_term
 from ninecubes.singular import (
     integral_support,
@@ -124,6 +124,17 @@ def test_integral_zero_iff_no_lattice_point():
     assert rep.solution_count == 0.0
     hit = singular_integral(CoefficientSystem.make([1] * 9, 30), 2, 10)
     assert hit.value > 0.0 and hit.solution_count > 0.0
+
+
+def test_negative_read_clamped_within_bound(monkeypatch):
+    # a read below zero is rounding when it lies within the read's bound:
+    # value, normalized value and count all come out exactly 0
+    monkeypatch.setattr(convolve, "read_bounded", lambda parts, target: (-1e-12, 1e-10))
+    rep = singular_integral(ONES, 2, 10)
+    assert (rep.value, rep.normalized, rep.solution_count) == (0.0, 0.0, 0.0)
+    monkeypatch.setattr(convolve, "read_bounded", lambda parts, target: (-1.0, 1e-10))
+    with pytest.raises(NumericIntegrityError):
+        singular_integral(ONES, 2, 10)
 
 
 def test_integral_normalization_stable():
