@@ -1,11 +1,14 @@
 """Explicit prime solutions of a1*p1^3 + ... + a9*p9^3 = n.
 
-The solver is a meet-in-the-middle search over nine independent prime
-slots: partial sums of the first four slots go into a hash index keyed
-by value, the remaining five slots are scanned for exact complements.
-Among all solutions under the prime bound it returns the one minimizing
-max p_j, tie-broken by the lexicographically smallest tuple (the max is
-the figure of merit; solution sizes are compared against n^(1/3)).
+The solver is a meet-in-the-middle search on distinct partial sums.
+Slots 1-4 (the index) and slots 5-8 are each reduced, slot by slot, to
+their sorted distinct sums, each with its least max prime and one
+ordered tuple attaining it; for every prime of slot 9 the sums of slots
+5-8 are matched against the index by binary search.  max is monotone in
+each half, so this loses no optimum.  Among all solutions under the
+prime bound it returns the one minimizing max p_j, tie-broken by the
+lexicographically smallest tuple (the max is the figure of merit;
+solution sizes are compared against n^(1/3)).
 
 A solution is verified in exact integer arithmetic before it is
 returned.  `solution_exists` is an independent reachability check used
@@ -21,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, expsum
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
 PRIME_BOUND_CAP = 10**4
-# element visits across index build + complement scan
+# ordered states the index and the scan cover, checked before any expansion
 ENUM_CAP = 2 * 10**8
 # total stored sums across the suffix-reachability refinement
 REFINE_CAP = 3 * 10**7
@@ -42,11 +45,14 @@ class SolutionRecord:
     def __post_init__(self) -> None:
         total = sum(aj * p**3 for aj, p in zip(self.system.a, self.primes))
         if total != self.system.n:
-            raise AssertionError(f"solution check failed: {total} != {self.system.n}")
+            raise NumericIntegrityError(f"solution check failed: {total} != {self.system.n}")
 
 
 @dataclass(frozen=True)
 class SearchExhausted:
+    """No solution under the bound; states_visited counts the ordered
+    tuples the exhaustion covers, prod |left| + prod |mid| * |last|."""
+
     system: CoefficientSystem
     prime_bound: int
     window: tuple[int, int] | None
@@ -85,15 +91,38 @@ def _slot_primes(
     return out
 
 
-def _expand(slots: list[np.ndarray], coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered tuples over the given slots: (signed sums, max prime)."""
-    sums = np.zeros(1, dtype=np.int64)
-    maxes = np.zeros(1, dtype=np.int64)
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in sorted x."""
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return keep
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of x (np.unique without its hashing path)."""
+    x = np.sort(x, axis=None)
+    return x[_run_starts(x)]
+
+
+def _distinct_sums(slots: list[np.ndarray], coeffs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Sorted distinct signed sums over the slots, each with its least max
+    prime and the row-major flat index of one ordered tuple attaining both.
+    Built slot by slot: extending a sum by prime p gives max(its least max, p).
+    """
+    sums = maxes = flat = np.zeros(1, dtype=np.int64)
     for ps, aj in zip(slots, coeffs):
-        cubes = aj * ps.astype(np.int64) ** 3
-        sums = (sums[:, None] + cubes[None, :]).ravel()
-        maxes = np.maximum(maxes[:, None], ps[None, :].astype(np.int64)).ravel()
-    return sums, maxes
+        sums = (sums[:, None] + aj * ps**3).ravel()
+        maxes = np.maximum(maxes[:, None], ps).ravel()
+        flat = (flat[:, None] * len(ps) + np.arange(len(ps))).ravel()
+        order = np.argsort(sums)
+        run_max = maxes[order]
+        starts = np.flatnonzero(_run_starts(sums[order]))
+        least = np.minimum.reduceat(run_max, starts)
+        # in each run of equal sums, the first row attaining its least max
+        rows = np.flatnonzero(run_max == np.repeat(least, np.diff(starts, append=len(order))))
+        keep = order[rows[np.searchsorted(rows, starts)]]
+        sums, maxes, flat = sums[keep], least, flat[keep]
+    return sums, maxes, flat
 
 
 def _unravel(flat: int, sizes: list[int]) -> list[int]:
@@ -126,7 +155,9 @@ def _lex_refine(
         prev = suffix[j + 1]
         if len(capped[j]) * len(prev) + stored > REFINE_CAP:
             return None
-        suffix[j] = np.unique(cubes[j][:, None] + prev[None, :])
+        if j == 0:  # suffix[0] is only sized against the cap: the greedy never reads it
+            break
+        suffix[j] = _distinct(cubes[j][:, None] + prev[None, :])
         stored += len(suffix[j])
     target = system.n
     chosen = []
@@ -164,23 +195,16 @@ def _search_at(
             f"search would visit {visits} states, cap is {ENUM_CAP}"
         )
 
-    sums_left, max_left = _expand(left, system.a[:4])
-    order = np.lexsort((max_left, sums_left))
-    sums_left, max_left = sums_left[order], max_left[order]
-    keys, first = np.unique(sums_left, return_index=True)
-    # per distinct sum: least max prime and one witness achieving it
-    key_max = max_left[first]
-    key_witness = order[first]
-
-    sums_mid, max_mid = _expand(mid, system.a[4:8])
+    # a matched pair of distinct sums has least max max(key_max, max_mid)
+    keys, key_max, key_witness = _distinct_sums(left, system.a[:4])
+    sums_mid, max_mid, mid_witness = _distinct_sums(mid, system.a[4:8])
     a9 = system.a[8]
     best_max = None
     best_tuple = None
-    sizes_left = [len(ps) for ps in left]
-    sizes_mid = [len(ps) for ps in mid]
     for p9 in last:
-        c9 = a9 * int(p9) ** 3
-        need = system.n - c9 - sums_mid
+        if best_max is not None and p9 >= best_max:
+            break
+        need = system.n - a9 * int(p9) ** 3 - sums_mid
         pos = np.searchsorted(keys, need)
         pos[pos == len(keys)] = 0
         hit = keys[pos] == need
@@ -190,10 +214,8 @@ def _search_at(
         i = int(np.argmin(cand))
         if best_max is None or int(cand[i]) < best_max:
             best_max = int(cand[i])
-            w_left = int(key_witness[pos[hit]][i])
-            w_mid = int(np.flatnonzero(hit)[i])
-            left_idx = _unravel(w_left, sizes_left)
-            mid_idx = _unravel(w_mid, sizes_mid)
+            left_idx = _unravel(int(key_witness[pos[hit]][i]), [len(ps) for ps in left])
+            mid_idx = _unravel(int(mid_witness[hit][i]), [len(ps) for ps in mid])
             best_tuple = tuple(
                 [int(left[j][left_idx[j]]) for j in range(4)]
                 + [int(mid[j][mid_idx[j]]) for j in range(4)]
@@ -260,7 +282,7 @@ def solution_exists(
         cubes = system.a[j] * slots[j].astype(np.int64) ** 3
         if len(cubes) * len(reach) > REFINE_CAP:
             raise ResourceLimitError("reachability set too large")
-        reach = np.unique(reach[:, None] + cubes[None, :])
+        reach = _distinct(reach[:, None] + cubes[None, :])
     i = np.searchsorted(reach, system.n)
     return bool(i < len(reach) and reach[i] == system.n)
 
@@ -316,7 +338,10 @@ def threshold_scan(
             rows.append(ThresholdRow(coeffs, None, False, None, None, D))
             continue
         record = find_solution(CoefficientSystem.make(coeffs, hit), prime_bound)
-        assert isinstance(record, SolutionRecord)
+        if not isinstance(record, SolutionRecord):
+            raise NumericIntegrityError(
+                f"bitmap reaches n = {hit} for {coeffs}, find_solution does not"
+            )
         rows.append(
             ThresholdRow(coeffs, hit, True, record.max_p, record.n_cuberoot, D)
         )

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from ninecubes import cli
+from ninecubes import cli, search
 from ninecubes.cli import RunConfig, parse_config_file, run
 from ninecubes.errors import NumericIntegrityError
+from ninecubes.localdata import CoefficientSystem
 
 ONES = "1,1,1,1,1,1,1,1,1"
 
@@ -99,6 +100,19 @@ def test_numeric_integrity_exit(monkeypatch, tmp_path):
     monkeypatch.setitem(cli.COMMANDS, "local", local)
     code, _ = run_to_file(tmp_path, ["local", "--coeffs", ONES, "--n", "23", "--q", "9"])
     assert code == 3
+
+
+def test_failed_search_checks_exit_3(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "_lex_refine", lambda system, slots, max_p: (2,) * 9)
+    code, data = run_to_file(
+        tmp_path, ["search", "--coeffs", "1,1,1,1,1,1,1,1,-1", "--n", "0", "--prime-bound", "100"]
+    )
+    assert code == 3 and data == b""
+    monkeypatch.undo()
+    exhausted = search.SearchExhausted(CoefficientSystem.make([1] * 9, 72), 100, None, 0)
+    monkeypatch.setattr(search, "find_solution", lambda system, bound: exhausted)
+    code, data = run_to_file(tmp_path, ["thresholds", "--grid", ONES, "--n-lo", "1", "--n-hi", "200"])
+    assert code == 3 and data == b""
 
 
 def test_help_exits_zero(capsys):

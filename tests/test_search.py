@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ninecubes.errors import DomainError, ResourceLimitError
+from ninecubes import arith, search
+from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.localdata import CoefficientSystem
 from ninecubes.search import (
     SearchExhausted,
@@ -135,7 +140,8 @@ def test_exhaustion_report():
     out = find_solution(system, prime_bound=50)
     assert isinstance(out, SearchExhausted)
     assert out.prime_bound == 50
-    assert out.states_visited >= 0
+    k = len(arith.sieve_primes(50))
+    assert out.states_visited == k**4 + k**5
     assert out.window is None
 
 
@@ -191,3 +197,159 @@ def test_threshold_scan_guards():
         threshold_scan([[1] * 8 + [-1]], range(1, 10))
     with pytest.raises(DomainError):
         threshold_scan([[1] * 9], [])
+
+
+def small_slots(coeffs, prime_bound, window=None):
+    slots = []
+    for aj in coeffs:
+        ps = [p for p in (2, 3, 5, 7, 11, 13) if p <= prime_bound]
+        if window is not None:
+            ps = [p for p in ps if window[0] < abs(aj) * p**3 <= window[1]]
+        slots.append(ps)
+    return slots
+
+
+def dict_oracle(system, prime_bound, window=None):
+    """Library-free search: (least max prime, lex-least tuple) or None.
+
+    A slot-by-slot dict of sum -> least max prime gives the optimum; the
+    greedy over suffix sets of sums with primes <= that max gives the tuple.
+    """
+    slots = small_slots(system.a, prime_bound, window)
+    least = {0: 0}
+    for aj, ps in zip(system.a, slots):
+        nxt = {}
+        for s, m in least.items():
+            for p in ps:
+                t, mp = s + aj * p**3, max(m, p)
+                if nxt.get(t, mp + 1) > mp:
+                    nxt[t] = mp
+        least = nxt
+    if system.n not in least:
+        return None
+    cap = least[system.n]
+    capped = [[p for p in ps if p <= cap] for ps in slots]
+    suffix = [{0}]  # suffix[0] ends up as the sums over slots j+1..8
+    for j in range(8, 0, -1):
+        suffix.insert(0, {s + system.a[j] * p**3 for s in suffix[0] for p in capped[j]})
+    suffix.append({0})
+    rest, chosen = system.n, []
+    for j in range(9):
+        p = next(p for p in capped[j] if rest - system.a[j] * p**3 in suffix[j])
+        chosen.append(p)
+        rest -= system.a[j] * p**3
+    return cap, tuple(chosen)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_search_matches_dict_oracle(data):
+    coeffs = data.draw(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 5]), min_size=9, max_size=9))
+    bound = data.draw(st.integers(2, 13))
+    window = None
+    if data.draw(st.booleans()):
+        M = data.draw(st.integers(1, 150))
+        window = (M, M + data.draw(st.integers(100, 12000)))
+    slots = small_slots(coeffs, bound, window)
+    if all(slots) and data.draw(st.booleans()):
+        n = sum(a * data.draw(st.sampled_from(ps)) ** 3 for a, ps in zip(coeffs, slots))
+    else:
+        n = data.draw(st.integers(-30000, 60000))
+    system = CoefficientSystem.make(coeffs, n)
+    want = dict_oracle(system, bound, window)
+    got = find_solution(system, prime_bound=bound, window=window)
+    assert solution_exists(system, prime_bound=bound, window=window) == (want is not None)
+    if want is None:
+        assert isinstance(got, SearchExhausted)
+        return
+    assert isinstance(got, SolutionRecord)
+    assert got.max_p == want[0]
+    if got.found_by.endswith("+lex"):
+        assert got.primes == want[1]
+
+
+def test_index_holds_distinct_sums(monkeypatch):
+    # (1,...,1) at bound 128: 31^4 ordered 4-tuples but only the distinct
+    # sums of four prime cubes enter the index
+    primes = arith.sieve_primes(128)
+    distinct = {sum(p**3 for p in c) for c in itertools.combinations_with_replacement(primes, 4)}
+    assert len(distinct) == 44560
+    sizes = []
+    real = search._distinct_sums
+
+    def spy(slots, coeffs):
+        out = real(slots, coeffs)
+        sizes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(search, "_distinct_sums", spy)
+    out = find_solution(CoefficientSystem.make([1] * 9, 3), prime_bound=128)
+    assert isinstance(out, SearchExhausted)
+    assert out.states_visited == 31**4 + 31**5
+    assert sizes[-2:] == [len(distinct), len(distinct)]
+
+
+def test_distinct_sums_match_enumeration():
+    # slots of different lengths, repeated and signed coefficients so that
+    # many ordered tuples share a sum
+    slots = [np.array(ps, dtype=np.int64) for ps in ([2, 3, 5, 7, 11], [3, 5, 7], [2, 3, 5, 7, 11, 13], [2, 7])]
+    coeffs = (1, 2, 1, -1)
+    least = {}
+    for tup in itertools.product(*[ps.tolist() for ps in slots]):
+        s = sum(a * p**3 for a, p in zip(coeffs, tup))
+        least[s] = min(least.get(s, max(tup)), max(tup))
+    keys, maxes, flat = search._distinct_sums(slots, coeffs)
+    assert keys.tolist() == sorted(least)
+    assert maxes.tolist() == [least[s] for s in sorted(least)]
+    for s, m, f in zip(keys.tolist(), maxes.tolist(), flat.tolist()):
+        idx = search._unravel(f, [len(ps) for ps in slots])
+        tup = [int(ps[i]) for ps, i in zip(slots, idx)]
+        assert sum(a * p**3 for a, p in zip(coeffs, tup)) == s and max(tup) == m
+
+
+def test_witness_without_refinement(monkeypatch):
+    # with the lexicographic pass refused, the meet-in-the-middle witness
+    # itself is returned and must solve the equation at the optimal max
+    monkeypatch.setattr(search, "REFINE_CAP", 0)
+    rng = np.random.default_rng(814)
+    for _ in range(15):
+        coeffs = [int(rng.choice([1, -1, 2, 3])) for _ in range(9)]
+        n = sum(a * int(p) ** 3 for a, p in zip(coeffs, rng.choice([2, 3, 5, 7, 11], 9)))
+        system = CoefficientSystem.make(coeffs, n)
+        got = find_solution(system, prime_bound=11)
+        assert got.found_by == "meet_in_the_middle"
+        assert sum(a * p**3 for a, p in zip(coeffs, got.primes)) == n
+        assert max(got.primes) == got.max_p == dict_oracle(system, 11)[0]
+
+
+def test_later_last_prime_lowers_max():
+    # p9 = 2, 3 and 5 each complete a solution with max 13; only p9 = 7
+    # reaches the optimum 7, so the scan must not stop at the first hit
+    system = CoefficientSystem.make([1, 2, 2, 1, -1, -1, 1, 1, -1], -655)
+    got = search._search_at(system, 13, None)
+    assert got.max_p == 7 and got.primes[8] == 7
+    assert (got.max_p, got.primes) == dict_oracle(system, 13)
+
+
+def test_enum_cap_refuses_before_expanding(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("expanded past the state cap")
+
+    monkeypatch.setattr(search, "_distinct_sums", forbidden)
+    monkeypatch.setattr(search, "ENUM_CAP", 11**4 + 11**5 - 1)
+    system = CoefficientSystem.make([1] * 9, 3)
+    with pytest.raises(ResourceLimitError, match=f"visit {11**4 + 11**5} states"):
+        search._search_at(system, 31, None)
+
+
+def test_failed_solution_check_is_typed():
+    system = CoefficientSystem.make([1] * 9, 72)
+    with pytest.raises(NumericIntegrityError):
+        SolutionRecord(system, (2,) * 8 + (3,), 3, 72 ** (1 / 3), "meet_in_the_middle")
+
+
+def test_threshold_scan_cross_check_is_typed(monkeypatch):
+    exhausted = CoefficientSystem.make([1] * 9, 72)
+    monkeypatch.setattr(search, "find_solution", lambda system, bound: SearchExhausted(exhausted, bound, None, 0))
+    with pytest.raises(NumericIntegrityError):
+        threshold_scan([[1] * 9], range(1, 100), prime_bound=20)
