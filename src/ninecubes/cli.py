@@ -108,10 +108,18 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _open(path: str, purpose: str, *args, **kwargs):
+    """open(), with a missing or unwritable path reported as a usage error."""
+    try:
+        return open(path, *args, **kwargs)
+    except OSError as exc:
+        raise UsageError(f"cannot {purpose}: {exc}") from exc
+
+
 def parse_config_file(path: str) -> dict:
     """Flat key=value pairs; blank lines and #-comments ignored."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "read config file", "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -300,7 +308,10 @@ def _run_thresholds(config: RunConfig):
         part = part.strip()
         if not part:
             continue
-        coeffs = tuple(int(x) for x in part.split(","))
+        try:
+            coeffs = int_list(part)
+        except ValueError as exc:
+            raise UsageError(f"bad grid entry {part!r}: {exc}") from exc
         if len(coeffs) != 9:
             raise UsageError(f"grid entry needs 9 integers, got {part!r}")
         grid.append(coeffs)
@@ -431,7 +442,7 @@ def run(argv: list[str] | None = None) -> int:
         report, code = COMMANDS[config.subcommand].runner(config)
         payload = emit(report, config)
         if config.out:
-            with open(config.out, "wb") as fh:
+            with _open(config.out, "write output file", "wb") as fh:
                 fh.write(payload)
         else:
             sys.stdout.buffer.write(payload)

@@ -1,37 +1,25 @@
 """Signed-offset convolution of weighted integer supports.
 
 Each factor is a dense weight array over a contiguous range of signed
-integer indices.  Products of several factors are built stage by stage;
-when a single target coefficient is wanted, every intermediate array is
-cropped to the window of partial sums that can still reach the target,
-which keeps nine-fold products tractable at window sizes around 1e6.
+integer indices.  A product is taken one of two ways, chosen from the
+factor lengths and nonzero counts before anything is allocated:
 
-Stages use direct slice adds when one side is sparse and an FFT product
-otherwise.  Inputs with nonnegative weights keep exact zero/nonzero
-semantics along the direct path (no cancellation can occur).
+- the staged chain multiplies factor by factor, by direct slice adds when
+  one side is sparse and an FFT product otherwise; when one coefficient is
+  wanted, each partial product is cropped to the sums that can still reach
+  it.  Nonnegative weights keep exact zeros along the direct path.
+- the spectral product (_product_spectrum) takes one rfft per distinct
+  factor (equal values, whatever the offset), multiplies each spectrum
+  into one accumulator once per slot that shares it, and inverts once.
 
-convolve_full takes one of two paths, chosen before anything is
-allocated from the factor lengths and nonzero counts alone.  When every
-stage of the staged chain would take the direct path (nonzero entries of
-the shorter side times the length of the longer one at most
-_DIRECT_COST_LIMIT; the nonzero count of a partial product is bounded by
-the product of its factors' counts), the chain runs as convolve_read's
-stages do, without cropping.  Otherwise the product is taken in one
-spectral step: one rfft per distinct factor (equal values, whatever the
-offset) at the least 5-smooth length covering the product span, each
-spectrum multiplied into one accumulator once per slot that shares it,
-and a single irfft.  Sparse prime-cube supports up to N = 3e5 stay
-staged; dense m^(-2/3) supports and the sparse supports at N = 1e6 go
-spectral.
-
-A single coefficient is read the same two ways.  convolve_read always
-takes the cropped chain: r(n) needs it, as the direct route independent
-of the Fourier one and with the exact zeros of nonnegative weights.
-read_bounded, which reads J(n) and its tuple count, keeps that chain
-when every cropped stage would be direct and otherwise crops each factor
-to the indices that can still reach the target and reads the target from
-one spectral product, whose length need only keep aliases off the
-target; it returns the value with an a-priori rounding bound.
+convolve_read, the direct r(n) route, always takes the cropped chain and
+shares no transform code with the spectral product.  convolve_full and
+read_bounded (J(n) and its tuple count) keep the chain when every stage
+would be direct and otherwise go spectral: the full product at the least
+5-smooth length covering its span, or the target alone at a length that
+keeps aliases off it, with an a-priori rounding bound.  The Fourier route
+of r(n) (expsum) and the float N(p) (localdata) read one coefficient of a
+cyclic product through spectral_coefficient.
 """
 
 from __future__ import annotations
@@ -199,7 +187,7 @@ def _stages_direct(parts: Sequence[IndexedWeights], target: int | None = None) -
 
 
 def _product_spectrum(parts: Sequence[IndexedWeights], nfft: int, cap: int) -> np.ndarray:
-    """Length-nfft rfft of the product of all parts' values, one rfft per distinct factor."""
+    """Length-nfft rfft of the cyclic product of all parts' values, one rfft per distinct factor."""
     if nfft > cap:
         raise ResourceLimitError(f"FFT length {nfft} exceeds cap {cap}")
     groups: list[list] = []  # [values, number of slots sharing them]
@@ -219,6 +207,11 @@ def _product_spectrum(parts: Sequence[IndexedWeights], nfft: int, cap: int) -> n
     return acc
 
 
+def spectral_coefficient(parts: Sequence[IndexedWeights], nfft: int, index: int, cap: int) -> float:
+    """Coefficient `index` of the length-nfft cyclic product of the values (offsets ignored)."""
+    return float(np.fft.irfft(_product_spectrum(parts, nfft, cap), nfft)[index])
+
+
 def _spectral_product(parts: Sequence[IndexedWeights], span: int, cap: int) -> IndexedWeights:
     """Product of all parts from one rfft per distinct factor and one irfft."""
     nfft = _fft_length(span)
@@ -236,7 +229,7 @@ def _spectral_read(parts: Sequence[IndexedWeights], target: int, cap: int) -> tu
     span = sum(len(p.values) - 1 for p in parts) + 1
     t = target - sum(p.lo for p in parts)
     nfft = _fft_length(max(t + 1, span - t + 1, *(len(p.values) for p in parts)))
-    value = float(np.fft.irfft(_product_spectrum(parts, nfft, cap), nfft)[t])
+    value = spectral_coefficient(parts, nfft, t, cap)
     mass = math.prod(float(np.abs(p.values).sum()) for p in parts)
     return value, 64 * np.finfo(np.float64).eps * math.log2(nfft) * mass
 

@@ -10,7 +10,8 @@ is computed two independent ways: as a nine-fold convolution of the
 weighted supports (direct route) and as the exact trigonometric-polynomial
 coefficient recovered by averaging prod_j S_j(t/T) e(-n t/T) over T
 equispaced points, with T a power of two past the exponent range so no
-alias lands on the target frequency.
+alias lands on the target frequency.  That average is read through
+convolve.spectral_coefficient, which shares no transform with the direct chain.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ def weighted_count_fourier(
 
     T is the least power of two exceeding both n - K_min and K_max - n,
     where [K_min, K_max] is the attainable exponent range; the only
-    multiple of T in the shifted exponent range is then zero.
+    multiple of T in the shifted exponent range is then zero.  Each distinct
+    coefficient's support, reduced mod T, is one factor that starts at its
+    least residue, so the read index n mod T is shifted back by the starts.
     """
     sups = _supports(system, M, N)
     if any(len(s) == 0 for s in sups):
@@ -103,20 +106,13 @@ def weighted_count_fourier(
     T = 1 << reach.bit_length()  # least power of two > reach
     if T > t_cap:
         raise ResourceLimitError(f"sampling length {T} exceeds cap {t_cap}")
-    # equal coefficients give equal grids: one rfft per distinct a_j, multiplied
-    # in slot order, each spectrum dropped after its last slot to bound memory
-    last = {s.coefficient: j for j, s in enumerate(sups)}
-    spectra: dict[int, np.ndarray] = {}
-    spectrum = np.ones(T // 2 + 1, dtype=np.complex128)
-    grid = np.zeros(T, dtype=np.float64)
-    for j, s in enumerate(sups):
-        a = s.coefficient
-        if a not in spectra:
-            grid[:] = 0.0
-            np.add.at(grid, s.indices % T, s.weights)
-            spectra[a] = np.fft.rfft(grid)
-        spectrum *= spectra.pop(a) if last[a] == j else spectra[a]
-    return float(np.fft.irfft(spectrum, T)[n % T])
+    factors: dict[int, convolve.IndexedWeights] = {}
+    for s in sups:
+        if s.coefficient not in factors:
+            factors[s.coefficient] = convolve.from_sparse(s.indices % T, s.weights, cap=T)
+    parts = [factors[s.coefficient] for s in sups]
+    index = (n - sum(p.offset for p in parts)) % T
+    return convolve.spectral_coefficient(parts, T, index, cap=t_cap)
 
 
 @dataclass(frozen=True)

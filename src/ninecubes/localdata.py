@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import arith
+from . import arith, convolve
 from .characters import DirichletCharacter, unit_roots
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
@@ -250,23 +250,15 @@ def unit_solution_count(q: int, system: CoefficientSystem, cap: int = EXACT_COUN
 def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
     """Float shadow of N(q) via FFT convolutions; ~1e-12 relative accuracy.
 
-    Transforms are shared per distinct unit-cube histogram: slots whose
-    coefficients differ by a cube unit factor (a and -a always; any two
-    units when 3 does not divide phi(q)) take one rfft between them.  The
-    spectra are still multiplied in slot order, so the result does not
-    depend on how many transforms were shared.
+    Coefficient n mod q of the length-q cyclic product of the nine
+    unit-cube histograms, read by convolve.spectral_coefficient with one
+    rfft per distinct histogram: slots whose coefficients differ by a cube
+    unit factor (a and -a always; any two units when 3 does not divide
+    phi(q)) share one.
     """
     _check_q(q)
-    if q == 1:
-        return 1.0
-    spectra: dict[bytes, np.ndarray] = {}
-    spectrum = np.ones(q // 2 + 1, dtype=np.complex128)
-    for h in _unit_cube_histograms(q, system):
-        key = h.tobytes()
-        if key not in spectra:
-            spectra[key] = np.fft.rfft(h.astype(np.float64))
-        spectrum *= spectra[key]
-    return float(np.fft.irfft(spectrum, q)[system.n % q])
+    parts = [convolve.IndexedWeights(0, h) for h in _unit_cube_histograms(q, system)]
+    return convolve.spectral_coefficient(parts, q, system.n % q, cap=LOCAL_Q_CAP)
 
 
 def euler_factor(p: int, system: CoefficientSystem) -> float:

@@ -32,6 +32,8 @@ PRIME_BOUND_CAP = 10**4
 ENUM_CAP = 2 * 10**8
 # total stored sums across the suffix-reachability refinement
 REFINE_CAP = 3 * 10**7
+# largest n a threshold scan's reachability bitmaps cover
+THRESHOLD_N_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -306,12 +308,19 @@ def threshold_scan(
 
     Reachability of every candidate n is decided at once by a boolean
     convolution over [0, max(n_range)]; the witness for the least hit is
-    then recovered with find_solution.
+    then recovered with find_solution.  max(n_range) > THRESHOLD_N_CAP is
+    refused before anything is built.
     """
-    n_values = sorted(set(int(n) for n in n_range))
-    if not n_values or n_values[0] < 1:
+    if not isinstance(n_range, range):
+        n_range = [int(n) for n in n_range]
+    # a range's ends bound it without walking it
+    ends = [n_range[0], n_range[-1]] if isinstance(n_range, range) and n_range else n_range
+    if not ends or min(ends) < 1:
         raise DomainError("n_range must contain positive integers")
-    n_max = n_values[-1]
+    n_max = max(ends)
+    if n_max > THRESHOLD_N_CAP:
+        raise ResourceLimitError(f"scan end {n_max} exceeds cap {THRESHOLD_N_CAP}")
+    n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)))
     primes = arith.sieve_primes(prime_bound)
     rows = []
     for coeffs in coeff_grid:
@@ -328,11 +337,8 @@ def threshold_scan(
                     break
                 nxt[v:] |= reach[: n_max + 1 - v]
             reach = nxt
-        hit = None
-        for n in n_values:
-            if reach[n]:
-                hit = n
-                break
+        hits = n_values[reach[n_values]]
+        hit = int(hits[0]) if hits.size else None
         D = max(2, max(abs(c) for c in coeffs))
         if hit is None:
             rows.append(ThresholdRow(coeffs, None, False, None, None, D))

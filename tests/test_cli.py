@@ -158,6 +158,28 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert run(["series", "--config", str(cfg)]) == 64
 
 
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.cfg"
+    assert run(["series", "--config", str(missing)]) == 64
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "nonexistent" / "x.json"
+    assert run(["validate", "--coeffs", ONES, "--n", "23", "--out", str(out)]) == 64
+    assert "cannot write output file" in capsys.readouterr().err
+
+
+def test_bad_grid_entry_is_usage_error(capsys):
+    assert run(["thresholds", "--grid", "1,1,x,1,1,1,1,1,1", "--n-lo", "1", "--n-hi", "9"]) == 64
+    assert "1,1,x,1,1,1,1,1,1" in capsys.readouterr().err
+
+
+def test_oversized_threshold_range_exits_2(capsys):
+    assert run(["thresholds", "--grid", ONES, "--n-lo", "1", "--n-hi", str(10**12)]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_search_report_schema(tmp_path):
     code, data = run_to_file(
         tmp_path,

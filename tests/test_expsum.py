@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ninecubes.arcs import build_dissection
 from ninecubes.errors import DomainError
@@ -115,6 +117,48 @@ def test_fourier_transforms_once_per_distinct_coefficient(monkeypatch):
     system = CoefficientSystem.make(coeffs, 7 * 8 + 2 * 27 + 3 * 125)
     assert weighted_count_fourier(system, 7, 1000) > 0
     assert len(calls) == 3
+
+
+def window_atoms(aj, M, N):
+    """(a_j p^3, log p) for primes p with M < |a_j| p^3 <= N, by trial division."""
+    primes = [p for p in range(2, round(N ** (1 / 3)) + 2) if all(p % d for d in range(2, p))]
+    return [(aj * p**3, math.log(p)) for p in primes if M < abs(aj) * p**3 <= N]
+
+
+def dict_oracle(coeffs, n, M, N):
+    """Library-free r(n) by a slot-by-slot dict of sum -> weight; None if unattained."""
+    acc = {0: 1.0}
+    for aj in coeffs:
+        nxt = {}
+        for total, w in acc.items():
+            for v, logp in window_atoms(aj, M, N):
+                nxt[total + v] = nxt.get(total + v, 0.0) + w * logp
+        acc = nxt
+    return acc.get(n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_routes_match_dict_oracle(data):
+    coeffs = data.draw(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 13]), min_size=9, max_size=9))
+    # M < 104 = 13 * 2^3 and N >= 125 leave few slots empty
+    N = data.draw(st.integers(125, 3000))
+    M = data.draw(st.integers(1, 103))
+    atoms = [window_atoms(aj, M, N) for aj in coeffs]
+    if all(atoms) and data.draw(st.booleans()):
+        n = sum(data.draw(st.sampled_from(a))[0] for a in atoms)
+    else:
+        n = data.draw(st.integers(-9 * N, 9 * N))
+    system = CoefficientSystem.make(coeffs, n)
+    want = dict_oracle(coeffs, n, M, N)
+    direct = weighted_count_direct(system, M, N)
+    fourier = weighted_count_fourier(system, M, N)
+    if want is None:
+        assert direct == 0.0
+        want = 0.0
+    else:
+        assert direct == pytest.approx(want, rel=1e-9)
+    assert abs(fourier - want) <= 1e-6 * (1 + want)
 
 
 def test_minor_scan_report_shape():

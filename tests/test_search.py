@@ -199,6 +199,18 @@ def test_threshold_scan_guards():
         threshold_scan([[1] * 9], [])
 
 
+def test_threshold_scan_refuses_oversized_range_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "fromiter", refuse)
+    with pytest.raises(ResourceLimitError):
+        threshold_scan([[1] * 9], range(1, 10**12))
+    with pytest.raises(ResourceLimitError):
+        threshold_scan([[1] * 9], [5, search.THRESHOLD_N_CAP + 1])
+
+
 def small_slots(coeffs, prime_bound, window=None):
     slots = []
     for aj in coeffs:
