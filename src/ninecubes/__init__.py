@@ -1,7 +1,7 @@
 """Windowed counts of prime-cube representations a1 p1^3 + ... + a9 p9^3 = n.
 
 The library computes the log-weighted representation count r(n) over a
-prime window by exact convolution and by Fourier sampling, the local
+prime window by a join of partial sums and by Fourier sampling, the local
 densities (singular series and singular integral) that predict it, the
 major/minor arc dissection behind that prediction, and an explicit
 meet-in-the-middle solution search.

@@ -1,25 +1,23 @@
 """Signed-offset convolution of weighted integer supports.
 
 Each factor is a dense weight array over a contiguous range of signed
-integer indices.  A product is taken one of two ways, chosen from the
+integer indices.  _stages_direct picks one of two products from the
 factor lengths and nonzero counts before anything is allocated:
 
-- the staged chain multiplies factor by factor, by direct slice adds when
-  one side is sparse and an FFT product otherwise; when one coefficient is
-  wanted, each partial product is cropped to the sums that can still reach
-  it.  Nonnegative weights keep exact zeros along the direct path.
-- the spectral product (_product_spectrum) takes one rfft per distinct
-  factor (equal values, whatever the offset), multiplies each spectrum
-  into one accumulator once per slot that shares it, and inverts once.
+- the staged chain multiplies factor by factor with slice adds of the
+  sparser side's nonzeros, cropping each partial product to the sums
+  that can still reach a wanted coefficient.  It only adds products, so
+  nonnegative weights keep exact zeros.
+- the spectral product (_product_spectrum) takes one rfft per factor up
+  to offset and reversal (a reversed factor takes the conjugate), multiplies
+  it into one accumulator once per slot that shares it, and inverts once.
 
-convolve_read, the direct r(n) route, always takes the cropped chain and
-shares no transform code with the spectral product.  convolve_full and
-read_bounded (J(n) and its tuple count) keep the chain when every stage
-would be direct and otherwise go spectral: the full product at the least
-5-smooth length covering its span, or the target alone at a length that
-keeps aliases off it, with an a-priori rounding bound.  The Fourier route
-of r(n) (expsum) and the float N(p) (localdata) read one coefficient of a
-cyclic product through spectral_coefficient.
+convolve_full returns the whole product, spectral at the least 5-smooth
+length covering its span.  convolve_read (J(n) and its tuple count)
+returns one coefficient and its rounding bound: 0 on the chain, else
+rounding_bound of a spectral_coefficient read at a length that keeps
+aliases off the target.  The Fourier route of r(n) reads through both
+too, the float N(p) through spectral_coefficient alone.
 """
 
 from __future__ import annotations
@@ -74,27 +72,13 @@ def from_sparse(indices: Sequence[int], weights: Sequence[float], cap: int = CEL
     return IndexedWeights(lo, vals)
 
 
-def _convolve_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain linear convolution, method chosen by cost."""
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return np.zeros(0, dtype=np.float64)
-    short, long_ = (a, b) if la <= lb else (b, a)
-    nnz = np.flatnonzero(short)
-    if nnz.size * len(long_) <= _DIRECT_COST_LIMIT:
-        out = np.zeros(la + lb - 1, dtype=np.float64)
-        for i in nnz:
-            out[i : i + len(long_)] += short[i] * long_
-        return out
-    size = la + lb - 1
-    nfft = 1 << (size - 1).bit_length()
-    fa = np.fft.rfft(a, nfft)
-    fb = np.fft.rfft(b, nfft)
-    return np.fft.irfft(fa * fb, nfft)[:size]
-
-
 def convolve_pair(a: IndexedWeights, b: IndexedWeights) -> IndexedWeights:
-    return IndexedWeights(a.offset + b.offset, _convolve_values(a.values, b.values))
+    """Product of two factors by slice adds of the shorter side's nonzeros."""
+    short, long_ = sorted((a.values, b.values), key=len)
+    out = np.zeros(len(short) + len(long_) - 1 if len(short) else 0, dtype=np.float64)
+    for i in np.flatnonzero(short):
+        out[i : i + len(long_)] += short[i] * long_
+    return IndexedWeights(a.offset + b.offset, out)
 
 
 def _crop(part: IndexedWeights, lo: int, hi: int) -> IndexedWeights:
@@ -116,34 +100,6 @@ def _suffix_bounds(parts: Sequence[IndexedWeights]) -> tuple[list[int], list[int
     return suffix_lo, suffix_hi
 
 
-def convolve_read(parts: Sequence[IndexedWeights], target: int, cap: int = CELL_CAP) -> float:
-    """Coefficient of `target` in the product of all parts.
-
-    Partial products are cropped to [target - future_max, target - future_min]
-    after each stage, where future_min/max bound the sum of the remaining
-    factors' indices.
-    """
-    parts = list(parts)
-    if not parts:
-        raise DomainError("need at least one factor")
-    if any(len(p.values) == 0 for p in parts):
-        return 0.0
-    suffix_lo, suffix_hi = _suffix_bounds(parts)
-    if not suffix_lo[0] <= target <= suffix_hi[0]:
-        return 0.0
-    cells = 0
-    acc = _crop(parts[0], target - suffix_hi[1], target - suffix_lo[1])
-    for i in range(1, len(parts)):
-        if len(acc.values) == 0:
-            return 0.0
-        cells += len(acc.values) + len(parts[i].values)
-        if cells > cap:
-            raise ResourceLimitError(f"convolution exceeds the {cap}-cell cap")
-        nxt = convolve_pair(acc, parts[i])
-        acc = _crop(nxt, target - suffix_hi[i + 1], target - suffix_lo[i + 1])
-    return acc.coefficient(target)
-
-
 def _fft_length(n: int) -> int:
     """Least 2^a 3^b 5^c >= n."""
     best = 1 << (n - 1).bit_length()
@@ -158,12 +114,11 @@ def _fft_length(n: int) -> int:
 
 
 def _stages_direct(parts: Sequence[IndexedWeights], target: int | None = None) -> bool:
-    """True when every stage of the chain over parts takes the direct path.
-
-    Follows _convolve_values' choice stage by stage, with the nonzero
-    count of each partial product bounded by the product of its factors'
-    counts (a sumset is no larger than the product of its summands).  With
-    a target, follows convolve_read's chain, whose partial products are
+    """True when no stage of the chain over parts costs more than
+    _DIRECT_COST_LIMIT: the nonzero count of its shorter side, bounded by
+    the product of its factors' counts (a sumset is no larger than the
+    product of its summands), times the length of the longer.  With a
+    target, follows convolve_read's chain, whose partial products are
     cropped to the indices that can still reach the target.
     """
     if target is not None:
@@ -186,37 +141,55 @@ def _stages_direct(parts: Sequence[IndexedWeights], target: int | None = None) -
     return True
 
 
-def _product_spectrum(parts: Sequence[IndexedWeights], nfft: int, cap: int) -> np.ndarray:
-    """Length-nfft rfft of the cyclic product of all parts' values, one rfft per distinct factor."""
+def _product_spectrum(
+    parts: Sequence[IndexedWeights], nfft: int, cap: int
+) -> tuple[np.ndarray, int]:
+    """Length-nfft rfft of the cyclic product of all parts' values, shifted back
+    by the returned count.  One rfft per factor up to reversal: the reverse
+    of a real factor of length l has the conjugate spectrum, shifted by l - 1."""
     if nfft > cap:
         raise ResourceLimitError(f"FFT length {nfft} exceeds cap {cap}")
-    groups: list[list] = []  # [values, number of slots sharing them]
+    groups: list[list] = []  # [values, slots sharing them, slots sharing them reversed]
     for p in parts:
         for group in groups:
-            if np.array_equal(group[0], p.values):
-                group[1] += 1
+            same = np.array_equal(group[0], p.values)
+            if same or np.array_equal(group[0][::-1], p.values):
+                group[1 if same else 2] += 1
                 break
         else:
-            groups.append([p.values, 1])
-    acc = np.ones(nfft // 2 + 1, dtype=np.complex128)
-    for rep, k in groups:
+            groups.append([p.values, 1, 0])
+    acc, shift = np.ones(nfft // 2 + 1, dtype=np.complex128), 0
+    for rep, k, k_rev in groups:
         spectrum = np.fft.rfft(rep, nfft)
         for _ in range(k):
             acc *= spectrum
+        np.conjugate(spectrum, out=spectrum)
+        for _ in range(k_rev):
+            acc *= spectrum
+        shift += k_rev * (len(rep) - 1)
         del spectrum  # before the next rfft: at most two spectra alive
-    return acc
+    return acc, shift
 
 
 def spectral_coefficient(parts: Sequence[IndexedWeights], nfft: int, index: int, cap: int) -> float:
     """Coefficient `index` of the length-nfft cyclic product of the values (offsets ignored)."""
-    return float(np.fft.irfft(_product_spectrum(parts, nfft, cap), nfft)[index])
+    spectrum, shift = _product_spectrum(parts, nfft, cap)
+    return float(np.fft.irfft(spectrum, nfft)[(index - shift) % nfft])
+
+
+def rounding_bound(parts: Sequence[IndexedWeights], nfft: int) -> float:
+    """Bound on the rounding error of spectral_coefficient: 64 eps log2(nfft)
+    times the product of the factors' l1 norms."""
+    mass = math.prod(float(np.abs(p.values).sum()) for p in parts)
+    return 64 * np.finfo(np.float64).eps * math.log2(nfft) * mass
 
 
 def _spectral_product(parts: Sequence[IndexedWeights], span: int, cap: int) -> IndexedWeights:
     """Product of all parts from one rfft per distinct factor and one irfft."""
     nfft = _fft_length(span)
-    offset = sum(p.offset for p in parts)
-    return IndexedWeights(offset, np.fft.irfft(_product_spectrum(parts, nfft, cap), nfft)[:span])
+    spectrum, shift = _product_spectrum(parts, nfft, cap)
+    values = np.roll(np.fft.irfft(spectrum, nfft), shift)[:span]
+    return IndexedWeights(sum(p.offset for p in parts), values)
 
 
 def _spectral_read(parts: Sequence[IndexedWeights], target: int, cap: int) -> tuple[float, float]:
@@ -229,33 +202,42 @@ def _spectral_read(parts: Sequence[IndexedWeights], target: int, cap: int) -> tu
     span = sum(len(p.values) - 1 for p in parts) + 1
     t = target - sum(p.lo for p in parts)
     nfft = _fft_length(max(t + 1, span - t + 1, *(len(p.values) for p in parts)))
-    value = spectral_coefficient(parts, nfft, t, cap)
-    mass = math.prod(float(np.abs(p.values).sum()) for p in parts)
-    return value, 64 * np.finfo(np.float64).eps * math.log2(nfft) * mass
+    return spectral_coefficient(parts, nfft, t, cap), rounding_bound(parts, nfft)
 
 
-def read_bounded(
+def convolve_read(
     parts: Sequence[IndexedWeights], target: int, cap: int = CELL_CAP
 ) -> tuple[float, float]:
     """Coefficient of `target` in the product of all parts, and its rounding bound.
 
-    Staged (convolve_read) when every stage of its cropped chain would be
-    direct; that path only adds products, so it keeps the sign of
-    nonnegative weights and its bound is 0.  Otherwise each factor is
-    cropped to the indices from which the target is still reachable and
-    the coefficient is read from one spectral product at the least
-    5-smooth length L exceeding both the target's offset t in the cropped
-    product and span - t, so no alias lands on t.  The bound is then
-    64 eps log2(L) times the product of the factors' l1 norms.
+    By the staged chain when every stage of it would be direct: after
+    each stage the partial product is cropped to [target - future_max,
+    target - future_min], where future_min/max bound the index sum of
+    the remaining factors.  That path only adds products, so it keeps
+    the sign of nonnegative weights and its bound is 0.  Otherwise each
+    factor is cropped to the indices from which the target is still
+    reachable and the coefficient is read from one spectral product at
+    the least 5-smooth length L exceeding both the target's offset t in
+    the cropped product and span - t, so no alias lands on t; its bound
+    is rounding_bound.
     """
     parts = list(parts)
     if not parts:
         raise DomainError("need at least one factor")
-    if any(len(p.values) == 0 for p in parts):
+    suffix_lo, suffix_hi = _suffix_bounds(parts)
+    if any(len(p.values) == 0 for p in parts) or not suffix_lo[0] <= target <= suffix_hi[0]:
         return 0.0, 0.0
-    if _stages_direct(parts, target):
-        return convolve_read(parts, target, cap), 0.0
-    return _spectral_read(parts, target, cap)
+    if not _stages_direct(parts, target):
+        return _spectral_read(parts, target, cap)
+    cells = 0
+    acc = _crop(parts[0], target - suffix_hi[1], target - suffix_lo[1])
+    for i in range(1, len(parts)):
+        cells += len(acc.values) + len(parts[i].values)
+        if cells > cap:
+            raise ResourceLimitError(f"convolution exceeds the {cap}-cell cap")
+        nxt = convolve_pair(acc, parts[i])
+        acc = _crop(nxt, target - suffix_hi[i + 1], target - suffix_lo[i + 1])
+    return acc.coefficient(target), 0.0
 
 
 def convolve_full(parts: Sequence[IndexedWeights], cap: int = CELL_CAP) -> IndexedWeights:

@@ -6,12 +6,13 @@ M < |a_j| p^3 <= N of log(p) e(a_j p^3 alpha).  The weighted count
     r(n) = sum over solutions of n = a_1 p_1^3 + ... + a_9 p_9^3
            of log(p_1) ... log(p_9),   all |a_j| p_j^3 in (M, N],
 
-is computed two independent ways: as a nine-fold convolution of the
-weighted supports (direct route) and as the exact trigonometric-polynomial
+is computed two independent ways: by a join of the distinct index sums
+of slots 1-4 and 5-9, which adds only positive products and takes no
+transform (direct route), and as the exact trigonometric-polynomial
 coefficient recovered by averaging prod_j S_j(t/T) e(-n t/T) over T
-equispaced points, with T a power of two past the exponent range so no
-alias lands on the target frequency.  That average is read through
-convolve.spectral_coefficient, which shares no transform with the direct chain.
+equispaced points, with T the least 5-smooth length past the exponent
+range so no alias lands on the target frequency, read through
+convolve.spectral_coefficient.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, convolve, singular
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
 FOURIER_T_CAP = 1 << 26
@@ -72,15 +73,43 @@ def _supports(system: CoefficientSystem, M: int, N: int) -> list[WeightedCubeSup
     return [cube_support(system, j, M, N) for j in range(9)]
 
 
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in sorted x."""
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return keep
+
+
+def _weighted_sums(sups: list[WeightedCubeSupport], cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct index sums over the supports, each with the summed
+    weight products of the tuples attaining it, built slot by slot; the
+    pairs a slot forms are held to cap before they are allocated."""
+    sums, weights = np.zeros(1, dtype=np.int64), np.ones(1)
+    for s in sups:
+        if len(sums) * len(s) > cap:
+            raise ResourceLimitError(f"join of {len(sums) * len(s)} index pairs exceeds cap {cap}")
+        sums = (sums[:, None] + s.indices).ravel()
+        order = np.argsort(sums, kind="stable")
+        starts = np.flatnonzero(_run_starts(sums[order]))
+        weights = np.add.reduceat((weights[:, None] * s.weights).ravel()[order], starts)
+        sums = sums[order[starts]]
+    return sums, weights
+
+
 def weighted_count_direct(
     system: CoefficientSystem, M: int, N: int, cap: int = convolve.CELL_CAP
 ) -> float:
-    """r(n) by windowed nine-fold convolution of the weighted supports."""
+    """r(n) by a join of the distinct index sums of slots 1-4 and 5-9; see _weighted_sums."""
     sups = _supports(system, M, N)
     if any(len(s) == 0 for s in sups):
         return 0.0
-    parts = [convolve.from_sparse(s.indices, s.weights, cap=cap) for s in sups]
-    return convolve.convolve_read(parts, system.n, cap=cap)
+    keys, key_weights = _weighted_sums(sups[:4], cap)
+    sums, weights = _weighted_sums(sups[4:], cap)
+    need = system.n - sums
+    pos = np.searchsorted(keys, need)
+    pos[pos == len(keys)] = 0
+    hit = keys[pos] == need
+    return float(np.dot(key_weights[pos[hit]], weights[hit]))
 
 
 def weighted_count_fourier(
@@ -88,11 +117,15 @@ def weighted_count_fourier(
 ) -> float:
     """r(n) recovered by sampling prod S_j on T equispaced points.
 
-    T is the least power of two exceeding both n - K_min and K_max - n,
+    T is the least 5-smooth length exceeding both n - K_min and K_max - n,
     where [K_min, K_max] is the attainable exponent range; the only
     multiple of T in the shifted exponent range is then zero.  Each distinct
     coefficient's support, reduced mod T, is one factor that starts at its
     least residue, so the read index n mod T is shifted back by the starts.
+
+    A solution adds at least F = prod_j log(least prime of slot j); when
+    the rounding bound B is below F/2, a read below F - B is 0 within B
+    and raises NumericIntegrityError beyond it.
     """
     sups = _supports(system, M, N)
     if any(len(s) == 0 for s in sups):
@@ -103,7 +136,7 @@ def weighted_count_fourier(
     if not k_min <= n <= k_max:
         return 0.0
     reach = max(k_max - n, n - k_min, 1)
-    T = 1 << reach.bit_length()  # least power of two > reach
+    T = convolve._fft_length(reach + 1)
     if T > t_cap:
         raise ResourceLimitError(f"sampling length {T} exceeds cap {t_cap}")
     factors: dict[int, convolve.IndexedWeights] = {}
@@ -112,7 +145,16 @@ def weighted_count_fourier(
             factors[s.coefficient] = convolve.from_sparse(s.indices % T, s.weights, cap=T)
     parts = [factors[s.coefficient] for s in sups]
     index = (n - sum(p.offset for p in parts)) % T
-    return convolve.spectral_coefficient(parts, T, index, cap=t_cap)
+    r = convolve.spectral_coefficient(parts, T, index, cap=t_cap)
+    bound = convolve.rounding_bound(parts, T)
+    least = math.prod(float(s.weights.min()) for s in sups)
+    if 2 * bound >= least or r >= least - bound:
+        return r
+    if abs(r) > bound:
+        raise NumericIntegrityError(
+            f"Fourier read {r!r} is off 0 by more than {bound!r} and below {least!r}"
+        )
+    return 0.0
 
 
 @dataclass(frozen=True)

@@ -144,27 +144,18 @@ def cubic_char_sum_table(chi: DirichletCharacter) -> np.ndarray:
     return q * np.fft.ifft(hist)
 
 
-def cubic_char_sum(chi: DirichletCharacter, a: int) -> complex:
-    """C_chi(a) = sum_{k=1..q} chi(k) e(a k^3 / q)."""
+def char_sum_bound_ok(chi: DirichletCharacter, slack: float = 1e-6) -> np.ndarray:
+    """For a = 0..q-1, whether |C_chi(a)| <= 3 (3,p) (a, p^alpha)^(1/2) p^(alpha/2),
+    from one cubic_char_sum_table; prime-power modulus q = p^alpha only."""
     q = chi.modulus
-    _check_q(q)
     if q == 1:
-        return 1 + 0j
-    idx = (a % q) * _cube_table(q) % q
-    return complex(np.dot(chi.value_table(), unit_roots(q)[idx]))
-
-
-def char_sum_bound_ok(chi: DirichletCharacter, a: int, slack: float = 1e-6) -> bool:
-    """|C_chi(a)| <= 3 (3,p) (a, p^alpha)^(1/2) p^(alpha/2), prime-power modulus only."""
-    q = chi.modulus
-    fact = arith.factorize(q) if q > 1 else []
-    if q > 1 and len(fact) != 1:
+        return np.ones(1, dtype=bool)
+    (p, alpha), *rest = arith.factorize(q)
+    if rest:
         raise DomainError(f"bound applies to prime-power moduli, got {q}")
-    if q == 1:
-        return True
-    p, alpha = fact[0]
-    bound = 3 * math.gcd(3, p) * math.sqrt(math.gcd(a, q)) * p ** (alpha / 2)
-    return abs(cubic_char_sum(chi, a)) <= bound + slack
+    a = np.arange(q)
+    bound = 3 * math.gcd(3, p) * np.sqrt(np.gcd(a, q)) * p ** (alpha / 2)
+    return np.abs(cubic_char_sum_table(chi)) <= bound + slack
 
 
 def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -> complex:

@@ -93,17 +93,10 @@ def _slot_primes(
     return out
 
 
-def _run_starts(x: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal values in sorted x."""
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return keep
-
-
 def _distinct(x: np.ndarray) -> np.ndarray:
     """Sorted distinct values of x (np.unique without its hashing path)."""
     x = np.sort(x, axis=None)
-    return x[_run_starts(x)]
+    return x[expsum._run_starts(x)]
 
 
 def _distinct_sums(slots: list[np.ndarray], coeffs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -118,7 +111,7 @@ def _distinct_sums(slots: list[np.ndarray], coeffs: tuple[int, ...]) -> tuple[np
         flat = (flat[:, None] * len(ps) + np.arange(len(ps))).ravel()
         order = np.argsort(sums)
         run_max = maxes[order]
-        starts = np.flatnonzero(_run_starts(sums[order]))
+        starts = np.flatnonzero(expsum._run_starts(sums[order]))
         least = np.minimum.reduceat(run_max, starts)
         # in each run of equal sums, the first row attaining its least max
         rows = np.flatnonzero(run_max == np.repeat(least, np.diff(starts, append=len(order))))
@@ -199,7 +192,10 @@ def _search_at(
 
     # a matched pair of distinct sums has least max max(key_max, max_mid)
     keys, key_max, key_witness = _distinct_sums(left, system.a[:4])
-    sums_mid, max_mid, mid_witness = _distinct_sums(mid, system.a[4:8])
+    if system.a[:4] == system.a[4:8]:  # slot primes depend on a_j alone
+        sums_mid, max_mid, mid_witness = keys, key_max, key_witness
+    else:
+        sums_mid, max_mid, mid_witness = _distinct_sums(mid, system.a[4:8])
     a9 = system.a[8]
     best_max = None
     best_tuple = None

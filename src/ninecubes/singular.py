@@ -12,7 +12,7 @@ with sum a_j m_j = n and M < |a_j| m_j <= N.  The constraint is linear in
 the m_j: each m_j stands for a cube p_j^3, so the per-variable window
 matches the cube window of the counting problem.  J(n) and the number of
 such tuples are each one coefficient of a nine-fold product, read by
-convolve.read_bounded: by the staged chain for small windows, from one
+convolve.convolve_read: by the staged chain for small windows, from one
 spectral product otherwise.
 """
 
@@ -168,25 +168,33 @@ def _clamped(value: float, bound: float, what: str) -> float:
     return max(value, 0.0)
 
 
+def _integral_value(
+    system: CoefficientSystem, M: int, N: int, cap: int
+) -> tuple[float, list[convolve.IndexedWeights]]:
+    """J(n) over the window M < |a_j| m_j <= N, and the nine factors it is read from."""
+    if not 0 < M < N:
+        raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
+    if N > cap:
+        raise ResourceLimitError(f"window bound {N} exceeds cap {cap}")
+    supports = {aj: integral_support(aj, M, N, cap) for aj in set(system.a)}
+    parts = [supports[aj] for aj in system.a]
+    return _clamped(*convolve.convolve_read(parts, system.n), "integral"), parts
+
+
 def singular_integral(
     system: CoefficientSystem, M: int, N: int, cap: int = INTEGRAL_N_CAP
 ) -> IntegralReport:
     """J(n) and its tuple count over the window M < |a_j| m_j <= N.
 
-    Both are read by convolve.read_bounded.  The weights are nonnegative,
+    Both are read by convolve.convolve_read.  The weights are nonnegative,
     so a read below zero is rounding: it is clamped to 0 within the read's
     bound and raises NumericIntegrityError beyond it.
     """
-    if not 0 < M < N:
-        raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
-    if N > cap:
-        raise ResourceLimitError(f"window bound {N} exceeds cap {cap}")
-    parts = [integral_support(aj, M, N, cap) for aj in system.a]
-    value = _clamped(*convolve.read_bounded(parts, system.n), "integral")
+    value, parts = _integral_value(system, M, N, cap)
     ones = [
         convolve.IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts
     ]
-    count = _clamped(*convolve.read_bounded(ones, system.n), "tuple count")
+    count = _clamped(*convolve.convolve_read(ones, system.n), "tuple count")
     norm = value * abs(system.coefficient_product) ** (1.0 / 3.0) / float(N) ** 2
     return IntegralReport(
         window_m=M,
@@ -200,7 +208,6 @@ def singular_integral(
 def main_term(
     system: CoefficientSystem, M: int, N: int, series_cutoff: int = DEFINITION_ROUTE_MAX
 ) -> float:
-    """(1/3^9) * (series partial sum at the cutoff) * J(n)."""
+    """(1/3^9) * (series partial sum at the cutoff) * J(n); no tuple count is read."""
     series = singular_series_partial(system, series_cutoff)
-    integral = singular_integral(system, M, N)
-    return NORMALIZER * series.value * integral.value
+    return NORMALIZER * series.value * _integral_value(system, M, N, INTEGRAL_N_CAP)[0]

@@ -53,26 +53,15 @@ def test_pair_matches_numpy():
         assert np.allclose(got.values, want, atol=1e-12)
 
 
-def test_fft_path_matches_direct():
-    # dense factors large enough to push past the direct-cost limit
-    rng = np.random.default_rng(412)
-    n = 7000
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    assert n * n > convolve._DIRECT_COST_LIMIT
-    got = convolve._convolve_values(a, b)
-    want = np.convolve(a, b)
-    scale = np.abs(want).max()
-    assert np.abs(got - want).max() <= 1e-9 * scale
-
-
 def test_read_matches_full():
     rng = np.random.default_rng(413)
     for _ in range(20):
         parts = [random_part(rng, max_len=15) for _ in range(int(rng.integers(2, 6)))]
         full = convolve_full(parts)
         for target in [full.lo, full.hi, int(rng.integers(full.lo, full.hi + 1)), full.hi + 3]:
-            assert convolve_read(parts, target) == pytest.approx(
+            value, bound = convolve_read(parts, target)
+            assert bound == 0.0
+            assert value == pytest.approx(
                 full.coefficient(target), abs=1e-9 * max(1.0, np.abs(full.values).max())
             )
 
@@ -92,14 +81,16 @@ def test_read_brute_force_small():
         return total
 
     for target in range(-20, 21, 5):
-        assert convolve_read(parts, target) == pytest.approx(brute(target), abs=1e-10)
+        value, bound = convolve_read(parts, target)
+        assert bound == 0.0
+        assert value == pytest.approx(brute(target), abs=1e-10)
 
 
 def test_empty_factor_annihilates():
     empty = IndexedWeights(0, np.zeros(0))
     unit = IndexedWeights(3, np.array([2.0]))
     assert len(convolve_pair(empty, unit).values) == 0
-    assert convolve_read([empty, unit], 3) == 0.0
+    assert convolve_read([empty, unit], 3) == (0.0, 0.0)
 
 
 def numpy_chain(parts):
@@ -163,7 +154,7 @@ def test_spectral_transforms_once_per_distinct_factor(monkeypatch):
 def test_full_route_on_window_tables(monkeypatch):
     # small analogues of the benchmark's tables: sparse prime-cube supports
     # stay on the direct chain, dense m^(-2/3) supports take one spectral
-    # product with one transform per distinct coefficient
+    # product with one transform per distinct |a|: a = -1 reverses a = 1
     coeffs = (1, -1, 1, 1, 1, 1, -1, 2, 3)
     system = CoefficientSystem.make(coeffs, 1)
     calls = count_rffts(monkeypatch)
@@ -176,7 +167,7 @@ def test_full_route_on_window_tables(monkeypatch):
     parts = [integral_support(a, 10**3, 10**4) for a in coeffs]
     assert not convolve._stages_direct(parts)
     got = convolve_full(parts)
-    assert len(calls) == 4
+    assert len(calls) == 3
     offset, want = numpy_chain(parts)
     assert got.offset == offset
     assert np.abs(got.values - want).max() <= 1e-12 * want.max()
@@ -227,6 +218,9 @@ def test_spectral_read_matches_brute_force():
         # equal factors as distinct arrays at different offsets, next to a signed one
         [IndexedWeights(shared.offset + i, shared.values.copy()) for i in range(3)]
         + [IndexedWeights(-2, np.array([1.5, 0.0, -0.5, 2.0]))],
+        # a factor between copies of its reverse: one rfft, conjugated for the reverse
+        [IndexedWeights(o, np.array(v)) for o, v in
+         ((3, [1.0, 0.0, 2.0, 0.5]), (-1, [0.5, 2.0, 0.0, 1.0]), (0, [1.0, 0.0, 2.0, 0.5]))],
         [IndexedWeights(-4, np.array([0.0, 2.0, 1.0]))],
     ]
     for parts in cases:
@@ -241,6 +235,30 @@ def test_spectral_read_matches_brute_force():
                 assert (got, bound) == (0.0, 0.0)
 
 
+def fft_chain_read(parts, target):
+    """Coefficient of target by the cropped chain, each stage a slice-add
+    product when its cost is within the direct limit and a power-of-two
+    FFT product otherwise."""
+    lo_rest, hi_rest = sum(p.lo for p in parts), sum(p.hi for p in parts)
+    acc_lo, acc = 0, np.ones(1)
+    for p in parts:
+        lo_rest, hi_rest = lo_rest - p.lo, hi_rest - p.hi
+        short, long_ = (acc, p.values) if len(acc) <= len(p.values) else (p.values, acc)
+        size = len(acc) + len(p.values) - 1
+        if np.count_nonzero(short) * len(long_) <= convolve._DIRECT_COST_LIMIT:
+            full = np.zeros(size)
+            for i in np.flatnonzero(short):
+                full[i : i + len(long_)] += short[i] * long_
+        else:
+            nfft = 1 << (size - 1).bit_length()
+            spectrum = np.fft.rfft(acc, nfft) * np.fft.rfft(p.values, nfft)
+            full = np.fft.irfft(spectrum, nfft)[:size]
+        acc_lo += p.lo
+        lo, hi = max(acc_lo, target - hi_rest), min(acc_lo + size - 1, target - lo_rest)
+        acc, acc_lo = full[lo - acc_lo : hi - acc_lo + 1], lo
+    return float(acc[0])
+
+
 @pytest.mark.parametrize("coeffs", [(1,) * 9, (1, 1, 1, -2, 3, 1, 5, 1, -1)])
 @pytest.mark.parametrize("N", [2 * 10**4, 10**5])
 def test_spectral_read_matches_staged_read(coeffs, N):
@@ -248,18 +266,18 @@ def test_spectral_read_matches_staged_read(coeffs, N):
     for target in (5 * N + 1, N):
         assert not convolve._stages_direct(parts, target)
         got, bound = convolve._spectral_read(parts, target, convolve.CELL_CAP)
-        want = convolve_read(parts, target)
+        want = fft_chain_read(parts, target)
         assert want > 0
         assert got == pytest.approx(want, rel=1e-12)
         assert abs(got - want) <= bound
-        assert convolve.read_bounded(parts, target) == (got, bound)
+        assert convolve_read(parts, target) == (got, bound)
 
 
 def test_read_route_on_integral_windows(monkeypatch):
     # README-size windows and integral_stability's N <= 2000 stay staged
-    # (bound 0); at N = 2e4 one rfft per distinct factor: the mixed system
-    # has five distinct weight arrays, and its 0/1 arrays for a = 1 and
-    # a = -1 coincide, leaving four
+    # (bound 0); at N = 2e4 one rfft per factor up to reversal: of the mixed
+    # system's five distinct weight arrays, a = -1's reverses a = 1's, and
+    # its 0/1 arrays for a = 1 and a = -1 coincide, leaving four of each
     calls = count_rffts(monkeypatch)
     mixed = (1, 1, 1, -2, 3, 1, 5, 1, -1)
     for coeffs, M, N, n in [
@@ -274,26 +292,35 @@ def test_read_route_on_integral_windows(monkeypatch):
     assert calls == []
     parts = [integral_support(a, 2000, 20000) for a in mixed]
     ones = [IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts]
-    for factors, distinct in ((parts, 5), (ones, 4)):
+    for factors, distinct in ((parts, 4), (ones, 4)):
         calls.clear()
-        value, bound = convolve.read_bounded(factors, 100001)
+        value, bound = convolve_read(factors, 100001)
         assert len(calls) == distinct
         assert value > 0 and bound > 0
 
 
 def test_direct_count_never_takes_the_spectral_read(monkeypatch):
-    # r(n) stays on convolve_read's chain even where read_bounded would
-    # go spectral
-    def refuse(*args, **kwargs):
-        raise AssertionError("spectral read reached")
+    # r(n) takes no transform even where convolve_read of the same
+    # supports goes spectral; the two agree within the read's bound, and
+    # the unattained 5e5 + 1 comes out exactly 0
+    planted = sum(p**3 for p in (23, 23, 29, 31, 37, 41, 43, 43, 43))
+    systems = [CoefficientSystem.make((1,) * 9, n) for n in (5 * 10**5 + 1, planted)]
+    reads = []
+    for system in systems:
+        sups = [cube_support(system, j, 10**4, 10**5) for j in range(9)]
+        parts = [from_sparse(s.indices, s.weights) for s in sups]
+        assert not convolve._stages_direct(parts, system.n)
+        reads.append(convolve_read(parts, system.n))
 
-    monkeypatch.setattr(convolve, "_spectral_read", refuse)
-    monkeypatch.setattr(convolve, "_product_spectrum", refuse)
-    system = CoefficientSystem.make((1,) * 9, 5 * 10**5 + 1)
-    sups = [cube_support(system, j, 10**4, 10**5) for j in range(9)]
-    parts = [from_sparse(s.indices, s.weights) for s in sups]
-    assert not convolve._stages_direct(parts, system.n)
-    assert weighted_count_direct(system, 10**4, 10**5) == convolve_read(parts, system.n)
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform reached")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    got = [weighted_count_direct(system, 10**4, 10**5) for system in systems]
+    assert got[0] == 0.0 and got[1] > 0
+    for value, (want, bound) in zip(got, reads):
+        assert abs(value - want) <= bound
 
 
 def test_read_cap_covers_padded_length(monkeypatch):
@@ -303,7 +330,7 @@ def test_read_cap_covers_padded_length(monkeypatch):
     assert convolve._fft_length(6001) == 6075
     calls = count_rffts(monkeypatch)
     with pytest.raises(ResourceLimitError):
-        convolve.read_bounded([dense, dense], 5999, cap=6074)
+        convolve_read([dense, dense], 5999, cap=6074)
     assert calls == []
-    value, _ = convolve.read_bounded([dense, dense], 5999, cap=6075)
+    value, _ = convolve_read([dense, dense], 5999, cap=6075)
     assert value == pytest.approx(6000.0, abs=1e-9)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ninecubes import convolve
 from ninecubes.arcs import build_dissection
-from ninecubes.errors import DomainError
+from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.expsum import (
     cube_support,
     minor_arc_sup,
@@ -84,7 +85,58 @@ def test_parity_blocked_target_counts_zero():
     # odd cubes only, even target: no solutions at all
     system = CoefficientSystem.make([1] * 9, 1000)
     assert weighted_count_direct(system, 8, 2000) == 0.0
-    assert abs(weighted_count_fourier(system, 8, 2000)) <= 1e-6
+    assert weighted_count_fourier(system, 8, 2000) == 0.0
+
+
+def test_unattained_target_counts_exactly_zero(monkeypatch):
+    # nine window primes in 47..97: 5e6 + 1 has the right parity but is
+    # no sum of their cubes.  The join takes no transform, and the
+    # Fourier read (B = 325 against a least count of 1.86e5) snaps to 0
+    system = CoefficientSystem.make([1] * 9, 5 * 10**6 + 1)
+    assert weighted_count_fourier(system, 10**5, 10**6) == 0.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform reached")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    assert weighted_count_direct(system, 10**5, 10**6) == 0.0
+
+
+def test_join_cap_refuses_before_the_outer_sum(monkeypatch):
+    # 11 primes a slot: slots 1 and 2 form 11 and 121 pairs; their 66
+    # distinct sums would form 726 with slot 3
+    sizes = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda x, *a, **k: sizes.append(len(x)) or argsort(x, *a, **k))
+    system = CoefficientSystem.make([1] * 9, 5 * 10**6 + 1)
+    with pytest.raises(ResourceLimitError):
+        weighted_count_direct(system, 10**5, 10**6, cap=725)
+    assert sizes == [11, 121]
+
+
+@pytest.mark.parametrize(
+    "read, want",
+    [
+        ((1e-3, 1e-3), 0.0),
+        ((-1e-3, 1e-3), 0.0),
+        ((0.0369, 1e-3), 0.0369),
+        ((0.02, 1e-3), NumericIntegrityError),
+        ((-0.01, 1e-3), NumericIntegrityError),
+        ((0.01, 0.02), 0.01),  # bound past half the least count: read as it is
+        ((-0.01, 0.02), -0.01),
+    ],
+)
+def test_fourier_read_is_zero_or_a_count(monkeypatch, read, want):
+    # one atom per slot: every solution adds log(2)^9 = 0.0369
+    monkeypatch.setattr(convolve, "spectral_coefficient", lambda *args, **kwargs: read[0])
+    monkeypatch.setattr(convolve, "rounding_bound", lambda *args, **kwargs: read[1])
+    system = CoefficientSystem.make([1] * 9, 72)
+    if want is NumericIntegrityError:
+        with pytest.raises(NumericIntegrityError):
+            weighted_count_fourier(system, 7, 8)
+    else:
+        assert weighted_count_fourier(system, 7, 8) == want
 
 
 def test_counts_match_brute_force():

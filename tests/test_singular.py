@@ -129,10 +129,10 @@ def test_integral_zero_iff_no_lattice_point():
 def test_negative_read_clamped_within_bound(monkeypatch):
     # a read below zero is rounding when it lies within the read's bound:
     # value, normalized value and count all come out exactly 0
-    monkeypatch.setattr(convolve, "read_bounded", lambda parts, target: (-1e-12, 1e-10))
+    monkeypatch.setattr(convolve, "convolve_read", lambda parts, target: (-1e-12, 1e-10))
     rep = singular_integral(ONES, 2, 10)
     assert (rep.value, rep.normalized, rep.solution_count) == (0.0, 0.0, 0.0)
-    monkeypatch.setattr(convolve, "read_bounded", lambda parts, target: (-1.0, 1e-10))
+    monkeypatch.setattr(convolve, "convolve_read", lambda parts, target: (-1.0, 1e-10))
     with pytest.raises(NumericIntegrityError):
         singular_integral(ONES, 2, 10)
 
