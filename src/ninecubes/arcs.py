@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, NumericIntegrityError
 
 P_CAP = 10**5
 
@@ -47,8 +47,10 @@ def dirichlet_approx(alpha: float | Fraction, Q: int) -> tuple[int, int]:
         p_prev, q_prev = p_cur, q_cur
         p_cur, q_cur = p_nxt, q_nxt
     a_best, q_best = p_cur, q_cur
-    assert math.gcd(a_best, q_best) == 1 or a_best == 0
-    assert abs(q_best * x - a_best) <= Fraction(1, Q)
+    if math.gcd(a_best, q_best) != 1 and a_best != 0:
+        raise NumericIntegrityError(f"convergent {a_best}/{q_best} is not in lowest terms")
+    if abs(q_best * x - a_best) > Fraction(1, Q):
+        raise NumericIntegrityError(f"|{q_best} alpha - {a_best}| exceeds 1/{Q}")
     return a_best, q_best
 
 

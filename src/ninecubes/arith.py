@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
 SIEVE_CAP = 10**8
 UNIT_GROUP_CAP = 10**6
@@ -123,10 +123,7 @@ class CyclicComponent:
     lifted is the generator lifted to a residue mod q (1 mod q / p^e).
     """
 
-    prime: int
-    power: int
     modulus: int  # p^e
-    generator: int  # residue mod p^e
     order: int
     lifted: int  # residue mod q
     dlog: np.ndarray
@@ -218,14 +215,11 @@ def _unit_group(q: int) -> UnitGroup:
                     dlog[u] = t
                     u = u * g % pe
                 tables.append(dlog)
-        for (pe, g, order, lifted), dlog in zip(specs, tables):
-            comps.append(
-                CyclicComponent(
-                    prime=p, power=e, modulus=pe, generator=g, order=order, lifted=lifted, dlog=dlog
-                )
-            )
+        for (pe, _, order, lifted), dlog in zip(specs, tables):
+            comps.append(CyclicComponent(modulus=pe, order=order, lifted=lifted, dlog=dlog))
     phi = euler_phi(q)
-    assert math.prod(c.order for c in comps) == phi
+    if math.prod(c.order for c in comps) != phi:
+        raise NumericIntegrityError(f"component orders of (Z/{q}Z)* do not multiply to phi = {phi}")
     return UnitGroup(modulus=q, phi=phi, components=tuple(comps))
 
 

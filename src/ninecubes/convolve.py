@@ -1,23 +1,24 @@
 """Signed-offset convolution of weighted integer supports.
 
 Each factor is a dense weight array over a contiguous range of signed
-integer indices.  _stages_direct picks one of two products from the
-factor lengths and nonzero counts before anything is allocated:
+integer indices.  Two products are built here:
 
 - the staged chain multiplies factor by factor with slice adds of the
-  sparser side's nonzeros, cropping each partial product to the sums
-  that can still reach a wanted coefficient.  It only adds products, so
-  nonnegative weights keep exact zeros.
+  sparser side's nonzeros.  It only adds products, so nonnegative
+  weights keep exact zeros.
 - the spectral product (_product_spectrum) takes one rfft per factor up
   to offset and reversal (a reversed factor takes the conjugate), multiplies
   it into one accumulator once per slot that shares it, and inverts once.
 
-convolve_full returns the whole product, spectral at the least 5-smooth
-length covering its span.  convolve_read (J(n) and its tuple count)
-returns one coefficient and its rounding bound: 0 on the chain, else
-rounding_bound of a spectral_coefficient read at a length that keeps
-aliases off the target.  The Fourier route of r(n) reads through both
-too, the float N(p) through spectral_coefficient alone.
+convolve_full returns the whole product: by the chain when
+_stages_direct finds every stage cheap from the factor lengths and
+nonzero counts, before anything is allocated, else spectral at the least
+5-smooth length covering its span.  Every single coefficient is one
+spectral_coefficient read: convolve_read (J(n) and its tuple count)
+crops the factors to the target's reach, reads at a length that keeps
+aliases off the target and returns the read with its rounding_bound.
+The Fourier route of r(n) and the float N(p) read through
+spectral_coefficient too.
 """
 
 from __future__ import annotations
@@ -81,25 +82,6 @@ def convolve_pair(a: IndexedWeights, b: IndexedWeights) -> IndexedWeights:
     return IndexedWeights(a.offset + b.offset, out)
 
 
-def _crop(part: IndexedWeights, lo: int, hi: int) -> IndexedWeights:
-    """Restrict to [lo, hi]; empty result allowed."""
-    lo = max(lo, part.lo)
-    hi = min(hi, part.hi)
-    if lo > hi:
-        return IndexedWeights(0, np.zeros(0, dtype=np.float64))
-    return IndexedWeights(lo, part.values[lo - part.offset : hi - part.offset + 1])
-
-
-def _suffix_bounds(parts: Sequence[IndexedWeights]) -> tuple[list[int], list[int]]:
-    """Least and greatest index sum of parts[i:], for i = 0 .. len(parts)."""
-    suffix_lo = [0] * (len(parts) + 1)
-    suffix_hi = [0] * (len(parts) + 1)
-    for i in range(len(parts) - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + parts[i].lo
-        suffix_hi[i] = suffix_hi[i + 1] + parts[i].hi
-    return suffix_lo, suffix_hi
-
-
 def _fft_length(n: int) -> int:
     """Least 2^a 3^b 5^c >= n."""
     best = 1 << (n - 1).bit_length()
@@ -113,31 +95,21 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _stages_direct(parts: Sequence[IndexedWeights], target: int | None = None) -> bool:
-    """True when no stage of the chain over parts costs more than
-    _DIRECT_COST_LIMIT: the nonzero count of its shorter side, bounded by
-    the product of its factors' counts (a sumset is no larger than the
-    product of its summands), times the length of the longer.  With a
-    target, follows convolve_read's chain, whose partial products are
-    cropped to the indices that can still reach the target.
+def _stages_direct(parts: Sequence[IndexedWeights]) -> bool:
+    """True when no stage of convolve_full's chain over parts costs more
+    than _DIRECT_COST_LIMIT: the nonzero count of its shorter side, bounded
+    by the product of its factors' counts (a sumset is no larger than the
+    product of its summands), times the length of the longer.
     """
-    if target is not None:
-        suffix_lo, suffix_hi = _suffix_bounds(parts)
-        parts = [_crop(parts[0], target - suffix_hi[1], target - suffix_lo[1]), *parts[1:]]
-    lo, hi = parts[0].lo, parts[0].hi
+    acc_len = len(parts[0].values)
     acc_nnz = int(np.count_nonzero(parts[0].values))
-    for i, p in enumerate(parts[1:], 1):
-        if hi < lo:
-            return True  # the read has already come out 0
-        acc_len, n = hi - lo + 1, len(p.values)
-        nnz = int(np.count_nonzero(p.values))
+    for p in parts[1:]:
+        n, nnz = len(p.values), int(np.count_nonzero(p.values))
         short_nnz, long_len = (acc_nnz, n) if acc_len <= n else (nnz, acc_len)
         if short_nnz * long_len > _DIRECT_COST_LIMIT:
             return False
-        lo, hi = lo + p.lo, hi + p.hi
-        if target is not None:
-            lo, hi = max(lo, target - suffix_hi[i + 1]), min(hi, target - suffix_lo[i + 1])
-        acc_nnz = min(max(hi - lo + 1, 0), acc_nnz * nnz)
+        acc_len += n - 1
+        acc_nnz = min(acc_len, acc_nnz * nnz)
     return True
 
 
@@ -192,31 +164,13 @@ def _spectral_product(parts: Sequence[IndexedWeights], span: int, cap: int) -> I
     return IndexedWeights(sum(p.offset for p in parts), values)
 
 
-def _spectral_read(parts: Sequence[IndexedWeights], target: int, cap: int) -> tuple[float, float]:
-    """Coefficient of `target` from one spectral product, and its rounding bound."""
-    lo_total = sum(p.lo for p in parts)
-    hi_total = sum(p.hi for p in parts)
-    if not lo_total <= target <= hi_total:
-        return 0.0, 0.0
-    parts = [_crop(p, target - (hi_total - p.hi), target - (lo_total - p.lo)) for p in parts]
-    span = sum(len(p.values) - 1 for p in parts) + 1
-    t = target - sum(p.lo for p in parts)
-    nfft = _fft_length(max(t + 1, span - t + 1, *(len(p.values) for p in parts)))
-    return spectral_coefficient(parts, nfft, t, cap), rounding_bound(parts, nfft)
-
-
 def convolve_read(
     parts: Sequence[IndexedWeights], target: int, cap: int = CELL_CAP
 ) -> tuple[float, float]:
     """Coefficient of `target` in the product of all parts, and its rounding bound.
 
-    By the staged chain when every stage of it would be direct: after
-    each stage the partial product is cropped to [target - future_max,
-    target - future_min], where future_min/max bound the index sum of
-    the remaining factors.  That path only adds products, so it keeps
-    the sign of nonnegative weights and its bound is 0.  Otherwise each
-    factor is cropped to the indices from which the target is still
-    reachable and the coefficient is read from one spectral product at
+    Each factor is cropped to the indices from which the target is still
+    reachable, and the coefficient is read from one spectral product at
     the least 5-smooth length L exceeding both the target's offset t in
     the cropped product and span - t, so no alias lands on t; its bound
     is rounding_bound.
@@ -224,20 +178,19 @@ def convolve_read(
     parts = list(parts)
     if not parts:
         raise DomainError("need at least one factor")
-    suffix_lo, suffix_hi = _suffix_bounds(parts)
-    if any(len(p.values) == 0 for p in parts) or not suffix_lo[0] <= target <= suffix_hi[0]:
+    lo_total = sum(p.lo for p in parts)
+    hi_total = sum(p.hi for p in parts)
+    if any(len(p.values) == 0 for p in parts) or not lo_total <= target <= hi_total:
         return 0.0, 0.0
-    if not _stages_direct(parts, target):
-        return _spectral_read(parts, target, cap)
-    cells = 0
-    acc = _crop(parts[0], target - suffix_hi[1], target - suffix_lo[1])
-    for i in range(1, len(parts)):
-        cells += len(acc.values) + len(parts[i].values)
-        if cells > cap:
-            raise ResourceLimitError(f"convolution exceeds the {cap}-cell cap")
-        nxt = convolve_pair(acc, parts[i])
-        acc = _crop(nxt, target - suffix_hi[i + 1], target - suffix_lo[i + 1])
-    return acc.coefficient(target), 0.0
+    cropped = []
+    for p in parts:
+        lo = max(p.lo, target - (hi_total - p.hi))
+        hi = min(p.hi, target - (lo_total - p.lo))
+        cropped.append(IndexedWeights(lo, p.values[lo - p.offset : hi - p.offset + 1]))
+    span = sum(len(p.values) - 1 for p in cropped) + 1
+    t = target - sum(p.lo for p in cropped)
+    nfft = _fft_length(max(t + 1, span - t + 1, *(len(p.values) for p in cropped)))
+    return spectral_coefficient(cropped, nfft, t, cap), rounding_bound(cropped, nfft)
 
 
 def convolve_full(parts: Sequence[IndexedWeights], cap: int = CELL_CAP) -> IndexedWeights:

@@ -138,7 +138,8 @@ def _lex_refine(
 
     Builds suffix reachability sets right to left, then fixes slots left
     to right, always taking the smallest prime whose residual target
-    stays reachable.  Returns None when the sets would exceed REFINE_CAP.
+    stays reachable.  Returns None when the sets it stores, with the pairs
+    of the one being built, would exceed REFINE_CAP.
     """
     capped = [ps[ps <= max_p] for ps in slots]
     cubes = [aj * ps.astype(np.int64) ** 3 for aj, ps in zip(system.a, capped)]
@@ -146,12 +147,10 @@ def _lex_refine(
     suffix: list[np.ndarray | None] = [None] * 10
     suffix[9] = np.zeros(1, dtype=np.int64)
     stored = 1
-    for j in range(8, -1, -1):
+    for j in range(8, 0, -1):  # the greedy never reads suffix[0]
         prev = suffix[j + 1]
         if len(capped[j]) * len(prev) + stored > REFINE_CAP:
             return None
-        if j == 0:  # suffix[0] is only sized against the cap: the greedy never reads it
-            break
         suffix[j] = _distinct(cubes[j][:, None] + prev[None, :])
         stored += len(suffix[j])
     target = system.n

@@ -12,8 +12,8 @@ with sum a_j m_j = n and M < |a_j| m_j <= N.  The constraint is linear in
 the m_j: each m_j stands for a cube p_j^3, so the per-variable window
 matches the cube window of the counting problem.  J(n) and the number of
 such tuples are each one coefficient of a nine-fold product, read by
-convolve.convolve_read: by the staged chain for small windows, from one
-spectral product otherwise.
+convolve.convolve_read as one spectral product of the factors cropped to
+the target's reach, with its rounding bound.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ninecubes
 from ninecubes import cli, search
 from ninecubes.cli import RunConfig, parse_config_file, run
 from ninecubes.errors import NumericIntegrityError
@@ -316,3 +319,14 @@ def test_parse_config_file_round_trips_real_file(tmp_path):
     assert values["coeffs"] == (1,) * 9
     assert values["n"] == 23 and values["qmax"] == 77
     assert RunConfig(**values) == config
+
+
+def test_library_has_no_assert_guards():
+    # python -O strips assert statements; every guard in the library is a
+    # typed error that the CLI maps onto its exit codes
+    found = []
+    for path in sorted(Path(ninecubes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -60,7 +60,7 @@ def test_read_matches_full():
         full = convolve_full(parts)
         for target in [full.lo, full.hi, int(rng.integers(full.lo, full.hi + 1)), full.hi + 3]:
             value, bound = convolve_read(parts, target)
-            assert bound == 0.0
+            assert abs(value - full.coefficient(target)) <= bound
             assert value == pytest.approx(
                 full.coefficient(target), abs=1e-9 * max(1.0, np.abs(full.values).max())
             )
@@ -82,7 +82,7 @@ def test_read_brute_force_small():
 
     for target in range(-20, 21, 5):
         value, bound = convolve_read(parts, target)
-        assert bound == 0.0
+        assert abs(value - brute(target)) <= bound
         assert value == pytest.approx(brute(target), abs=1e-10)
 
 
@@ -228,7 +228,7 @@ def test_spectral_read_matches_brute_force():
         targets = [lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1]
         for target in targets:
             want = brute_coefficient(parts, target)
-            got, bound = convolve._spectral_read(parts, target, convolve.CELL_CAP)
+            got, bound = convolve_read(parts, target)
             assert abs(got - want) <= bound + 1e-15
             assert got == pytest.approx(want, abs=1e-12)
             if not lo <= target <= hi:
@@ -264,52 +264,49 @@ def fft_chain_read(parts, target):
 def test_spectral_read_matches_staged_read(coeffs, N):
     parts = [integral_support(a, N // 10, N) for a in coeffs]
     for target in (5 * N + 1, N):
-        assert not convolve._stages_direct(parts, target)
-        got, bound = convolve._spectral_read(parts, target, convolve.CELL_CAP)
+        got, bound = convolve_read(parts, target)
         want = fft_chain_read(parts, target)
         assert want > 0
         assert got == pytest.approx(want, rel=1e-12)
         assert abs(got - want) <= bound
-        assert convolve_read(parts, target) == (got, bound)
 
 
 def test_read_route_on_integral_windows(monkeypatch):
-    # README-size windows and integral_stability's N <= 2000 stay staged
-    # (bound 0); at N = 2e4 one rfft per factor up to reversal: of the mixed
-    # system's five distinct weight arrays, a = -1's reverses a = 1's, and
-    # its 0/1 arrays for a = 1 and a = -1 coincide, leaving four of each
+    # from README-size windows and integral_stability's N <= 2000 to
+    # N = 2e4, each read takes one rfft per cropped factor up to reversal:
+    # of the mixed system's five distinct weight arrays, a = -1's reverses
+    # a = 1's, and its 0/1 arrays for a = 1 and a = -1 coincide, leaving
+    # four of each
     calls = count_rffts(monkeypatch)
     mixed = (1, 1, 1, -2, 3, 1, 5, 1, -1)
-    for coeffs, M, N, n in [
-        ((1,) * 9, 10, 100, 500),
-        ((1,) * 9, 100, 1000, 1000),
-        ((1,) * 9, 200, 2000, 2000),
-        (mixed, 100, 1000, 14),
-        (mixed, 200, 2000, 14),
+    for coeffs, M, N, n, distinct in [
+        ((1,) * 9, 10, 100, 500, 1),
+        ((1,) * 9, 100, 1000, 1000, 1),
+        ((1,) * 9, 200, 2000, 2000, 1),
+        (mixed, 100, 1000, 14, 4),
+        (mixed, 200, 2000, 14, 4),
+        (mixed, 2000, 20000, 100001, 4),
     ]:
-        rep = singular_integral(CoefficientSystem.make(coeffs, n), M, N)
-        assert rep.value > 0
-    assert calls == []
-    parts = [integral_support(a, 2000, 20000) for a in mixed]
-    ones = [IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts]
-    for factors, distinct in ((parts, 4), (ones, 4)):
-        calls.clear()
-        value, bound = convolve_read(factors, 100001)
-        assert len(calls) == distinct
-        assert value > 0 and bound > 0
+        assert singular_integral(CoefficientSystem.make(coeffs, n), M, N).value > 0
+        parts = [integral_support(a, M, N) for a in coeffs]
+        ones = [IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts]
+        for factors in (parts, ones):
+            calls.clear()
+            value, bound = convolve_read(factors, n)
+            assert len(calls) == distinct
+            assert value > 0 and bound > 0
 
 
 def test_direct_count_never_takes_the_spectral_read(monkeypatch):
-    # r(n) takes no transform even where convolve_read of the same
-    # supports goes spectral; the two agree within the read's bound, and
-    # the unattained 5e5 + 1 comes out exactly 0
+    # r(n) takes no transform; it agrees with convolve_read's spectral
+    # read of the same supports within the read's bound, and the
+    # unattained 5e5 + 1 comes out exactly 0
     planted = sum(p**3 for p in (23, 23, 29, 31, 37, 41, 43, 43, 43))
     systems = [CoefficientSystem.make((1,) * 9, n) for n in (5 * 10**5 + 1, planted)]
     reads = []
     for system in systems:
         sups = [cube_support(system, j, 10**4, 10**5) for j in range(9)]
         parts = [from_sparse(s.indices, s.weights) for s in sups]
-        assert not convolve._stages_direct(parts, system.n)
         reads.append(convolve_read(parts, system.n))
 
     def refuse(*args, **kwargs):
@@ -326,7 +323,6 @@ def test_direct_count_never_takes_the_spectral_read(monkeypatch):
 def test_read_cap_covers_padded_length(monkeypatch):
     # target 5999 sits mid-span: L must exceed 6000, so L = 6075 = 3^5 5^2
     dense = IndexedWeights(0, np.ones(6000))
-    assert not convolve._stages_direct([dense, dense], 5999)
     assert convolve._fft_length(6001) == 6075
     calls = count_rffts(monkeypatch)
     with pytest.raises(ResourceLimitError):

@@ -320,6 +320,19 @@ def test_distinct_sums_match_enumeration():
         assert sum(a * p**3 for a, p in zip(coeffs, tup)) == s and max(tup) == m
 
 
+def test_refine_cap_counts_only_stored_sets(monkeypatch):
+    # at the README search example the pass builds suffix sets for slots
+    # 8 .. 1 and at most 31,648 sums and pairs are alive at once; the set
+    # over all nine slots is never read, so it is not sized against the cap
+    monkeypatch.setattr(search, "REFINE_CAP", 31_648)
+    system = CoefficientSystem.make((1,) * 8 + (-1,), 0)
+    rec = find_solution(system, prime_bound=100)
+    assert rec.found_by == "meet_in_the_middle+lex"
+    assert rec.primes == (2, 2, 2, 3, 5, 7, 13, 13, 17)
+    monkeypatch.setattr(search, "REFINE_CAP", 31_647)
+    assert find_solution(system, prime_bound=100).found_by == "meet_in_the_middle"
+
+
 def test_witness_without_refinement(monkeypatch):
     # with the lexicographic pass refused, the meet-in-the-middle witness
     # itself is returned and must solve the equation at the optimal max

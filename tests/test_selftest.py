@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ninecubes import selftest
+from ninecubes import expsum, selftest
 from ninecubes.errors import DomainError
 from ninecubes.selftest import CHECKS, DEFAULT_SEED, _run_one, random_valid_system, run_all
 
@@ -38,6 +38,22 @@ def test_selection_reproduces_full_run():
     full = _run_one(name, dict(CHECKS)[name], DEFAULT_SEED + index)
     alone = run_all(names=[name])
     assert alone[0].detail == full.detail
+
+
+def test_fourier_direct_compares_nonzero_counts(monkeypatch):
+    # both routes return exact zeros on unattained targets, so a run that
+    # compared zeros only would pass whatever the routes computed
+    counts = []
+    direct = expsum.weighted_count_direct
+
+    def record(*args, **kwargs):
+        counts.append(direct(*args, **kwargs))
+        return counts[-1]
+
+    monkeypatch.setattr(expsum, "weighted_count_direct", record)
+    result = run_all(names=["fourier_direct"])[0]
+    assert result.passed and len(counts) == 30
+    assert sum(c > 0 for c in counts) >= 15
 
 
 def test_corridor_diagnostic_matches_staged_products():
