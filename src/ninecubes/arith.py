@@ -1,16 +1,18 @@
-"""Primes, factorization, multiplicative functions, and unit groups mod q.
+"""Primes, factorization, multiplicative functions, and unit groups mod p^e.
 
-The unit group (Z/qZ)* is decomposed into cyclic components, one per odd
-prime power dividing q plus the usual one- or two-generator pieces at
-powers of 2.  Discrete logarithms are precomputed as flat tables so that
-character evaluation elsewhere is table lookup, not repeated powering.
+The unit group (Z/p^eZ)* is cyclic for odd p and for 2 and 4, and is the
+product of the subgroups generated by -1 and 5 at 2^e with e >= 3.  Its
+discrete logarithms are precomputed as flat tables, one per generator, so
+that character evaluation elsewhere is table lookup, not repeated powering.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -21,21 +23,20 @@ UNIT_GROUP_CAP = 10**6
 
 Factorization = list[tuple[int, int]]
 
-_sieve_limit = 0
-_sieve_primes: list[int] = []
+# (limit, primes <= limit) of the largest sieve so far: one tuple, so that a
+# reader in another thread never pairs one sieve's limit with another's list
+_sieve: tuple[int, list[int]] = (0, [])
+_sieve_lock = threading.Lock()
 
 
 def sieve_primes(limit: int, cap: int = SIEVE_CAP) -> list[int]:
     """All primes <= limit, ascending.  The largest sieve is kept and reused."""
     if limit > cap:
         raise ResourceLimitError(f"sieve limit {limit} exceeds cap {cap}")
-    global _sieve_limit, _sieve_primes
-    if limit <= _sieve_limit:
-        # bisect the cached list instead of resieving
-        import bisect
-
-        k = bisect.bisect_right(_sieve_primes, limit)
-        return _sieve_primes[:k]
+    global _sieve
+    known_limit, known = _sieve
+    if limit <= known_limit:
+        return known[: bisect.bisect_right(known, limit)]
     if limit < 2:
         return []
     mask = np.ones(limit + 1, dtype=bool)
@@ -43,9 +44,12 @@ def sieve_primes(limit: int, cap: int = SIEVE_CAP) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    _sieve_primes = [int(p) for p in np.flatnonzero(mask)]
-    _sieve_limit = limit
-    return list(_sieve_primes)
+    primes = [int(p) for p in np.flatnonzero(mask)]
+    with _sieve_lock:
+        # a smaller sieve that finishes last must not replace a larger one
+        if limit > _sieve[0]:
+            _sieve = (limit, primes)
+    return list(primes)
 
 
 def is_prime(n: int) -> bool:
@@ -104,8 +108,6 @@ def icbrt(n: int) -> int:
 
 def _primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
-    if p == 2:
-        return 1
     order_factors = [q for q, _ in factorize(p - 1)]
     g = 2
     while True:
@@ -114,117 +116,68 @@ def _primitive_root(p: int) -> int:
         g += 1
 
 
+def _generators(p: int, e: int) -> list[tuple[int, int]]:
+    """(generator, order) pairs of (Z/p^eZ)*: each unit is one product of their powers."""
+    pe = p**e
+    if p == 2:
+        # trivial at 2, -1 alone at 4, -1 and 5 from 8 on
+        return [(pe - 1, 2), (5, pe // 4)][: max(0, e - 1)]
+    g = _primitive_root(p)
+    if e > 1 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return [(g, pe // p * (p - 1))]
+
+
+def _powers(g: int, order: int, pe: int) -> np.ndarray:
+    """g^t mod pe for t = 0..order-1."""
+    out = [1] * order
+    u = 1
+    for t in range(1, order):
+        u = u * g % pe
+        out[t] = u
+    return np.array(out, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class CyclicComponent:
-    """One cyclic factor of (Z/qZ)*, attached to the prime power p^e | q.
+    """One cyclic factor of (Z/qZ)*: dlog maps a residue mod q to the
+    exponent of this factor's generator, and is -1 at non-units."""
 
-    dlog maps residues mod p^e to the exponent of the generator, -1 at
-    residues that are not units or that belong to the other component at 2^e.
-    lifted is the generator lifted to a residue mod q (1 mod q / p^e).
-    """
-
-    modulus: int  # p^e
     order: int
-    lifted: int  # residue mod q
     dlog: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class UnitGroup:
-    """Cyclic decomposition of (Z/qZ)* with flat discrete-log tables."""
+    """(Z/qZ)* for a prime power q, with flat discrete-log tables."""
 
     modulus: int
     phi: int
     components: tuple[CyclicComponent, ...]
 
-    def exponent_vector(self, k: int) -> tuple[int, ...] | None:
-        """Exponents of k on the component generators, or None if gcd(k, q) > 1."""
-        q = self.modulus
-        k %= q
-        if q == 1:
-            return ()
-        if math.gcd(k, q) != 1:
-            return None
-        return tuple(int(c.dlog[k % c.modulus]) for c in self.components)
-
-    def unit_from_exponents(self, vec: tuple[int, ...]) -> int:
-        """Inverse of exponent_vector: the unit with the given exponents."""
-        if len(vec) != len(self.components):
-            raise DomainError("exponent vector has the wrong length")
-        u = 1
-        for x, c in zip(vec, self.components):
-            u = u * pow(c.lifted, x % c.order, self.modulus) % self.modulus
-        return u
-
-
-def _components_for(p: int, e: int, q: int) -> list[tuple[int, int, int, int]]:
-    """(modulus, generator, order, lifted) tuples for the factor at p^e."""
-    pe = p**e
-    cof = q // pe
-    # residue that is g mod p^e and 1 mod q/p^e
-    def lift(g: int) -> int:
-        if cof == 1:
-            return g % q
-        inv = pow(cof, -1, pe)
-        return (1 + cof * ((g - 1) * inv % pe)) % q
-
-    if p == 2:
-        if e == 1:
-            return []
-        if e == 2:
-            return [(4, 3, 2, lift(3))]
-        return [
-            (pe, pe - 1, 2, lift(pe - 1)),
-            (pe, 5, pe // 4, lift(5)),
-        ]
-    g = _primitive_root(p)
-    if e > 1 and pow(g, p - 1, p * p) == 1:
-        g += p
-    order = pe // p * (p - 1)
-    return [(pe, g % pe, order, lift(g))]
-
-
-def _two_power_dlogs(pe: int) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete logs mod 2^e (e >= 3) on generators -1 and 5."""
-    sign = np.full(pe, -1, dtype=np.int64)
-    expo = np.full(pe, -1, dtype=np.int64)
-    u = 1
-    for t in range(pe // 4):
-        sign[u] = 0
-        expo[u] = t
-        sign[pe - u] = 1
-        expo[pe - u] = t
-        u = u * 5 % pe
-    return sign, expo
-
 
 @lru_cache(maxsize=2048)
 def _unit_group(q: int) -> UnitGroup:
-    comps: list[CyclicComponent] = []
-    for p, e in factorize(q):
-        specs = _components_for(p, e, q)
-        if p == 2 and e >= 3:
-            sign, expo = _two_power_dlogs(p**e)
-            tables = [sign, expo]
-        else:
-            tables = []
-            for pe, g, order, _ in specs:
-                dlog = np.full(pe, -1, dtype=np.int64)
-                u = 1
-                for t in range(order):
-                    dlog[u] = t
-                    u = u * g % pe
-                tables.append(dlog)
-        for (pe, _, order, lifted), dlog in zip(specs, tables):
-            comps.append(CyclicComponent(modulus=pe, order=order, lifted=lifted, dlog=dlog))
+    factors = factorize(q)
+    if len(factors) > 1:
+        raise DomainError(f"unit groups are built at prime-power moduli only, got {q}")
+    gens = _generators(*factors[0]) if factors else []
+    # units[t_1, ..., t_r] = prod_i g_i^t_i mod q, so t_i is the index on axis i
+    units = reduce(np.multiply.outer, [_powers(g, order, q) for g, order in gens], 1) % q
+    exponents = np.indices(np.shape(units))
+    comps = []
+    for (_, order), t in zip(gens, exponents):
+        dlog = np.full(q, -1, dtype=np.int64)
+        dlog[units] = t
+        comps.append(CyclicComponent(order=order, dlog=dlog))
     phi = euler_phi(q)
-    if math.prod(c.order for c in comps) != phi:
-        raise NumericIntegrityError(f"component orders of (Z/{q}Z)* do not multiply to phi = {phi}")
+    if comps and np.count_nonzero(comps[0].dlog >= 0) != phi:
+        raise NumericIntegrityError(f"generator powers do not reach all {phi} units mod {q}")
     return UnitGroup(modulus=q, phi=phi, components=tuple(comps))
 
 
 def unit_group(q: int, cap: int = UNIT_GROUP_CAP) -> UnitGroup:
-    """Cyclic decomposition of (Z/qZ)* for 1 <= q <= cap."""
+    """(Z/qZ)* for a prime power (or 1) q <= cap; a composite q is refused."""
     if q < 1:
         raise DomainError(f"unit_group requires q >= 1, got {q}")
     if q > cap:

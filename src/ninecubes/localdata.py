@@ -144,18 +144,17 @@ def cubic_char_sum_table(chi: DirichletCharacter) -> np.ndarray:
     return q * np.fft.ifft(hist)
 
 
-def char_sum_bound_ok(chi: DirichletCharacter, slack: float = 1e-6) -> np.ndarray:
+def char_sum_bound_ok(chi: DirichletCharacter) -> np.ndarray:
     """For a = 0..q-1, whether |C_chi(a)| <= 3 (3,p) (a, p^alpha)^(1/2) p^(alpha/2),
-    from one cubic_char_sum_table; prime-power modulus q = p^alpha only."""
+    from one cubic_char_sum_table, up to 1e-6 of rounding.  Characters live at
+    prime-power moduli q = p^alpha only, so q has one prime factor."""
     q = chi.modulus
     if q == 1:
         return np.ones(1, dtype=bool)
-    (p, alpha), *rest = arith.factorize(q)
-    if rest:
-        raise DomainError(f"bound applies to prime-power moduli, got {q}")
+    (p, alpha), = arith.factorize(q)
     a = np.arange(q)
     bound = 3 * math.gcd(3, p) * np.sqrt(np.gcd(a, q)) * p ** (alpha / 2)
-    return np.abs(cubic_char_sum_table(chi)) <= bound + slack
+    return np.abs(cubic_char_sum_table(chi)) <= bound + 1e-6
 
 
 def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -> complex:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,61 @@ def test_sieve_cache_reuse_smaller_limit():
     big = arith.sieve_primes(5000)
     small = arith.sieve_primes(100)
     assert small == [p for p in big if p <= 100]
+
+
+def test_sieve_cache_never_shrinks_under_threads(monkeypatch):
+    # a large sieve finishes in another thread while a small one is sieving;
+    # the small one, finishing last, must not replace the cached large one
+    monkeypatch.setattr(arith, "_sieve", (0, []))
+    flatnonzero = np.flatnonzero
+    sieved = []
+
+    def interleaved(mask):
+        sieved.append(len(mask) - 1)
+        if len(mask) == 102:
+            other = threading.Thread(target=arith.sieve_primes, args=(10**4,))
+            other.start()
+            other.join(timeout=60)
+            assert not other.is_alive()
+        return flatnonzero(mask)
+
+    monkeypatch.setattr(arith.np, "flatnonzero", interleaved)
+    assert len(arith.sieve_primes(101)) == 26
+    assert arith._sieve[0] == 10**4
+    assert len(arith.sieve_primes(1000)) == 168
+    assert sieved == [101, 10**4]  # 1000 is served from the cached sieve
+
+
+def test_sieve_cache_stress_under_threads(monkeypatch):
+    # more threads than cores, switching often: every call returns exactly the
+    # primes up to its limit, and the cache ends at the largest limit asked for
+    monkeypatch.setattr(arith, "_sieve", (0, []))
+    marks = np.ones(20001, dtype=bool)
+    marks[:2] = False
+    for p in range(2, 142):
+        marks[p * p :: p] = False
+    # each thread asks for ascending limits, so sieves keep racing to the end
+    limits = np.sort(np.random.default_rng(5).integers(2, 20001, size=(8, 40)), axis=1)
+    errors = []
+
+    def worker(row):
+        for limit in row:
+            if arith.sieve_primes(int(limit)) != np.flatnonzero(marks[: limit + 1]).tolist():
+                errors.append(int(limit))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(row,)) for row in limits]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert arith._sieve[0] == limits.max()
 
 
 def test_is_prime_against_sieve():
@@ -59,31 +116,38 @@ def test_icbrt_exact():
 
 def test_cube_roots_of_unity_brute():
     # x^3 = 1 (mod q) has gcd(3, m) solutions in each cyclic factor of order m
-    for q in (9, 5, 7, 49, 343, 11, 169, 8, 63, 360, 2):
+    for q in (9, 5, 7, 49, 343, 11, 169, 8, 16, 27, 256, 2):
         brute = sum(1 for x in range(1, q) if math.gcd(x, q) == 1 and pow(x, 3, q) == 1)
         factors = arith.unit_group(q).components
         assert math.prod(math.gcd(3, c.order) for c in factors) == brute
 
 
 def test_unit_group_structure():
-    ug = arith.unit_group(63)
-    assert ug.phi == 36
-    assert sorted(c.order for c in ug.components) == [6, 6]
-    for q in (2, 3, 4, 8, 16, 24, 63, 81, 100, 360):
+    ug = arith.unit_group(256)
+    assert ug.phi == 128
+    assert [c.order for c in ug.components] == [2, 64]
+    for q in (2, 3, 4, 8, 16, 27, 81, 125, 256, 343):
         ug = arith.unit_group(q)
         assert math.prod(c.order for c in ug.components) == arith.euler_phi(q)
-        for k in range(1, q):
-            if math.gcd(k, q) != 1:
-                continue
-            vec = ug.exponent_vector(k)
-            assert vec is not None
-            assert ug.unit_from_exponents(vec) == k
+        # each unit has its own in-range exponent vector; non-units read -1
+        seen = set()
+        for k in range(q):
+            vec = tuple(int(c.dlog[k]) for c in ug.components)
+            if math.gcd(k, q) == 1:
+                assert all(0 <= x < c.order for x, c in zip(vec, ug.components))
+                seen.add(vec)
+            else:
+                assert all(x == -1 for x in vec)
+        assert len(seen) == ug.phi
 
 
 def test_unit_group_trivial_and_non_units():
     assert arith.unit_group(1).phi == 1
     assert arith.unit_group(1).components == ()
-    assert arith.unit_group(12).exponent_vector(6) is None
+    assert [int(c.dlog[6]) for c in arith.unit_group(9).components] == [-1]
+    for q in (12, 35, 63, 360):
+        with pytest.raises(DomainError):
+            arith.unit_group(q)
 
 
 def test_crt_reconstruction():

@@ -1,18 +1,48 @@
+import cmath
+import math
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
-from ninecubes import arith, characters
-from ninecubes.characters import DirichletCharacter, character_group, e_of
+from ninecubes import arith
+from ninecubes.characters import DirichletCharacter, character_group
 from ninecubes.errors import DomainError
 
-MODULI = (1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 35, 63)
+MODULI = (1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 128, 256)
 
 
-def test_e_of_basics():
-    assert e_of(0.0) == pytest.approx(1.0)
-    assert e_of(0.5) == pytest.approx(-1.0)
-    assert e_of(0.25) == pytest.approx(1j)
-    assert abs(e_of(1 / 3) ** 3 - 1) < 1e-12
+def brute_dlog(q):
+    """Each unit's exponents on the unit group's generators, by brute force.
+
+    Generator i is read back from the dlog tables as the residue with
+    exponent 1 on component i and 0 on the others; then every exponent
+    vector is powered out, and each unit must be reached exactly once.
+    """
+    comps = arith.unit_group(q).components
+    gens = []
+    for i in range(len(comps)):
+        want = [int(j == i) for j in range(len(comps))]
+        (g,) = [k for k in range(q) if [int(c.dlog[k]) for c in comps] == want]
+        gens.append(g)
+    logs = {}
+    for vec in product(*(range(c.order) for c in comps)):
+        k = math.prod(pow(g, t, q) for g, t in zip(gens, vec)) % q
+        assert k not in logs
+        logs[k] = vec
+    assert len(logs) == arith.euler_phi(q)
+    return logs
+
+
+def brute_value(chi, k, logs):
+    """chi(k) from an exact angle, 0 off the units."""
+    vec = logs.get(k % chi.modulus)
+    if vec is None:
+        return 0j
+    comps = arith.unit_group(chi.modulus).components
+    angle = sum(Fraction(e * t, c.order) for e, t, c in zip(chi.exponents, vec, comps)) % 1
+    return cmath.exp(2j * cmath.pi * float(angle))
 
 
 def test_group_size_and_principal_first():
@@ -27,38 +57,45 @@ def test_row_orthogonality():
     # sum over residues: phi(q) for the principal character, 0 otherwise
     for q in MODULI:
         for chi in character_group(q):
-            total = sum(chi(k) for k in range(q)) if q > 1 else chi(0)
+            total = chi.value_table().sum()
             want = arith.euler_phi(q) if chi.is_principal else 0.0
-            assert abs(total - want) <= 1e-9 * max(q, 1)
+            assert abs(total - want) <= 1e-9 * q
 
 
 def test_column_orthogonality():
-    for q in (5, 8, 9, 12, 63):
-        group = character_group(q)
-        for k in range(q):
-            total = sum(chi(k) for chi in group)
-            want = arith.euler_phi(q) if k % q == 1 % q else 0.0
-            assert abs(total - want) <= 1e-9 * q
+    for q in (5, 8, 9, 16, 49, 256):
+        total = sum(chi.value_table() for chi in character_group(q))
+        want = np.where(np.arange(q) == 1, arith.euler_phi(q), 0.0)
+        assert np.abs(total - want).max() <= 1e-9 * q
 
 
 def test_multiplicative_values():
     rng = np.random.default_rng(211)
-    for q in (7, 9, 16, 35, 63):
+    for q in (7, 9, 16, 49, 256):
         group = character_group(q)
         for _ in range(40):
-            chi = group[rng.integers(0, len(group))]
+            table = group[rng.integers(0, len(group))].value_table()
             a = int(rng.integers(0, q))
             b = int(rng.integers(0, q))
-            assert abs(chi(a * b) - chi(a) * chi(b)) < 1e-12
+            assert abs(table[a * b % q] - table[a] * table[b]) < 1e-12
 
 
-def test_value_table_matches_calls():
-    for q in (7, 12, 63):
+def test_value_table_matches_brute_force_dlog():
+    for q in (1, 2, 4, 7, 8, 9, 16, 25, 27, 32, 64, 128, 256):
+        logs = brute_dlog(q)
         for chi in character_group(q):
             table = chi.value_table()
             assert table.shape == (q,)
             for k in range(q):
-                assert abs(table[k] - chi(k)) < 1e-12
+                assert abs(table[k] - brute_value(chi, k, logs)) < 1e-12
+
+
+def test_composite_moduli_rejected():
+    for q in (12, 35, 63):
+        with pytest.raises(DomainError):
+            character_group(q)
+        with pytest.raises(DomainError):
+            DirichletCharacter(q, (0, 0))
 
 
 def test_bad_exponents_rejected():
