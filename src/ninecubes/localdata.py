@@ -9,9 +9,12 @@ For a system a_1 x_1^3 + ... + a_9 x_9^3 = n the objects computed here are
     N(q)      = #{unit 9-tuples (x_j) with sum a_j x_j^3 = n mod q}
     s(p)      = 1 + A(p) = p N(p) / phi(p)^9
 
-A(q) is the per-modulus term of the singular series.  N(q) is kept in
-exact integers through CRT-split cyclic convolutions; the float shadow
-of the same count is used where only 1e-12 relative accuracy is needed.
+A(q) is the per-modulus term of the singular series.  N(q) is exact: in
+closed form at a prime p != 3, from Gaussian periods and the cubic Jacobi
+sum, with no array and no transform; by Hensel lifting at prime powers;
+and as a product over prime powers at composite q.  N(3), N(9) and the
+power of a prime dividing every a_j are counted by CRT-split cyclic
+convolutions, the definition route.  The float N(q) is the cross-check.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
 LOCAL_Q_CAP = 10**6
 EXACT_COUNT_CAP = 2 * 10**4
-EXACT_CHECK_MAX = 500
 
 # primes just below 2^31; enough pairwise products to cover any phi(q)^9 we allow
 _CRT_MODULI = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549]
@@ -230,11 +232,112 @@ def _count_solutions_crt(q: int, system: CoefficientSystem) -> int:
     return arith.crt(residues, moduli)
 
 
+def _primary_prime(p: int) -> tuple[int, int]:
+    """(x, y) with x + y w primary (x = 2, y = 0 mod 3) of norm x^2 - x y + y^2 = p = 1 mod 3.
+
+    Of the two primary primes of norm p, pi and its conjugate, exactly one
+    has y > 0.
+    """
+    for y in range(3, math.isqrt(4 * p // 3) + 1, 3):
+        disc = 4 * p - 3 * y * y
+        s = math.isqrt(disc)
+        if s * s == disc:
+            for x in ((y + s) // 2, (y - s) // 2):
+                if x % 3 == 2:
+                    return x, y
+    raise NumericIntegrityError(f"no primary prime of norm {p}")
+
+
+def _twisted_sum_closed_form(p: int, system: CoefficientSystem) -> int:
+    """B(p) at a prime p != 3 in closed form, from J(chi, chi) = pi.
+
+    The r slots with p | a_j give C(0) = p - 1 each, and the k-sum of
+    e(-k n / p) is c_p(n) = p - 1 if p | n, else -1.  For p = 2 mod 3
+    cubing permutes the units, so every other C(a_j k) is -1.
+
+    For p = 1 mod 3 let R_i = {t : chi(t) = w^i}, f = (p-1)/3 and eta_i
+    the Gaussian period, the sum of e(t / p) over R_i.  For k in R_c,
+    C(a_j k) = 3 eta_(i_j + c) with chi(a_j) = w^(i_j), and the twists
+    e(-k n / p) sum to eta_(c + i_n), or to f if p | n.  The sum over c is
+    the trace, which takes sum v_i eta_i to -sum v_i.  Periods multiply by
+    the cyclotomic numbers (h, m) = #{u in R_h : 1 + u in R_m}:
+    eta_a eta_b = f [a = b] + sum_m (b - a, m) eta_(a+m).  Fourier
+    inversion over the Jacobi sums J(chi, chi) = pi,
+    J(chi^2, chi^2) = conj(pi) and J(chi, chi^2) = -1 gives
+    9 (h, m) = p - 2 - t(h) - t(m) - t(h + 2m) + Tr(w^-(h+m) pi), where
+    t(k) = 2 if 3 | k, else -1.
+    """
+    r = sum(a % p == 0 for a in system.a)
+    ramanujan = p - 1 if system.n % p == 0 else -1
+    if p % 3 != 1:
+        return (-1) ** (9 - r) * (p - 1) ** r * ramanujan
+    x, y = _primary_prime(p)
+    w = -x * pow(y, -1, p) % p  # w = -x / y mod pi
+    index = {1: 0, w: 1, w * w % p: 2}
+
+    def chi(t: int) -> int:
+        """i with chi(t) = w^i, from t^((p-1)/3) = w^i mod pi."""
+        return index[pow(t, (p - 1) // 3, p)]
+
+    def t(k: int) -> int:
+        return 2 if k % 3 == 0 else -1
+
+    trace = (2 * x - y, 2 * y - x, -x - y)  # Tr(w^-s pi) for s = 0, 1, 2
+
+    def cyclotomic(h: int, m: int) -> int:
+        nine = p - 2 - t(h) - t(m) - t(h + 2 * m) + trace[(h + m) % 3]
+        if nine % 9:
+            raise NumericIntegrityError(f"cyclotomic number ({h}, {m}) mod {p} is {nine}/9")
+        return nine // 9
+
+    f = (p - 1) // 3
+    # times eta_j as a matrix on (eta_0, eta_1, eta_2), with 1 = -(eta_0 + eta_1 + eta_2)
+    times = [
+        [[cyclotomic((j - a) % 3, (k - a) % 3) - f * (a == j) for a in range(3)] for k in range(3)]
+        for j in range(3)
+    ]
+    factors = [a for a in system.a if a % p]
+    scale = 3 ** len(factors) * (p - 1) ** r
+    if system.n % p:
+        factors.append(system.n)
+    else:
+        scale *= f
+    v = [-1, -1, -1]
+    for a in factors:
+        v = [r0 * v[0] + r1 * v[1] + r2 * v[2] for r0, r1, r2 in times[chi(a)]]
+    return -scale * sum(v)
+
+
+def _prime_count(p: int, system: CoefficientSystem) -> int:
+    """N(p) = (phi(p)^9 + B(p)) / p at a prime p != 3, with B(p) in closed form."""
+    total = (p - 1) ** 9 + _twisted_sum_closed_form(p, system)
+    if total % p:
+        raise NumericIntegrityError(
+            f"closed form phi({p})^9 + B({p}) = {total} is not a multiple of {p}"
+        )
+    return total // p
+
+
 @lru_cache(maxsize=65536)
 def unit_solution_count(q: int, system: CoefficientSystem, cap: int = EXACT_COUNT_CAP) -> int:
-    """N(q): unit 9-tuples with sum a_j x_j^3 = n mod q, exact."""
+    """N(q): unit 9-tuples with sum a_j x_j^3 = n mod q, exact.
+
+    The product over the prime powers p^e of q.  With some a_j prime to p,
+    Hensel lifting gives N(p^e) = p^(8(e-1)) N(p) for p != 3, with N(p) in
+    closed form, and N(3^e) = 3^(8(e-2)) N(9) for e >= 2.  A prime
+    dividing every a_j has no slot to lift through; its power is counted
+    by _count_solutions_crt.
+    """
     _check_q(q, cap=cap)
-    return _count_solutions_crt(q, system)
+    count = 1
+    for p, e in arith.factorize(q):
+        if all(a % p == 0 for a in system.a):
+            count *= _count_solutions_crt(p**e, system)
+        elif p == 3:
+            count *= 3 ** (8 * max(e - 2, 0)) * _count_solutions_crt(3 ** min(e, 2), system)
+        else:
+            count *= p ** (8 * (e - 1)) * _prime_count(p, system)
+    return count
 
 
 def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
@@ -252,17 +355,14 @@ def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
 
 
 def euler_factor(p: int, system: CoefficientSystem) -> float:
-    """s(p) = 1 + A(p), cross-checked against p N(p) / phi(p)^9."""
+    """s(p) = 1 + A(p), cross-checked against p N(p) / phi(p)^9 with N(p) exact."""
     if not arith.is_prime(p):
         raise DomainError(f"euler_factor requires a prime, got {p}")
     s = 1.0 + series_term(p, system)
-    if p <= EXACT_CHECK_MAX:
-        shadow = p * unit_solution_count(p, system) / float(p - 1) ** 9
-    else:
-        shadow = p * unit_solution_count_float(p, system) / float(p - 1) ** 9
-    if abs(s - shadow) > 1e-9 * max(1.0, abs(s), abs(shadow)):
+    counted = p * unit_solution_count(p, system, LOCAL_Q_CAP) / float(p - 1) ** 9
+    if abs(s - counted) > 1e-9 * max(1.0, abs(s), abs(counted)):
         raise NumericIntegrityError(
-            f"s({p}) identity violated: 1 + A = {s!r} vs p N / phi^9 = {shadow!r}"
+            f"s({p}) identity violated: 1 + A = {s!r} vs p N / phi^9 = {counted!r}"
         )
     return s
 

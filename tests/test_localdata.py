@@ -1,12 +1,14 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ninecubes import arith, localdata
+from ninecubes.cli import run
 from ninecubes.characters import character_group, unit_roots
-from ninecubes.errors import DomainError
+from ninecubes.errors import DomainError, NumericIntegrityError
 from ninecubes.localdata import (
     CoefficientSystem,
     char_sum_bound_ok,
@@ -131,6 +133,99 @@ def test_float_count_transforms_once_per_distinct_histogram(monkeypatch):
     # mod 7 = 1 mod 3, 2 is not a cube: 1, -1 and 8 share, 2 does not
     unit_solution_count_float(7, CoefficientSystem.make([1, -1, 8, 1, 1, 1, 1, 1, 2], 5))
     assert len(calls) == 2
+
+
+def test_closed_form_prime_count_matches_crt_count():
+    # N(p) from Gaussian periods and the cubic Jacobi sum against the
+    # convolution count, with targets prime to p and divisible by p
+    for p in arith.sieve_primes(500):
+        if p == 3:
+            continue
+        for system in shared_transform_systems(p):
+            for n in (system.n, 7 * p):
+                target = CoefficientSystem.make(system.a, n)
+                assert unit_solution_count(p, target) == localdata._count_solutions_crt(p, target)
+
+
+def test_closed_form_rejects_a_non_primary_prime(monkeypatch):
+    # -pi = 1 mod 3 is not primary; its cyclotomic numbers are not integers
+    primary = localdata._primary_prime
+    monkeypatch.setattr(localdata, "_primary_prime", lambda p: tuple(-c for c in primary(p)))
+    for p in (7, 13, 499):
+        with pytest.raises(NumericIntegrityError):
+            localdata._prime_count(p, MIXED)
+
+
+def composed_systems(q):
+    """shared_transform_systems(q) plus 9 | a_j and 27 | a_j, each next to a slot
+    holding the least prime p of q once (p | a_j, but not p^2 when p != 3)."""
+    n = 12345 + q
+    (p, _), *_ = arith.factorize(q)
+    return shared_transform_systems(q) + [
+        CoefficientSystem.make([9, p, 2, 1, 1, 5, 1, 1, 7], n),
+        CoefficientSystem.make([27, p, 1, 1, 1, 1, 5, 1, -1], n),
+    ]
+
+
+def test_composed_count_matches_crt_count():
+    # Hensel lifting and CRT products against the convolution count at
+    # every q <= 300 and every higher prime power p^e <= 2000 (e >= 2)
+    powers = [p**e for p in arith.sieve_primes(44) for e in range(2, 11) if 300 < p**e <= 2000]
+    for q in [*range(2, 301), *powers]:
+        for system in composed_systems(q):
+            assert unit_solution_count(q, system) == localdata._count_solutions_crt(q, system), (
+                q, system
+            )
+
+
+def test_prime_dividing_every_coefficient_takes_crt_route(monkeypatch):
+    # with no coefficient prime to p there is no slot to lift through
+    unit_solution_count.cache_clear()
+    calls = []
+    crt = localdata._count_solutions_crt
+    monkeypatch.setattr(
+        localdata, "_count_solutions_crt", lambda q, s: calls.append(q) or crt(q, s)
+    )
+    # 2 does not divide every coefficient, so N(50) takes N(2) in closed form
+    for q, a, crt_moduli in [(25, 5, [25]), (50, 5, [25]), (27, 3, [27]), (7, 7, [7])]:
+        system = CoefficientSystem.make([a, 2 * a, -a, a, a, 3 * a, a, a, a], 1)
+        calls.clear()
+        assert unit_solution_count(q, system) == brute_count(q, system)
+        assert calls == crt_moduli
+
+
+def test_counts_take_no_convolution_or_transform(monkeypatch):
+    # A(q) stays on its DFT route and is computed first; the counts behind
+    # euler_factor at p != 3 and local_data at a composite q take no
+    # np.convolve and no np.fft function
+    unit_solution_count.cache_clear()
+    calls = []
+
+    def watch(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+    primes = [2, 5, 7, 13, 499, 503, 997]
+    composites = [1729, 1798, 2000]  # 7 13 19, 2 29 31, 2^4 5^3
+    for q in primes + composites:
+        series_term(q, MIXED)
+    watch(np, "convolve")
+    for name in np.fft.__all__:
+        watch(np.fft, name)
+    for p in primes:
+        euler_factor(p, MIXED)
+    for q in composites:
+        local_data(q, MIXED)
+    assert calls == []
+
+
+def test_local_report_at_1729_matches_golden(tmp_path):
+    # 1729 = 7 * 13 * 19; the golden is the report of the convolution count
+    golden = Path(__file__).parent / "data" / "local-1729.json"
+    out = tmp_path / "local-1729.json"
+    args = ["local", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "14", "--q", "1729"]
+    assert run(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_histograms_built_once_per_distinct_residue(monkeypatch):

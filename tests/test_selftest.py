@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ninecubes import expsum, selftest
+from ninecubes import expsum, localdata, selftest
 from ninecubes.cli import run
 from ninecubes.errors import DomainError
 from ninecubes.selftest import CHECKS, DEFAULT_SEED, _run_one, random_valid_system, run_all
@@ -66,6 +66,16 @@ def test_fourier_direct_compares_nonzero_counts(monkeypatch):
     result = run_all(names=["fourier_direct"])[0]
     assert result.passed and len(counts) == 30
     assert sum(c > 0 for c in counts) >= 15
+
+
+def test_multiplicativity_checks_composed_count_against_convolution_count(monkeypatch):
+    # q N(q) is multiplicative but wrong; on composed counts alone the
+    # check would pass it
+    count = localdata.unit_solution_count
+    monkeypatch.setattr(localdata, "unit_solution_count", lambda q, s: q * count(q, s))
+    result = run_all(names=["local_multiplicativity"])[0]
+    assert not result.passed
+    assert result.detail.startswith("composed N(2*3) = ")
 
 
 def test_corridor_diagnostic_matches_staged_products():
