@@ -14,11 +14,11 @@ convolve_full returns the whole product: by the chain when
 _stages_direct finds every stage cheap from the factor lengths and
 nonzero counts, before anything is allocated, else spectral at the least
 5-smooth length covering its span.  Every single coefficient is one
-spectral_coefficient read: convolve_read (J(n) and its tuple count)
-crops the factors to the target's reach, reads at a length that keeps
-aliases off the target and returns the read with its rounding_bound.
-The Fourier route of r(n) and the float N(p) read through
-spectral_coefficient too.
+spectral_coefficient read.  convolve_read (J(n), its tuple count and
+the Fourier route of r(n)) crops the factors to the target's reach,
+reads at the least 5-smooth length that keeps aliases off the target and
+returns the read with its rounding_bound.  The float N(p) is a cyclic
+read of its own length through spectral_coefficient.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ class IndexedWeights:
         return 0.0
 
 
-def from_sparse(indices: Sequence[int], weights: Sequence[float], cap: int = CELL_CAP) -> IndexedWeights:
-    """Dense array from sparse (index, weight) data; duplicate indices add."""
+def from_sparse(indices: Sequence[int], weights: Sequence[float]) -> IndexedWeights:
+    """Dense array from sparse (index, weight) data; duplicate indices add.
+
+    A span above CELL_CAP is refused before it is allocated."""
     idx = np.asarray(indices, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
     if idx.size == 0:
@@ -66,8 +68,8 @@ def from_sparse(indices: Sequence[int], weights: Sequence[float], cap: int = CEL
         raise DomainError("indices and weights must have equal length")
     lo = int(idx.min())
     span = int(idx.max()) - lo + 1
-    if span > cap:
-        raise ResourceLimitError(f"support span {span} exceeds cap {cap}")
+    if span > CELL_CAP:
+        raise ResourceLimitError(f"support span {span} exceeds cap {CELL_CAP}")
     vals = np.zeros(span, dtype=np.float64)
     np.add.at(vals, idx - lo, w)
     return IndexedWeights(lo, vals)

@@ -8,11 +8,12 @@ M < |a_j| p^3 <= N of log(p) e(a_j p^3 alpha).  The weighted count
 
 is computed two independent ways: by a join of the distinct index sums
 of slots 1-4 and 5-9, which adds only positive products and takes no
-transform (direct route), and as the exact trigonometric-polynomial
-coefficient recovered by averaging prod_j S_j(t/T) e(-n t/T) over T
-equispaced points, with T the least 5-smooth length past the exponent
-range so no alias lands on the target frequency, read through
-convolve.spectral_coefficient.
+transform (direct route), and as the coefficient of n in the product of
+the slots' dense supports (Fourier route).  A length-L DFT of a support
+samples S_j at L equispaced points, so that coefficient is the average
+of prod_j S_j(t/L) e(-n t/L); convolve.convolve_read takes it at the
+least 5-smooth L that keeps aliases off n, after cropping each support
+to the indices from which n is still reachable.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import numpy as np
 from . import arith, convolve, singular
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
-
-FOURIER_T_CAP = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,41 +111,26 @@ def weighted_count_direct(
     return float(np.dot(key_weights[pos[hit]], weights[hit]))
 
 
-def weighted_count_fourier(
-    system: CoefficientSystem, M: int, N: int, t_cap: int = FOURIER_T_CAP
-) -> float:
-    """r(n) recovered by sampling prod S_j on T equispaced points.
+def weighted_count_fourier(system: CoefficientSystem, M: int, N: int) -> float:
+    """r(n) as coefficient n of the product of the slots' dense supports.
 
-    T is the least 5-smooth length exceeding both n - K_min and K_max - n,
-    where [K_min, K_max] is the attainable exponent range; the only
-    multiple of T in the shifted exponent range is then zero.  Each distinct
-    coefficient's support, reduced mod T, is one factor that starts at its
-    least residue, so the read index n mod T is shifted back by the starts.
-
-    A solution adds at least F = prod_j log(least prime of slot j); when
-    the rounding bound B is below F/2, a read below F - B is 0 within B
-    and raises NumericIntegrityError beyond it.
+    One support per distinct coefficient, read by convolve.convolve_read;
+    a product span above convolve.CELL_CAP is refused before any support
+    is built.  A solution adds at least F = prod_j log(least prime of
+    slot j); when the read's rounding bound B is below F/2, a read below
+    F - B is 0 within B and raises NumericIntegrityError beyond it.
     """
     sups = _supports(system, M, N)
     if any(len(s) == 0 for s in sups):
         return 0.0
-    k_min = sum(int(s.indices.min()) for s in sups)
-    k_max = sum(int(s.indices.max()) for s in sups)
-    n = system.n
-    if not k_min <= n <= k_max:
-        return 0.0
-    reach = max(k_max - n, n - k_min, 1)
-    T = convolve._fft_length(reach + 1)
-    if T > t_cap:
-        raise ResourceLimitError(f"sampling length {T} exceeds cap {t_cap}")
+    span = sum(int(s.indices.max()) - int(s.indices.min()) for s in sups) + 1
+    if span > convolve.CELL_CAP:
+        raise ResourceLimitError(f"product span {span} exceeds cap {convolve.CELL_CAP}")
     factors: dict[int, convolve.IndexedWeights] = {}
     for s in sups:
         if s.coefficient not in factors:
-            factors[s.coefficient] = convolve.from_sparse(s.indices % T, s.weights, cap=T)
-    parts = [factors[s.coefficient] for s in sups]
-    index = (n - sum(p.offset for p in parts)) % T
-    r = convolve.spectral_coefficient(parts, T, index, cap=t_cap)
-    bound = convolve.rounding_bound(parts, T)
+            factors[s.coefficient] = convolve.from_sparse(s.indices, s.weights)
+    r, bound = convolve.convolve_read([factors[s.coefficient] for s in sups], system.n)
     least = math.prod(float(s.weights.min()) for s in sups)
     if 2 * bound >= least or r >= least - bound:
         return r
@@ -234,9 +218,9 @@ class RnReport:
 def rn_report(
     system: CoefficientSystem, M: int, N: int, series_cutoff: int = singular.DEFINITION_ROUTE_MAX
 ) -> RnReport:
+    mt = singular.main_term(system, M, N, series_cutoff)  # its caps refuse before either route runs
     direct = weighted_count_direct(system, M, N)
     fourier = weighted_count_fourier(system, M, N)
-    mt = singular.main_term(system, M, N, series_cutoff)
     return RnReport(
         n=system.n,
         M=M,

@@ -207,6 +207,7 @@ def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]
 
 def _count_solutions_crt(q: int, system: CoefficientSystem) -> int:
     """Exact unit-tuple count via cyclic convolutions run modulo several primes."""
+    _check_q(q, cap=EXACT_COUNT_CAP)
     if q == 1:
         return 1
     bound = arith.euler_phi(q) ** 9  # trivial upper bound for any stage value
@@ -319,16 +320,16 @@ def _prime_count(p: int, system: CoefficientSystem) -> int:
 
 
 @lru_cache(maxsize=65536)
-def unit_solution_count(q: int, system: CoefficientSystem, cap: int = EXACT_COUNT_CAP) -> int:
+def unit_solution_count(q: int, system: CoefficientSystem) -> int:
     """N(q): unit 9-tuples with sum a_j x_j^3 = n mod q, exact.
 
     The product over the prime powers p^e of q.  With some a_j prime to p,
     Hensel lifting gives N(p^e) = p^(8(e-1)) N(p) for p != 3, with N(p) in
     closed form, and N(3^e) = 3^(8(e-2)) N(9) for e >= 2.  A prime
     dividing every a_j has no slot to lift through; its power is counted
-    by _count_solutions_crt.
+    by _count_solutions_crt, which holds its modulus to EXACT_COUNT_CAP.
     """
-    _check_q(q, cap=cap)
+    _check_q(q)
     count = 1
     for p, e in arith.factorize(q):
         if all(a % p == 0 for a in system.a):
@@ -359,7 +360,7 @@ def euler_factor(p: int, system: CoefficientSystem) -> float:
     if not arith.is_prime(p):
         raise DomainError(f"euler_factor requires a prime, got {p}")
     s = 1.0 + series_term(p, system)
-    counted = p * unit_solution_count(p, system, LOCAL_Q_CAP) / float(p - 1) ** 9
+    counted = p * unit_solution_count(p, system) / float(p - 1) ** 9
     if abs(s - counted) > 1e-9 * max(1.0, abs(s), abs(counted)):
         raise NumericIntegrityError(
             f"s({p}) identity violated: 1 + A = {s!r} vs p N / phi^9 = {counted!r}"

@@ -208,6 +208,9 @@ def singular_integral(
 def main_term(
     system: CoefficientSystem, M: int, N: int, series_cutoff: int = DEFINITION_ROUTE_MAX
 ) -> float:
-    """(1/3^9) * (series partial sum at the cutoff) * J(n); no tuple count is read."""
-    series = singular_series_partial(system, series_cutoff)
-    return NORMALIZER * series.value * _integral_value(system, M, N, INTEGRAL_N_CAP)[0]
+    """(1/3^9) * (series partial sum at the cutoff) * J(n); no tuple count is read.
+
+    J(n) is read first, so its window cap refuses before the series runs.
+    """
+    integral = _integral_value(system, M, N, INTEGRAL_N_CAP)[0]
+    return NORMALIZER * singular_series_partial(system, series_cutoff).value * integral

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninecubes import convolve
+from ninecubes import convolve, expsum, singular
 from ninecubes.arcs import build_dissection
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.expsum import (
@@ -159,6 +159,57 @@ def test_fourier_matches_direct(coeffs, primes, N):
     want = weighted_count_direct(system, 7, N)
     assert want > 0
     assert weighted_count_fourier(system, 7, N) == pytest.approx(want, rel=1e-9)
+
+
+def test_fourier_read_is_cropped_at_an_edge_target(monkeypatch):
+    # n sits 90,108 above the least attainable sum 9 * 47^3 and 7.19e6
+    # below the greatest 9 * 97^3: the read crops the supports to n's reach
+    system = CoefficientSystem.make([1] * 9, 1_024_515)
+    M, N = 10**5, 10**6
+    lengths = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, n, *a, **k: lengths.append(n) or rfft(x, n, *a, **k))
+    r = weighted_count_fourier(system, M, N)
+    read = lengths[:]
+    sups = [cube_support(system, j, M, N) for j in range(9)]
+    lengths.clear()
+    convolve.convolve_read([convolve.from_sparse(s.indices, s.weights) for s in sups], system.n)
+    assert read == lengths
+    # uncropped, the read needs the least 5-smooth length past n's distance to either end
+    reach = max(system.n - sum(int(s.indices.min()) for s in sups),
+                sum(int(s.indices.max()) for s in sups) - system.n)
+    uncropped = convolve._fft_length(reach + 1)
+    assert uncropped == 7_200_000
+    assert max(read) < uncropped
+    assert r == pytest.approx(weighted_count_direct(system, M, N), rel=1e-12)
+
+
+def test_fourier_span_cap_refuses_before_any_support_is_built(monkeypatch):
+    # nine slots from 149^3 to 307^3: a product span of 2.3e8 cells
+    def refuse(*args, **kwargs):
+        raise AssertionError("support built")
+
+    monkeypatch.setattr(convolve, "from_sparse", refuse)
+    N = 3 * 10**7
+    system = CoefficientSystem.make([1] * 9, 9 * 227**3)
+    with pytest.raises(ResourceLimitError):
+        weighted_count_fourier(system, N // 10, N)
+
+
+def test_rn_refuses_an_oversized_window_before_any_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("route reached")
+
+    for module, name in [
+        (expsum, "weighted_count_direct"),
+        (expsum, "weighted_count_fourier"),
+        (singular, "singular_series_partial"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    N = singular.INTEGRAL_N_CAP + 1
+    system = CoefficientSystem.make([1] * 9, 9 * N + 1)
+    with pytest.raises(ResourceLimitError):
+        rn_report(system, N // 10, N)
 
 
 def test_fourier_transforms_once_per_distinct_coefficient(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from ninecubes import arith, localdata
 from ninecubes.cli import run
 from ninecubes.characters import character_group, unit_roots
-from ninecubes.errors import DomainError, NumericIntegrityError
+from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.localdata import (
     CoefficientSystem,
     char_sum_bound_ok,
@@ -380,3 +380,32 @@ def test_local_data_bundle():
     assert data.euler_factor is None
     prime = local_data(7, ONES)
     assert prime.euler_factor == pytest.approx(1.0 + prime.series_term, rel=1e-9)
+
+
+def test_local_data_at_a_prime_counts_once():
+    # local_data and its euler_factor share one cached N(q)
+    unit_solution_count.cache_clear()
+    local_data(997, MIXED)
+    info = unit_solution_count.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_crt_count_refuses_a_large_modulus_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "bincount", refuse)
+    monkeypatch.setattr(np, "convolve", refuse)
+    q = 2**15  # above EXACT_COUNT_CAP, and 2 divides every coefficient
+    assert q > localdata.EXACT_COUNT_CAP
+    even = CoefficientSystem.make([2, 4, -2, 2, 6, 2, 2, 2, 2], 1)
+    with pytest.raises(ResourceLimitError):
+        localdata._count_solutions_crt(q, even)
+    with pytest.raises(ResourceLimitError):
+        unit_solution_count(q, even)
+    # a prime above the cap is counted in closed form; the local report still refuses it
+    p = 20011
+    assert p > localdata.EXACT_COUNT_CAP and arith.is_prime(p)
+    assert unit_solution_count(p, MIXED) == localdata._prime_count(p, MIXED)
+    with pytest.raises(ResourceLimitError):
+        local_data(p, MIXED)
