@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NumericIntegrityError
+from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
 P_CAP = 10**5
 
@@ -91,7 +91,7 @@ def build_dissection(N: int, D: int, epsilon: float = 0.01, c: float = 1.0) -> A
     if P < 1:
         P = 1
     if P > P_CAP:
-        raise DomainError(f"P = {P} exceeds the arc cap {P_CAP}")
+        raise ResourceLimitError(f"P = {P} exceeds the arc cap {P_CAP}")
     Q = int(N / (P * L**c))
     if 2 * P >= Q:
         raise DomainError(f"arc parameters degenerate: 2P = {2 * P} >= Q = {Q}")

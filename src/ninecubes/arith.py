@@ -29,10 +29,10 @@ _sieve: tuple[int, list[int]] = (0, [])
 _sieve_lock = threading.Lock()
 
 
-def sieve_primes(limit: int, cap: int = SIEVE_CAP) -> list[int]:
+def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending.  The largest sieve is kept and reused."""
-    if limit > cap:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds cap {cap}")
+    if limit > SIEVE_CAP:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
     global _sieve
     known_limit, known = _sieve
     if limit <= known_limit:
@@ -176,12 +176,12 @@ def _unit_group(q: int) -> UnitGroup:
     return UnitGroup(modulus=q, phi=phi, components=tuple(comps))
 
 
-def unit_group(q: int, cap: int = UNIT_GROUP_CAP) -> UnitGroup:
-    """(Z/qZ)* for a prime power (or 1) q <= cap; a composite q is refused."""
+def unit_group(q: int) -> UnitGroup:
+    """(Z/qZ)* for a prime power (or 1) q <= UNIT_GROUP_CAP; a composite q is refused."""
     if q < 1:
         raise DomainError(f"unit_group requires q >= 1, got {q}")
-    if q > cap:
-        raise ResourceLimitError(f"modulus {q} exceeds unit group cap {cap}")
+    if q > UNIT_GROUP_CAP:
+        raise ResourceLimitError(f"modulus {q} exceeds unit group cap {UNIT_GROUP_CAP}")
     return _unit_group(q)
 
 

@@ -61,7 +61,7 @@ class DirichletCharacter:
         return tab
 
 
-def character_group(q: int, cap: int = arith.UNIT_GROUP_CAP) -> list[DirichletCharacter]:
+def character_group(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod a prime power q, principal first."""
-    orders = [c.order for c in arith.unit_group(q, cap=cap).components]
+    orders = [c.order for c in arith.unit_group(q).components]
     return [DirichletCharacter(q, vec) for vec in product(*(range(m) for m in orders))]

@@ -115,14 +115,12 @@ def _stages_direct(parts: Sequence[IndexedWeights]) -> bool:
     return True
 
 
-def _product_spectrum(
-    parts: Sequence[IndexedWeights], nfft: int, cap: int
-) -> tuple[np.ndarray, int]:
+def _product_spectrum(parts: Sequence[IndexedWeights], nfft: int) -> tuple[np.ndarray, int]:
     """Length-nfft rfft of the cyclic product of all parts' values, shifted back
     by the returned count.  One rfft per factor up to reversal: the reverse
     of a real factor of length l has the conjugate spectrum, shifted by l - 1."""
-    if nfft > cap:
-        raise ResourceLimitError(f"FFT length {nfft} exceeds cap {cap}")
+    if nfft > CELL_CAP:
+        raise ResourceLimitError(f"FFT length {nfft} exceeds cap {CELL_CAP}")
     groups: list[list] = []  # [values, slots sharing them, slots sharing them reversed]
     for p in parts:
         for group in groups:
@@ -145,9 +143,9 @@ def _product_spectrum(
     return acc, shift
 
 
-def spectral_coefficient(parts: Sequence[IndexedWeights], nfft: int, index: int, cap: int) -> float:
+def spectral_coefficient(parts: Sequence[IndexedWeights], nfft: int, index: int) -> float:
     """Coefficient `index` of the length-nfft cyclic product of the values (offsets ignored)."""
-    spectrum, shift = _product_spectrum(parts, nfft, cap)
+    spectrum, shift = _product_spectrum(parts, nfft)
     return float(np.fft.irfft(spectrum, nfft)[(index - shift) % nfft])
 
 
@@ -158,17 +156,15 @@ def rounding_bound(parts: Sequence[IndexedWeights], nfft: int) -> float:
     return 64 * np.finfo(np.float64).eps * math.log2(nfft) * mass
 
 
-def _spectral_product(parts: Sequence[IndexedWeights], span: int, cap: int) -> IndexedWeights:
+def _spectral_product(parts: Sequence[IndexedWeights], span: int) -> IndexedWeights:
     """Product of all parts from one rfft per distinct factor and one irfft."""
     nfft = _fft_length(span)
-    spectrum, shift = _product_spectrum(parts, nfft, cap)
+    spectrum, shift = _product_spectrum(parts, nfft)
     values = np.roll(np.fft.irfft(spectrum, nfft), shift)[:span]
     return IndexedWeights(sum(p.offset for p in parts), values)
 
 
-def convolve_read(
-    parts: Sequence[IndexedWeights], target: int, cap: int = CELL_CAP
-) -> tuple[float, float]:
+def convolve_read(parts: Sequence[IndexedWeights], target: int) -> tuple[float, float]:
     """Coefficient of `target` in the product of all parts, and its rounding bound.
 
     Each factor is cropped to the indices from which the target is still
@@ -192,10 +188,10 @@ def convolve_read(
     span = sum(len(p.values) - 1 for p in cropped) + 1
     t = target - sum(p.lo for p in cropped)
     nfft = _fft_length(max(t + 1, span - t + 1, *(len(p.values) for p in cropped)))
-    return spectral_coefficient(cropped, nfft, t, cap), rounding_bound(cropped, nfft)
+    return spectral_coefficient(cropped, nfft, t), rounding_bound(cropped, nfft)
 
 
-def convolve_full(parts: Sequence[IndexedWeights], cap: int = CELL_CAP) -> IndexedWeights:
+def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     """Full product of all parts (no target window).
 
     Staged when every stage is direct, else one spectral product; see the
@@ -207,10 +203,10 @@ def convolve_full(parts: Sequence[IndexedWeights], cap: int = CELL_CAP) -> Index
     if any(len(p.values) == 0 for p in parts):
         return IndexedWeights(0, np.zeros(0, dtype=np.float64))
     total = sum(p.hi - p.lo for p in parts) + 1
-    if total > cap:
-        raise ResourceLimitError(f"product span {total} exceeds cap {cap}")
+    if total > CELL_CAP:
+        raise ResourceLimitError(f"product span {total} exceeds cap {CELL_CAP}")
     if not _stages_direct(parts):
-        return _spectral_product(parts, total, cap)
+        return _spectral_product(parts, total)
     acc = parts[0]
     for p in parts[1:]:
         acc = convolve_pair(acc, p)

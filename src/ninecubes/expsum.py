@@ -79,14 +79,15 @@ def _run_starts(x: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _weighted_sums(sups: list[WeightedCubeSupport], cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_sums(sups: list[WeightedCubeSupport]) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct index sums over the supports, each with the summed
     weight products of the tuples attaining it, built slot by slot; the
-    pairs a slot forms are held to cap before they are allocated."""
+    pairs a slot forms are held to convolve.CELL_CAP before they are allocated."""
     sums, weights = np.zeros(1, dtype=np.int64), np.ones(1)
     for s in sups:
-        if len(sums) * len(s) > cap:
-            raise ResourceLimitError(f"join of {len(sums) * len(s)} index pairs exceeds cap {cap}")
+        pairs = len(sums) * len(s)
+        if pairs > convolve.CELL_CAP:
+            raise ResourceLimitError(f"join of {pairs} index pairs exceeds cap {convolve.CELL_CAP}")
         sums = (sums[:, None] + s.indices).ravel()
         order = np.argsort(sums, kind="stable")
         starts = np.flatnonzero(_run_starts(sums[order]))
@@ -95,15 +96,13 @@ def _weighted_sums(sups: list[WeightedCubeSupport], cap: int) -> tuple[np.ndarra
     return sums, weights
 
 
-def weighted_count_direct(
-    system: CoefficientSystem, M: int, N: int, cap: int = convolve.CELL_CAP
-) -> float:
+def weighted_count_direct(system: CoefficientSystem, M: int, N: int) -> float:
     """r(n) by a join of the distinct index sums of slots 1-4 and 5-9; see _weighted_sums."""
     sups = _supports(system, M, N)
     if any(len(s) == 0 for s in sups):
         return 0.0
-    keys, key_weights = _weighted_sums(sups[:4], cap)
-    sums, weights = _weighted_sums(sups[4:], cap)
+    keys, key_weights = _weighted_sums(sups[:4])
+    sums, weights = _weighted_sums(sups[4:])
     need = system.n - sums
     pos = np.searchsorted(keys, need)
     pos[pos == len(keys)] = 0
@@ -155,14 +154,9 @@ class MinorScanReport:
 
 
 def minor_arc_sup(
-    system: CoefficientSystem,
-    dissection,
-    M: int,
-    N: int,
-    grid_step: float,
-    j: int = 8,
+    system: CoefficientSystem, dissection, M: int, N: int, grid_step: float
 ) -> MinorScanReport:
-    """Scan |S_j| on an equispaced grid restricted to the minor arcs.
+    """Scan |S_9| on an equispaced grid restricted to the minor arcs.
 
     An empty minor set (every grid point major) is reported distinctly
     with sup_abs = None.
@@ -174,9 +168,8 @@ def minor_arc_sup(
     q_big = dissection.Q
     start = 1.0 / q_big
     npts = int(math.ceil(1.0 / grid_step))
-    sup = cube_support(system, j, M, N)
-    n_j = N // abs(system.a[j])
-    ref = n_j ** (19.0 / 60.0)
+    sup = cube_support(system, 8, M, N)
+    ref = (N // abs(system.a[8])) ** (19.0 / 60.0)
     best: tuple[float, float] | None = None
     minor = 0
     for i in range(npts):

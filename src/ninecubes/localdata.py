@@ -102,7 +102,7 @@ class CoefficientSystem:
         return not self.violations()
 
 
-def _check_q(q: int, cap: int = LOCAL_Q_CAP) -> None:
+def _check_q(q: int, cap: int) -> None:
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if q > cap:
@@ -124,7 +124,7 @@ def _unit_mask(q: int) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def principal_cubic_table(q: int) -> np.ndarray:
     """C_{chi_0}(a) for a = 0..q-1, via the DFT of the unit-cube histogram."""
-    _check_q(q)
+    _check_q(q, LOCAL_Q_CAP)
     if q == 1:
         return np.ones(1, dtype=np.complex128)
     cubes = _cube_table(q)[_unit_mask(q)]
@@ -138,7 +138,7 @@ def principal_cubic_table(q: int) -> np.ndarray:
 def cubic_char_sum_table(chi: DirichletCharacter) -> np.ndarray:
     """C_chi(a) for a = 0..q-1."""
     q = chi.modulus
-    _check_q(q)
+    _check_q(q, LOCAL_Q_CAP)
     if chi.is_principal:
         return principal_cubic_table(q)
     hist = np.zeros(q, dtype=np.complex128)
@@ -161,7 +161,7 @@ def char_sum_bound_ok(chi: DirichletCharacter) -> np.ndarray:
 
 def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -> complex:
     """B(q) (k coprime to q) or F(q) (all k mod q) at principal characters."""
-    _check_q(q)
+    _check_q(q, LOCAL_Q_CAP)
     if q == 1:
         return 1 + 0j
     tab = principal_cubic_table(q)
@@ -182,7 +182,7 @@ def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -
 @lru_cache(maxsize=200000)
 def series_term(q: int, system: CoefficientSystem) -> float:
     """A(q) = B(q at principal characters) / phi(q)^9, verified real."""
-    _check_q(q)
+    _check_q(q, LOCAL_Q_CAP)
     b = principal_twisted_sum(q, system, units_only=True)
     scale = 1.0 + abs(b)
     if abs(b.imag) > 1e-9 * scale:
@@ -207,7 +207,7 @@ def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]
 
 def _count_solutions_crt(q: int, system: CoefficientSystem) -> int:
     """Exact unit-tuple count via cyclic convolutions run modulo several primes."""
-    _check_q(q, cap=EXACT_COUNT_CAP)
+    _check_q(q, EXACT_COUNT_CAP)
     if q == 1:
         return 1
     bound = arith.euler_phi(q) ** 9  # trivial upper bound for any stage value
@@ -329,7 +329,7 @@ def unit_solution_count(q: int, system: CoefficientSystem) -> int:
     dividing every a_j has no slot to lift through; its power is counted
     by _count_solutions_crt, which holds its modulus to EXACT_COUNT_CAP.
     """
-    _check_q(q)
+    _check_q(q, LOCAL_Q_CAP)
     count = 1
     for p, e in arith.factorize(q):
         if all(a % p == 0 for a in system.a):
@@ -350,9 +350,9 @@ def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
     unit factor (a and -a always; any two units when 3 does not divide
     phi(q)) share one.
     """
-    _check_q(q)
+    _check_q(q, LOCAL_Q_CAP)
     parts = [convolve.IndexedWeights(0, h) for h in _unit_cube_histograms(q, system)]
-    return convolve.spectral_coefficient(parts, q, system.n % q, cap=LOCAL_Q_CAP)
+    return convolve.spectral_coefficient(parts, q, system.n % q)
 
 
 def euler_factor(p: int, system: CoefficientSystem) -> float:
@@ -379,7 +379,7 @@ class LocalData:
 
 
 def local_data(q: int, system: CoefficientSystem) -> LocalData:
-    _check_q(q, cap=EXACT_COUNT_CAP)
+    _check_q(q, EXACT_COUNT_CAP)
     a_q = series_term(q, system)
     n_q = unit_solution_count(q, system)
     s_p = euler_factor(q, system) if arith.is_prime(q) else None

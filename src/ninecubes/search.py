@@ -61,6 +61,13 @@ class SearchExhausted:
     states_visited: int
 
 
+def _check_prime_bound(prime_bound: int) -> None:
+    if prime_bound < 2:
+        raise DomainError(f"prime bound must be >= 2, got {prime_bound}")
+    if prime_bound > PRIME_BOUND_CAP:
+        raise ResourceLimitError(f"prime bound {prime_bound} exceeds cap {PRIME_BOUND_CAP}")
+
+
 def _check_span(system: CoefficientSystem, prime_bound: int) -> None:
     # partial sums must stay inside int64 for the vectorized search
     span = sum(abs(aj) for aj in system.a) * prime_bound**3 + abs(system.n)
@@ -76,10 +83,6 @@ def _slot_primes(
     window: tuple[int, int] | None,
 ) -> list[np.ndarray]:
     """Per-slot candidate primes, window-filtered when a window is given."""
-    if prime_bound < 2:
-        raise DomainError(f"prime bound must be >= 2, got {prime_bound}")
-    if prime_bound > PRIME_BOUND_CAP:
-        raise DomainError(f"prime bound {prime_bound} exceeds cap {PRIME_BOUND_CAP}")
     _check_span(system, prime_bound)
     primes = np.asarray(arith.sieve_primes(prime_bound), dtype=np.int64)
     out = []
@@ -252,10 +255,7 @@ def find_solution(
     lexicographic pass is skipped (the meet-in-the-middle witness is
     returned as-is) when the refinement would exceed REFINE_CAP.
     """
-    if prime_bound < 2:
-        raise DomainError(f"prime bound must be >= 2, got {prime_bound}")
-    if prime_bound > PRIME_BOUND_CAP:
-        raise DomainError(f"prime bound {prime_bound} exceeds cap {PRIME_BOUND_CAP}")
+    _check_prime_bound(prime_bound)
     ladder = [b for b in (8, 32, 128, 512, 2048) if b < prime_bound]
     ladder.append(prime_bound)
     for bound in ladder:
@@ -271,6 +271,7 @@ def solution_exists(
     window: tuple[int, int] | None = None,
 ) -> bool:
     """Independent reachability check via a running set of partial sums."""
+    _check_prime_bound(prime_bound)
     slots = _slot_primes(system, prime_bound, window)
     if any(len(ps) == 0 for ps in slots):
         return False
@@ -304,7 +305,8 @@ def threshold_scan(
     Reachability of every candidate n is decided at once by a boolean
     convolution over [0, max(n_range)]; the witness for the least hit is
     then recovered with find_solution.  max(n_range) > THRESHOLD_N_CAP is
-    refused before anything is built.
+    refused before anything is built, as is a prime bound outside
+    [2, PRIME_BOUND_CAP].
     """
     if not isinstance(n_range, range):
         n_range = [int(n) for n in n_range]
@@ -315,6 +317,7 @@ def threshold_scan(
     n_max = max(ends)
     if n_max > THRESHOLD_N_CAP:
         raise ResourceLimitError(f"scan end {n_max} exceeds cap {THRESHOLD_N_CAP}")
+    _check_prime_bound(prime_bound)
     n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)))
     primes = arith.sieve_primes(prime_bound)
     rows = []

@@ -77,9 +77,7 @@ def _euler_tail_factor(pmax: int) -> float:
     return math.exp(40.0 * (2.0 / 7.0) * pmax ** (-3.5)) - 1.0
 
 
-def singular_series_euler(
-    system: CoefficientSystem, pmax: int, cap: int = EULER_PMAX_CAP
-) -> float:
+def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
     """Euler route: prod_{p <= pmax, p != 3} s(p) times the 3-adic factor.
 
     Every factor passes the s(p) = p N(p) / phi(p)^9 cross-check inside
@@ -87,8 +85,8 @@ def singular_series_euler(
     """
     if pmax < 3:
         raise DomainError(f"pmax must be >= 3, got {pmax}")
-    if pmax > cap:
-        raise ResourceLimitError(f"pmax {pmax} exceeds cap {cap}")
+    if pmax > EULER_PMAX_CAP:
+        raise ResourceLimitError(f"pmax {pmax} exceeds cap {EULER_PMAX_CAP}")
     value = 1.0 + series_term(3, system) + series_term(9, system) + series_term(27, system)
     for p in arith.sieve_primes(pmax):
         if p != 3:
@@ -96,14 +94,12 @@ def singular_series_euler(
     return value
 
 
-def singular_series_partial(
-    system: CoefficientSystem, x: int, cap: int = SERIES_X_CAP
-) -> SeriesReport:
+def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
     """Partial-sum route: sum of A(q) over the support q <= x."""
     if x < 1:
         raise DomainError(f"cutoff must be >= 1, got {x}")
-    if x > cap:
-        raise ResourceLimitError(f"cutoff {x} exceeds cap {cap}")
+    if x > SERIES_X_CAP:
+        raise ResourceLimitError(f"cutoff {x} exceeds cap {SERIES_X_CAP}")
     terms: list[tuple[int, float]] = []
     for q in range(1, x + 1):
         if not series_support(q):
@@ -141,7 +137,7 @@ class IntegralReport:
     solution_count: float
 
 
-def integral_support(aj: int, M: int, N: int, cap: int = INTEGRAL_N_CAP) -> convolve.IndexedWeights:
+def integral_support(aj: int, M: int, N: int) -> convolve.IndexedWeights:
     """Weights m^(-2/3) at indices aj * m over the window M < |aj| m <= N."""
     mag = abs(aj)
     m_lo = M // mag + 1  # least m with |aj| m > M
@@ -149,8 +145,8 @@ def integral_support(aj: int, M: int, N: int, cap: int = INTEGRAL_N_CAP) -> conv
     if m_hi < m_lo:
         return convolve.IndexedWeights(0, np.zeros(0, dtype=np.float64))
     span = (m_hi - m_lo) * mag + 1
-    if span > cap:
-        raise ResourceLimitError(f"integral support span {span} exceeds cap {cap}")
+    if span > INTEGRAL_N_CAP:
+        raise ResourceLimitError(f"integral support span {span} exceeds cap {INTEGRAL_N_CAP}")
     m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
     w = m ** (-2.0 / 3.0)
     vals = np.zeros(span, dtype=np.float64)
@@ -169,28 +165,26 @@ def _clamped(value: float, bound: float, what: str) -> float:
 
 
 def _integral_value(
-    system: CoefficientSystem, M: int, N: int, cap: int
+    system: CoefficientSystem, M: int, N: int
 ) -> tuple[float, list[convolve.IndexedWeights]]:
     """J(n) over the window M < |a_j| m_j <= N, and the nine factors it is read from."""
     if not 0 < M < N:
         raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
-    if N > cap:
-        raise ResourceLimitError(f"window bound {N} exceeds cap {cap}")
-    supports = {aj: integral_support(aj, M, N, cap) for aj in set(system.a)}
+    if N > INTEGRAL_N_CAP:
+        raise ResourceLimitError(f"window bound {N} exceeds cap {INTEGRAL_N_CAP}")
+    supports = {aj: integral_support(aj, M, N) for aj in set(system.a)}
     parts = [supports[aj] for aj in system.a]
     return _clamped(*convolve.convolve_read(parts, system.n), "integral"), parts
 
 
-def singular_integral(
-    system: CoefficientSystem, M: int, N: int, cap: int = INTEGRAL_N_CAP
-) -> IntegralReport:
+def singular_integral(system: CoefficientSystem, M: int, N: int) -> IntegralReport:
     """J(n) and its tuple count over the window M < |a_j| m_j <= N.
 
     Both are read by convolve.convolve_read.  The weights are nonnegative,
     so a read below zero is rounding: it is clamped to 0 within the read's
     bound and raises NumericIntegrityError beyond it.
     """
-    value, parts = _integral_value(system, M, N, cap)
+    value, parts = _integral_value(system, M, N)
     ones = [
         convolve.IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts
     ]
@@ -212,5 +206,5 @@ def main_term(
 
     J(n) is read first, so its window cap refuses before the series runs.
     """
-    integral = _integral_value(system, M, N, INTEGRAL_N_CAP)[0]
+    integral = _integral_value(system, M, N)[0]
     return NORMALIZER * singular_series_partial(system, series_cutoff).value * integral

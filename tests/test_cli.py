@@ -183,6 +183,21 @@ def test_oversized_threshold_range_exits_2(capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--coeffs", ONES, "--n", "73", "--prime-bound", "20000"],
+        ["arcs", "--N", str(10**63), "--D", "2"],
+        # no n up to 50 is reachable: only an up-front check sees the bound
+        ["thresholds", "--grid", ONES, "--n-lo", "1", "--n-hi", "50", "--prime-bound", "20000"],
+    ],
+    ids=["search", "arcs", "thresholds"],
+)
+def test_cap_refusals_exit_2(args, capsys):
+    assert run(args) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_search_report_schema(tmp_path):
     code, data = run_to_file(
         tmp_path,

@@ -125,7 +125,7 @@ def test_full_paths_match_numpy_chain():
         scale = max(1.0, np.abs(want).max())
         assert convolve._stages_direct(parts)
         staged = convolve_full(parts)
-        spectral = convolve._spectral_product(parts, len(want), convolve.CELL_CAP)
+        spectral = convolve._spectral_product(parts, len(want))
         for got in (staged, spectral):
             assert got.offset == offset and len(got.values) == len(want)
             assert np.abs(got.values - want).max() <= 1e-12 * scale
@@ -144,7 +144,7 @@ def test_spectral_transforms_once_per_distinct_factor(monkeypatch):
     a, b = rng.standard_normal(40), rng.standard_normal(40)
     parts = [IndexedWeights(i, a.copy()) for i in range(5)] + [IndexedWeights(-9, b) for _ in range(2)]
     calls = count_rffts(monkeypatch)
-    got = convolve._spectral_product(parts, 7 * 39 + 1, convolve.CELL_CAP)
+    got = convolve._spectral_product(parts, 7 * 39 + 1)
     assert len(calls) == 2
     offset, want = numpy_chain(parts)
     assert got.offset == offset
@@ -179,10 +179,12 @@ def test_spectral_cap_covers_padded_length(monkeypatch):
     assert not convolve._stages_direct([dense, dense])
     assert convolve._fft_length(11999) == 12000
     calls = count_rffts(monkeypatch)
+    monkeypatch.setattr(convolve, "CELL_CAP", 11999)
     with pytest.raises(ResourceLimitError):
-        convolve_full([dense, dense], cap=11999)
+        convolve_full([dense, dense])
     assert calls == []
-    assert len(convolve_full([dense, dense], cap=12000).values) == 11999
+    monkeypatch.setattr(convolve, "CELL_CAP", 12000)
+    assert len(convolve_full([dense, dense]).values) == 11999
 
 
 def test_fft_length_is_least_5_smooth():
@@ -325,8 +327,10 @@ def test_read_cap_covers_padded_length(monkeypatch):
     dense = IndexedWeights(0, np.ones(6000))
     assert convolve._fft_length(6001) == 6075
     calls = count_rffts(monkeypatch)
+    monkeypatch.setattr(convolve, "CELL_CAP", 6074)
     with pytest.raises(ResourceLimitError):
-        convolve_read([dense, dense], 5999, cap=6074)
+        convolve_read([dense, dense], 5999)
     assert calls == []
-    value, _ = convolve_read([dense, dense], 5999, cap=6075)
+    monkeypatch.setattr(convolve, "CELL_CAP", 6075)
+    value, _ = convolve_read([dense, dense], 5999)
     assert value == pytest.approx(6000.0, abs=1e-9)

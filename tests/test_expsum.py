@@ -110,8 +110,9 @@ def test_join_cap_refuses_before_the_outer_sum(monkeypatch):
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda x, *a, **k: sizes.append(len(x)) or argsort(x, *a, **k))
     system = CoefficientSystem.make([1] * 9, 5 * 10**6 + 1)
+    monkeypatch.setattr(convolve, "CELL_CAP", 725)
     with pytest.raises(ResourceLimitError):
-        weighted_count_direct(system, 10**5, 10**6, cap=725)
+        weighted_count_direct(system, 10**5, 10**6)
     assert sizes == [11, 121]
 
 

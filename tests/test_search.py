@@ -162,8 +162,12 @@ def test_prime_bound_guards():
     system = CoefficientSystem.make([1] * 9, 72)
     with pytest.raises(DomainError):
         find_solution(system, prime_bound=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ResourceLimitError):
         find_solution(system, prime_bound=10**5)
+    with pytest.raises(ResourceLimitError):
+        solution_exists(system, prime_bound=10**5)
+    with pytest.raises(ResourceLimitError):  # no n below 50 is reachable
+        threshold_scan([[1] * 9], range(1, 50), prime_bound=10**5)
     huge = CoefficientSystem.make([10**15] * 8 + [1], 72)
     with pytest.raises(ResourceLimitError):
         find_solution(huge, prime_bound=10**4)
