@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
@@ -87,12 +88,11 @@ def build_dissection(N: int, D: int, epsilon: float = 0.01, c: float = 1.0) -> A
     if not 0 < epsilon < 0.1:
         raise DomainError(f"epsilon must lie in (0, 0.1), got {epsilon}")
     L = math.log(N)
-    P = int((N / D) ** (0.1 - epsilon))
-    if P < 1:
-        P = 1
+    # no float N / D: a window past the float range gets its P and Q too
+    P = max(1, int((Decimal(N) / D) ** Decimal(0.1 - epsilon)))
     if P > P_CAP:
         raise ResourceLimitError(f"P = {P} exceeds the arc cap {P_CAP}")
-    Q = int(N / (P * L**c))
+    Q = N // Fraction(P * L**c)
     if 2 * P >= Q:
         raise DomainError(f"arc parameters degenerate: 2P = {2 * P} >= Q = {Q}")
     arcs: list[MajorArc] = []

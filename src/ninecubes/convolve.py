@@ -3,18 +3,19 @@
 Each factor is a dense weight array over a contiguous range of signed
 integer indices.  Two products are built here:
 
-- the staged chain multiplies factor by factor with slice adds of the
-  sparser side's nonzeros.  It only adds products, so nonnegative
-  weights keep exact zeros.
+- the staged chain multiplies factor by factor: each nonzero of the
+  shorter side adds its multiple of the longer side, over the longer
+  side's nonzeros only when they are few.  It only adds products, so
+  nonnegative weights keep exact zeros.
 - the spectral product (_product_spectrum) takes one rfft per factor up
   to offset and reversal (a reversed factor takes the conjugate), multiplies
   it into one accumulator once per slot that shares it, and inverts once.
 
-convolve_full returns the whole product: by the chain when
-_stages_direct finds every stage cheap from the factor lengths and
-nonzero counts, before anything is allocated, else spectral at the least
-5-smooth length covering its span.  Every single coefficient is one
-spectral_coefficient read.  convolve_read (J(n), its tuple count and
+convolve_full returns the whole product: by the chain while each stage's
+nonzero counts, as observed, multiply to at most _DIRECT_COST_LIMIT,
+then by one spectral product of the accumulator and the factors left, at
+the least 5-smooth length covering the span.  Every single coefficient
+is one spectral_coefficient read.  convolve_read (J(n), its tuple count and
 the Fourier route of r(n)) crops the factors to the target's reach,
 reads at the least 5-smooth length that keeps aliases off the target and
 returns the read with its rounding_bound.  The float N(p) is a cyclic
@@ -76,11 +77,18 @@ def from_sparse(indices: Sequence[int], weights: Sequence[float]) -> IndexedWeig
 
 
 def convolve_pair(a: IndexedWeights, b: IndexedWeights) -> IndexedWeights:
-    """Product of two factors by slice adds of the shorter side's nonzeros."""
+    """Product of two factors: each nonzero of the shorter side adds its
+    multiple of the longer side, by a slice add, or at the longer side's
+    nonzeros only when fewer than one cell in ten holds one (measured
+    break-even of the gather)."""
     short, long_ = sorted((a.values, b.values), key=len)
     out = np.zeros(len(short) + len(long_) - 1 if len(short) else 0, dtype=np.float64)
+    cells = slice(0, len(long_))
+    if 10 * np.count_nonzero(long_) < len(long_):
+        cells = np.flatnonzero(long_)  # distinct, so the += below adds each once
+        long_ = long_[cells]
     for i in np.flatnonzero(short):
-        out[i : i + len(long_)] += short[i] * long_
+        out[i:][cells] += short[i] * long_
     return IndexedWeights(a.offset + b.offset, out)
 
 
@@ -95,24 +103,6 @@ def _fft_length(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _stages_direct(parts: Sequence[IndexedWeights]) -> bool:
-    """True when no stage of convolve_full's chain over parts costs more
-    than _DIRECT_COST_LIMIT: the nonzero count of its shorter side, bounded
-    by the product of its factors' counts (a sumset is no larger than the
-    product of its summands), times the length of the longer.
-    """
-    acc_len = len(parts[0].values)
-    acc_nnz = int(np.count_nonzero(parts[0].values))
-    for p in parts[1:]:
-        n, nnz = len(p.values), int(np.count_nonzero(p.values))
-        short_nnz, long_len = (acc_nnz, n) if acc_len <= n else (nnz, acc_len)
-        if short_nnz * long_len > _DIRECT_COST_LIMIT:
-            return False
-        acc_len += n - 1
-        acc_nnz = min(acc_len, acc_nnz * nnz)
-    return True
 
 
 def _product_spectrum(parts: Sequence[IndexedWeights], nfft: int) -> tuple[np.ndarray, int]:
@@ -194,8 +184,11 @@ def convolve_read(parts: Sequence[IndexedWeights], target: int) -> tuple[float, 
 def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     """Full product of all parts (no target window).
 
-    Staged when every stage is direct, else one spectral product; see the
-    module docstring.
+    Chained while the nonzero counts of accumulator and next factor
+    multiply to at most _DIRECT_COST_LIMIT; from the first stage past it,
+    one spectral product of the accumulator and the remaining factors
+    (see the module docstring).  Spans whose padded FFT length exceeds
+    CELL_CAP are refused before any stage runs.
     """
     parts = list(parts)
     if not parts:
@@ -203,11 +196,12 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     if any(len(p.values) == 0 for p in parts):
         return IndexedWeights(0, np.zeros(0, dtype=np.float64))
     total = sum(p.hi - p.lo for p in parts) + 1
-    if total > CELL_CAP:
-        raise ResourceLimitError(f"product span {total} exceeds cap {CELL_CAP}")
-    if not _stages_direct(parts):
-        return _spectral_product(parts, total)
+    nfft = _fft_length(total)  # checked up front: a spectral remainder may follow direct stages
+    if nfft > CELL_CAP:
+        raise ResourceLimitError(f"FFT length {nfft} of product span {total} exceeds cap {CELL_CAP}")
     acc = parts[0]
-    for p in parts[1:]:
-        acc = convolve_pair(acc, p)
+    for k in range(1, len(parts)):
+        if np.count_nonzero(acc.values) * np.count_nonzero(parts[k].values) > _DIRECT_COST_LIMIT:
+            return _spectral_product([acc, *parts[k:]], total)
+        acc = convolve_pair(acc, parts[k])
     return acc

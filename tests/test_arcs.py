@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ninecubes.arcs import build_dissection, classify, dirichlet_approx, normalize
-from ninecubes.errors import DomainError
+from ninecubes.errors import DomainError, ResourceLimitError
 
 
 def test_dirichlet_classics():
@@ -64,6 +64,24 @@ def test_dissection_guards():
         build_dissection(10**6, 2, 0.2, 1.0)  # epsilon out of range
     with pytest.raises(DomainError):
         build_dissection(16, 2, 0.01, 3.0)  # Q collapses below 2P
+
+
+def test_dissection_past_the_float_range():
+    # N / D = 5e399 has no float: P and Q come from decimal and exact
+    # rational arithmetic, and P meets its cap as for any other window
+    N = 10**400
+    with pytest.raises(ResourceLimitError, match="arc cap"):
+        build_dissection(N, 2, 0.01, 1.0)
+    dis = build_dissection(N, 2, 0.0999, 1.0)
+    L = Fraction(math.log(N))
+    assert dis.P == 1 and dis.Q * L <= N < (dis.Q + 1) * L  # Q = floor(N / (P L))
+    assert [(arc.q, arc.a) for arc in dis.arcs] == [(1, 1)]
+    assert classify(Fraction(1), dis) == (1, 1) and classify(Fraction(1, 2), dis) is None
+    # below the float range the parameters are those of float N / D
+    for N, D, eps, c in [(10**6, 2, 0.01, 1.0), (20000, 3, 0.05, 0.5), (10**12 + 39, 13, 0.001, 2.0)]:
+        dis = build_dissection(N, D, eps, c)
+        assert dis.P == max(1, int((N / D) ** (0.1 - eps)))
+        assert dis.Q == int(N / (dis.P * math.log(N) ** c))
 
 
 def test_classify_known_points():

@@ -95,6 +95,17 @@ def test_resource_and_domain_exits(tmp_path):
     assert code == 1
 
 
+def test_arcs_past_the_float_range_exits_on_its_cap(tmp_path, capsys):
+    # N / D = 5e399 is no float; its P meets the arc cap (exit 2), and a
+    # P under the cap gives a report
+    huge = "1" + "0" * 400
+    assert run(["arcs", "--N", huge, "--D", "2"]) == 2
+    assert "exceeds the arc cap" in capsys.readouterr().err
+    code, data = run_to_file(tmp_path, ["arcs", "--N", huge, "--D", "2", "--epsilon", "0.0999"])
+    report = json.loads(data)
+    assert code == 0 and (report["P"], report["arc_count"]) == (1, 1)
+
+
 def test_numeric_integrity_exit(monkeypatch, tmp_path):
     def broken(config):
         raise NumericIntegrityError("forced for the exit-code contract")

@@ -107,7 +107,14 @@ def count_rffts(monkeypatch):
     return calls
 
 
-def test_full_paths_match_numpy_chain():
+def count_pairs(monkeypatch):
+    calls = []
+    pair = convolve.convolve_pair
+    monkeypatch.setattr(convolve, "convolve_pair", lambda a, b: calls.append(1) or pair(a, b))
+    return calls
+
+
+def test_full_paths_match_numpy_chain(monkeypatch):
     rng = np.random.default_rng(415)
     cases = []
     for _ in range(20):
@@ -120,23 +127,29 @@ def test_full_paths_match_numpy_chain():
     # repeats passed as distinct but equal arrays, at different offsets
     cases.append([IndexedWeights(base.offset + 7 * i, base.values.copy()) for i in range(4)] + [other])
     cases.append([IndexedWeights(-5, np.array([0.0, -2.0, 0.0, 3.0]))])
+    rffts = count_rffts(monkeypatch)
     for parts in cases:
         offset, want = numpy_chain(parts)
         scale = max(1.0, np.abs(want).max())
-        assert convolve._stages_direct(parts)
         staged = convolve_full(parts)
+        assert rffts == []
         spectral = convolve._spectral_product(parts, len(want))
+        rffts.clear()
         for got in (staged, spectral):
             assert got.offset == offset and len(got.values) == len(want)
             assert np.abs(got.values - want).max() <= 1e-12 * scale
 
 
-def test_full_empty_factor_annihilates_on_both_routes():
+def test_full_empty_factor_annihilates_on_both_routes(monkeypatch):
     empty = IndexedWeights(4, np.zeros(0))
     dense = IndexedWeights(-3, np.ones(8000))
-    assert not convolve._stages_direct([dense, dense])
+    rffts, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
+    convolve_full([dense, dense])
+    assert (len(rffts), pairs) == (1, [])
+    rffts.clear()
     for parts in ([empty, dense], [dense, empty, dense]):
         assert len(convolve_full(parts).values) == 0
+    assert (rffts, pairs) == ([], [])
 
 
 def test_spectral_transforms_once_per_distinct_factor(monkeypatch):
@@ -157,34 +170,139 @@ def test_full_route_on_window_tables(monkeypatch):
     # product with one transform per distinct |a|: a = -1 reverses a = 1
     coeffs = (1, -1, 1, 1, 1, 1, -1, 2, 3)
     system = CoefficientSystem.make(coeffs, 1)
-    calls = count_rffts(monkeypatch)
+    calls, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
     for N in (10**4, 10**5):
         sups = [cube_support(system, j, N // 10, N) for j in range(9)]
         parts = [from_sparse(s.indices, s.weights) for s in sups]
-        assert convolve._stages_direct(parts)
+        pairs.clear()
         convolve_full(parts)
-        assert calls == []
+        assert calls == [] and len(pairs) == 8
     parts = [integral_support(a, 10**3, 10**4) for a in coeffs]
-    assert not convolve._stages_direct(parts)
+    pairs.clear()
     got = convolve_full(parts)
-    assert len(calls) == 3
+    assert len(calls) == 3 and pairs == []
     offset, want = numpy_chain(parts)
     assert got.offset == offset
     assert np.abs(got.values - want).max() <= 1e-12 * want.max()
 
 
+def slice_add_chain(parts):
+    """The chain with a slice add per nonzero of the shorter side, zeros included."""
+    values = parts[0].values
+    for p in parts[1:]:
+        short, long_ = sorted((values, p.values), key=len)
+        values = np.zeros(len(short) + len(long_) - 1)
+        for i in np.flatnonzero(short):
+            values[i : i + len(long_)] += short[i] * long_
+    return values
+
+
+def test_sparse_chain_matches_numpy_chain():
+    # factors with at least 90% zeros; the longer side of a stage is
+    # sparse at first (gathers) and fills in later (slice adds), and both
+    # add the same products in the same order as plain slice adds
+    rng = np.random.default_rng(418)
+    densities = []
+    for _ in range(30):
+        parts = []
+        for _ in range(int(rng.integers(2, 7))):
+            p = random_part(rng, max_len=int(rng.choice([60, 400, 3000])), lo_range=(-500, 500))
+            keep = rng.random(len(p.values)) < rng.uniform(0.005, 0.1)
+            keep[int(rng.integers(len(keep)))] = True
+            p.values[~keep] = 0.0
+            parts.append(p)
+        offset, want = numpy_chain(parts)
+        got = convolve_full(parts)
+        assert got.offset == offset and len(got.values) == len(want)
+        assert np.abs(got.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.array_equal(got.values, slice_add_chain(parts))
+        for k in range(1, len(parts)):
+            _, acc = numpy_chain(parts[:k])
+            long_ = max(acc, parts[k].values, key=len)
+            densities.append(np.count_nonzero(long_) / len(long_))
+    assert min(densities) < 0.01 and max(densities) > 0.5
+
+
+def test_sparse_prime_cube_table_is_its_sumset(monkeypatch):
+    # every nonzero cell is an attained sum a . p^3, with the summed
+    # log-weight products of its tuples, and no cell is negative
+    coeffs = (1, 1, 1, -1, -1, 1, 1, 2, 3)
+    system = CoefficientSystem.make(coeffs, 1)
+    sups = [cube_support(system, j, 300, 3000) for j in range(9)]
+    brute = {}
+    for combo in itertools.product(*(list(zip(s.indices.tolist(), s.weights)) for s in sups)):
+        n = sum(i for i, _ in combo)
+        brute[n] = brute.get(n, 0.0) + math.prod(w for _, w in combo)
+    calls = count_rffts(monkeypatch)
+    table = convolve_full([from_sparse(s.indices, s.weights) for s in sups])
+    assert calls == []
+    cells = np.flatnonzero(table.values)
+    assert sorted(brute) == (cells + table.offset).tolist()
+    assert np.allclose(table.values[cells], [brute[n] for n in sorted(brute)], rtol=1e-13)
+    assert (table.values >= 0).all()
+
+
+def test_stages_follow_observed_counts(monkeypatch):
+    # at a limit of 1000, (1,...,1)'s prime-cube chain at N = 1e4 stays
+    # direct: four primes a slot make at most 165 distinct sums, 660
+    # products at the last stage, where the product of the counts bounds
+    # that stage by 4^9
+    system = CoefficientSystem.make((1,) * 9, 1)
+    sups = [cube_support(system, j, 1000, 10**4) for j in range(9)]
+    parts = [from_sparse(s.indices, s.weights) for s in sups]
+    want = convolve_full(parts)
+    monkeypatch.setattr(convolve, "_DIRECT_COST_LIMIT", 1000)
+    counts = [len(s.primes) for s in sups]
+    assert counts == [4] * 9 and math.prod(counts) > convolve._DIRECT_COST_LIMIT
+    rffts, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
+    got = convolve_full(parts)
+    assert (rffts, len(pairs)) == ([], 8)
+    assert got.offset == want.offset and np.array_equal(got.values, want.values)
+    assert np.count_nonzero(got.values) == 220
+    # a dense stage after a direct one hands the accumulator and the rest
+    # to one spectral product: one rfft for the accumulator of two
+    # distinct sparse factors, one for the dense factor, its copy and its
+    # reverse
+    rng = np.random.default_rng(419)
+    dense = rng.random(300)
+    rest = [IndexedWeights(5, dense), IndexedWeights(-7, dense.copy()), IndexedWeights(2, dense[::-1].copy())]
+    mixed = [parts[0], IndexedWeights(3, 0.5 * parts[1].values)] + rest
+    rffts.clear()
+    pairs.clear()
+    got = convolve_full(mixed)
+    assert (len(rffts), len(pairs)) == (2, 1)
+    offset, want = numpy_chain(mixed)
+    assert got.offset == offset and np.abs(got.values - want).max() <= 1e-12 * want.max()
+
+
 def test_spectral_cap_covers_padded_length(monkeypatch):
     # span 11999 fits the cap, the 5-smooth FFT length 12000 does not
     dense = IndexedWeights(0, np.ones(6000))
-    assert not convolve._stages_direct([dense, dense])
     assert convolve._fft_length(11999) == 12000
-    calls = count_rffts(monkeypatch)
+    calls, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
     monkeypatch.setattr(convolve, "CELL_CAP", 11999)
     with pytest.raises(ResourceLimitError):
         convolve_full([dense, dense])
     assert calls == []
     monkeypatch.setattr(convolve, "CELL_CAP", 12000)
     assert len(convolve_full([dense, dense]).values) == 11999
+    assert len(calls) == 1 and pairs == []
+
+
+def test_full_cap_refuses_before_direct_stages(monkeypatch):
+    # span 11998 pads to 12000; the first stage (3000 x 3000 products) is
+    # direct, the second (5999 x 6000) is not, so the padded length is
+    # checked before the first stage runs
+    parts = [IndexedWeights(0, np.ones(3000)), IndexedWeights(1, np.ones(3000)), IndexedWeights(2, np.ones(6000))]
+    assert convolve._fft_length(11998) == 12000
+    rffts, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
+    monkeypatch.setattr(convolve, "CELL_CAP", 11998)
+    with pytest.raises(ResourceLimitError):
+        convolve_full(parts)
+    assert (rffts, pairs) == ([], [])
+    monkeypatch.setattr(convolve, "CELL_CAP", 12000)
+    assert len(convolve_full(parts).values) == 11998
+    assert (len(rffts), len(pairs)) == (2, 1)
 
 
 def test_fft_length_is_least_5_smooth():
