@@ -184,12 +184,3 @@ def unit_group(q: int) -> UnitGroup:
         raise ResourceLimitError(f"modulus {q} exceeds unit group cap {UNIT_GROUP_CAP}")
     return _unit_group(q)
 
-
-def crt(residues: list[int], moduli: list[int]) -> int:
-    """Solve x = r_i mod m_i for pairwise coprime m_i; result in [0, prod m_i)."""
-    x, m = 0, 1
-    for r, mi in zip(residues, moduli):
-        t = (r - x) * pow(m, -1, mi) % mi
-        x += m * t
-        m *= mi
-    return x % m

@@ -32,7 +32,6 @@ from .localdata import CoefficientSystem
 class WeightedCubeSupport:
     """Primes p with M < |a| p^3 <= N, their signed indices a p^3, and log p."""
 
-    slot: int
     coefficient: int
     primes: np.ndarray
     indices: np.ndarray
@@ -54,7 +53,6 @@ def cube_support(system: CoefficientSystem, j: int, M: int, N: int) -> WeightedC
     primes = [p for p in arith.sieve_primes(max(p_hi, 2)) if mag * p**3 > M and mag * p**3 <= N]
     arr = np.array(primes, dtype=np.int64)
     return WeightedCubeSupport(
-        slot=j,
         coefficient=aj,
         primes=arr,
         indices=aj * arr**3,

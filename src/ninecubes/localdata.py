@@ -9,12 +9,12 @@ For a system a_1 x_1^3 + ... + a_9 x_9^3 = n the objects computed here are
     N(q)      = #{unit 9-tuples (x_j) with sum a_j x_j^3 = n mod q}
     s(p)      = 1 + A(p) = p N(p) / phi(p)^9
 
-A(q) is the per-modulus term of the singular series.  N(q) is exact: in
-closed form at a prime p != 3, from Gaussian periods and the cubic Jacobi
-sum, with no array and no transform; by Hensel lifting at prime powers;
-and as a product over prime powers at composite q.  N(3), N(9) and the
-power of a prime dividing every a_j are counted by CRT-split cyclic
-convolutions, the definition route.  The float N(q) is the cross-check.
+A(q) is the per-modulus term of the singular series.  N(q) is exact and
+allocates no array: in closed form at a prime p != 3, from cubic Gauss and
+Jacobi sums; at 3 and 9 from the signs of unit cubes mod 9; by Hensel
+lifting and by dividing out a prime dividing every a_j at prime powers; as a
+product over prime powers at composite q.  A(p^e) is exact from the counts.
+Convolutions and transforms are the definition routes, kept as cross-checks.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
 LOCAL_Q_CAP = 10**6
 EXACT_COUNT_CAP = 2 * 10**4
-
-# primes just below 2^31; enough pairwise products to cover any phi(q)^9 we allow
-_CRT_MODULI = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549]
 
 
 def validate_coefficients(coeffs, n: int) -> list[str]:
@@ -205,32 +202,25 @@ def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]
     return [hists[aj % q] for aj in system.a]
 
 
-def _count_solutions_crt(q: int, system: CoefficientSystem) -> int:
-    """Exact unit-tuple count via cyclic convolutions run modulo several primes."""
+def _count_by_convolution(q: int, system: CoefficientSystem) -> int:
+    """N(q) by definition: slots 1-4 and 5-9 each folded by cyclic int64
+    convolutions of unit-cube histograms, whose cells stay <= phi(q)^5 < 2^63
+    (checked before any allocation), then joined at n mod q in Python ints."""
     _check_q(q, EXACT_COUNT_CAP)
-    if q == 1:
-        return 1
-    bound = arith.euler_phi(q) ** 9  # trivial upper bound for any stage value
-    moduli: list[int] = []
-    prod = 1
-    for m in _CRT_MODULI:
-        moduli.append(m)
-        prod *= m
-        if prod > 2 * bound:
-            break
-    if prod <= 2 * bound:
-        raise ResourceLimitError(f"count mod {q} exceeds the CRT capacity")
-    hists = _unit_cube_histograms(q, system)
-    target = system.n % q
-    residues = []
-    for m in moduli:
-        acc = hists[0].astype(np.int64) % m
+    if arith.euler_phi(q) ** 5 >= 2**63:
+        raise ResourceLimitError(f"phi({q})^5 overflows the int64 convolution count")
+
+    def fold(hists: list[np.ndarray]) -> list[int]:
+        acc = hists[0]
         for h in hists[1:]:
-            full = np.convolve(acc, h.astype(np.int64) % m)
+            full = np.convolve(acc, h)
             full[: q - 1] += full[q:]
-            acc = full[:q] % m
-        residues.append(int(acc[target]))
-    return arith.crt(residues, moduli)
+            acc = full[:q]
+        return acc.tolist()
+
+    hists = _unit_cube_histograms(q, system)
+    left, right = fold(hists[:4]), fold(hists[4:])
+    return sum(left[r] * right[(system.n - r) % q] for r in range(q))
 
 
 def _primary_prime(p: int) -> tuple[int, int]:
@@ -319,26 +309,50 @@ def _prime_count(p: int, system: CoefficientSystem) -> int:
     return total // p
 
 
+def _sign_count(m: int, system: CoefficientSystem) -> int:
+    """#{e in {-1, 1}^9 : sum a_j e_j = n mod m}, by one pass over residues per slot."""
+    ways = [1] + [0] * (m - 1)
+    for a in system.a:
+        ways = [ways[(r - a) % m] + ways[(r + a) % m] for r in range(m)]
+    return ways[system.n % m]
+
+
 @lru_cache(maxsize=65536)
 def unit_solution_count(q: int, system: CoefficientSystem) -> int:
     """N(q): unit 9-tuples with sum a_j x_j^3 = n mod q, exact.
 
     The product over the prime powers p^e of q.  With some a_j prime to p,
     Hensel lifting gives N(p^e) = p^(8(e-1)) N(p) for p != 3, with N(p) in
-    closed form, and N(3^e) = 3^(8(e-2)) N(9) for e >= 2.  A prime
-    dividing every a_j has no slot to lift through; its power is counted
-    by _count_solutions_crt, which holds its modulus to EXACT_COUNT_CAP.
+    closed form, and N(3^e) = 3^(8(e-2)) N(9) for e >= 2.  A unit cubes to
+    -1 or 1 mod 9 (three units each) and mod 3 (one each), so N(3^k) is
+    3^(9(k-1)) times a sign count for k <= 2.  A prime dividing every a_j
+    but not n gives 0; dividing n too, N(p^e) is (phi(p^e) / phi(p^(e-1)))^9
+    times N(p^(e-1)) of the system divided by p.
     """
     _check_q(q, LOCAL_Q_CAP)
     count = 1
     for p, e in arith.factorize(q):
         if all(a % p == 0 for a in system.a):
-            count *= _count_solutions_crt(p**e, system)
+            if system.n % p:
+                return 0
+            reduced = CoefficientSystem(tuple(a // p for a in system.a), system.n // p)
+            lifts = p - 1 if e == 1 else p
+            count *= lifts**9 * unit_solution_count(p ** (e - 1), reduced)
         elif p == 3:
-            count *= 3 ** (8 * max(e - 2, 0)) * _count_solutions_crt(3 ** min(e, 2), system)
+            k = min(e, 2)
+            count *= 3 ** (8 * (e - k) + 9 * (k - 1)) * _sign_count(3**k, system)
         else:
             count *= p ** (8 * (e - 1)) * _prime_count(p, system)
     return count
+
+
+def prime_power_term(p: int, e: int, system: CoefficientSystem) -> float:
+    """A(p^e) = g(p^e) - g(p^(e-1)), g(d) = d N(d) / phi(d)^9, as one correctly
+    rounded int/int division: phi(p^e) / phi(p^(e-1)) is the integer lifts."""
+    q, lifts = p**e, (p - 1 if e == 1 else p)
+    high = q * unit_solution_count(q, system)
+    low = q // p * lifts**9 * unit_solution_count(q // p, system)
+    return (high - low) / (q - q // p) ** 9
 
 
 def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:

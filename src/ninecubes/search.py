@@ -123,15 +123,6 @@ def _distinct_sums(slots: list[np.ndarray], coeffs: tuple[int, ...]) -> tuple[np
     return sums, maxes, flat
 
 
-def _unravel(flat: int, sizes: list[int]) -> list[int]:
-    out = []
-    for size in reversed(sizes):
-        out.append(flat % size)
-        flat //= size
-    out.reverse()
-    return out
-
-
 def _lex_refine(
     system: CoefficientSystem,
     slots: list[np.ndarray],
@@ -214,8 +205,8 @@ def _search_at(
         i = int(np.argmin(cand))
         if best_max is None or int(cand[i]) < best_max:
             best_max = int(cand[i])
-            left_idx = _unravel(int(key_witness[pos[hit]][i]), [len(ps) for ps in left])
-            mid_idx = _unravel(int(mid_witness[hit][i]), [len(ps) for ps in mid])
+            left_idx = np.unravel_index(int(key_witness[pos[hit]][i]), [len(ps) for ps in left])
+            mid_idx = np.unravel_index(int(mid_witness[hit][i]), [len(ps) for ps in mid])
             best_tuple = tuple(
                 [int(left[j][left_idx[j]]) for j in range(4)]
                 + [int(mid[j][mid_idx[j]]) for j in range(4)]

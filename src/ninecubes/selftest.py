@@ -133,8 +133,8 @@ def check_local_multiplicativity(rng: np.random.Generator) -> tuple[bool, str]:
     ]
     worst = 0.0
     for system in _mult_test_systems():
-        crt = {
-            q: localdata._count_solutions_crt(q, system)
+        conv = {
+            q: localdata._count_by_convolution(q, system)
             for q in {q for pair in pairs for q in (*pair, math.prod(pair))}
         }
         for q1, q2 in pairs:
@@ -144,11 +144,11 @@ def check_local_multiplicativity(rng: np.random.Generator) -> tuple[bool, str]:
             worst = max(worst, gap)
             if gap > 1e-8:
                 return False, f"A({q1}*{q2}) off by {gap:.3g} for a={system.a}"
-            n12, c12 = localdata.unit_solution_count(q1 * q2, system), crt[q1 * q2]
+            n12, c12 = localdata.unit_solution_count(q1 * q2, system), conv[q1 * q2]
             if n12 != c12:
                 return False, f"composed N({q1}*{q2}) = {n12} != counted {c12} for a={system.a}"
-            if c12 != crt[q1] * crt[q2]:
-                return False, f"N({q1}*{q2}) = {c12} != {crt[q1]}*{crt[q2]} for a={system.a}"
+            if c12 != conv[q1] * conv[q2]:
+                return False, f"N({q1}*{q2}) = {c12} != {conv[q1]}*{conv[q2]} for a={system.a}"
     return True, f"{len(pairs)} coprime pairs x 2 systems, worst A-gap {worst:.3g}"
 
 

@@ -4,8 +4,9 @@ Two independent routes to the series: the partial sum of A(q) over q <= x,
 and the Euler product of s(p) = 1 + A(p) with the 3-adic factor summed to
 exponent 3.  A(q) vanishes unless q is a power of 3 up to 27 times a
 squarefree number prime to 3, so the partial sum runs over that support
-only, with A(q) taken from its definition for small q and assembled
-multiplicatively from prime-power values above the definition cutoff.
+only.  Up to DEFINITION_ROUTE_MAX, A(q) and s(p) come from the definition,
+each s(p) checked against the exact count; above it, from exact counts
+alone: A(q) as a product of prime-power terms, and s(p) = 1 + A(p).
 
 The singular integral J(n) sums (m_1 ... m_9)^(-2/3) over integer tuples
 with sum a_j m_j = n and M < |a_j| m_j <= N.  The constraint is linear in
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import arith, convolve
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
-from .localdata import CoefficientSystem, euler_factor, series_term
+from .localdata import CoefficientSystem, euler_factor, prime_power_term, series_term
 
 SERIES_X_CAP = 10**4
 EULER_PMAX_CAP = 10**4
@@ -48,14 +49,14 @@ def series_support(q: int) -> bool:
 
 
 def series_term_any(q: int, system: CoefficientSystem) -> float:
-    """A(q) by definition for small q, multiplicatively from prime powers above."""
+    """A(q) by definition up to the cutoff, above it the product of exact prime-power terms."""
     if not series_support(q):
         return 0.0
     if q <= DEFINITION_ROUTE_MAX:
         return series_term(q, system)
     val = 1.0
     for p, e in arith.factorize(q):
-        val *= series_term(p**e, system)
+        val *= prime_power_term(p, e, system)
     return val
 
 
@@ -80,8 +81,9 @@ def _euler_tail_factor(pmax: int) -> float:
 def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
     """Euler route: prod_{p <= pmax, p != 3} s(p) times the 3-adic factor.
 
-    Every factor passes the s(p) = p N(p) / phi(p)^9 cross-check inside
-    euler_factor, with N(p) exact in closed form from cubic Gauss sums.
+    Up to DEFINITION_ROUTE_MAX each factor passes the s(p) = p N(p) / phi(p)^9
+    cross-check inside euler_factor, with N(p) exact in closed form from
+    cubic Gauss sums.  Above it, s(p) = 1 + A(p) with A(p) from that count.
     """
     if pmax < 3:
         raise DomainError(f"pmax must be >= 3, got {pmax}")
@@ -89,7 +91,9 @@ def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
         raise ResourceLimitError(f"pmax {pmax} exceeds cap {EULER_PMAX_CAP}")
     value = 1.0 + series_term(3, system) + series_term(9, system) + series_term(27, system)
     for p in arith.sieve_primes(pmax):
-        if p != 3:
+        if p > DEFINITION_ROUTE_MAX:
+            value *= 1.0 + prime_power_term(p, 1, system)
+        elif p != 3:
             value *= euler_factor(p, system)
     return value
 

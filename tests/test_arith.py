@@ -150,15 +150,6 @@ def test_unit_group_trivial_and_non_units():
             arith.unit_group(q)
 
 
-def test_crt_reconstruction():
-    rng = np.random.default_rng(31)
-    moduli = (7, 9, 11, 16)
-    m = math.prod(moduli)
-    for _ in range(50):
-        x = int(rng.integers(0, m))
-        assert arith.crt([x % mi for mi in moduli], moduli) == x
-
-
 def test_sieve_cap():
     with pytest.raises(ResourceLimitError):
         arith.sieve_primes(arith.SIEVE_CAP + 1)

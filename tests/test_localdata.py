@@ -9,6 +9,7 @@ from ninecubes import arith, localdata
 from ninecubes.cli import run
 from ninecubes.characters import character_group, unit_roots
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
+from ninecubes.selftest import random_valid_system
 from ninecubes.localdata import (
     CoefficientSystem,
     char_sum_bound_ok,
@@ -16,6 +17,7 @@ from ninecubes.localdata import (
     euler_factor,
     local_data,
     principal_cubic_table,
+    prime_power_term,
     principal_twisted_sum,
     series_term,
     unit_solution_count,
@@ -144,7 +146,7 @@ def test_closed_form_prime_count_matches_crt_count():
         for system in shared_transform_systems(p):
             for n in (system.n, 7 * p):
                 target = CoefficientSystem.make(system.a, n)
-                assert unit_solution_count(p, target) == localdata._count_solutions_crt(p, target)
+                assert unit_solution_count(p, target) == localdata._count_by_convolution(p, target)
 
 
 def test_closed_form_rejects_a_non_primary_prime(monkeypatch):
@@ -173,25 +175,71 @@ def test_composed_count_matches_crt_count():
     powers = [p**e for p in arith.sieve_primes(44) for e in range(2, 11) if 300 < p**e <= 2000]
     for q in [*range(2, 301), *powers]:
         for system in composed_systems(q):
-            assert unit_solution_count(q, system) == localdata._count_solutions_crt(q, system), (
+            assert unit_solution_count(q, system) == localdata._count_by_convolution(q, system), (
                 q, system
             )
 
 
-def test_prime_dividing_every_coefficient_takes_crt_route(monkeypatch):
-    # with no coefficient prime to p there is no slot to lift through
+def test_prime_dividing_every_coefficient_reduces_by_p(monkeypatch):
+    # with no coefficient prime to p there is no slot to lift through:
+    # N(p^e) = 0 unless p | n, else the count of the system divided by p
     unit_solution_count.cache_clear()
     calls = []
-    crt = localdata._count_solutions_crt
-    monkeypatch.setattr(
-        localdata, "_count_solutions_crt", lambda q, s: calls.append(q) or crt(q, s)
-    )
-    # 2 does not divide every coefficient, so N(50) takes N(2) in closed form
-    for q, a, crt_moduli in [(25, 5, [25]), (50, 5, [25]), (27, 3, [27]), (7, 7, [7])]:
-        system = CoefficientSystem.make([a, 2 * a, -a, a, a, 3 * a, a, a, a], 1)
-        calls.clear()
-        assert unit_solution_count(q, system) == brute_count(q, system)
-        assert calls == crt_moduli
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda *a, **k: calls.append(1) or convolve(*a, **k))
+    # 2 does not divide every coefficient, so N(50) takes N(2) in closed form;
+    # at 9 | a_j the reduction runs twice
+    for q, a in [(25, 5), (50, 5), (27, 3), (7, 7), (27, 9)]:
+        for n in (1, 7 * a, 7 * a * a):
+            system = CoefficientSystem.make([a, 2 * a, -a, a, a, 3 * a, a, a, a], n)
+            assert unit_solution_count(q, system) == brute_count(q, system), (q, a, n)
+    assert calls == []
+
+
+def test_three_power_counts_match_the_reference_count():
+    # N(3) and N(9) from the signs of unit cubes mod 9, Hensel-lifted above,
+    # next to slots with 3 | a_j and 9 | a_j, at every target residue mod 9
+    systems = [
+        ONES,
+        MIXED,
+        CoefficientSystem.make([3, 1, 2, 1, 1, 5, 1, 1, 7], 0),
+        CoefficientSystem.make([9, 1, 2, -1, 1, 5, 1, 1, 7], 0),
+        CoefficientSystem.make([9, 3, 27, 1, 1, -1, 2, 1, 1], 0),
+        CoefficientSystem.make([3, 3, 3, 3, 3, 3, 3, 3, 1], 0),
+    ]
+    for e in range(1, 6):
+        for system in systems:
+            for n in range(9):
+                target = CoefficientSystem.make(system.a, 100 + n)
+                assert unit_solution_count(3**e, target) == localdata._count_by_convolution(
+                    3**e, target
+                ), (e, target)
+
+
+def test_prime_power_terms_match_the_definition():
+    # A(p^e) from exact counts against the cmath definition, including a
+    # prime dividing every coefficient and slots with 3 | a_j or 9 | a_j
+    systems = [
+        ONES,
+        MIXED,
+        CoefficientSystem.make([9, 1, 2, -1, 1, 5, 1, 1, 7], 16),
+        CoefficientSystem.make([5, 10, -5, 5, 5, 15, 5, 5, 5], 35),
+    ]
+    for p, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (13, 1)]:
+        for system in systems:
+            assert prime_power_term(p, e, system) == pytest.approx(
+                brute_series_term(p**e, system), abs=1e-12
+            ), (p, e, system)
+
+
+def test_exact_term_at_27_vanishes_on_valid_systems():
+    # N(27) = 3^8 N(9) when some a_j is prime to 3, so g(27) = g(9) exactly
+    rng = np.random.default_rng(313)
+    systems = [ONES, MIXED, CoefficientSystem.make([9, 1, 2, -1, 1, 5, 1, 1, 7], 16)]
+    systems += [random_valid_system(rng, 1, 1000) for _ in range(20)]
+    for system in systems:
+        assert system.is_valid
+        assert prime_power_term(3, 3, system) == 0.0
 
 
 def test_counts_take_no_convolution_or_transform(monkeypatch):
@@ -206,7 +254,8 @@ def test_counts_take_no_convolution_or_transform(monkeypatch):
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
 
     primes = [2, 5, 7, 13, 499, 503, 997]
-    composites = [1729, 1798, 2000]  # 7 13 19, 2 29 31, 2^4 5^3
+    # 7 13 19, 2 29 31, 2^4 5^3, 3^2, 3^3, 3^5 7, 2 3^3 37
+    composites = [1729, 1798, 2000, 9, 27, 1701, 1998]
     for q in primes + composites:
         series_term(q, MIXED)
     watch(np, "convolve")
@@ -390,7 +439,7 @@ def test_local_data_at_a_prime_counts_once():
     assert (info.misses, info.currsize) == (1, 1)
 
 
-def test_crt_count_refuses_a_large_modulus_before_allocating(monkeypatch):
+def test_reference_count_refuses_a_large_modulus_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated")
 
@@ -400,9 +449,14 @@ def test_crt_count_refuses_a_large_modulus_before_allocating(monkeypatch):
     assert q > localdata.EXACT_COUNT_CAP
     even = CoefficientSystem.make([2, 4, -2, 2, 6, 2, 2, 2, 2], 1)
     with pytest.raises(ResourceLimitError):
-        localdata._count_solutions_crt(q, even)
+        localdata._count_by_convolution(q, even)
+    # below the cap, but a half of the int64 fold could reach phi^5 >= 2^63
+    p = 7001
+    assert p < localdata.EXACT_COUNT_CAP and arith.is_prime(p) and (p - 1) ** 5 >= 2**63
     with pytest.raises(ResourceLimitError):
-        unit_solution_count(q, even)
+        localdata._count_by_convolution(p, MIXED)
+    # 2 divides every coefficient but not n = 1, so no unit tuple solves it
+    assert unit_solution_count(q, even) == 0
     # a prime above the cap is counted in closed form; the local report still refuses it
     p = 20011
     assert p > localdata.EXACT_COUNT_CAP and arith.is_prime(p)

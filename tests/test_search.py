@@ -319,7 +319,7 @@ def test_distinct_sums_match_enumeration():
     assert keys.tolist() == sorted(least)
     assert maxes.tolist() == [least[s] for s in sorted(least)]
     for s, m, f in zip(keys.tolist(), maxes.tolist(), flat.tolist()):
-        idx = search._unravel(f, [len(ps) for ps in slots])
+        idx = np.unravel_index(f, [len(ps) for ps in slots])
         tup = [int(ps[i]) for ps, i in zip(slots, idx)]
         assert sum(a * p**3 for a, p in zip(coeffs, tup)) == s and max(tup) == m
 

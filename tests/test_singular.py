@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ninecubes import arith, convolve, singular
+from ninecubes import arith, convolve, localdata, singular
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
-from ninecubes.localdata import CoefficientSystem, series_term
+from ninecubes.localdata import CoefficientSystem, euler_factor, prime_power_term, series_term
 from ninecubes.singular import (
     integral_support,
     main_term,
@@ -63,6 +63,40 @@ def test_partial_tracks_euler_product():
     assert gap <= max(0.01 * abs(rep.euler_value), 1e-6)
     # the two routes approach the same limit from the 10^4 runs
     assert rep.euler_value == pytest.approx(0.6355906, abs=5e-6)
+
+
+def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
+    # above DEFINITION_ROUTE_MAX the Euler product takes s(p) = 1 + A(p)
+    # from the exact count; the check of the definition value against that
+    # count runs here, over the same primes
+    cutoff = singular.DEFINITION_ROUTE_MAX
+    primes = [p for p in arith.sieve_primes(singular.EULER_PMAX_CAP) if p > cutoff]
+    assert len(primes) == 1061
+    for p in primes:
+        assert euler_factor(p, MIXED) == pytest.approx(
+            1.0 + prime_power_term(p, 1, MIXED), rel=1e-12
+        )
+
+
+def test_series_above_the_cutoff_takes_no_transform(monkeypatch):
+    # the partial sum and the Euler product read no cubic table above
+    # DEFINITION_ROUTE_MAX
+    series_term.cache_clear()
+    seen = []
+    table = localdata.principal_cubic_table
+    monkeypatch.setattr(localdata, "principal_cubic_table", lambda q: seen.append(q) or table(q))
+    rep = singular_series_partial(MIXED, 3000)
+    assert rep.euler_pmax == 3000
+    assert seen and max(seen) <= singular.DEFINITION_ROUTE_MAX
+
+
+def test_series_above_the_cutoff_matches_the_definition():
+    # the exact prime-power products against the definition A(q) above the cutoff
+    rng = np.random.default_rng(512)
+    moduli = [q for q in range(1001, 4001) if series_support(q)]
+    for q in sorted(int(v) for v in rng.choice(moduli, size=20, replace=False)):
+        for system in (ONES, MIXED):
+            assert series_term_any(q, system) == pytest.approx(series_term(q, system), abs=1e-12)
 
 
 def test_euler_product_positive_and_even_weight():
