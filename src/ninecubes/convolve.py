@@ -3,10 +3,10 @@
 Each factor is a dense weight array over a contiguous range of signed
 integer indices.  Two products are built here:
 
-- the staged chain multiplies factor by factor: each nonzero of the
-  shorter side adds its multiple of the longer side, over the longer
-  side's nonzeros only when they are few.  It only adds products, so
-  nonnegative weights keep exact zeros.
+- the staged chain multiplies factor by factor, adding each cell's
+  products in the order of a slice add per nonzero of the shorter side
+  (see convolve_full).  It only adds products, so nonnegative weights
+  keep exact zeros.  Its merge step _sumset is also expsum's r(n) join.
 - the spectral product (_product_spectrum) takes one rfft per factor up
   to offset and reversal (a reversed factor takes the conjugate), multiplies
   it into one accumulator once per slot that shares it, and inverts once.
@@ -63,10 +63,10 @@ def from_sparse(indices: Sequence[int], weights: Sequence[float]) -> IndexedWeig
     A span above CELL_CAP is refused before it is allocated."""
     idx = np.asarray(indices, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
-    if idx.size == 0:
-        return IndexedWeights(0, np.zeros(0, dtype=np.float64))
     if idx.size != w.size:
         raise DomainError("indices and weights must have equal length")
+    if idx.size == 0:
+        return IndexedWeights(0, np.zeros(0, dtype=np.float64))
     lo = int(idx.min())
     span = int(idx.max()) - lo + 1
     if span > CELL_CAP:
@@ -78,18 +78,36 @@ def from_sparse(indices: Sequence[int], weights: Sequence[float]) -> IndexedWeig
 
 def convolve_pair(a: IndexedWeights, b: IndexedWeights) -> IndexedWeights:
     """Product of two factors: each nonzero of the shorter side adds its
-    multiple of the longer side, by a slice add, or at the longer side's
-    nonzeros only when fewer than one cell in ten holds one (measured
-    break-even of the gather)."""
+    multiple of the longer side by one slice add."""
     short, long_ = sorted((a.values, b.values), key=len)
     out = np.zeros(len(short) + len(long_) - 1 if len(short) else 0, dtype=np.float64)
-    cells = slice(0, len(long_))
-    if 10 * np.count_nonzero(long_) < len(long_):
-        cells = np.flatnonzero(long_)  # distinct, so the += below adds each once
-        long_ = long_[cells]
     for i in np.flatnonzero(short):
-        out[i:][cells] += short[i] * long_
+        out[i : i + len(long_)] += short[i] * long_
     return IndexedWeights(a.offset + b.offset, out)
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in sorted x."""
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return keep
+
+
+def _sumset(first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray]):
+    """Sorted distinct sums of first's and second's indices, each with the
+    weight products of its pairs added in ascending position in first, as
+    a slice add per entry of first adds them: bincount adds left to right,
+    where reduceat would add runs of 8 or more pairwise.  The pairs are
+    held to CELL_CAP before they are allocated."""
+    pairs = len(first[0]) * len(second[0])
+    if pairs > CELL_CAP:
+        raise ResourceLimitError(f"sumset of {pairs} index pairs exceeds cap {CELL_CAP}")
+    sums = (first[0][:, None] + second[0]).ravel()
+    order = np.argsort(sums, kind="stable")
+    sums = sums[order]
+    starts = _run_starts(sums)
+    products = (first[1][:, None] * second[1]).ravel()[order]
+    return sums[starts], np.bincount(np.cumsum(starts) - 1, products)
 
 
 def _fft_length(n: int) -> int:
@@ -184,11 +202,14 @@ def convolve_read(parts: Sequence[IndexedWeights], target: int) -> tuple[float, 
 def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     """Full product of all parts (no target window).
 
-    Chained while the nonzero counts of accumulator and next factor
-    multiply to at most _DIRECT_COST_LIMIT; from the first stage past it,
-    one spectral product of the accumulator and the remaining factors
-    (see the module docstring).  Spans whose padded FFT length exceeds
-    CELL_CAP are refused before any stage runs.
+    The accumulator is held as its sorted nonzero cells and weights while
+    a stage forms no more index pairs than its span: such a stage merges
+    them by _sumset, or, as the last stage, adds them into the table.
+    The first stage with more pairs makes it dense; it and every later
+    stage run convolve_pair.  From the first stage whose nonzero counts
+    multiply past _DIRECT_COST_LIMIT, one spectral product takes the
+    accumulator and the remaining factors.  Spans whose padded FFT
+    length exceeds CELL_CAP are refused before any stage runs.
     """
     parts = list(parts)
     if not parts:
@@ -199,9 +220,27 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     nfft = _fft_length(total)  # checked up front: a spectral remainder may follow direct stages
     if nfft > CELL_CAP:
         raise ResourceLimitError(f"FFT length {nfft} of product span {total} exceeds cap {CELL_CAP}")
-    acc = parts[0]
-    for k in range(1, len(parts)):
-        if np.count_nonzero(acc.values) * np.count_nonzero(parts[k].values) > _DIRECT_COST_LIMIT:
+    acc, offset, span = parts[0], parts[0].offset, len(parts[0].values)
+    cells = np.flatnonzero(acc.values != 0)  # a mask scans faster than nonzero on floats
+    sparse = (cells, acc.values[cells])  # the accumulator's nonzeros until a stage makes it dense
+    for k, p in enumerate(parts[1:], 1):
+        cells = np.flatnonzero(p.values != 0)
+        pairs = (np.count_nonzero(acc.values) if sparse is None else len(sparse[0])) * len(cells)
+        if sparse is not None and pairs <= min(span + len(p.values) - 1, _DIRECT_COST_LIMIT):
+            factor = (cells, p.values[cells])
+            short, long_ = (sparse, factor) if span <= len(p.values) else (factor, sparse)
+            offset, span = offset + p.offset, span + len(p.values) - 1
+            if k < len(parts) - 1:
+                acc, sparse = None, _sumset(short, long_)
+                continue
+            acc = IndexedWeights(offset, np.zeros(span))
+            for i, w in zip(short[0].tolist(), short[1].tolist()):
+                acc.values[i:][long_[0]] += w * long_[1]  # long_'s cells are distinct: each adds once
+            return acc
+        if acc is None:
+            acc = IndexedWeights(offset, np.zeros(span))
+            acc.values[sparse[0]] = sparse[1]
+        if pairs > _DIRECT_COST_LIMIT:
             return _spectral_product([acc, *parts[k:]], total)
-        acc = convolve_pair(acc, parts[k])
+        acc, sparse = convolve_pair(acc, p), None
     return acc

@@ -70,28 +70,15 @@ def _supports(system: CoefficientSystem, M: int, N: int) -> list[WeightedCubeSup
     return [cube_support(system, j, M, N) for j in range(9)]
 
 
-def _run_starts(x: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal values in sorted x."""
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return keep
-
-
 def _weighted_sums(sups: list[WeightedCubeSupport]) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct index sums over the supports, each with the summed
-    weight products of the tuples attaining it, built slot by slot; the
-    pairs a slot forms are held to convolve.CELL_CAP before they are allocated."""
-    sums, weights = np.zeros(1, dtype=np.int64), np.ones(1)
+    weight products of the tuples attaining it: the sums so far merged
+    with one slot at a time by convolve._sumset, which holds each slot's
+    pairs to convolve.CELL_CAP before they are allocated."""
+    acc = (np.zeros(1, dtype=np.int64), np.ones(1))
     for s in sups:
-        pairs = len(sums) * len(s)
-        if pairs > convolve.CELL_CAP:
-            raise ResourceLimitError(f"join of {pairs} index pairs exceeds cap {convolve.CELL_CAP}")
-        sums = (sums[:, None] + s.indices).ravel()
-        order = np.argsort(sums, kind="stable")
-        starts = np.flatnonzero(_run_starts(sums[order]))
-        weights = np.add.reduceat((weights[:, None] * s.weights).ravel()[order], starts)
-        sums = sums[order[starts]]
-    return sums, weights
+        acc = convolve._sumset(acc, (s.indices, s.weights))
+    return acc
 
 
 def weighted_count_direct(system: CoefficientSystem, M: int, N: int) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, expsum
+from . import arith, convolve, expsum
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
@@ -99,7 +99,7 @@ def _slot_primes(
 def _distinct(x: np.ndarray) -> np.ndarray:
     """Sorted distinct values of x (np.unique without its hashing path)."""
     x = np.sort(x, axis=None)
-    return x[expsum._run_starts(x)]
+    return x[convolve._run_starts(x)]
 
 
 def _distinct_sums(slots: list[np.ndarray], coeffs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -114,7 +114,7 @@ def _distinct_sums(slots: list[np.ndarray], coeffs: tuple[int, ...]) -> tuple[np
         flat = (flat[:, None] * len(ps) + np.arange(len(ps))).ravel()
         order = np.argsort(sums)
         run_max = maxes[order]
-        starts = np.flatnonzero(expsum._run_starts(sums[order]))
+        starts = np.flatnonzero(convolve._run_starts(sums[order]))
         least = np.minimum.reduceat(run_max, starts)
         # in each run of equal sums, the first row attaining its least max
         rows = np.flatnonzero(run_max == np.repeat(least, np.diff(starts, append=len(order))))

@@ -342,10 +342,8 @@ def corridor_block_diagnostic() -> tuple[tuple[float, ...], tuple[float, ...]]:
         sup = expsum.cube_support(system, 0, M, N)
         theta = float(sup.weights.sum())
         kappa9 = (theta / (N ** (1.0 / 3.0) - M ** (1.0 / 3.0))) ** 9
-        parts = [convolve.from_sparse(sup.indices, sup.weights) for _ in range(9)]
-        r_all = convolve.convolve_full(parts)
-        iparts = [singular.integral_support(1, M, N) for _ in range(9)]
-        j_all = convolve.convolve_full(iparts)
+        r_all = convolve.convolve_full([convolve.from_sparse(sup.indices, sup.weights)] * 9)
+        j_all = convolve.convolve_full([singular.integral_support(1, M, N)] * 9)
         lo_b, hi_b = 4 * N, 6 * N
 
         def odd_block_sum(iw):

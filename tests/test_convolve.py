@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +37,9 @@ def test_from_sparse_accumulates_duplicates():
 
 def test_from_sparse_guards():
     assert len(from_sparse([], []).values) == 0
-    with pytest.raises(DomainError):
-        from_sparse([1, 2], [1.0])
+    for indices, weights in (([1, 2], [1.0]), ([], [1.0])):
+        with pytest.raises(DomainError):
+            from_sparse(indices, weights)
     with pytest.raises(ResourceLimitError):
         from_sparse([0, 10**9], [1.0, 1.0])
 
@@ -114,6 +116,13 @@ def count_pairs(monkeypatch):
     return calls
 
 
+def count_sumsets(monkeypatch):
+    calls = []
+    sumset = convolve._sumset
+    monkeypatch.setattr(convolve, "_sumset", lambda a, b: calls.append(1) or sumset(a, b))
+    return calls
+
+
 def test_full_paths_match_numpy_chain(monkeypatch):
     rng = np.random.default_rng(415)
     cases = []
@@ -166,21 +175,22 @@ def test_spectral_transforms_once_per_distinct_factor(monkeypatch):
 
 def test_full_route_on_window_tables(monkeypatch):
     # small analogues of the benchmark's tables: sparse prime-cube supports
-    # stay on the direct chain, dense m^(-2/3) supports take one spectral
-    # product with one transform per distinct |a|: a = -1 reverses a = 1
+    # stay sparse, seven merged stages and a last one written into the
+    # table; dense m^(-2/3) supports take one spectral product with one
+    # transform per distinct |a|: a = -1 reverses a = 1
     coeffs = (1, -1, 1, 1, 1, 1, -1, 2, 3)
     system = CoefficientSystem.make(coeffs, 1)
-    calls, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
+    calls, pairs, sumsets = count_rffts(monkeypatch), count_pairs(monkeypatch), count_sumsets(monkeypatch)
     for N in (10**4, 10**5):
         sups = [cube_support(system, j, N // 10, N) for j in range(9)]
         parts = [from_sparse(s.indices, s.weights) for s in sups]
-        pairs.clear()
+        sumsets.clear()
         convolve_full(parts)
-        assert calls == [] and len(pairs) == 8
+        assert (calls, pairs, len(sumsets)) == ([], [], 7)
     parts = [integral_support(a, 10**3, 10**4) for a in coeffs]
-    pairs.clear()
+    sumsets.clear()
     got = convolve_full(parts)
-    assert len(calls) == 3 and pairs == []
+    assert (len(calls), pairs, sumsets) == (3, [], [])
     offset, want = numpy_chain(parts)
     assert got.offset == offset
     assert np.abs(got.values - want).max() <= 1e-12 * want.max()
@@ -199,14 +209,19 @@ def slice_add_chain(parts):
 
 def test_sparse_chain_matches_numpy_chain():
     # factors with at least 90% zeros; the longer side of a stage is
-    # sparse at first (gathers) and fills in later (slice adds), and both
-    # add the same products in the same order as plain slice adds
+    # sparse at first (merged and written stages) and fills in later
+    # (slice adds), and all add the same products in the same order as
+    # plain slice adds; the last ten cases give every factor one length,
+    # so the first stage ties on span and takes the accumulator as shorter
     rng = np.random.default_rng(418)
     densities = []
-    for _ in range(30):
+    for case in range(40):
         parts = []
         for _ in range(int(rng.integers(2, 7))):
-            p = random_part(rng, max_len=int(rng.choice([60, 400, 3000])), lo_range=(-500, 500))
+            if case < 30:
+                p = random_part(rng, max_len=int(rng.choice([60, 400, 3000])), lo_range=(-500, 500))
+            else:
+                p = IndexedWeights(int(rng.integers(-500, 500)), rng.standard_normal(400))
             keep = rng.random(len(p.values)) < rng.uniform(0.005, 0.1)
             keep[int(rng.integers(len(keep)))] = True
             p.values[~keep] = 0.0
@@ -254,9 +269,9 @@ def test_stages_follow_observed_counts(monkeypatch):
     monkeypatch.setattr(convolve, "_DIRECT_COST_LIMIT", 1000)
     counts = [len(s.primes) for s in sups]
     assert counts == [4] * 9 and math.prod(counts) > convolve._DIRECT_COST_LIMIT
-    rffts, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
+    rffts, pairs, sumsets = count_rffts(monkeypatch), count_pairs(monkeypatch), count_sumsets(monkeypatch)
     got = convolve_full(parts)
-    assert (rffts, len(pairs)) == ([], 8)
+    assert (rffts, pairs, len(sumsets)) == ([], [], 7)
     assert got.offset == want.offset and np.array_equal(got.values, want.values)
     assert np.count_nonzero(got.values) == 220
     # a dense stage after a direct one hands the accumulator and the rest
@@ -268,11 +283,60 @@ def test_stages_follow_observed_counts(monkeypatch):
     rest = [IndexedWeights(5, dense), IndexedWeights(-7, dense.copy()), IndexedWeights(2, dense[::-1].copy())]
     mixed = [parts[0], IndexedWeights(3, 0.5 * parts[1].values)] + rest
     rffts.clear()
-    pairs.clear()
+    sumsets.clear()
     got = convolve_full(mixed)
-    assert (len(rffts), len(pairs)) == (2, 1)
+    assert (len(rffts), pairs, len(sumsets)) == (2, [], 1)
     offset, want = numpy_chain(mixed)
     assert got.offset == offset and np.abs(got.values - want).max() <= 1e-12 * want.max()
+
+
+def bench_signs(rng):
+    """Unit coefficients but |a| = 2, 3 in the last slots, two of nine negated."""
+    negative = rng.choice(9, size=2, replace=False)
+    return tuple(-m if j in negative else m for j, m in enumerate((1,) * 7 + (2, 3)))
+
+
+@pytest.mark.parametrize("N", [10**4, 10**5])
+def test_sparse_tables_run_every_stage_sparse(monkeypatch, N):
+    # prime-cube tables of the benchmark's shape: seven merged stages and
+    # a written last one, no slice add and no transform, bit for bit the
+    # slice-add chain
+    rng = np.random.default_rng(420)
+    rffts, pairs, sumsets = count_rffts(monkeypatch), count_pairs(monkeypatch), count_sumsets(monkeypatch)
+    for _ in range(3):
+        system = CoefficientSystem.make(bench_signs(rng), 1)
+        parts = [from_sparse(s.indices, s.weights) for s in (cube_support(system, j, N // 10, N) for j in range(9))]
+        sumsets.clear()
+        got = convolve_full(parts)
+        assert (rffts, pairs, len(sumsets)) == ([], [], 7)
+        assert got.offset == sum(p.offset for p in parts)
+        assert np.array_equal(got.values, slice_add_chain(parts))
+
+
+def test_dense_table_sorts_nothing(monkeypatch):
+    # the m^(-2/3) table at M = 100, N = 1000 forms 810,000 pairs on 1,799
+    # cells at its first stage: dense from there on, no stage is merged
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda x, *a, **k: sorts.append(len(x)) or argsort(x, *a, **k))
+    parts = [integral_support(1, 100, 1000) for _ in range(9)]
+    got = convolve_full(parts)
+    assert sorts == []
+    offset, want = numpy_chain(parts)
+    assert got.offset == offset and np.abs(got.values - want).max() <= 1e-12 * want.max()
+
+
+def test_sparse_table_peak_memory():
+    # the sparse accumulator stays small next to the table it builds
+    system = CoefficientSystem.make((1, 1, 1, -1, -1, 1, 1, 2, 3), 1)
+    parts = [from_sparse(s.indices, s.weights) for s in (cube_support(system, j, 3 * 10**4, 3 * 10**5) for j in range(9))]
+    tracemalloc.start()
+    try:
+        table = convolve_full(parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.values.nbytes
 
 
 def test_spectral_cap_covers_padded_length(monkeypatch):
