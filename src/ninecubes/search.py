@@ -10,6 +10,15 @@ prime bound it returns the one minimizing max p_j, tie-broken by the
 lexicographically smallest tuple (the max is the figure of merit;
 solution sizes are compared against n^(1/3)).
 
+Every partial sum is pruned to the target's reach.  From the least and
+greatest cube of each slot, a run of slots adds a sum in a known range,
+so after each slot a partial sum that the remaining slots cannot bring
+to n is dropped before it is sorted: in both halves, in the suffix sets
+of the lexicographic pass and in `solution_exists`.  An n outside the
+range of all nine slots is reported exhausted without an index.  The
+pruning drops only sums that no solution uses, and `states_visited`
+still counts every ordered tuple the exhaustion covers.
+
 A solution is verified in exact integer arithmetic before it is
 returned.  `solution_exists` is an independent reachability check used
 to cross-validate the solver, and `threshold_scan` tabulates, for
@@ -19,6 +28,7 @@ all-positive systems, the least representable n in a range.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,22 +106,43 @@ def _slot_primes(
     return out
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of x (np.unique without its hashing path)."""
-    x = np.sort(x, axis=None)
+def _run_bounds(cubes: list[np.ndarray]) -> Callable[[int, int], tuple[int, int]]:
+    """bounds(i, j): least and greatest sum over slots i..j-1 of the slots'
+    cubes a_j p^3, as Python ints.  Each slot's primes ascend, so its cubes
+    are monotone and its extremes are its ends."""
+    lo, hi = [0], [0]
+    for c in cubes:
+        ends = sorted((int(c[0]), int(c[-1])))
+        lo.append(lo[-1] + ends[0])
+        hi.append(hi[-1] + ends[1])
+    return lambda i, j: (lo[j] - lo[i], hi[j] - hi[i])
+
+
+def _distinct(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Sorted distinct values of x in [lo, hi] (np.unique without its hashing path)."""
+    x = x.ravel()
+    x = np.sort(x[(x >= lo) & (x <= hi)])
     return x[convolve._run_starts(x)]
 
 
-def _distinct_sums(slots: list[np.ndarray], coeffs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Sorted distinct signed sums over the slots, each with its least max
-    prime and the row-major flat index of one ordered tuple attaining both.
-    Built slot by slot: extending a sum by prime p gives max(its least max, p).
+def _distinct_sums(
+    slots: list[np.ndarray], coeffs: tuple[int, ...], lo: int, hi: int
+) -> tuple[np.ndarray, ...]:
+    """Sorted distinct signed sums in [lo, hi] over the slots, each with its
+    least max prime and the row-major flat index of one ordered tuple
+    attaining both.  Built slot by slot: extending a sum by prime p gives
+    max(its least max, p), and a partial sum that the remaining slots
+    cannot bring into [lo, hi] is dropped before it is sorted.
     """
+    cubes = [aj * ps**3 for aj, ps in zip(coeffs, slots)]
+    bounds = _run_bounds(cubes)
     sums = maxes = flat = np.zeros(1, dtype=np.int64)
-    for ps, aj in zip(slots, coeffs):
-        sums = (sums[:, None] + aj * ps**3).ravel()
-        maxes = np.maximum(maxes[:, None], ps).ravel()
-        flat = (flat[:, None] * len(ps) + np.arange(len(ps))).ravel()
+    for j, (ps, c) in enumerate(zip(slots, cubes)):
+        full = (sums[:, None] + c).ravel()
+        rest_lo, rest_hi = bounds(j + 1, len(slots))
+        idx = np.flatnonzero((full >= lo - rest_hi) & (full <= hi - rest_lo))
+        row, col = np.divmod(idx, len(ps))
+        sums, maxes, flat = full[idx], np.maximum(maxes[row], ps[col]), flat[row] * len(ps) + col
         order = np.argsort(sums)
         run_max = maxes[order]
         starts = np.flatnonzero(convolve._run_starts(sums[order]))
@@ -132,11 +163,15 @@ def _lex_refine(
 
     Builds suffix reachability sets right to left, then fixes slots left
     to right, always taking the smallest prime whose residual target
-    stays reachable.  Returns None when the sets it stores, with the pairs
-    of the one being built, would exceed REFINE_CAP.
+    stays reachable.  suffix[j] keeps only the sums that slots 0..j-1 can
+    complete to n, the only residuals the greedy asks for.  Returns None
+    when the sets it stores, with the pairs of the one being built, would
+    exceed REFINE_CAP.
     """
     capped = [ps[ps <= max_p] for ps in slots]
-    cubes = [aj * ps.astype(np.int64) ** 3 for aj, ps in zip(system.a, capped)]
+    cubes = [aj * ps**3 for aj, ps in zip(system.a, capped)]
+    bounds = _run_bounds(cubes)
+    n = system.n
     # suffix[j] = sorted achievable sums over slots j..8
     suffix: list[np.ndarray | None] = [None] * 10
     suffix[9] = np.zeros(1, dtype=np.int64)
@@ -145,23 +180,20 @@ def _lex_refine(
         prev = suffix[j + 1]
         if len(capped[j]) * len(prev) + stored > REFINE_CAP:
             return None
-        suffix[j] = _distinct(cubes[j][:, None] + prev[None, :])
+        lo, hi = bounds(0, j)
+        suffix[j] = _distinct(cubes[j][:, None] + prev, n - hi, n - lo)
         stored += len(suffix[j])
-    target = system.n
+    target = n
     chosen = []
     for j in range(9):
         nxt = suffix[j + 1]
-        picked = None
-        for p, c in zip(capped[j], cubes[j]):
-            rest = target - int(c)
-            i = np.searchsorted(nxt, rest)
-            if i < len(nxt) and nxt[i] == rest:
-                picked = int(p)
-                target = rest
-                break
-        if picked is None:
+        rest = target - cubes[j]
+        pos = np.minimum(np.searchsorted(nxt, rest), len(nxt) - 1)
+        hit = np.flatnonzero(nxt[pos] == rest)
+        if not hit.size:
             return None
-        chosen.append(picked)
+        chosen.append(int(capped[j][hit[0]]))
+        target = int(rest[hit[0]])
     return tuple(chosen)
 
 
@@ -183,19 +215,30 @@ def _search_at(
             f"search would visit {visits} states, cap is {ENUM_CAP}"
         )
 
-    # a matched pair of distinct sums has least max max(key_max, max_mid)
-    keys, key_max, key_witness = _distinct_sums(left, system.a[:4])
+    n = system.n
+    bounds = _run_bounds([aj * ps**3 for aj, ps in zip(system.a, slots)])
+    lo, hi = bounds(0, 9)
+    if not lo <= n <= hi:
+        return SearchExhausted(system, prime_bound, window, visits)
+
+    # a matched pair of distinct sums has least max max(key_max, max_mid);
+    # each half keeps the sums the other half and slot 9 can complete to n
+    lo, hi = bounds(4, 9)
+    keys, key_max, key_witness = _distinct_sums(left, system.a[:4], n - hi, n - lo)
     if system.a[:4] == system.a[4:8]:  # slot primes depend on a_j alone
         sums_mid, max_mid, mid_witness = keys, key_max, key_witness
     else:
-        sums_mid, max_mid, mid_witness = _distinct_sums(mid, system.a[4:8])
+        (lo, hi), (lo9, hi9) = bounds(0, 4), bounds(8, 9)
+        sums_mid, max_mid, mid_witness = _distinct_sums(
+            mid, system.a[4:8], n - hi - hi9, n - lo - lo9
+        )
     a9 = system.a[8]
     best_max = None
     best_tuple = None
     for p9 in last:
         if best_max is not None and p9 >= best_max:
             break
-        need = system.n - a9 * int(p9) ** 3 - sums_mid
+        need = n - a9 * int(p9) ** 3 - sums_mid
         pos = np.searchsorted(keys, need)
         pos[pos == len(keys)] = 0
         hit = keys[pos] == need
@@ -261,19 +304,22 @@ def solution_exists(
     prime_bound: int = 100,
     window: tuple[int, int] | None = None,
 ) -> bool:
-    """Independent reachability check via a running set of partial sums."""
+    """Independent reachability check via a running set of partial sums,
+    each kept only while the remaining slots can still complete it to n."""
     _check_prime_bound(prime_bound)
     slots = _slot_primes(system, prime_bound, window)
     if any(len(ps) == 0 for ps in slots):
         return False
+    cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
+    bounds = _run_bounds(cubes)
     reach = np.zeros(1, dtype=np.int64)
     for j in range(9):
-        cubes = system.a[j] * slots[j].astype(np.int64) ** 3
-        if len(cubes) * len(reach) > REFINE_CAP:
+        if len(cubes[j]) * len(reach) > REFINE_CAP:
             raise ResourceLimitError("reachability set too large")
-        reach = _distinct(reach[:, None] + cubes[None, :])
-    i = np.searchsorted(reach, system.n)
-    return bool(i < len(reach) and reach[i] == system.n)
+        # keep the sums that slots j+1..8 can still complete to n
+        lo, hi = bounds(j + 1, 9)
+        reach = _distinct(reach[:, None] + cubes[j], system.n - hi, system.n - lo)
+    return len(reach) > 0  # the last window is [n, n]
 
 
 @dataclass(frozen=True)
@@ -309,7 +355,7 @@ def threshold_scan(
     if n_max > THRESHOLD_N_CAP:
         raise ResourceLimitError(f"scan end {n_max} exceeds cap {THRESHOLD_N_CAP}")
     _check_prime_bound(prime_bound)
-    n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)))
+    n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)), 1, n_max)
     primes = arith.sieve_primes(prime_bound)
     rows = []
     for coeffs in coeff_grid:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -225,15 +226,11 @@ def small_slots(coeffs, prime_bound, window=None):
     return slots
 
 
-def dict_oracle(system, prime_bound, window=None):
-    """Library-free search: (least max prime, lex-least tuple) or None.
-
-    A slot-by-slot dict of sum -> least max prime gives the optimum; the
-    greedy over suffix sets of sums with primes <= that max gives the tuple.
-    """
-    slots = small_slots(system.a, prime_bound, window)
+@functools.lru_cache(maxsize=4)
+def least_max_by_sum(coeffs, prime_bound, window):
+    """Slot-by-slot dict of sum -> least max prime over all nine slots."""
     least = {0: 0}
-    for aj, ps in zip(system.a, slots):
+    for aj, ps in zip(coeffs, small_slots(coeffs, prime_bound, window)):
         nxt = {}
         for s, m in least.items():
             for p in ps:
@@ -241,6 +238,17 @@ def dict_oracle(system, prime_bound, window=None):
                 if nxt.get(t, mp + 1) > mp:
                     nxt[t] = mp
         least = nxt
+    return least
+
+
+def dict_oracle(system, prime_bound, window=None):
+    """Library-free search: (least max prime, lex-least tuple) or None.
+
+    A slot-by-slot dict of sum -> least max prime gives the optimum; the
+    greedy over suffix sets of sums with primes <= that max gives the tuple.
+    """
+    slots = small_slots(system.a, prime_bound, window)
+    least = least_max_by_sum(system.a, prime_bound, window)
     if system.n not in least:
         return None
     cap = least[system.n]
@@ -284,26 +292,64 @@ def test_search_matches_dict_oracle(data):
         assert got.primes == want[1]
 
 
+def edge_targets(coeffs, prime_bound, window=None):
+    """Targets where the pruning windows are tight: the least and greatest
+    attainable sums, one past each, and each moved one cube step inwards
+    by a single slot, with the residuals one off either side of that."""
+    cubes = [sorted(a * p**3 for p in ps) for a, ps in zip(coeffs, small_slots(coeffs, prime_bound, window))]
+    lo, hi = sum(c[0] for c in cubes), sum(c[-1] for c in cubes)
+    targets = {lo - 1, lo, hi, hi + 1}
+    for c in cubes:
+        if len(c) > 1:
+            targets |= {lo + c[1] - c[0] + d for d in (-1, 0, 1)}
+            targets |= {hi - c[-1] + c[-2] + d for d in (-1, 0, 1)}
+    return sorted(targets)
+
+
+@pytest.mark.parametrize(
+    "coeffs, prime_bound, window",
+    [
+        ((1, -2, 3, 1, -1, 2, 1, -3, 5), 11, None),
+        ((1, -1, 2, 1, 1, -1, 2, 1, -3), 13, None),  # slots 5-8 reuse the index
+        ((1,) * 8 + (-1,), 13, (27, 7000)),
+        ((2, -1, 1, 3, -2, 1, 1, -1, 1), 13, (10, 3000)),
+    ],
+)
+def test_edge_targets_match_oracles(coeffs, prime_bound, window):
+    hits = 0
+    for n in edge_targets(coeffs, prime_bound, window):
+        system = CoefficientSystem.make(coeffs, n)
+        want = dict_oracle(system, prime_bound, window)
+        got = find_solution(system, prime_bound=prime_bound, window=window)
+        assert solution_exists(system, prime_bound=prime_bound, window=window) == (want is not None)
+        if want is None:
+            assert isinstance(got, SearchExhausted)
+            continue
+        assert (got.max_p, got.primes, got.found_by) == (*want, "meet_in_the_middle+lex")
+        assert (got.max_p, got.primes) == brute_best(system, prime_bound, window)
+        hits += 1
+    assert hits >= 2
+
+
 def test_index_holds_distinct_sums(monkeypatch):
     # (1,...,1) at bound 128: 31^4 ordered 4-tuples but only the distinct
-    # sums of four prime cubes enter the index
+    # sums of four prime cubes enter an index whose window admits them all
     primes = arith.sieve_primes(128)
     distinct = {sum(p**3 for p in c) for c in itertools.combinations_with_replacement(primes, 4)}
     assert len(distinct) == 44560
-    sizes = []
-    real = search._distinct_sums
+    slots = [np.asarray(primes, dtype=np.int64)] * 4
+    keys, _, _ = search._distinct_sums(slots, (1,) * 4, 4 * 2**3, 4 * 127**3)
+    assert keys.tolist() == sorted(distinct)
 
-    def spy(slots, coeffs):
-        out = real(slots, coeffs)
-        sizes.append(len(out[0]))
-        return out
+    # n = 3 lies below the least sum 9 * 2^3: every ladder stage (8, 32,
+    # 128) reports exhaustion of all its ordered states without an index
+    def forbidden(*args):
+        raise AssertionError("built an index for an unreachable target")
 
-    monkeypatch.setattr(search, "_distinct_sums", spy)
+    monkeypatch.setattr(search, "_distinct_sums", forbidden)
     out = find_solution(CoefficientSystem.make([1] * 9, 3), prime_bound=128)
     assert isinstance(out, SearchExhausted)
     assert out.states_visited == 31**4 + 31**5
-    # one build per ladder stage (8, 32, 128): slots 5-8 reuse the index
-    assert len(sizes) == 3 and sizes[-1] == len(distinct)
 
 
 def test_distinct_sums_match_enumeration():
@@ -315,25 +361,33 @@ def test_distinct_sums_match_enumeration():
     for tup in itertools.product(*[ps.tolist() for ps in slots]):
         s = sum(a * p**3 for a, p in zip(coeffs, tup))
         least[s] = min(least.get(s, max(tup)), max(tup))
-    keys, maxes, flat = search._distinct_sums(slots, coeffs)
-    assert keys.tolist() == sorted(least)
-    assert maxes.tolist() == [least[s] for s in sorted(least)]
-    for s, m, f in zip(keys.tolist(), maxes.tolist(), flat.tolist()):
-        idx = np.unravel_index(f, [len(ps) for ps in slots])
-        tup = [int(ps[i]) for ps, i in zip(slots, idx)]
-        assert sum(a * p**3 for a, p in zip(coeffs, tup)) == s and max(tup) == m
+    lo, hi = min(least), max(least)
+    # the whole range, windows cut at a sum and one past it, and one empty
+    windows = [(lo, hi), (lo - 5, hi + 5), (-1000, 3000), (-999, 2999), (0, 0), (hi + 1, hi + 9)]
+    s1 = sorted(least)[len(least) // 3]
+    windows += [(s1, s1), (s1 + 1, s1 + 4000), (s1 - 4000, s1 - 1)]
+    for w_lo, w_hi in windows:
+        want = [s for s in sorted(least) if w_lo <= s <= w_hi]
+        keys, maxes, flat = search._distinct_sums(slots, coeffs, w_lo, w_hi)
+        assert keys.tolist() == want
+        assert maxes.tolist() == [least[s] for s in want]
+        for s, m, f in zip(keys.tolist(), maxes.tolist(), flat.tolist()):
+            idx = np.unravel_index(f, [len(ps) for ps in slots])
+            tup = [int(ps[i]) for ps, i in zip(slots, idx)]
+            assert sum(a * p**3 for a, p in zip(coeffs, tup)) == s and max(tup) == m
 
 
 def test_refine_cap_counts_only_stored_sets(monkeypatch):
     # at the README search example the pass builds suffix sets for slots
-    # 8 .. 1 and at most 31,648 sums and pairs are alive at once; the set
-    # over all nine slots is never read, so it is not sized against the cap
-    monkeypatch.setattr(search, "REFINE_CAP", 31_648)
+    # 8 .. 1, each cut to the sums the slots before it can complete to n,
+    # and at most 4,753 sums and pairs are alive at once (31,648 unpruned);
+    # the set over all nine slots is never read, so it is not sized
+    monkeypatch.setattr(search, "REFINE_CAP", 4_753)
     system = CoefficientSystem.make((1,) * 8 + (-1,), 0)
     rec = find_solution(system, prime_bound=100)
     assert rec.found_by == "meet_in_the_middle+lex"
     assert rec.primes == (2, 2, 2, 3, 5, 7, 13, 13, 17)
-    monkeypatch.setattr(search, "REFINE_CAP", 31_647)
+    monkeypatch.setattr(search, "REFINE_CAP", 4_752)
     assert find_solution(system, prime_bound=100).found_by == "meet_in_the_middle"
 
 
