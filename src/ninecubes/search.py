@@ -15,7 +15,8 @@ greatest cube of each slot, a run of slots adds a sum in a known range,
 so after each slot a partial sum that the remaining slots cannot bring
 to n is dropped before it is sorted: in both halves, in the suffix sets
 of the lexicographic pass and in `solution_exists`.  An n outside the
-range of all nine slots is reported exhausted without an index.  The
+range of all nine slots is reported exhausted without an index, and so
+is one that leaves either half with no sum in its window.  The
 pruning drops only sums that no solution uses, and `states_visited`
 still counts every ordered tuple the exhaustion covers.
 
@@ -28,7 +29,6 @@ all-positive systems, the least representable n in a range.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,41 +106,44 @@ def _slot_primes(
     return out
 
 
-def _run_bounds(cubes: list[np.ndarray]) -> Callable[[int, int], tuple[int, int]]:
-    """bounds(i, j): least and greatest sum over slots i..j-1 of the slots'
-    cubes a_j p^3, as Python ints.  Each slot's primes ascend, so its cubes
-    are monotone and its extremes are its ends."""
-    lo, hi = [0], [0]
-    for c in cubes:
+def _reach(n: int, cubes: list[np.ndarray]) -> list[tuple[int, int]]:
+    """windows[i]: the range [n - max, n - min] of the sums of cubes[:i]
+    that cubes[i:] can still complete to n, max and min taken over the
+    sums of cubes[i:], as Python ints.  Each slot's cubes a_j p^3 are
+    monotone in its ascending primes, so its extremes are its ends."""
+    lo = hi = 0
+    windows = [(n, n)]
+    for c in reversed(cubes):
         ends = sorted((int(c[0]), int(c[-1])))
-        lo.append(lo[-1] + ends[0])
-        hi.append(hi[-1] + ends[1])
-    return lambda i, j: (lo[j] - lo[i], hi[j] - hi[i])
+        lo, hi = lo + ends[0], hi + ends[1]
+        windows.append((n - hi, n - lo))
+    return windows[::-1]
 
 
-def _distinct(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Sorted distinct values of x in [lo, hi] (np.unique without its hashing path)."""
+def _distinct(x: np.ndarray, window: tuple[int, int] | None = None) -> np.ndarray:
+    """Sorted distinct values of x, only those in the window when one is
+    given (np.unique without its hashing path)."""
     x = x.ravel()
-    x = np.sort(x[(x >= lo) & (x <= hi)])
+    if window is not None:
+        x = x[(x >= window[0]) & (x <= window[1])]
+    x = np.sort(x)
     return x[convolve._run_starts(x)]
 
 
 def _distinct_sums(
-    slots: list[np.ndarray], coeffs: tuple[int, ...], lo: int, hi: int
+    slots: list[np.ndarray], cubes: list[np.ndarray], windows: list[tuple[int, int]]
 ) -> tuple[np.ndarray, ...]:
-    """Sorted distinct signed sums in [lo, hi] over the slots, each with its
-    least max prime and the row-major flat index of one ordered tuple
-    attaining both.  Built slot by slot: extending a sum by prime p gives
-    max(its least max, p), and a partial sum that the remaining slots
-    cannot bring into [lo, hi] is dropped before it is sorted.
+    """Sorted distinct sums of the slots' cubes, each with its least max
+    prime and the row-major flat index of one ordered tuple attaining
+    both.  Built slot by slot: extending a sum by prime p gives max(its
+    least max, p), and a partial sum over the first j slots outside
+    windows[j] is dropped before it is sorted.
     """
-    cubes = [aj * ps**3 for aj, ps in zip(coeffs, slots)]
-    bounds = _run_bounds(cubes)
     sums = maxes = flat = np.zeros(1, dtype=np.int64)
     for j, (ps, c) in enumerate(zip(slots, cubes)):
         full = (sums[:, None] + c).ravel()
-        rest_lo, rest_hi = bounds(j + 1, len(slots))
-        idx = np.flatnonzero((full >= lo - rest_hi) & (full <= hi - rest_lo))
+        lo, hi = windows[j + 1]
+        idx = np.flatnonzero((full >= lo) & (full <= hi))
         row, col = np.divmod(idx, len(ps))
         sums, maxes, flat = full[idx], np.maximum(maxes[row], ps[col]), flat[row] * len(ps) + col
         order = np.argsort(sums)
@@ -170,8 +173,8 @@ def _lex_refine(
     """
     capped = [ps[ps <= max_p] for ps in slots]
     cubes = [aj * ps**3 for aj, ps in zip(system.a, capped)]
-    bounds = _run_bounds(cubes)
-    n = system.n
+    # windows[9 - j]: the sums over slots j..8 that slots 0..j-1 complete to n
+    windows = _reach(system.n, cubes[::-1])
     # suffix[j] = sorted achievable sums over slots j..8
     suffix: list[np.ndarray | None] = [None] * 10
     suffix[9] = np.zeros(1, dtype=np.int64)
@@ -180,10 +183,9 @@ def _lex_refine(
         prev = suffix[j + 1]
         if len(capped[j]) * len(prev) + stored > REFINE_CAP:
             return None
-        lo, hi = bounds(0, j)
-        suffix[j] = _distinct(cubes[j][:, None] + prev, n - hi, n - lo)
+        suffix[j] = _distinct(cubes[j][:, None] + prev, windows[9 - j])
         stored += len(suffix[j])
-    target = n
+    target = system.n
     chosen = []
     for j in range(9):
         nxt = suffix[j + 1]
@@ -216,22 +218,23 @@ def _search_at(
         )
 
     n = system.n
-    bounds = _run_bounds([aj * ps**3 for aj, ps in zip(system.a, slots)])
-    lo, hi = bounds(0, 9)
-    if not lo <= n <= hi:
+    cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
+    windows = _reach(n, cubes)
+    lo, hi = windows[0]
+    if not lo <= 0 <= hi:  # n outside [sum of minima, sum of maxima]
         return SearchExhausted(system, prime_bound, window, visits)
 
     # a matched pair of distinct sums has least max max(key_max, max_mid);
     # each half keeps the sums the other half and slot 9 can complete to n
-    lo, hi = bounds(4, 9)
-    keys, key_max, key_witness = _distinct_sums(left, system.a[:4], n - hi, n - lo)
+    keys, key_max, key_witness = _distinct_sums(left, cubes[:4], windows)
     if system.a[:4] == system.a[4:8]:  # slot primes depend on a_j alone
         sums_mid, max_mid, mid_witness = keys, key_max, key_witness
     else:
-        (lo, hi), (lo9, hi9) = bounds(0, 4), bounds(8, 9)
         sums_mid, max_mid, mid_witness = _distinct_sums(
-            mid, system.a[4:8], n - hi - hi9, n - lo - lo9
+            mid, cubes[4:8], _reach(n, cubes[4:8] + cubes[:4] + cubes[8:])
         )
+    if not (len(keys) and len(sums_mid)):  # no half sum can reach n
+        return SearchExhausted(system, prime_bound, window, visits)
     a9 = system.a[8]
     best_max = None
     best_tuple = None
@@ -311,14 +314,13 @@ def solution_exists(
     if any(len(ps) == 0 for ps in slots):
         return False
     cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
-    bounds = _run_bounds(cubes)
+    windows = _reach(system.n, cubes)
     reach = np.zeros(1, dtype=np.int64)
     for j in range(9):
         if len(cubes[j]) * len(reach) > REFINE_CAP:
             raise ResourceLimitError("reachability set too large")
         # keep the sums that slots j+1..8 can still complete to n
-        lo, hi = bounds(j + 1, 9)
-        reach = _distinct(reach[:, None] + cubes[j], system.n - hi, system.n - lo)
+        reach = _distinct(reach[:, None] + cubes[j], windows[j + 1])
     return len(reach) > 0  # the last window is [n, n]
 
 
@@ -355,7 +357,7 @@ def threshold_scan(
     if n_max > THRESHOLD_N_CAP:
         raise ResourceLimitError(f"scan end {n_max} exceeds cap {THRESHOLD_N_CAP}")
     _check_prime_bound(prime_bound)
-    n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)), 1, n_max)
+    n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)))
     primes = arith.sieve_primes(prime_bound)
     rows = []
     for coeffs in coeff_grid:

@@ -331,6 +331,30 @@ def test_edge_targets_match_oracles(coeffs, prime_bound, window):
     assert hits >= 2
 
 
+@pytest.mark.parametrize("coeffs", [(100,) * 4 + (1,) * 5, (1,) * 4 + (100,) * 4 + (1,)])
+def test_empty_half_is_exhausted(coeffs):
+    # n lies inside the nine slots' range, but the window of the 100-weight
+    # half falls in a gap between its sums 100 * (four cubes of 2, 3, 5, 7)
+    system = CoefficientSystem.make(coeffs, 125000)
+    slots = [np.asarray(ps, dtype=np.int64) for ps in small_slots(coeffs, 8)]
+    cubes = [a * ps**3 for a, ps in zip(coeffs, slots)]
+    lo, hi = search._reach(system.n, cubes)[0]
+    assert lo <= 0 <= hi
+    heavy = 0 if coeffs[0] == 100 else 4
+    order = cubes[heavy : heavy + 4] + cubes[4 - heavy : 8 - heavy] + cubes[8:]
+    sums, _, _ = search._distinct_sums(slots[heavy : heavy + 4], order[:4], search._reach(system.n, order))
+    assert len(sums) == 0
+    assert dict_oracle(system, 8) is None and brute_best(system, 8) is None
+    assert not solution_exists(system, prime_bound=8)
+    got = find_solution(system, prime_bound=8)
+    assert isinstance(got, SearchExhausted) and got.states_visited == 4**4 + 4**5
+
+
+def windows_between(cubes, lo, hi):
+    """Per-prefix windows of the sums of cubes that can end in [lo, hi]."""
+    return [(w[0], v[1]) for w, v in zip(search._reach(lo, cubes), search._reach(hi, cubes))]
+
+
 def test_index_holds_distinct_sums(monkeypatch):
     # (1,...,1) at bound 128: 31^4 ordered 4-tuples but only the distinct
     # sums of four prime cubes enter an index whose window admits them all
@@ -338,7 +362,8 @@ def test_index_holds_distinct_sums(monkeypatch):
     distinct = {sum(p**3 for p in c) for c in itertools.combinations_with_replacement(primes, 4)}
     assert len(distinct) == 44560
     slots = [np.asarray(primes, dtype=np.int64)] * 4
-    keys, _, _ = search._distinct_sums(slots, (1,) * 4, 4 * 2**3, 4 * 127**3)
+    cubes = [ps**3 for ps in slots]
+    keys, _, _ = search._distinct_sums(slots, cubes, windows_between(cubes, 4 * 2**3, 4 * 127**3))
     assert keys.tolist() == sorted(distinct)
 
     # n = 3 lies below the least sum 9 * 2^3: every ladder stage (8, 32,
@@ -368,7 +393,8 @@ def test_distinct_sums_match_enumeration():
     windows += [(s1, s1), (s1 + 1, s1 + 4000), (s1 - 4000, s1 - 1)]
     for w_lo, w_hi in windows:
         want = [s for s in sorted(least) if w_lo <= s <= w_hi]
-        keys, maxes, flat = search._distinct_sums(slots, coeffs, w_lo, w_hi)
+        cubes = [a * ps**3 for a, ps in zip(coeffs, slots)]
+        keys, maxes, flat = search._distinct_sums(slots, cubes, windows_between(cubes, w_lo, w_hi))
         assert keys.tolist() == want
         assert maxes.tolist() == [least[s] for s in want]
         for s, m, f in zip(keys.tolist(), maxes.tolist(), flat.tolist()):
