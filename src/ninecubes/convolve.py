@@ -8,18 +8,24 @@ integer indices.  Two products are built here:
   (see convolve_full).  It only adds products, so nonnegative weights
   keep exact zeros.  Its merge step _sumset is also expsum's r(n) join.
 - the spectral product (_product_spectrum) takes one rfft per factor up
-  to offset and reversal (a reversed factor takes the conjugate), multiplies
-  it into one accumulator once per slot that shares it, and inverts once.
+  to offset and reversal (a reversed factor takes the conjugate) and
+  multiplies it into one accumulator once per slot that shares it.  A
+  factor whose nonzeros lie r + d Z is transformed at its compact length:
+  with d | L, the length-L DFT of values[r::d] placed at stride d is the
+  length-L/d DFT of the compact array repeated d times and turned by r.
 
-convolve_full returns the whole product: by the chain while each stage's
-nonzero counts, as observed, multiply to at most _DIRECT_COST_LIMIT,
-then by one spectral product of the accumulator and the factors left, at
-the least 5-smooth length covering the span.  Every single coefficient
-is one spectral_coefficient read.  convolve_read (J(n), its tuple count and
-the Fourier route of r(n)) crops the factors to the target's reach,
-reads at the least 5-smooth length that keeps aliases off the target and
-returns the read with its rounding_bound.  The float N(p) is a cyclic
-read of its own length through spectral_coefficient.
+Transform lengths are the least 2^a 3^b 5^c multiple of the factors'
+strides' 5-smooth parts that covers what is needed.  convolve_full
+returns the whole product: by the chain while each stage's nonzero
+counts, as observed, multiply to at most _DIRECT_COST_LIMIT, then by one
+spectral product of the accumulator and the factors left, inverted by
+one irfft.  Every single coefficient is one spectral_coefficient read,
+summed straight from the half spectrum (_coefficient) with no inverse
+transform.  convolve_read (J(n), its tuple count and the Fourier route
+of r(n)) crops the factors to the target's reach, reads at a length
+that keeps aliases off the target and returns the read with its
+rounding_bound.  The float N(p) is a cyclic read of its own length
+through spectral_coefficient.
 """
 
 from __future__ import annotations
@@ -110,8 +116,9 @@ def _sumset(first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.n
     return sums[starts], np.bincount(np.cumsum(starts) - 1, products)
 
 
-def _fft_length(n: int) -> int:
-    """Least 2^a 3^b 5^c >= n."""
+def _fft_length(n: int, modulus: int = 1) -> int:
+    """Least 2^a 3^b 5^c multiple of the 5-smooth modulus that is >= n."""
+    n = -(-n // modulus)
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -120,16 +127,33 @@ def _fft_length(n: int) -> int:
             best = min(best, p35 << (-(-n // p35) - 1).bit_length())
             p35 *= 3
         p5 *= 5
-    return best
+    return modulus * best
 
 
-def _product_spectrum(parts: Sequence[IndexedWeights], nfft: int) -> tuple[np.ndarray, int]:
-    """Length-nfft rfft of the cyclic product of all parts' values, shifted back
-    by the returned count.  One rfft per factor up to reversal: the reverse
-    of a real factor of length l has the conjugate spectrum, shifted by l - 1."""
-    if nfft > CELL_CAP:
-        raise ResourceLimitError(f"FFT length {nfft} exceeds cap {CELL_CAP}")
-    groups: list[list] = []  # [values, slots sharing them, slots sharing them reversed]
+def _smooth_part(d: int) -> int:
+    """Greatest 2^a 3^b 5^c dividing d; 1 for d = 0."""
+    part = 1
+    for f in (2, 3, 5):
+        while d and d % (part * f) == 0:
+            part *= f
+    return part
+
+
+def _stride(cells: np.ndarray) -> tuple[int, int]:
+    """First of the sorted nonzero positions, and the gcd of their offsets
+    from it: 0 when there is at most one.  Adjacent first nonzeros end the
+    scan at stride 1."""
+    if len(cells) > 1 and cells[1] == cells[0] + 1:
+        return int(cells[0]), 1
+    first = int(cells[0]) if len(cells) else 0
+    return first, int(np.gcd.reduce(cells - first))
+
+
+def _factor_groups(parts: Sequence[IndexedWeights]) -> list[list]:
+    """The distinct factors up to reversal, each as [values, slots sharing
+    them, slots sharing them reversed, first nonzero, stride]; the stride
+    is found once per group, not once per slot."""
+    groups: list[list] = []
     for p in parts:
         for group in groups:
             same = np.array_equal(group[0], p.values)
@@ -138,36 +162,122 @@ def _product_spectrum(parts: Sequence[IndexedWeights], nfft: int) -> tuple[np.nd
                 break
         else:
             groups.append([p.values, 1, 0])
+    for group in groups:
+        group += _stride(np.flatnonzero(group[0] != 0))  # a mask scans faster than nonzero on floats
+    return groups
+
+
+def _stride_modulus(strides) -> int:
+    """Least common multiple of the strides' 5-smooth parts: the transform
+    length is a multiple of it, so each strided factor is transformed at
+    its compact length."""
+    return math.lcm(*(_smooth_part(d) for d in strides))
+
+
+def _strided_spectrum(
+    values: np.ndarray, first: int, stride: int, nfft: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The length-nfft DFT of values shifted back by first, at bins
+    0..nfft/2, as one period F of it: with d = gcd(stride, nfft), F is the
+    length-nfft/d DFT of the compact array values[first::d].  Returns the
+    period, F's first nfft/(2d) + 1 bins (an rfft) and the conjugate
+    mirror of them that continues F up to the bins needed (none at d = 1)."""
+    d = math.gcd(stride, nfft)
+    period = nfft // d
+    half = np.fft.rfft(values[first::d], period)
+    reach = min(period, nfft // 2 + 1)
+    return period, half, np.conjugate(half[period - len(half) : period - reach : -1])
+
+
+def _multiply_periodic(acc: np.ndarray, period: int, half: np.ndarray, upper: np.ndarray) -> None:
+    """acc[j] *= F[j % period] for F = half followed by upper, through a
+    reshaped view of acc: F itself is never formed."""
+    rows = len(acc) // period
+    whole = [acc[: rows * period].reshape(rows, period)] if rows else []
+    for block in whole + [acc[rows * period :]]:
+        width = block.shape[-1]
+        block[..., : len(half)] *= half[:width]
+        block[..., len(half) :] *= upper[: max(width - len(half), 0)]
+
+
+def _product_spectrum(groups: list[list], nfft: int) -> tuple[np.ndarray, int]:
+    """Bins 0..nfft/2 of the DFT of the cyclic product of every slot's
+    values, shifted back by the returned count.  One rfft per group, of
+    its compact array (see _strided_spectrum): a slot sharing the values
+    adds their first nonzero r to the shift, one sharing them reversed
+    takes the conjugate and adds len - 1 - r."""
+    if nfft > CELL_CAP:
+        raise ResourceLimitError(f"FFT length {nfft} exceeds cap {CELL_CAP}")
     acc, shift = np.ones(nfft // 2 + 1, dtype=np.complex128), 0
-    for rep, k, k_rev in groups:
-        spectrum = np.fft.rfft(rep, nfft)
+    for values, k, k_rev, first, stride in groups:
+        period, half, upper = _strided_spectrum(values, first, stride, nfft)
         for _ in range(k):
-            acc *= spectrum
-        np.conjugate(spectrum, out=spectrum)
+            _multiply_periodic(acc, period, half, upper)
+        np.conjugate(half, out=half)
+        np.conjugate(upper, out=upper)
         for _ in range(k_rev):
-            acc *= spectrum
-        shift += k_rev * (len(rep) - 1)
-        del spectrum  # before the next rfft: at most two spectra alive
+            _multiply_periodic(acc, period, half, upper)
+        shift += k * first + k_rev * (len(values) - 1 - first)
+        del half, upper  # before the next rfft: at most one period alive next to acc
     return acc, shift
+
+
+def _read_block(nfft: int) -> int:
+    """Least b with b^3 >= nfft/2 + 1, the twiddle block of _coefficient."""
+    b = 1
+    while b**3 < nfft // 2 + 1:
+        b += 1
+    return b
+
+
+def _coefficient(spectrum: np.ndarray, nfft: int, t: int) -> float:
+    """Coefficient t of the real length-nfft sequence whose rfft is
+    spectrum, summed from the half spectrum without an inverse transform.
+
+    The sum of spectrum[k] e(t k / nfft) over the bins runs in three
+    levels of b-wide blocks, b = _read_block(nfft): each level is a
+    matrix-vector product of the previous level's sums with b twiddles
+    e(t s i / nfft), s = b^level, of phase reduced mod nfft in integers.
+    """
+    b = _read_block(nfft)
+    level, step = spectrum, 1
+    for _ in range(3):
+        phase = (t * step % nfft) * np.arange(b, dtype=np.int64) % nfft
+        phase[phase > nfft // 2] -= nfft
+        twiddle = np.exp(2j * np.pi / nfft * phase)
+        whole = len(level) // b * b
+        sums = level[:whole].reshape(-1, b) @ twiddle
+        if whole < len(level):
+            sums = np.append(sums, level[whole:] @ twiddle[: len(level) - whole])
+        level, step = sums, step * b
+    value = 2 * level[0].real - spectrum[0].real  # each bin but 0 and nfft/2 stands for a pair
+    if nfft % 2 == 0:
+        value -= (-1) ** t * spectrum[-1].real
+    return float(value / nfft)
 
 
 def spectral_coefficient(parts: Sequence[IndexedWeights], nfft: int, index: int) -> float:
     """Coefficient `index` of the length-nfft cyclic product of the values (offsets ignored)."""
-    spectrum, shift = _product_spectrum(parts, nfft)
-    return float(np.fft.irfft(spectrum, nfft)[(index - shift) % nfft])
+    spectrum, shift = _product_spectrum(_factor_groups(parts), nfft)
+    return _coefficient(spectrum, nfft, (index - shift) % nfft)
 
 
 def rounding_bound(parts: Sequence[IndexedWeights], nfft: int) -> float:
-    """Bound on the rounding error of spectral_coefficient: 64 eps log2(nfft)
-    times the product of the factors' l1 norms."""
+    """Bound on the rounding error of spectral_coefficient: eps times the
+    product of the factors' l1 norms, times 64 log2(nfft) for the
+    transforms and products plus (3b + 24)(nfft//2 + 1) 2/nfft for the
+    read.  _coefficient sums nfft//2 + 1 bins, none above that product,
+    in three levels of b-term dot products, each with its twiddles within
+    6 eps and its own rounding within (b + 2) eps of its terms' moduli."""
     mass = math.prod(float(np.abs(p.values).sum()) for p in parts)
-    return 64 * np.finfo(np.float64).eps * math.log2(nfft) * mass
+    read = (3 * _read_block(nfft) + 24) * 2 * (nfft // 2 + 1) / nfft
+    return (64 * math.log2(nfft) + read) * np.finfo(np.float64).eps * mass
 
 
-def _spectral_product(parts: Sequence[IndexedWeights], span: int) -> IndexedWeights:
-    """Product of all parts from one rfft per distinct factor and one irfft."""
-    nfft = _fft_length(span)
-    spectrum, shift = _product_spectrum(parts, nfft)
+def _spectral_product(parts: Sequence[IndexedWeights], span: int, nfft: int) -> IndexedWeights:
+    """Product of all parts, of the given span, from one rfft per distinct
+    factor and one irfft at length nfft >= span."""
+    spectrum, shift = _product_spectrum(_factor_groups(parts), nfft)
     values = np.roll(np.fft.irfft(spectrum, nfft), shift)[:span]
     return IndexedWeights(sum(p.offset for p in parts), values)
 
@@ -177,9 +287,10 @@ def convolve_read(parts: Sequence[IndexedWeights], target: int) -> tuple[float, 
 
     Each factor is cropped to the indices from which the target is still
     reachable, and the coefficient is read from one spectral product at
-    the least 5-smooth length L exceeding both the target's offset t in
-    the cropped product and span - t, so no alias lands on t; its bound
-    is rounding_bound.
+    the least 5-smooth multiple L of the cropped factors' strides'
+    5-smooth parts that exceeds both the target's offset t in the cropped
+    product and span - t, so no alias lands on t; its bound is
+    rounding_bound.
     """
     parts = list(parts)
     if not parts:
@@ -195,8 +306,11 @@ def convolve_read(parts: Sequence[IndexedWeights], target: int) -> tuple[float, 
         cropped.append(IndexedWeights(lo, p.values[lo - p.offset : hi - p.offset + 1]))
     span = sum(len(p.values) - 1 for p in cropped) + 1
     t = target - sum(p.lo for p in cropped)
-    nfft = _fft_length(max(t + 1, span - t + 1, *(len(p.values) for p in cropped)))
-    return spectral_coefficient(cropped, nfft, t), rounding_bound(cropped, nfft)
+    groups = _factor_groups(cropped)
+    need = max(t + 1, span - t + 1, *(len(p.values) for p in cropped))
+    nfft = _fft_length(need, _stride_modulus(group[4] for group in groups))
+    spectrum, shift = _product_spectrum(groups, nfft)
+    return _coefficient(spectrum, nfft, (t - shift) % nfft), rounding_bound(cropped, nfft)
 
 
 def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
@@ -208,8 +322,9 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     The first stage with more pairs makes it dense; it and every later
     stage run convolve_pair.  From the first stage whose nonzero counts
     multiply past _DIRECT_COST_LIMIT, one spectral product takes the
-    accumulator and the remaining factors.  Spans whose padded FFT
-    length exceeds CELL_CAP are refused before any stage runs.
+    accumulator and the remaining factors, at the length the factors'
+    strides give the whole span.  A span whose transform length exceeds
+    CELL_CAP is refused before any stage runs.
     """
     parts = list(parts)
     if not parts:
@@ -217,17 +332,21 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     if any(len(p.values) == 0 for p in parts):
         return IndexedWeights(0, np.zeros(0, dtype=np.float64))
     total = sum(p.hi - p.lo for p in parts) + 1
-    nfft = _fft_length(total)  # checked up front: a spectral remainder may follow direct stages
+    # each array's nonzeros, scanned once however many slots pass it; a
+    # mask scans faster than nonzero on floats
+    arrays = {id(p.values): p.values for p in parts}
+    scanned = {key: np.flatnonzero(values != 0) for key, values in arrays.items()}
+    cells = [scanned[id(p.values)] for p in parts]
+    # the spectral remainder's length, checked before any stage runs
+    nfft = _fft_length(total, _stride_modulus(_stride(c)[1] for c in scanned.values()))
     if nfft > CELL_CAP:
         raise ResourceLimitError(f"FFT length {nfft} of product span {total} exceeds cap {CELL_CAP}")
     acc, offset, span = parts[0], parts[0].offset, len(parts[0].values)
-    cells = np.flatnonzero(acc.values != 0)  # a mask scans faster than nonzero on floats
-    sparse = (cells, acc.values[cells])  # the accumulator's nonzeros until a stage makes it dense
+    sparse = (cells[0], acc.values[cells[0]])  # the accumulator's nonzeros until a stage makes it dense
     for k, p in enumerate(parts[1:], 1):
-        cells = np.flatnonzero(p.values != 0)
-        pairs = (np.count_nonzero(acc.values) if sparse is None else len(sparse[0])) * len(cells)
+        pairs = (np.count_nonzero(acc.values) if sparse is None else len(sparse[0])) * len(cells[k])
         if sparse is not None and pairs <= min(span + len(p.values) - 1, _DIRECT_COST_LIMIT):
-            factor = (cells, p.values[cells])
+            factor = (cells[k], p.values[cells[k]])
             short, long_ = (sparse, factor) if span <= len(p.values) else (factor, sparse)
             offset, span = offset + p.offset, span + len(p.values) - 1
             if k < len(parts) - 1:
@@ -241,6 +360,7 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
             acc = IndexedWeights(offset, np.zeros(span))
             acc.values[sparse[0]] = sparse[1]
         if pairs > _DIRECT_COST_LIMIT:
-            return _spectral_product([acc, *parts[k:]], total)
+            del scanned, cells  # the index arrays are not needed by the transforms
+            return _spectral_product([acc, *parts[k:]], total, nfft)
         acc, sparse = convolve_pair(acc, p), None
     return acc

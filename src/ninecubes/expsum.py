@@ -11,9 +11,12 @@ of slots 1-4 and 5-9, which adds only positive products and takes no
 transform (direct route), and as the coefficient of n in the product of
 the slots' dense supports (Fourier route).  A length-L DFT of a support
 samples S_j at L equispaced points, so that coefficient is the average
-of prod_j S_j(t/L) e(-n t/L); convolve.convolve_read takes it at the
-least 5-smooth L that keeps aliases off n, after cropping each support
-to the indices from which n is still reachable.
+of prod_j S_j(t/L) e(-n t/L); convolve.convolve_read takes it at an L
+that keeps aliases off n, after cropping each support to the indices
+from which n is still reachable.  Odd cubes differ by even amounts, so
+a support over odd primes has a stride of 2|a_j| or a multiple of it and
+is transformed at L over that stride's 5-smooth part: at most L/2 at
+a_j = +-1 and L/4 at a_j = +-2.
 """
 
 from __future__ import annotations

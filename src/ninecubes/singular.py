@@ -14,7 +14,9 @@ the m_j: each m_j stands for a cube p_j^3, so the per-variable window
 matches the cube window of the counting problem.  J(n) and the number of
 such tuples are each one coefficient of a nine-fold product, read by
 convolve.convolve_read as one spectral product of the factors cropped to
-the target's reach, with its rounding bound.
+the target's reach, with its rounding bound.  Slot j's factor holds
+weights at multiples of |a_j| only, so it is transformed at L over the
+5-smooth part of |a_j|.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from ninecubes.convolve import (
     from_sparse,
 )
 from ninecubes.errors import DomainError, ResourceLimitError
-from ninecubes.expsum import cube_support, weighted_count_direct
+from ninecubes.expsum import cube_support, weighted_count_direct, weighted_count_fourier
 from ninecubes.localdata import CoefficientSystem
 from ninecubes.singular import integral_support, singular_integral
 
@@ -103,10 +103,24 @@ def numpy_chain(parts):
 
 
 def count_rffts(monkeypatch):
+    """The length of every rfft taken."""
     calls = []
     rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda x, *a, **k: calls.append(1) or rfft(x, *a, **k))
+    monkeypatch.setattr(np.fft, "rfft", lambda x, n, *a, **k: calls.append(n) or rfft(x, n, *a, **k))
     return calls
+
+
+def record_reads(monkeypatch):
+    """The length of every single-coefficient read; an irfft fails the test."""
+    lengths = []
+    read = convolve._coefficient
+    monkeypatch.setattr(convolve, "_coefficient", lambda s, nfft, t: lengths.append(nfft) or read(s, nfft, t))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("irfft reached")
+
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    return lengths
 
 
 def count_pairs(monkeypatch):
@@ -142,7 +156,7 @@ def test_full_paths_match_numpy_chain(monkeypatch):
         scale = max(1.0, np.abs(want).max())
         staged = convolve_full(parts)
         assert rffts == []
-        spectral = convolve._spectral_product(parts, len(want))
+        spectral = convolve._spectral_product(parts, len(want), convolve._fft_length(len(want)))
         rffts.clear()
         for got in (staged, spectral):
             assert got.offset == offset and len(got.values) == len(want)
@@ -166,7 +180,7 @@ def test_spectral_transforms_once_per_distinct_factor(monkeypatch):
     a, b = rng.standard_normal(40), rng.standard_normal(40)
     parts = [IndexedWeights(i, a.copy()) for i in range(5)] + [IndexedWeights(-9, b) for _ in range(2)]
     calls = count_rffts(monkeypatch)
-    got = convolve._spectral_product(parts, 7 * 39 + 1)
+    got = convolve._spectral_product(parts, 7 * 39 + 1, convolve._fft_length(7 * 39 + 1))
     assert len(calls) == 2
     offset, want = numpy_chain(parts)
     assert got.offset == offset
@@ -177,7 +191,8 @@ def test_full_route_on_window_tables(monkeypatch):
     # small analogues of the benchmark's tables: sparse prime-cube supports
     # stay sparse, seven merged stages and a last one written into the
     # table; dense m^(-2/3) supports take one spectral product with one
-    # transform per distinct |a|: a = -1 reverses a = 1
+    # transform per distinct |a| (a = -1 reverses a = 1), each at L over
+    # its stride |a|
     coeffs = (1, -1, 1, 1, 1, 1, -1, 2, 3)
     system = CoefficientSystem.make(coeffs, 1)
     calls, pairs, sumsets = count_rffts(monkeypatch), count_pairs(monkeypatch), count_sumsets(monkeypatch)
@@ -191,6 +206,8 @@ def test_full_route_on_window_tables(monkeypatch):
     sumsets.clear()
     got = convolve_full(parts)
     assert (len(calls), pairs, sumsets) == (3, [], [])
+    length = convolve._fft_length(len(got.values), 6)
+    assert calls == [length, length // 2, length // 3]
     offset, want = numpy_chain(parts)
     assert got.offset == offset
     assert np.abs(got.values - want).max() <= 1e-12 * want.max()
@@ -351,6 +368,20 @@ def test_spectral_cap_covers_padded_length(monkeypatch):
     monkeypatch.setattr(convolve, "CELL_CAP", 12000)
     assert len(convolve_full([dense, dense]).values) == 11999
     assert len(calls) == 1 and pairs == []
+    # a factor of stride 9 takes L to a multiple of 9: span 51000 pads to
+    # 51200 plain, but to 51840 = 9 * 5760 with the stride
+    strided = IndexedWeights(0, np.zeros(45001))
+    strided.values[::9] = 1.0
+    assert convolve._fft_length(51000) == 51200 and convolve._fft_length(51000, 9) == 51840
+    calls.clear()
+    monkeypatch.setattr(convolve, "CELL_CAP", 51200)
+    with pytest.raises(ResourceLimitError):
+        convolve_full([dense, strided])
+    assert calls == []
+    monkeypatch.setattr(convolve, "CELL_CAP", 51840)
+    got = convolve_full([dense, strided])
+    assert calls == [51840, 5760] and pairs == []
+    assert np.abs(got.values - np.convolve(dense.values, strided.values)).max() <= 1e-9
 
 
 def test_full_cap_refuses_before_direct_stages(monkeypatch):
@@ -367,6 +398,21 @@ def test_full_cap_refuses_before_direct_stages(monkeypatch):
     monkeypatch.setattr(convolve, "CELL_CAP", 12000)
     assert len(convolve_full(parts).values) == 11998
     assert (len(rffts), len(pairs)) == (2, 1)
+    # the same with a last factor of stride 9 (5010 nonzeros): span 51080
+    # pads to 51200 plain and to 51840 with the stride, the length its
+    # spectral stage takes
+    strided = IndexedWeights(2, np.zeros(9 * 5009 + 1))
+    strided.values[::9] = 1.0
+    parts[2] = strided
+    assert convolve._fft_length(51080) == 51200 and convolve._fft_length(51080, 9) == 51840
+    rffts.clear(), pairs.clear()
+    monkeypatch.setattr(convolve, "CELL_CAP", 51200)
+    with pytest.raises(ResourceLimitError):
+        convolve_full(parts)
+    assert (rffts, pairs) == ([], [])
+    monkeypatch.setattr(convolve, "CELL_CAP", 51840)
+    assert len(convolve_full(parts).values) == 51080
+    assert (rffts, len(pairs)) == ([51840, 5760], 1)
 
 
 def test_fft_length_is_least_5_smooth():
@@ -380,6 +426,19 @@ def test_fft_length_is_least_5_smooth():
         length = convolve._fft_length(n)
         assert smooth(length) and length >= n
         assert not any(smooth(m) for m in range(n, length))
+    # with a 5-smooth modulus m: the least 5-smooth multiple of m
+    for m in filter(smooth, range(2, 61)):
+        for n in range(1, 400):
+            length = convolve._fft_length(n, m)
+            assert smooth(length) and length % m == 0 and length >= n
+            assert not any(smooth(k) for k in range(-(-n // m) * m, length, m))
+
+
+def test_stride_modulus_takes_5_smooth_parts():
+    # 7 and 11 add nothing; a single nonzero (stride 0) adds nothing
+    assert convolve._stride_modulus([14, 9, 0, 1, 55]) == 90
+    assert convolve._stride(np.array([3, 9, 21])) == (3, 6)
+    assert convolve._stride(np.array([4])) == (4, 0)
 
 
 def brute_coefficient(parts, target):
@@ -405,11 +464,16 @@ def test_spectral_read_matches_brute_force():
         # a factor between copies of its reverse: one rfft, conjugated for the reverse
         [IndexedWeights(o, np.array(v)) for o, v in
          ((3, [1.0, 0.0, 2.0, 0.5]), (-1, [0.5, 2.0, 0.0, 1.0]), (0, [1.0, 0.0, 2.0, 0.5]))],
+        # a factor of stride 2 with leading zeros between copies of its
+        # reverse: its first nonzero turns the forward and reversed copies
+        [IndexedWeights(o, np.array(v)) for o, v in
+         ((3, [0.0, 0.0, 1.0, 0.0, 2.0, 0.0]), (-1, [0.0, 2.0, 0.0, 1.0, 0.0, 0.0]),
+          (0, [0.0, 0.0, 1.0, 0.0, 2.0, 0.0]), (2, [1.5, 0.0, -0.5]))],
         [IndexedWeights(-4, np.array([0.0, 2.0, 1.0]))],
     ]
     for parts in cases:
         lo, hi = sum(p.lo for p in parts), sum(p.hi for p in parts)
-        targets = [lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1]
+        targets = range(lo - 1, hi + 2)
         for target in targets:
             want = brute_coefficient(parts, target)
             got, bound = convolve_read(parts, target)
@@ -455,30 +519,127 @@ def test_spectral_read_matches_staged_read(coeffs, N):
         assert abs(got - want) <= bound
 
 
+def longdouble_coefficient(parts, target):
+    """Coefficient of target by an np.convolve chain in long double."""
+    values = np.ones(1, dtype=np.longdouble)
+    for p in parts:
+        values = np.convolve(values, p.values.astype(np.longdouble))
+    return values[target - sum(p.lo for p in parts)]
+
+
+def sparse_coefficient(parts, target):
+    """Coefficient of target as an exact sum over the tuples of nonzeros."""
+    cells = [[(p.lo + int(i), float(p.values[i])) for i in np.flatnonzero(p.values)] for p in parts]
+    return math.fsum(math.prod(w for _, w in combo) for combo in itertools.product(*cells)
+                     if sum(i for i, _ in combo) == target)
+
+
+@pytest.mark.parametrize("coeffs", [(1,) * 9, (1, 1, 1, -2, 3, 1, 5, 1, -1)])
+def test_read_within_bound_at_interior_off_centre_and_edge_targets(coeffs):
+    # J(n) and tuple-count factors, unstrided and of strides 2, 3 and 5,
+    # against a long-double chain; the edge reads are 1e-30 of the centre
+    parts = [integral_support(a, 100, 1000) for a in coeffs]
+    ones = [IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts]
+    lo, hi = sum(p.lo for p in parts), sum(p.hi for p in parts)
+    for factors in (parts, ones):
+        for target in (lo, lo + 3, (lo + hi) // 2, lo + (hi - lo) * 78 // 100, hi - 4, hi):
+            got, bound = convolve_read(factors, target)
+            assert abs(got - longdouble_coefficient(factors, target)) <= bound
+
+
+def test_prime_cube_read_within_bound_of_exact_sum():
+    # supports of strides 2 (a = +-1) and 4 (a = 2) over three
+    # primes a slot: every tuple summed exactly, at each attained target
+    # and next to it
+    coeffs = (1, 1, -1, 1, 2, 1, -1, 1, 1)
+    parts = [from_sparse(s.indices, s.weights)
+             for s in (cube_support(CoefficientSystem.make(coeffs, 1), j, 200, 3000) for j in range(9))]
+    sums = {0}
+    for p in parts:
+        sums = {x + p.lo + int(i) for x in sums for i in np.flatnonzero(p.values)}
+    targets = sorted(sums)
+    for target in targets[:3] + targets[len(targets) // 2 : len(targets) // 2 + 3] + targets[-3:]:
+        for n in (target, target + 2):
+            got, bound = convolve_read(parts, n)
+            assert abs(got - sparse_coefficient(parts, n)) <= bound
+
+
+@pytest.mark.parametrize("nfft", [1, 2, 3, 16, 45, 1000, 6075, 2**20, 6_328_125, 10**7])
+def test_coefficient_read_matches_irfft(nfft):
+    # random spectra of modulus up to 1: the direct read agrees with the
+    # irfft within the read's own term of rounding_bound
+    rng = np.random.default_rng(nfft)
+    spectrum = np.exp(2j * np.pi * rng.random(nfft // 2 + 1)) * rng.random(nfft // 2 + 1)
+    full = np.fft.irfft(spectrum, nfft)
+    unit = [IndexedWeights(0, np.ones(1))]
+    term = convolve.rounding_bound(unit, nfft) - 64 * np.finfo(float).eps * math.log2(nfft)
+    for t in {0, 1 % nfft, nfft // 2, nfft - 1, int(rng.integers(nfft))}:
+        assert abs(convolve._coefficient(spectrum, nfft, t) - full[t]) <= term
+
+
+def test_rounding_bound_adds_the_read_term():
+    # the read sums nfft/2 + 1 bins in three levels of b-term products,
+    # b^3 >= nfft/2 + 1: the bound carries 3b eps on top of the transforms'
+    # 64 eps log2(nfft), and that term stays below the transforms' at
+    # every 5-smooth length from 2 to CELL_CAP and every length below 3000
+    # (the float N(p) reads at length p)
+    eps = np.finfo(float).eps
+    unit = [IndexedWeights(0, np.ones(1))]
+    lengths = sorted({2**i * 3**j * 5**k for i in range(28) for j in range(18) for k in range(12)
+                      if 2 <= 2**i * 3**j * 5**k <= convolve.CELL_CAP} | set(range(2, 3000)))
+    for nfft in lengths:
+        b = round((nfft // 2 + 1) ** (1 / 3))
+        b += b**3 < nfft // 2 + 1
+        transforms = 64 * eps * math.log2(nfft)
+        read = convolve.rounding_bound(unit, nfft) - transforms
+        assert 3 * b * eps <= read < transforms
+    mass = [IndexedWeights(0, np.array([2.0, -1.0])), IndexedWeights(5, np.array([0.5, 0.0, 3.0]))]
+    assert convolve.rounding_bound(mass, 6075) == pytest.approx(10.5 * convolve.rounding_bound(unit, 6075))
+
+
 def test_read_route_on_integral_windows(monkeypatch):
     # from README-size windows and integral_stability's N <= 2000 to
     # N = 2e4, each read takes one rfft per cropped factor up to reversal:
     # of the mixed system's five distinct weight arrays, a = -1's reverses
     # a = 1's, and its 0/1 arrays for a = 1 and a = -1 coincide, leaving
-    # four of each
-    calls = count_rffts(monkeypatch)
+    # four of each, transformed at L over their strides 1, 2, 3 and 5; the
+    # coefficient is summed from the spectrum with no irfft
+    calls, reads = count_rffts(monkeypatch), record_reads(monkeypatch)
+    strides = []
+    stride = convolve._stride
+    monkeypatch.setattr(convolve, "_stride", lambda cells: strides.append(1) or stride(cells))
     mixed = (1, 1, 1, -2, 3, 1, 5, 1, -1)
     for coeffs, M, N, n, distinct in [
-        ((1,) * 9, 10, 100, 500, 1),
-        ((1,) * 9, 100, 1000, 1000, 1),
-        ((1,) * 9, 200, 2000, 2000, 1),
-        (mixed, 100, 1000, 14, 4),
-        (mixed, 200, 2000, 14, 4),
-        (mixed, 2000, 20000, 100001, 4),
+        ((1,) * 9, 10, 100, 500, (1,)),
+        ((1,) * 9, 100, 1000, 1000, (1,)),
+        ((1,) * 9, 200, 2000, 2000, (1,)),
+        (mixed, 100, 1000, 14, (1, 2, 3, 5)),
+        (mixed, 200, 2000, 14, (1, 2, 3, 5)),
+        (mixed, 2000, 20000, 100001, (1, 2, 3, 5)),
     ]:
         assert singular_integral(CoefficientSystem.make(coeffs, n), M, N).value > 0
         parts = [integral_support(a, M, N) for a in coeffs]
         ones = [IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts]
         for factors in (parts, ones):
-            calls.clear()
+            calls.clear(), reads.clear(), strides.clear()
             value, bound = convolve_read(factors, n)
-            assert len(calls) == distinct
+            (length,) = reads
+            assert calls == [length // d for d in distinct]
+            assert len(strides) == len(distinct)  # once per distinct factor, not per slot
             assert value > 0 and bound > 0
+
+
+def test_fourier_read_transforms_odd_prime_cubes_at_half_length(monkeypatch):
+    # odd cubes differ by even amounts: each (1,...,1) support has stride
+    # 2, so the Fourier read's one transform is at L/2
+    calls, reads = count_rffts(monkeypatch), record_reads(monkeypatch)
+    planted = sum(p**3 for p in (23, 23, 29, 31, 37, 41, 43, 43, 43))
+    for n in (5 * 10**5 + 1, planted):
+        calls.clear(), reads.clear()
+        r = weighted_count_fourier(CoefficientSystem.make((1,) * 9, n), 10**4, 10**5)
+        (length,) = reads
+        assert length % 2 == 0 and calls == [length // 2]
+        assert (r == 0.0) == (n != planted)
 
 
 def test_direct_count_never_takes_the_spectral_read(monkeypatch):

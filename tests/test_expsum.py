@@ -130,8 +130,7 @@ def test_join_cap_refuses_before_the_outer_sum(monkeypatch):
 )
 def test_fourier_read_is_zero_or_a_count(monkeypatch, read, want):
     # one atom per slot: every solution adds log(2)^9 = 0.0369
-    monkeypatch.setattr(convolve, "spectral_coefficient", lambda *args, **kwargs: read[0])
-    monkeypatch.setattr(convolve, "rounding_bound", lambda *args, **kwargs: read[1])
+    monkeypatch.setattr(convolve, "convolve_read", lambda *args, **kwargs: read)
     system = CoefficientSystem.make([1] * 9, 72)
     if want is NumericIntegrityError:
         with pytest.raises(NumericIntegrityError):
