@@ -276,9 +276,17 @@ def rounding_bound(parts: Sequence[IndexedWeights], nfft: int) -> float:
 
 def _spectral_product(parts: Sequence[IndexedWeights], span: int, nfft: int) -> IndexedWeights:
     """Product of all parts, of the given span, from one rfft per distinct
-    factor and one irfft at length nfft >= span."""
+    factor and one irfft at length nfft >= span.  The spectrum is freed
+    before the span is copied out of the cyclic product, so at most two
+    length-nfft arrays are alive and the result holds only the span."""
     spectrum, shift = _product_spectrum(_factor_groups(parts), nfft)
-    values = np.roll(np.fft.irfft(spectrum, nfft), shift)[:span]
+    cyclic = np.fft.irfft(spectrum, nfft)
+    del spectrum
+    # coefficient i of the product is cyclic[(i - shift) % nfft], and each
+    # slot shifts by less than its length, so shift < span <= nfft
+    values = np.empty(span)
+    values[:shift] = cyclic[nfft - shift :]
+    values[shift:] = cyclic[: span - shift]
     return IndexedWeights(sum(p.offset for p in parts), values)
 
 
@@ -336,15 +344,23 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     # mask scans faster than nonzero on floats
     arrays = {id(p.values): p.values for p in parts}
     scanned = {key: np.flatnonzero(values != 0) for key, values in arrays.items()}
-    cells = [scanned[id(p.values)] for p in parts]
+    counts = [len(scanned[id(p.values)]) for p in parts]
     # the spectral remainder's length, checked before any stage runs
     nfft = _fft_length(total, _stride_modulus(_stride(c)[1] for c in scanned.values()))
     if nfft > CELL_CAP:
         raise ResourceLimitError(f"FFT length {nfft} of product span {total} exceeds cap {CELL_CAP}")
+    # A direct stage forms at most `total` pairs and the accumulator keeps
+    # at least the first part's nonzeros, so a part with more than
+    # total / min(counts) nonzeros never takes one: its positions are freed
+    # here, before any stage allocates, and only its count is kept.
+    least = min(counts)
+    cells = [scanned[id(p.values)] if c * least <= total else None for p, c in zip(parts, counts)]
+    del scanned
     acc, offset, span = parts[0], parts[0].offset, len(parts[0].values)
-    sparse = (cells[0], acc.values[cells[0]])  # the accumulator's nonzeros until a stage makes it dense
+    # the accumulator's nonzeros until a stage makes it dense
+    sparse = None if cells[0] is None else (cells[0], acc.values[cells[0]])
     for k, p in enumerate(parts[1:], 1):
-        pairs = (np.count_nonzero(acc.values) if sparse is None else len(sparse[0])) * len(cells[k])
+        pairs = (np.count_nonzero(acc.values) if sparse is None else len(sparse[0])) * counts[k]
         if sparse is not None and pairs <= min(span + len(p.values) - 1, _DIRECT_COST_LIMIT):
             factor = (cells[k], p.values[cells[k]])
             short, long_ = (sparse, factor) if span <= len(p.values) else (factor, sparse)
@@ -360,7 +376,7 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
             acc = IndexedWeights(offset, np.zeros(span))
             acc.values[sparse[0]] = sparse[1]
         if pairs > _DIRECT_COST_LIMIT:
-            del scanned, cells  # the index arrays are not needed by the transforms
+            del cells  # the index arrays are not needed by the transforms
             return _spectral_product([acc, *parts[k:]], total, nfft)
         acc, sparse = convolve_pair(acc, p), None
     return acc

@@ -158,6 +158,7 @@ def test_full_paths_match_numpy_chain(monkeypatch):
         assert rffts == []
         spectral = convolve._spectral_product(parts, len(want), convolve._fft_length(len(want)))
         rffts.clear()
+        assert spectral.values.base is None  # owns the span, not a view of the cyclic product
         for got in (staged, spectral):
             assert got.offset == offset and len(got.values) == len(want)
             assert np.abs(got.values - want).max() <= 1e-12 * scale
@@ -354,6 +355,22 @@ def test_sparse_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * table.values.nbytes
+
+
+def test_dense_table_peak_memory():
+    # the spectral route holds the spectrum and the inverse, not a shifted
+    # copy of the inverse next to them, and the dense factors' positions
+    # are freed before it runs
+    rng = np.random.default_rng(417)
+    parts = [IndexedWeights(0, rng.random(30000)) for _ in range(3)]
+    nfft = convolve._fft_length(sum(len(p.values) - 1 for p in parts) + 1)
+    tracemalloc.start()
+    try:
+        convolve_full(parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * nfft
 
 
 def test_spectral_cap_covers_padded_length(monkeypatch):
