@@ -20,7 +20,10 @@ from . import arith
 from .errors import DomainError
 
 
-@lru_cache(maxsize=512)
+# A series reads the roots of each of the 677 supported q <= 1000 (its
+# definition route) in ascending order: a smaller LRU cache evicts every
+# table before the next series reads it again.
+@lru_cache(maxsize=1024)
 def unit_roots(m: int) -> np.ndarray:
     """Array of exp(2 pi i k/m) for k = 0..m-1 (read-only)."""
     roots = np.exp(2j * np.pi * np.arange(m) / m)

@@ -3,10 +3,10 @@
 Each factor is a dense weight array over a contiguous range of signed
 integer indices.  Two products are built here:
 
-- the staged chain multiplies factor by factor, adding each cell's
-  products in the order of a slice add per nonzero of the shorter side
-  (see convolve_full).  It only adds products, so nonnegative weights
-  keep exact zeros.  Its merge step _sumset is also expsum's r(n) join.
+- the sparse chain merges the accumulator's nonzero cells with each
+  factor's (_sumset, also expsum's r(n) join), adding each cell's
+  products in the order of a slice add per nonzero of the shorter side.
+  It only adds products, so nonnegative weights keep exact zeros.
 - the spectral product (_product_spectrum) takes one rfft per factor up
   to offset and reversal (a reversed factor takes the conjugate) and
   multiplies it into one accumulator once per slot that shares it.  A
@@ -16,12 +16,12 @@ integer indices.  Two products are built here:
 
 Transform lengths are the least 2^a 3^b 5^c multiple of the factors'
 strides' 5-smooth parts that covers what is needed.  convolve_full
-returns the whole product: by the chain while each stage's nonzero
-counts, as observed, multiply to at most _DIRECT_COST_LIMIT, then by one
-spectral product of the accumulator and the factors left, inverted by
-one irfft.  Every single coefficient is one spectral_coefficient read,
-summed straight from the half spectrum (_coefficient) with no inverse
-transform.  convolve_read (J(n), its tuple count and the Fourier route
+returns the whole product by one of two routes: the sparse chain while
+each stage's observed nonzero counts multiply to at most its span and
+_DIRECT_COST_LIMIT, else one spectral product of the accumulator and the
+factors left, inverted by one irfft.  Every single coefficient is one
+spectral_coefficient read, summed straight from the half spectrum
+(_coefficient) with no inverse transform.  convolve_read (J(n), its tuple count and the Fourier route
 of r(n)) crops the factors to the target's reach, reads at a length
 that keeps aliases off the target and returns the read with its
 rounding_bound.  The float N(p) is a cyclic read of its own length
@@ -80,16 +80,6 @@ def from_sparse(indices: Sequence[int], weights: Sequence[float]) -> IndexedWeig
     vals = np.zeros(span, dtype=np.float64)
     np.add.at(vals, idx - lo, w)
     return IndexedWeights(lo, vals)
-
-
-def convolve_pair(a: IndexedWeights, b: IndexedWeights) -> IndexedWeights:
-    """Product of two factors: each nonzero of the shorter side adds its
-    multiple of the longer side by one slice add."""
-    short, long_ = sorted((a.values, b.values), key=len)
-    out = np.zeros(len(short) + len(long_) - 1 if len(short) else 0, dtype=np.float64)
-    for i in np.flatnonzero(short):
-        out[i : i + len(long_)] += short[i] * long_
-    return IndexedWeights(a.offset + b.offset, out)
 
 
 def _run_starts(x: np.ndarray) -> np.ndarray:
@@ -325,14 +315,13 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     """Full product of all parts (no target window).
 
     The accumulator is held as its sorted nonzero cells and weights while
-    a stage forms no more index pairs than its span: such a stage merges
-    them by _sumset, or, as the last stage, adds them into the table.
-    The first stage with more pairs makes it dense; it and every later
-    stage run convolve_pair.  From the first stage whose nonzero counts
-    multiply past _DIRECT_COST_LIMIT, one spectral product takes the
-    accumulator and the remaining factors, at the length the factors'
-    strides give the whole span.  A span whose transform length exceeds
-    CELL_CAP is refused before any stage runs.
+    a stage forms no more index pairs than its span and _DIRECT_COST_LIMIT:
+    such a stage merges them by _sumset, or, as the last stage, adds them
+    into the table.  From the first stage with more pairs (the first of
+    all when the first part is already too dense), one spectral product
+    takes the accumulator and the remaining factors, at the length the
+    factors' strides give the whole span.  A span whose transform length
+    exceeds CELL_CAP is refused before any stage runs.
     """
     parts = list(parts)
     if not parts:
@@ -357,26 +346,22 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     cells = [scanned[id(p.values)] if c * least <= total else None for p, c in zip(parts, counts)]
     del scanned
     acc, offset, span = parts[0], parts[0].offset, len(parts[0].values)
-    # the accumulator's nonzeros until a stage makes it dense
+    # the accumulator's nonzeros while every stage is merged
     sparse = None if cells[0] is None else (cells[0], acc.values[cells[0]])
     for k, p in enumerate(parts[1:], 1):
-        pairs = (np.count_nonzero(acc.values) if sparse is None else len(sparse[0])) * counts[k]
-        if sparse is not None and pairs <= min(span + len(p.values) - 1, _DIRECT_COST_LIMIT):
-            factor = (cells[k], p.values[cells[k]])
-            short, long_ = (sparse, factor) if span <= len(p.values) else (factor, sparse)
-            offset, span = offset + p.offset, span + len(p.values) - 1
-            if k < len(parts) - 1:
-                acc, sparse = None, _sumset(short, long_)
-                continue
-            acc = IndexedWeights(offset, np.zeros(span))
-            for i, w in zip(short[0].tolist(), short[1].tolist()):
-                acc.values[i:][long_[0]] += w * long_[1]  # long_'s cells are distinct: each adds once
-            return acc
-        if acc is None:
-            acc = IndexedWeights(offset, np.zeros(span))
-            acc.values[sparse[0]] = sparse[1]
-        if pairs > _DIRECT_COST_LIMIT:
+        if sparse is None or len(sparse[0]) * counts[k] > min(span + len(p.values) - 1, _DIRECT_COST_LIMIT):
+            if acc is None:
+                acc = IndexedWeights(offset, np.zeros(span))
+                acc.values[sparse[0]] = sparse[1]
             del cells  # the index arrays are not needed by the transforms
             return _spectral_product([acc, *parts[k:]], total, nfft)
-        acc, sparse = convolve_pair(acc, p), None
+        factor = (cells[k], p.values[cells[k]])
+        short, long_ = (sparse, factor) if span <= len(p.values) else (factor, sparse)
+        offset, span = offset + p.offset, span + len(p.values) - 1
+        if k < len(parts) - 1:
+            acc, sparse = None, _sumset(short, long_)
+            continue
+        acc = IndexedWeights(offset, np.zeros(span))
+        for i, w in zip(short[0].tolist(), short[1].tolist()):
+            acc.values[i:][long_[0]] += w * long_[1]  # long_'s cells are distinct: each adds once
     return acc

@@ -12,9 +12,10 @@ For a system a_1 x_1^3 + ... + a_9 x_9^3 = n the objects computed here are
 A(q) is the per-modulus term of the singular series.  N(q) is exact and
 allocates no array: in closed form at a prime p != 3, from cubic Gauss and
 Jacobi sums; at 3 and 9 from the signs of unit cubes mod 9; by Hensel
-lifting and by dividing out a prime dividing every a_j at prime powers; as a
-product over prime powers at composite q.  A(p^e) is exact from the counts.
-Convolutions and transforms are the definition routes, kept as cross-checks.
+lifting at prime powers; as a product over prime powers at composite q.  A
+prime dividing every a_j, which no pairwise-coprime system has, is refused.
+A(p^e) is exact from the counts.  Convolutions and transforms are the
+definition routes, kept as cross-checks.
 """
 
 from __future__ import annotations
@@ -326,19 +327,14 @@ def unit_solution_count(q: int, system: CoefficientSystem) -> int:
     closed form, and N(3^e) = 3^(8(e-2)) N(9) for e >= 2.  A unit cubes to
     -1 or 1 mod 9 (three units each) and mod 3 (one each), so N(3^k) is
     3^(9(k-1)) times a sign count for k <= 2.  A prime dividing every a_j
-    but not n gives 0; dividing n too, N(p^e) is (phi(p^e) / phi(p^(e-1)))^9
-    times N(p^(e-1)) of the system divided by p.
+    is refused: pairwise-coprime coefficients never share one.
     """
     _check_q(q, LOCAL_Q_CAP)
     count = 1
     for p, e in arith.factorize(q):
         if all(a % p == 0 for a in system.a):
-            if system.n % p:
-                return 0
-            reduced = CoefficientSystem(tuple(a // p for a in system.a), system.n // p)
-            lifts = p - 1 if e == 1 else p
-            count *= lifts**9 * unit_solution_count(p ** (e - 1), reduced)
-        elif p == 3:
+            raise DomainError(f"N({q}) needs some coefficient prime to {p}, which divides every a_j")
+        if p == 3:
             k = min(e, 2)
             count *= 3 ** (8 * (e - k) + 9 * (k - 1)) * _sign_count(3**k, system)
         else:

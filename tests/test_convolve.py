@@ -9,7 +9,6 @@ from ninecubes import convolve
 from ninecubes.convolve import (
     IndexedWeights,
     convolve_full,
-    convolve_pair,
     convolve_read,
     from_sparse,
 )
@@ -44,22 +43,11 @@ def test_from_sparse_guards():
         from_sparse([0, 10**9], [1.0, 1.0])
 
 
-def test_pair_matches_numpy():
-    rng = np.random.default_rng(411)
-    for _ in range(50):
-        a = random_part(rng)
-        b = random_part(rng)
-        got = convolve_pair(a, b)
-        want = np.convolve(a.values, b.values)
-        assert got.offset == a.offset + b.offset
-        assert np.allclose(got.values, want, atol=1e-12)
-
-
 def test_read_matches_full():
     rng = np.random.default_rng(413)
     for _ in range(20):
         parts = [random_part(rng, max_len=15) for _ in range(int(rng.integers(2, 6)))]
-        full = convolve_full(parts)
+        full = IndexedWeights(*numpy_chain(parts))
         for target in [full.lo, full.hi, int(rng.integers(full.lo, full.hi + 1)), full.hi + 3]:
             value, bound = convolve_read(parts, target)
             assert abs(value - full.coefficient(target)) <= bound
@@ -91,7 +79,6 @@ def test_read_brute_force_small():
 def test_empty_factor_annihilates():
     empty = IndexedWeights(0, np.zeros(0))
     unit = IndexedWeights(3, np.array([2.0]))
-    assert len(convolve_pair(empty, unit).values) == 0
     assert convolve_read([empty, unit], 3) == (0.0, 0.0)
 
 
@@ -123,13 +110,6 @@ def record_reads(monkeypatch):
     return lengths
 
 
-def count_pairs(monkeypatch):
-    calls = []
-    pair = convolve.convolve_pair
-    monkeypatch.setattr(convolve, "convolve_pair", lambda a, b: calls.append(1) or pair(a, b))
-    return calls
-
-
 def count_sumsets(monkeypatch):
     calls = []
     sumset = convolve._sumset
@@ -137,7 +117,7 @@ def count_sumsets(monkeypatch):
     return calls
 
 
-def test_full_paths_match_numpy_chain(monkeypatch):
+def test_full_paths_match_numpy_chain():
     rng = np.random.default_rng(415)
     cases = []
     for _ in range(20):
@@ -150,14 +130,11 @@ def test_full_paths_match_numpy_chain(monkeypatch):
     # repeats passed as distinct but equal arrays, at different offsets
     cases.append([IndexedWeights(base.offset + 7 * i, base.values.copy()) for i in range(4)] + [other])
     cases.append([IndexedWeights(-5, np.array([0.0, -2.0, 0.0, 3.0]))])
-    rffts = count_rffts(monkeypatch)
     for parts in cases:
         offset, want = numpy_chain(parts)
         scale = max(1.0, np.abs(want).max())
         staged = convolve_full(parts)
-        assert rffts == []
         spectral = convolve._spectral_product(parts, len(want), convolve._fft_length(len(want)))
-        rffts.clear()
         assert spectral.values.base is None  # owns the span, not a view of the cyclic product
         for got in (staged, spectral):
             assert got.offset == offset and len(got.values) == len(want)
@@ -167,13 +144,13 @@ def test_full_paths_match_numpy_chain(monkeypatch):
 def test_full_empty_factor_annihilates_on_both_routes(monkeypatch):
     empty = IndexedWeights(4, np.zeros(0))
     dense = IndexedWeights(-3, np.ones(8000))
-    rffts, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
+    rffts = count_rffts(monkeypatch)
     convolve_full([dense, dense])
-    assert (len(rffts), pairs) == (1, [])
+    assert len(rffts) == 1
     rffts.clear()
     for parts in ([empty, dense], [dense, empty, dense]):
         assert len(convolve_full(parts).values) == 0
-    assert (rffts, pairs) == ([], [])
+    assert rffts == []
 
 
 def test_spectral_transforms_once_per_distinct_factor(monkeypatch):
@@ -196,17 +173,17 @@ def test_full_route_on_window_tables(monkeypatch):
     # its stride |a|
     coeffs = (1, -1, 1, 1, 1, 1, -1, 2, 3)
     system = CoefficientSystem.make(coeffs, 1)
-    calls, pairs, sumsets = count_rffts(monkeypatch), count_pairs(monkeypatch), count_sumsets(monkeypatch)
+    calls, sumsets = count_rffts(monkeypatch), count_sumsets(monkeypatch)
     for N in (10**4, 10**5):
         sups = [cube_support(system, j, N // 10, N) for j in range(9)]
         parts = [from_sparse(s.indices, s.weights) for s in sups]
         sumsets.clear()
         convolve_full(parts)
-        assert (calls, pairs, len(sumsets)) == ([], [], 7)
+        assert (calls, len(sumsets)) == ([], 7)
     parts = [integral_support(a, 10**3, 10**4) for a in coeffs]
     sumsets.clear()
     got = convolve_full(parts)
-    assert (len(calls), pairs, sumsets) == (3, [], [])
+    assert (len(calls), sumsets) == (3, [])
     length = convolve._fft_length(len(got.values), 6)
     assert calls == [length, length // 2, length // 3]
     offset, want = numpy_chain(parts)
@@ -225,14 +202,15 @@ def slice_add_chain(parts):
     return values
 
 
-def test_sparse_chain_matches_numpy_chain():
+def test_sparse_chain_matches_numpy_chain(monkeypatch):
     # factors with at least 90% zeros; the longer side of a stage is
-    # sparse at first (merged and written stages) and fills in later
-    # (slice adds), and all add the same products in the same order as
-    # plain slice adds; the last ten cases give every factor one length,
-    # so the first stage ties on span and takes the accumulator as shorter
+    # sparse at first (merged and written stages) and fills in later (a
+    # spectral product of the rest); a chain whose every stage stays
+    # sparse adds the same products in the same order as plain slice
+    # adds; the last ten cases give every factor one length, so the first
+    # stage ties on span and takes the accumulator as shorter
     rng = np.random.default_rng(418)
-    densities = []
+    densities, rffts, all_sparse = [], count_rffts(monkeypatch), 0
     for case in range(40):
         parts = []
         for _ in range(int(rng.integers(2, 7))):
@@ -245,15 +223,19 @@ def test_sparse_chain_matches_numpy_chain():
             p.values[~keep] = 0.0
             parts.append(p)
         offset, want = numpy_chain(parts)
+        rffts.clear()
         got = convolve_full(parts)
         assert got.offset == offset and len(got.values) == len(want)
         assert np.abs(got.values - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        assert np.array_equal(got.values, slice_add_chain(parts))
+        if not rffts:
+            all_sparse += 1
+            assert np.array_equal(got.values, slice_add_chain(parts))
         for k in range(1, len(parts)):
             _, acc = numpy_chain(parts[:k])
             long_ = max(acc, parts[k].values, key=len)
             densities.append(np.count_nonzero(long_) / len(long_))
     assert min(densities) < 0.01 and max(densities) > 0.5
+    assert 0 < all_sparse < 40, all_sparse
 
 
 def test_sparse_prime_cube_table_is_its_sumset(monkeypatch):
@@ -287,9 +269,9 @@ def test_stages_follow_observed_counts(monkeypatch):
     monkeypatch.setattr(convolve, "_DIRECT_COST_LIMIT", 1000)
     counts = [len(s.primes) for s in sups]
     assert counts == [4] * 9 and math.prod(counts) > convolve._DIRECT_COST_LIMIT
-    rffts, pairs, sumsets = count_rffts(monkeypatch), count_pairs(monkeypatch), count_sumsets(monkeypatch)
+    rffts, sumsets = count_rffts(monkeypatch), count_sumsets(monkeypatch)
     got = convolve_full(parts)
-    assert (rffts, pairs, len(sumsets)) == ([], [], 7)
+    assert (rffts, len(sumsets)) == ([], 7)
     assert got.offset == want.offset and np.array_equal(got.values, want.values)
     assert np.count_nonzero(got.values) == 220
     # a dense stage after a direct one hands the accumulator and the rest
@@ -303,7 +285,7 @@ def test_stages_follow_observed_counts(monkeypatch):
     rffts.clear()
     sumsets.clear()
     got = convolve_full(mixed)
-    assert (len(rffts), pairs, len(sumsets)) == (2, [], 1)
+    assert (len(rffts), len(sumsets)) == (2, 1)
     offset, want = numpy_chain(mixed)
     assert got.offset == offset and np.abs(got.values - want).max() <= 1e-12 * want.max()
 
@@ -317,23 +299,22 @@ def bench_signs(rng):
 @pytest.mark.parametrize("N", [10**4, 10**5])
 def test_sparse_tables_run_every_stage_sparse(monkeypatch, N):
     # prime-cube tables of the benchmark's shape: seven merged stages and
-    # a written last one, no slice add and no transform, bit for bit the
-    # slice-add chain
+    # a written last one, no transform, bit for bit the slice-add chain
     rng = np.random.default_rng(420)
-    rffts, pairs, sumsets = count_rffts(monkeypatch), count_pairs(monkeypatch), count_sumsets(monkeypatch)
+    rffts, sumsets = count_rffts(monkeypatch), count_sumsets(monkeypatch)
     for _ in range(3):
         system = CoefficientSystem.make(bench_signs(rng), 1)
         parts = [from_sparse(s.indices, s.weights) for s in (cube_support(system, j, N // 10, N) for j in range(9))]
         sumsets.clear()
         got = convolve_full(parts)
-        assert (rffts, pairs, len(sumsets)) == ([], [], 7)
+        assert (rffts, len(sumsets)) == ([], 7)
         assert got.offset == sum(p.offset for p in parts)
         assert np.array_equal(got.values, slice_add_chain(parts))
 
 
 def test_dense_table_sorts_nothing(monkeypatch):
     # the m^(-2/3) table at M = 100, N = 1000 forms 810,000 pairs on 1,799
-    # cells at its first stage: dense from there on, no stage is merged
+    # cells at its first stage: one spectral product, no stage is merged
     sorts = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda x, *a, **k: sorts.append(len(x)) or argsort(x, *a, **k))
@@ -377,14 +358,14 @@ def test_spectral_cap_covers_padded_length(monkeypatch):
     # span 11999 fits the cap, the 5-smooth FFT length 12000 does not
     dense = IndexedWeights(0, np.ones(6000))
     assert convolve._fft_length(11999) == 12000
-    calls, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
+    calls = count_rffts(monkeypatch)
     monkeypatch.setattr(convolve, "CELL_CAP", 11999)
     with pytest.raises(ResourceLimitError):
         convolve_full([dense, dense])
     assert calls == []
     monkeypatch.setattr(convolve, "CELL_CAP", 12000)
     assert len(convolve_full([dense, dense]).values) == 11999
-    assert len(calls) == 1 and pairs == []
+    assert len(calls) == 1
     # a factor of stride 9 takes L to a multiple of 9: span 51000 pads to
     # 51200 plain, but to 51840 = 9 * 5760 with the stride
     strided = IndexedWeights(0, np.zeros(45001))
@@ -397,24 +378,28 @@ def test_spectral_cap_covers_padded_length(monkeypatch):
     assert calls == []
     monkeypatch.setattr(convolve, "CELL_CAP", 51840)
     got = convolve_full([dense, strided])
-    assert calls == [51840, 5760] and pairs == []
+    assert calls == [51840, 5760]
     assert np.abs(got.values - np.convolve(dense.values, strided.values)).max() <= 1e-9
 
 
 def test_full_cap_refuses_before_direct_stages(monkeypatch):
-    # span 11998 pads to 12000; the first stage (3000 x 3000 products) is
-    # direct, the second (5999 x 6000) is not, so the padded length is
-    # checked before the first stage runs
-    parts = [IndexedWeights(0, np.ones(3000)), IndexedWeights(1, np.ones(3000)), IndexedWeights(2, np.ones(6000))]
+    # span 11998 pads to 12000; the first stage (31 x 31 products of two
+    # sparse factors) is merged, the second (its sums x 6000) is spectral,
+    # so the padded length is checked before the first stage runs
+    sparse = np.zeros(3000)
+    sparse[[0, 1, *range(100, 3000, 100)]] = 1.0  # 31 nonzeros of stride 1
+    parts = [IndexedWeights(0, sparse), IndexedWeights(1, sparse.copy()), IndexedWeights(2, np.ones(6000))]
     assert convolve._fft_length(11998) == 12000
-    rffts, pairs = count_rffts(monkeypatch), count_pairs(monkeypatch)
+    rffts, sumsets = count_rffts(monkeypatch), count_sumsets(monkeypatch)
     monkeypatch.setattr(convolve, "CELL_CAP", 11998)
     with pytest.raises(ResourceLimitError):
         convolve_full(parts)
-    assert (rffts, pairs) == ([], [])
+    assert (rffts, sumsets) == ([], [])
     monkeypatch.setattr(convolve, "CELL_CAP", 12000)
-    assert len(convolve_full(parts).values) == 11998
-    assert (len(rffts), len(pairs)) == (2, 1)
+    got = convolve_full(parts)
+    assert (rffts, len(sumsets)) == ([12000, 12000], 1)
+    offset, want = numpy_chain(parts)
+    assert got.offset == offset and np.abs(got.values - want).max() <= 1e-12 * want.max()
     # the same with a last factor of stride 9 (5010 nonzeros): span 51080
     # pads to 51200 plain and to 51840 with the stride, the length its
     # spectral stage takes
@@ -422,14 +407,14 @@ def test_full_cap_refuses_before_direct_stages(monkeypatch):
     strided.values[::9] = 1.0
     parts[2] = strided
     assert convolve._fft_length(51080) == 51200 and convolve._fft_length(51080, 9) == 51840
-    rffts.clear(), pairs.clear()
+    rffts.clear(), sumsets.clear()
     monkeypatch.setattr(convolve, "CELL_CAP", 51200)
     with pytest.raises(ResourceLimitError):
         convolve_full(parts)
-    assert (rffts, pairs) == ([], [])
+    assert (rffts, sumsets) == ([], [])
     monkeypatch.setattr(convolve, "CELL_CAP", 51840)
     assert len(convolve_full(parts).values) == 51080
-    assert (rffts, len(pairs)) == ([51840, 5760], 1)
+    assert (rffts, len(sumsets)) == ([51840, 5760], 1)
 
 
 def test_fft_length_is_least_5_smooth():

@@ -180,20 +180,16 @@ def test_composed_count_matches_crt_count():
             )
 
 
-def test_prime_dividing_every_coefficient_reduces_by_p(monkeypatch):
-    # with no coefficient prime to p there is no slot to lift through:
-    # N(p^e) = 0 unless p | n, else the count of the system divided by p
-    unit_solution_count.cache_clear()
-    calls = []
-    convolve = np.convolve
-    monkeypatch.setattr(np, "convolve", lambda *a, **k: calls.append(1) or convolve(*a, **k))
-    # 2 does not divide every coefficient, so N(50) takes N(2) in closed form;
-    # at 9 | a_j the reduction runs twice
+def test_prime_dividing_every_coefficient_is_refused():
+    # pairwise-coprime systems never have one, so N(q) refuses it at every
+    # q it divides, whether or not it divides n, and counts the rest of q
     for q, a in [(25, 5), (50, 5), (27, 3), (7, 7), (27, 9)]:
         for n in (1, 7 * a, 7 * a * a):
             system = CoefficientSystem.make([a, 2 * a, -a, a, a, 3 * a, a, a, a], n)
-            assert unit_solution_count(q, system) == brute_count(q, system), (q, a, n)
-    assert calls == []
+            with pytest.raises(DomainError):
+                unit_solution_count(q, system)
+    system = CoefficientSystem.make([5, 10, -5, 5, 5, 15, 5, 5, 5], 35)
+    assert unit_solution_count(12, system) == brute_count(12, system)
 
 
 def test_three_power_counts_match_the_reference_count():
@@ -217,14 +213,9 @@ def test_three_power_counts_match_the_reference_count():
 
 
 def test_prime_power_terms_match_the_definition():
-    # A(p^e) from exact counts against the cmath definition, including a
-    # prime dividing every coefficient and slots with 3 | a_j or 9 | a_j
-    systems = [
-        ONES,
-        MIXED,
-        CoefficientSystem.make([9, 1, 2, -1, 1, 5, 1, 1, 7], 16),
-        CoefficientSystem.make([5, 10, -5, 5, 5, 15, 5, 5, 5], 35),
-    ]
+    # A(p^e) from exact counts against the cmath definition, including
+    # slots with 3 | a_j or 9 | a_j
+    systems = [ONES, MIXED, CoefficientSystem.make([9, 1, 2, -1, 1, 5, 1, 1, 7], 16)]
     for p, e in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (13, 1)]:
         for system in systems:
             assert prime_power_term(p, e, system) == pytest.approx(
@@ -455,8 +446,9 @@ def test_reference_count_refuses_a_large_modulus_before_allocating(monkeypatch):
     assert p < localdata.EXACT_COUNT_CAP and arith.is_prime(p) and (p - 1) ** 5 >= 2**63
     with pytest.raises(ResourceLimitError):
         localdata._count_by_convolution(p, MIXED)
-    # 2 divides every coefficient but not n = 1, so no unit tuple solves it
-    assert unit_solution_count(q, even) == 0
+    # 2 divides every coefficient, which the exact count refuses
+    with pytest.raises(DomainError):
+        unit_solution_count(q, even)
     # a prime above the cap is counted in closed form; the local report still refuses it
     p = 20011
     assert p > localdata.EXACT_COUNT_CAP and arith.is_prime(p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ninecubes import arith, convolve, localdata, singular
+from ninecubes.characters import unit_roots
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.localdata import CoefficientSystem, euler_factor, prime_power_term, series_term
 from ninecubes.singular import (
@@ -63,6 +64,17 @@ def test_partial_tracks_euler_product():
     assert gap <= max(0.01 * abs(rep.euler_value), 1e-6)
     # the two routes approach the same limit from the 10^4 runs
     assert rep.euler_value == pytest.approx(0.6355906, abs=5e-6)
+
+
+def test_fresh_series_reads_the_roots_of_the_last_one():
+    # a series on a new system recomputes every A(q) on its definition
+    # route, and finds each root table the previous series left cached
+    for n in (26, 28):
+        system = CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], n)
+        before = unit_roots.cache_info()
+        singular_series_partial(system, 1000)
+        after = unit_roots.cache_info()
+    assert after.misses == before.misses and after.hits - before.hits >= 677
 
 
 def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
