@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
-P_CAP = 10**5
+P_CAP = 10**3
 
 
 def dirichlet_approx(alpha: float | Fraction, Q: int) -> tuple[int, int]:

@@ -3,10 +3,12 @@
 Two independent routes to the series: the partial sum of A(q) over q <= x,
 and the Euler product of s(p) = 1 + A(p) with the 3-adic factor summed to
 exponent 3.  A(q) vanishes unless q is a power of 3 up to 27 times a
-squarefree number prime to 3, so the partial sum runs over that support
-only.  Up to DEFINITION_ROUTE_MAX, A(q) and s(p) come from the definition,
-each s(p) checked against the exact count; above it, from exact counts
-alone: A(q) as a product of prime-power terms, and s(p) = 1 + A(p).
+squarefree number prime to 3.  The partial sum finds that support with one
+sieve over [1, x], which clears the multiples of 81 and of p^2 for each
+prime p != 3.  Up to DEFINITION_ROUTE_MAX, A(q) and s(p) come from the
+definition, each s(p) checked against the exact count; above it, from exact
+counts alone: A(q) as the product of prime-power terms over one
+factorization of q, and s(p) = 1 + A(p).
 
 The singular integral J(n) sums (m_1 ... m_9)^(-2/3) over integer tuples
 with sum a_j m_j = n and M < |a_j| m_j <= N.  The constraint is linear in
@@ -35,31 +37,6 @@ EULER_PMAX_CAP = 10**4
 DEFINITION_ROUTE_MAX = 10**3
 INTEGRAL_N_CAP = 10**6
 NORMALIZER = 3.0**-9  # each V_j contributes a factor 1/3 in the main term
-
-
-def series_support(q: int) -> bool:
-    """True when A(q) is not forced to vanish: q = 3^e * squarefree, e <= 3, 3 squarefree-part free."""
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    for p, e in arith.factorize(q):
-        if p == 3:
-            if e > 3:
-                return False
-        elif e > 1:
-            return False
-    return True
-
-
-def series_term_any(q: int, system: CoefficientSystem) -> float:
-    """A(q) by definition up to the cutoff, above it the product of exact prime-power terms."""
-    if not series_support(q):
-        return 0.0
-    if q <= DEFINITION_ROUTE_MAX:
-        return series_term(q, system)
-    val = 1.0
-    for p, e in arith.factorize(q):
-        val *= prime_power_term(p, e, system)
-    return val
 
 
 @dataclass(frozen=True)
@@ -106,11 +83,19 @@ def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
         raise DomainError(f"cutoff must be >= 1, got {x}")
     if x > SERIES_X_CAP:
         raise ResourceLimitError(f"cutoff {x} exceeds cap {SERIES_X_CAP}")
+    # A(q) = 0 unless q = 3^e m with e <= 3 and m squarefree and prime to 3
+    support = np.ones(x + 1, dtype=bool)
+    support[0] = False
+    for p in arith.sieve_primes(math.isqrt(x)):
+        step = 81 if p == 3 else p * p
+        support[step::step] = False
     terms: list[tuple[int, float]] = []
-    for q in range(1, x + 1):
-        if not series_support(q):
-            continue
-        terms.append((q, series_term_any(q, system)))
+    for q in np.flatnonzero(support).tolist():
+        if q <= DEFINITION_ROUTE_MAX:
+            terms.append((q, series_term(q, system)))
+        else:
+            parts = (prime_power_term(p, e, system) for p, e in arith.factorize(q))
+            terms.append((q, math.prod(parts)))
     value = math.fsum(t for _, t in terms)
     # empirical tail scale C/x, calibrated on the computed prefix
     tail = 0.0
@@ -188,13 +173,18 @@ def singular_integral(system: CoefficientSystem, M: int, N: int) -> IntegralRepo
 
     Both are read by convolve.convolve_read.  The weights are nonnegative,
     so a read below zero is rounding: it is clamped to 0 within the read's
-    bound and raises NumericIntegrityError beyond it.
+    bound and raises NumericIntegrityError beyond it.  The count is an
+    integer: a read whose bound is below 1/2 is rounded to it, while the
+    integer is exact in a float.
     """
     value, parts = _integral_value(system, M, N)
     ones = [
         convolve.IndexedWeights(p.offset, (p.values > 0).astype(np.float64)) for p in parts
     ]
-    count = _clamped(*convolve.convolve_read(ones, system.n), "tuple count")
+    count, bound = convolve.convolve_read(ones, system.n)
+    count = _clamped(count, bound, "tuple count")
+    if bound < 0.5 and count < 2.0**53:
+        count = float(round(count))
     norm = value * abs(system.coefficient_product) ** (1.0 / 3.0) / float(N) ** 2
     return IntegralReport(
         window_m=M,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ninecubes
-from ninecubes import arith, characters, convolve, expsum, localdata, singular
+from ninecubes import arcs, arith, characters, convolve, expsum, localdata, singular
 from ninecubes.convolve import IndexedWeights
 from ninecubes.errors import ResourceLimitError
 from ninecubes.localdata import CoefficientSystem
@@ -31,7 +31,7 @@ JOIN = CoefficientSystem.make([1] * 9, 5 * 10**6 + 1)
                      (arith, "_unit_group"), id="character_group"),
         pytest.param(singular, "SERIES_X_CAP", 10,
                      lambda: singular.singular_series_partial(ONES, 11),
-                     (singular, "series_term_any"), id="series"),
+                     (singular, "series_term"), id="series"),
         pytest.param(singular, "EULER_PMAX_CAP", 10,
                      lambda: singular.singular_series_euler(ONES, 11),
                      (singular, "series_term"), id="euler"),
@@ -50,6 +50,8 @@ JOIN = CoefficientSystem.make([1] * 9, 5 * 10**6 + 1)
         pytest.param(convolve, "CELL_CAP", 10,
                      lambda: expsum.weighted_count_direct(JOIN, 10**5, 10**6),
                      (np, "argsort"), id="join"),
+        pytest.param(arcs, "P_CAP", 2, lambda: arcs.build_dissection(10**6, 2),
+                     (arcs, "MajorArc"), id="arcs"),
     ],
 )
 def test_cap_is_read_at_call_time(monkeypatch, module, cap, value, call, work):

@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,6 +276,51 @@ def test_minor_scan_report_shape():
         sup = cube_support(ONES, 8, 100, 20000)
         assert rep.sup_abs <= float(sup.weights.sum()) + 1e-9
         assert rep.ratio == pytest.approx(rep.sup_abs / rep.reference_power)
+
+
+@pytest.mark.parametrize(
+    "system, N, D, eps, c, step",
+    [
+        (ONES, 2000, 2, 0.01, 1.0, 0.01),
+        (MIXED, 20000, 3, 0.05, 0.5, 0.007),
+        (ONES, 16, 2, 0.01, 1.5, 0.5),  # Q = 3: both grid points fall on the arc at 1/1
+    ],
+)
+def test_minor_scan_against_brute_force(system, N, D, eps, c, step):
+    # each grid point classified by exact membership in the arc list, and
+    # |S_9| summed term by term with each phase a_9 p^3 alpha reduced mod 1
+    # in rational arithmetic
+    dis = build_dissection(N, D, eps, c)
+    a9 = system.a[8]
+    primes = [
+        p for p in range(2, round(N ** (1 / 3)) + 2)
+        if all(p % d for d in range(2, p)) and abs(a9) * p**3 <= N
+    ]
+    start = 1.0 / dis.Q
+    minor, best = 0, None
+    for i in range(math.ceil(1 / step)):
+        alpha = start + i * step
+        if alpha >= 1.0 + start:
+            break
+        x = Fraction(alpha) % 1
+        if x < Fraction(1, dis.Q):
+            x += 1
+        if any(arc.lo <= x <= arc.hi for arc in dis.arcs):
+            continue
+        minor += 1
+        phases = (Fraction(a9 * p**3) * Fraction(alpha) % 1 for p in primes)
+        terms = (math.log(p) * cmath.exp(2j * math.pi * float(t)) for p, t in zip(primes, phases))
+        mag = abs(sum(terms))
+        if best is None or mag > best[0]:
+            best = (mag, alpha)
+    rep = minor_arc_sup(system, dis, 1, N, grid_step=step)
+    assert primes and (minor == 0) == (N == 16)
+    assert rep.points_minor == minor
+    if best is None:
+        assert (rep.sup_abs, rep.sup_alpha, rep.ratio) == (None, None, None)
+    else:
+        assert rep.sup_alpha == best[1]
+        assert rep.sup_abs == pytest.approx(best[0], rel=1e-12)
 
 
 def test_rn_report_round_trip():

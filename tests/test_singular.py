@@ -1,17 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ninecubes import arith, convolve, localdata, singular
 from ninecubes.characters import unit_roots
+from ninecubes.cli import run
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.localdata import CoefficientSystem, euler_factor, prime_power_term, series_term
 from ninecubes.singular import (
     integral_support,
     main_term,
-    series_support,
-    series_term_any,
     singular_integral,
     singular_series_euler,
     singular_series_partial,
@@ -21,20 +21,28 @@ ONES = CoefficientSystem.make([1] * 9, 23)
 MIXED = CoefficientSystem.make([1, 1, 1, -2, 3, 1, 5, 1, -1], 14)
 
 
+def _on_support(q):
+    # A(q) may be nonzero only at q = 3^e m, e <= 3, m squarefree and prime to 3
+    return all(e <= (3 if p == 3 else 1) for p, e in arith.factorize(q))
+
+
+def _terms(system, x):
+    return dict(singular_series_partial(system, x).terms)
+
+
 def test_series_support_classification():
-    assert series_support(1) and series_support(2) and series_support(27)
-    assert series_support(6) and series_support(54)  # 2 * 27
-    assert not series_support(4)
-    assert not series_support(25)
-    assert not series_support(81)
-    assert not series_support(12)
+    moduli = list(_terms(ONES, 2000))
+    assert moduli == [q for q in range(1, 2001) if _on_support(q)]
+    assert {1, 2, 6, 27, 54, 1001, 1998} <= set(moduli)  # 1998 = 2 * 27 * 37
+    assert not {4, 12, 25, 81, 162, 1250} & set(moduli)  # 162 = 2 * 81
     with pytest.raises(DomainError):
-        series_support(0)
+        singular_series_partial(ONES, 0)
 
 
-def test_series_term_any_agrees_with_definition():
+def test_series_terms_agree_with_definition():
     # the multiplicative route must reproduce the definition for q <= 1000
-    moduli = [q for q in range(1, 1001) if series_support(q)]
+    terms = _terms(ONES, 1000)
+    moduli = [q for q in range(1, 1001) if _on_support(q)]
     rng = np.random.default_rng(511)
     sample = rng.choice(moduli, size=60, replace=False)
     for q in sorted(int(v) for v in sample):
@@ -42,9 +50,9 @@ def test_series_term_any_agrees_with_definition():
         split = 1.0
         for p, e in arith.factorize(q):
             split *= series_term(p**e, ONES)
-        assert series_term_any(q, ONES) == pytest.approx(direct, abs=1e-10)
+        assert terms[q] == pytest.approx(direct, abs=1e-10)
         assert direct == pytest.approx(split, abs=1e-10)
-    assert series_term_any(4 * 9, ONES) == 0.0
+    assert 4 * 9 not in terms and series_term(4 * 9, ONES) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partial_sum_known_values():
@@ -105,10 +113,20 @@ def test_series_above_the_cutoff_takes_no_transform(monkeypatch):
 def test_series_above_the_cutoff_matches_the_definition():
     # the exact prime-power products against the definition A(q) above the cutoff
     rng = np.random.default_rng(512)
-    moduli = [q for q in range(1001, 4001) if series_support(q)]
+    moduli = [q for q in range(1001, 4001) if _on_support(q)]
+    terms = {system: _terms(system, 4000) for system in (ONES, MIXED)}
     for q in sorted(int(v) for v in rng.choice(moduli, size=20, replace=False)):
         for system in (ONES, MIXED):
-            assert series_term_any(q, system) == pytest.approx(series_term(q, system), abs=1e-12)
+            assert terms[system][q] == pytest.approx(series_term(q, system), abs=1e-12)
+
+
+def test_series_report_to_3000_matches_golden(tmp_path):
+    # the terms above the definition cutoff and the Euler factors at p > 1000
+    golden = Path(__file__).parent / "data" / "series-3000.json"
+    out = tmp_path / "series-3000.json"
+    args = ["series", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "14", "--qmax", "3000"]
+    assert run(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_euler_product_positive_and_even_weight():
@@ -160,6 +178,26 @@ def test_integral_against_brute_force():
             )
     assert rep.solution_count == pytest.approx(count)
     assert rep.value == pytest.approx(total, rel=1e-9)
+
+
+def test_tuple_count_is_the_exact_integer():
+    # (1, ..., 1) over the window (10, 1000]: each m_j in [11, 1000]; a
+    # target near either end pins every m_j to a short range
+    def brute(n, lo, hi):
+        lo, hi = max(lo, n - 8 * hi), min(hi, n - 8 * lo)
+        ways = {0: 1}
+        for _ in range(9):
+            step = {}
+            for s, w in ways.items():
+                for m in range(lo, hi + 1):
+                    step[s + m] = step.get(s + m, 0) + w
+            ways = step
+        return ways.get(n, 0)
+
+    for n, want in ((109, math.comb(18, 8)), (8999, 9)):
+        rep = singular_integral(CoefficientSystem.make([1] * 9, n), 10, 1000)
+        assert brute(n, 11, 1000) == want
+        assert rep.solution_count == float(want)
 
 
 def test_integral_zero_iff_no_lattice_point():
