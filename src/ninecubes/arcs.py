@@ -1,4 +1,4 @@
-"""Major and minor arc dissection with exact rational endpoints.
+"""Major and minor arc dissection, held as scalars.
 
 For window size N and coefficient bound D the parameters are
 
@@ -8,19 +8,37 @@ and the major arc at a/q (q <= P, 1 <= a <= q, gcd(a, q) = 1) is the
 closed interval [a/q - 1/(qQ), a/q + 1/(qQ)].  All arcs live inside the
 unit window [1/Q, 1 + 1/Q]; a point alpha is classified after reducing
 it mod 1 into that window.  2P < Q makes the arcs pairwise disjoint.
+
+Count sum phi(q) and measure (2/Q) sum phi(q)/q come from phi; a/q is a convergent
+of any point within 1/(qQ) < 1/(2q^2) of it (Legendre; Hardy and Wright, Thm 184),
+so `classify` walks the convergents.  The arc list is built only when read.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
+from . import arith
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
 P_CAP = 10**3
+
+
+def _convergents(x: Fraction) -> Iterator[tuple[int, int]]:
+    """Convergents p_k/q_k of x as (p_k, q_k), from floor(x)/1 to x itself."""
+    num, den = x.numerator, x.denominator
+    p_prev, q_prev, p, q = 1, 0, num // den, 1
+    n, d = num - p * den, den  # remainder x - a0 = n/d
+    yield p, q
+    while n:
+        a = d // n  # next partial quotient of the reversed remainder
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+        n, d = d - a * n, n
+        yield p, q
 
 
 def dirichlet_approx(alpha: float | Fraction, Q: int) -> tuple[int, int]:
@@ -32,22 +50,10 @@ def dirichlet_approx(alpha: float | Fraction, Q: int) -> tuple[int, int]:
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
     x = Fraction(alpha)
-    # convergents p_k/q_k of x
-    num, den = x.numerator, x.denominator
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(math.floor(x)), 1
-    n, d = num - p_cur * den, den  # remainder x - a0 = n/d
-    while q_cur <= Q and n != 0:
-        # next partial quotient of the reversed remainder
-        a = d // n
-        p_nxt = a * p_cur + p_prev
-        q_nxt = a * q_cur + q_prev
-        n, d = d - a * n, n
-        if q_nxt > Q:
+    for p, q in _convergents(x):
+        if q > Q:
             break
-        p_prev, q_prev = p_cur, q_cur
-        p_cur, q_cur = p_nxt, q_nxt
-    a_best, q_best = p_cur, q_cur
+        a_best, q_best = p, q
     if math.gcd(a_best, q_best) != 1 and a_best != 0:
         raise NumericIntegrityError(f"convergent {a_best}/{q_best} is not in lowest terms")
     if abs(q_best * x - a_best) > Fraction(1, Q):
@@ -62,9 +68,6 @@ class MajorArc:
     lo: Fraction
     hi: Fraction
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True, eq=False)
 class ArcDissection:
@@ -74,13 +77,22 @@ class ArcDissection:
     c: float
     P: int
     Q: int
-    arcs: tuple[MajorArc, ...]
+    arc_count: int
     major_measure: Fraction
-    arc_lows: tuple[Fraction, ...]  # arc.lo in arc order, for bisection
+
+    @property
+    def arcs(self) -> tuple[MajorArc, ...]:
+        """Every major arc in ascending order, built anew on each read."""
+        Q = self.Q
+        arcs = (
+            MajorArc(q, a, Fraction(a * Q - 1, q * Q), Fraction(a * Q + 1, q * Q))
+            for q in range(1, self.P + 1) for a in range(1, q + 1) if math.gcd(a, q) == 1
+        )
+        return tuple(sorted(arcs, key=lambda arc: arc.lo))
 
 
 def build_dissection(N: int, D: int, epsilon: float = 0.01, c: float = 1.0) -> ArcDissection:
-    """Major arc family for the given window size and coefficient bound."""
+    """Major arc parameters, count and measure for the given window size and coefficient bound."""
     if N < 16:
         raise DomainError(f"window size too small for a dissection, got N={N}")
     if D < 2:
@@ -95,21 +107,9 @@ def build_dissection(N: int, D: int, epsilon: float = 0.01, c: float = 1.0) -> A
     Q = N // Fraction(P * L**c)
     if 2 * P >= Q:
         raise DomainError(f"arc parameters degenerate: 2P = {2 * P} >= Q = {Q}")
-    arcs: list[MajorArc] = []
-    measure = Fraction(0)
-    for q in range(1, P + 1):
-        half = Fraction(1, q * Q)
-        for a in range(1, q + 1):
-            if math.gcd(a, q) != 1:
-                continue
-            center = Fraction(a, q)
-            arcs.append(MajorArc(q=q, a=a, lo=center - half, hi=center + half))
-            measure += 2 * half
-    arcs.sort(key=lambda arc: arc.lo)
-    return ArcDissection(
-        N=N, D=D, epsilon=epsilon, c=c, P=P, Q=Q, arcs=tuple(arcs), major_measure=measure,
-        arc_lows=tuple(arc.lo for arc in arcs),
-    )
+    phis = [arith.euler_phi(q) for q in range(1, P + 1)]
+    measure = Fraction(2, Q) * sum(Fraction(phi, q) for q, phi in enumerate(phis, 1))
+    return ArcDissection(N, D, epsilon, c, P, Q, arc_count=sum(phis), major_measure=measure)
 
 
 def normalize(alpha: float | Fraction, dissection: ArcDissection) -> Fraction:
@@ -124,9 +124,11 @@ def normalize(alpha: float | Fraction, dissection: ArcDissection) -> Fraction:
 def classify(alpha: float | Fraction, dissection: ArcDissection) -> tuple[int, int] | None:
     """(q, a) of the major arc containing alpha, or None on the minor arcs."""
     x = normalize(alpha, dissection)
-    i = bisect.bisect_right(dissection.arc_lows, x)
-    if i:
-        arc = dissection.arcs[i - 1]
-        if arc.contains(x):
-            return arc.q, arc.a
+    num, den = x.numerator, x.denominator
+    for a, q in _convergents(x):
+        if q > dissection.P:
+            break
+        # |x - a/q| <= 1/(qQ), in integers
+        if a >= 1 and abs(q * num - a * den) * dissection.Q <= den:
+            return q, a
     return None

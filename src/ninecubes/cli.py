@@ -262,7 +262,7 @@ def _run_arcs(config: RunConfig):
         "c": dis.c,
         "P": dis.P,
         "Q": dis.Q,
-        "arc_count": len(dis.arcs),
+        "arc_count": dis.arc_count,
         "major_measure": float(dis.major_measure),
     }
     return report, 0

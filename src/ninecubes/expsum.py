@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, convolve, singular
+from . import arcs, arith, convolve, singular
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
@@ -142,15 +142,13 @@ class MinorScanReport:
 
 
 def minor_arc_sup(
-    system: CoefficientSystem, dissection, M: int, N: int, grid_step: float
+    system: CoefficientSystem, dissection: arcs.ArcDissection, M: int, N: int, grid_step: float
 ) -> MinorScanReport:
     """Scan |S_9| on an equispaced grid restricted to the minor arcs.
 
     An empty minor set (every grid point major) is reported distinctly
     with sup_abs = None.
     """
-    from .arcs import classify
-
     if grid_step <= 0 or grid_step >= 1:
         raise DomainError(f"grid step must lie in (0, 1), got {grid_step}")
     q_big = dissection.Q
@@ -164,7 +162,7 @@ def minor_arc_sup(
         alpha = start + i * grid_step
         if alpha >= 1.0 + start:
             break
-        if classify(alpha, dissection) is not None:
+        if arcs.classify(alpha, dissection) is not None:
             continue
         minor += 1
         mag = abs(support_sum(sup, alpha))

@@ -1,9 +1,13 @@
+import bisect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ninecubes import arcs as arcs_module
+from ninecubes import cli
 from ninecubes.arcs import build_dissection, classify, dirichlet_approx, normalize
 from ninecubes.errors import DomainError, ResourceLimitError
 
@@ -97,18 +101,54 @@ def test_classify_known_points():
     assert classify(0.41, dis) is None
 
 
-def test_classify_matches_membership():
-    dis = build_dissection(10**6, 2, 0.01, 1.0)
+def _probes(arc):
+    """An arc's exact ends and centre, and its ends at 999/1000 and 1001/1000 of the half-width."""
+    centre, half = Fraction(arc.a, arc.q), (arc.hi - arc.lo) / 2
+    points = [arc.lo, arc.hi, centre]
+    points += [centre + s * half * Fraction(k, 1000) for s in (-1, 1) for k in (999, 1001)]
+    return points + [float(x) for x in points]
+
+
+@pytest.mark.parametrize("N, P", [(10**6, 3), (10**15, 21), (10**20, 59)], ids=["P3", "P21", "P59"])
+def test_classify_matches_membership(N, P):
+    dis = build_dissection(N, 2, 0.01, 1.0)
+    arcs = dis.arcs
+    assert dis.P == P and dis.arc_count == len(arcs)
+    assert dis.major_measure == sum(Fraction(2, arc.q * dis.Q) for arc in arcs)
+    assert all(left.hi < right.lo for left, right in zip(arcs, arcs[1:]))
+    lows = [arc.lo for arc in arcs]
     rng = np.random.default_rng(713)
-    for _ in range(500):
-        alpha = float(rng.uniform(0, 1))
+    points = [float(x) for x in rng.uniform(0, 1, 500)]
+    for arc in arcs:
+        points += _probes(arc)
+    for alpha in points:
         got = classify(alpha, dis)
         beta = normalize(alpha, dis)
-        inside = [(arc.q, arc.a) for arc in dis.arcs if arc.lo <= beta <= arc.hi]
+        # sorted and disjoint: only the last arc starting at or below beta can hold it
+        i = bisect.bisect_right(lows, beta)
+        inside = [(arc.q, arc.a) for arc in arcs[i - 1:i] if arc.lo <= beta <= arc.hi]
         if got is None:
             assert inside == []
         else:
             assert inside == [got]
+
+
+def test_no_arc_list_near_the_cap(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a MajorArc was built")
+
+    monkeypatch.setattr(arcs_module, "MajorArc", refuse)
+    N = 10**33
+    dis = build_dissection(N, 2)
+    assert (dis.P, dis.arc_count) == (876, 233262)
+    half = Fraction(1, 876 * dis.Q)
+    assert classify(Fraction(5, 876), dis) == (876, 5)
+    assert classify(Fraction(5, 876) + half, dis) == (876, 5)
+    assert classify(Fraction(5, 876) + 2 * half, dis) is None
+    # the report, byte for byte as the list-building code wrote it
+    out = tmp_path / "arcs-876.json"
+    assert cli.run(["arcs", "--N", str(N), "--D", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "arcs-876.json").read_bytes()
 
 
 def test_normalize_window():

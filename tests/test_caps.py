@@ -51,7 +51,7 @@ JOIN = CoefficientSystem.make([1] * 9, 5 * 10**6 + 1)
                      lambda: expsum.weighted_count_direct(JOIN, 10**5, 10**6),
                      (np, "argsort"), id="join"),
         pytest.param(arcs, "P_CAP", 2, lambda: arcs.build_dissection(10**6, 2),
-                     (arcs, "MajorArc"), id="arcs"),
+                     (arith, "euler_phi"), id="arcs"),
     ],
 )
 def test_cap_is_read_at_call_time(monkeypatch, module, cap, value, call, work):
