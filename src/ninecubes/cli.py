@@ -3,7 +3,8 @@
 Every run is described by a RunConfig, whose fields are the options.
 COMMANDS lists each subcommand's runner and options; each option comes
 from its flag, else the flat key=value config file (--config), else the
-subcommand's default.
+subcommand's default.  Each option has one parser, shared by flag and
+file, which returns the checked value the runner uses.
 Serialization is canonical: object keys sorted, floats printed at 12
 significant digits, so identical configs produce byte-identical output.
 
@@ -20,10 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from . import arcs, expsum, localdata, search, selftest, singular
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
@@ -41,8 +39,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in str(text).split(","))
+def nine_ints(text: str) -> tuple[int, ...]:
+    """Nine comma-separated integers: one coefficient system."""
+    try:
+        values = tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}: {exc}") from exc
+    if len(values) != 9:
+        raise argparse.ArgumentTypeError(f"needs 9 integers, got {len(values)} in {text!r}")
+    return values
+
+
+def coefficient_grid(text: str) -> tuple[tuple[int, ...], ...]:
+    """Semicolon-separated coefficient systems; empty parts are skipped."""
+    grid = tuple(nine_ints(part.strip()) for part in text.split(";") if part.strip())
+    if not grid:
+        raise argparse.ArgumentTypeError("empty coefficient grid")
+    return grid
+
+
+def check_names(text: str) -> tuple[str, ...] | None:
+    """Comma-separated selftest check names; empty text selects every check."""
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    unknown = [name for name in names if name not in dict(selftest.CHECKS)]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown checks: {', '.join(unknown)}")
+    return names if text else None
 
 
 def output_format(text: str) -> str:
@@ -60,7 +82,7 @@ def _option(parse, help: str, default=None, metavar: str | None = None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One CLI invocation, flat enough to round-trip through key=value text.
+    """One CLI invocation: the subcommand and its checked option values.
 
     Every field but subcommand is an option: its metadata holds the parser
     for flag and config-file values, the --help text and the --help metavar
@@ -68,7 +90,7 @@ class RunConfig:
     """
 
     subcommand: str
-    coeffs: tuple[int, ...] | None = _option(int_list, "nine comma-separated nonzero integers")
+    coeffs: tuple[int, ...] | None = _option(nine_ints, "nine comma-separated nonzero integers")
     n: int | None = _option(int, "target value", metavar="TARGET")
     M: int | None = _option(int, "window lower bound (exclusive)")
     N: int | None = _option(int, "window upper bound (inclusive)", metavar="BOUND")
@@ -79,26 +101,16 @@ class RunConfig:
     epsilon: float | None = _option(float, "arc exponent offset")
     c: float | None = _option(float, "log exponent in the arc parameter Q")
     D: int | None = _option(int, "coefficient bound for the dissection")
-    grid: str | None = _option(str, "semicolon-separated coefficient systems")
+    grid: tuple[tuple[int, ...], ...] | None = _option(
+        coefficient_grid, "semicolon-separated coefficient systems"
+    )
     n_lo: int | None = _option(int, "scan range start")
     n_hi: int | None = _option(int, "scan range end")
-    only: str | None = _option(str, "comma-separated selftest check names")
+    only: tuple[str, ...] | None = _option(check_names, "comma-separated selftest check names")
     seed: int | None = _option(int, "seed for randomized checks")
     threads: int | None = _option(int, "worker threads for the selftest")
     out: str | None = _option(str, "write output to this file instead of stdout")
     format: str = _option(output_format, "output format: json or csv", "json")
-
-    def config_text(self) -> str:
-        """key=value lines that parse back to an identical RunConfig."""
-        lines = []
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value is None:
-                continue
-            if field.name == "coeffs":
-                value = ",".join(str(c) for c in value)
-            lines.append(f"{field.name}={value}")
-        return "\n".join(lines) + "\n"
 
 
 OPTIONS = {f.name: f.metadata for f in dataclasses.fields(RunConfig) if f.metadata}
@@ -128,34 +140,26 @@ def parse_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key == "subcommand":  # config_text writes it; the command line decides
+            if key == "subcommand":  # older saved configs carry it; the command line decides
                 values[key] = value.strip()
                 continue
             if key not in OPTIONS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = OPTIONS[key]["parse"](value.strip())
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _json_ready(obj):
     """Recursively convert report objects to JSON-serializable structures."""
-    if obj is None or isinstance(obj, (str, bool)):
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
         return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _json_ready(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, dict):
@@ -176,15 +180,13 @@ def emit(report, config: RunConfig) -> bytes:
         payload = _json_ready(report)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         return text.encode("utf-8")
-    if config.format == "csv":
-        table = COMMANDS[config.subcommand].csv
-        if table is None:
-            raise UsageError(f"csv output is not defined for {config.subcommand}; use json")
-        buf = io.StringIO()
-        for row in table(report):
-            buf.write(",".join(_csv_escape(_json_ready(v)) for v in row) + "\n")
-        return buf.getvalue().encode("utf-8")
-    raise UsageError(f"unknown format {config.format!r}; expected json or csv")
+    table = COMMANDS[config.subcommand].csv
+    if table is None:
+        raise UsageError(f"csv output is not defined for {config.subcommand}; use json")
+    buf = io.StringIO()
+    for row in table(report):
+        buf.write(",".join(_csv_escape(_json_ready(v)) for v in row) + "\n")
+    return buf.getvalue().encode("utf-8")
 
 
 def _require(config: RunConfig, *names: str):
@@ -196,14 +198,8 @@ def _require(config: RunConfig, *names: str):
         )
 
 
-def _system(config: RunConfig) -> CoefficientSystem:
-    if len(config.coeffs) != 9:
-        raise UsageError(f"--coeffs needs 9 comma-separated integers, got {len(config.coeffs)}")
-    return CoefficientSystem.make(config.coeffs, config.n)
-
-
 def _valid_system(config: RunConfig) -> CoefficientSystem:
-    system = _system(config)
+    system = CoefficientSystem.make(config.coeffs, config.n)
     problems = system.violations()
     # parity has an escape clause (a slot value of 2 repairs it when the
     # window admits 2), so it only warns; the other conditions are hard
@@ -217,7 +213,7 @@ def _valid_system(config: RunConfig) -> CoefficientSystem:
 
 
 def _run_validate(config: RunConfig):
-    system = _system(config)
+    system = CoefficientSystem.make(config.coeffs, config.n)
     problems = system.violations()
     report = {
         "coeffs": system.a,
@@ -303,22 +299,8 @@ def _run_search(config: RunConfig):
 
 
 def _run_thresholds(config: RunConfig):
-    grid = []
-    for part in config.grid.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            coeffs = int_list(part)
-        except ValueError as exc:
-            raise UsageError(f"bad grid entry {part!r}: {exc}") from exc
-        if len(coeffs) != 9:
-            raise UsageError(f"grid entry needs 9 integers, got {part!r}")
-        grid.append(coeffs)
-    if not grid:
-        raise UsageError("empty coefficient grid")
-    rows = search.threshold_scan(grid, range(config.n_lo, config.n_hi + 1), config.prime_bound)
-    return rows, 0
+    n_range = range(config.n_lo, config.n_hi + 1)
+    return search.threshold_scan(config.grid, n_range, config.prime_bound), 0
 
 
 def _thresholds_csv(rows: list[search.ThresholdRow]):
@@ -330,13 +312,7 @@ def _thresholds_csv(rows: list[search.ThresholdRow]):
 
 
 def _run_selftest(config: RunConfig):
-    names = None
-    if config.only:
-        names = [name.strip() for name in config.only.split(",") if name.strip()]
-        known = {name for name, _ in selftest.CHECKS}
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            raise UsageError(f"unknown checks: {', '.join(unknown)}")
+    names = None if config.only is None else list(config.only)
     results = selftest.run_all(names, threads=config.threads, seed=config.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

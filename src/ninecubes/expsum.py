@@ -30,6 +30,8 @@ from . import arcs, arith, convolve, singular
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
+SCAN_POINTS_CAP = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class WeightedCubeSupport:
@@ -147,14 +149,22 @@ def minor_arc_sup(
     """Scan |S_9| on an equispaced grid restricted to the minor arcs.
 
     An empty minor set (every grid point major) is reported distinctly
-    with sup_abs = None.
+    with sup_abs = None.  A grid past SCAN_POINTS_CAP points is refused
+    before the support is built, and one whose points times support
+    primes pass convolve.CELL_CAP before the first point.
     """
     if grid_step <= 0 or grid_step >= 1:
         raise DomainError(f"grid step must lie in (0, 1), got {grid_step}")
     q_big = dissection.Q
     start = 1.0 / q_big
     npts = int(math.ceil(1.0 / grid_step))
+    if npts > SCAN_POINTS_CAP:
+        raise ResourceLimitError(f"scan of {npts} points exceeds cap {SCAN_POINTS_CAP}")
     sup = cube_support(system, 8, M, N)
+    if npts * len(sup) > convolve.CELL_CAP:
+        raise ResourceLimitError(
+            f"scan of {npts} points over {len(sup)} primes exceeds cap {convolve.CELL_CAP}"
+        )
     ref = (N // abs(system.a[8])) ** (19.0 / 60.0)
     best: tuple[float, float] | None = None
     minor = 0

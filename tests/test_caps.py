@@ -18,6 +18,8 @@ ONES = CoefficientSystem.make([1] * 9, 23)
 DENSE = IndexedWeights(0, np.ones(50))
 # 11 primes a slot over (1e5, 1e6]: slot 1 alone forms 11 index pairs
 JOIN = CoefficientSystem.make([1] * 9, 5 * 10**6 + 1)
+# 20 grid points; slot 9 has 3 primes over (10, 1e3]
+SCAN = (ONES, arcs.build_dissection(10**3, 2), 10, 10**3, 0.05)
 
 
 @pytest.mark.parametrize(
@@ -52,6 +54,10 @@ JOIN = CoefficientSystem.make([1] * 9, 5 * 10**6 + 1)
                      (np, "argsort"), id="join"),
         pytest.param(arcs, "P_CAP", 2, lambda: arcs.build_dissection(10**6, 2),
                      (arith, "euler_phi"), id="arcs"),
+        pytest.param(expsum, "SCAN_POINTS_CAP", 19, lambda: expsum.minor_arc_sup(*SCAN),
+                     (expsum, "cube_support"), id="scan_points"),
+        pytest.param(convolve, "CELL_CAP", 59, lambda: expsum.minor_arc_sup(*SCAN),
+                     (arcs, "classify"), id="scan_cells"),
     ],
 )
 def test_cap_is_read_at_call_time(monkeypatch, module, cap, value, call, work):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import json
@@ -135,20 +136,40 @@ def test_help_exits_zero(capsys):
 
 
 def test_config_round_trip(tmp_path):
-    config = RunConfig(
+    # every field type: nine integers, int, float, grid, check names, path, format
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "subcommand=rn\n"
+        "coeffs=1,1,1,-2,3,1,5,1,-1\n"
+        "n=72\nM=7\nN=8\nq=9\nqmax=500\nprime_bound=100\n"
+        "grid_step=0.25\nepsilon=0.02\nc=1.5\nD=5\n"
+        "grid=1,1,1,1,1,1,1,1,1; ;1,1,1,1,1,1,1,1,3;\n"
+        "n_lo=1\nn_hi=200\n"
+        "only=arc_dissection, char_sum_bound\n"
+        "seed=11\nthreads=2\nout=rows.csv\nformat=csv\n"
+    )
+    assert RunConfig(**parse_config_file(str(cfg))) == RunConfig(
         subcommand="rn",
-        coeffs=(1, 1, 1, 1, 1, 1, 1, 1, 1),
+        coeffs=(1, 1, 1, -2, 3, 1, 5, 1, -1),
         n=72,
         M=7,
         N=8,
+        q=9,
         qmax=500,
-        seed=11,
+        prime_bound=100,
         grid_step=0.25,
+        epsilon=0.02,
+        c=1.5,
+        D=5,
+        grid=((1,) * 9, (1,) * 8 + (3,)),
+        n_lo=1,
+        n_hi=200,
+        only=("arc_dissection", "char_sum_bound"),
+        seed=11,
+        threads=2,
+        out="rows.csv",
         format="csv",
     )
-    cfg = tmp_path / "rn.cfg"
-    cfg.write_text(config.config_text())
-    assert RunConfig(**parse_config_file(str(cfg))) == config
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -338,13 +359,67 @@ def test_module_entry_point(tmp_path):
 
 
 def test_parse_config_file_round_trips_real_file(tmp_path):
+    # a saved config as written by hand or by older releases: comments,
+    # blank lines, padding, a subcommand line the command line overrides
     cfg = tmp_path / "c.cfg"
-    config = RunConfig(subcommand="series", coeffs=(1,) * 9, n=23, qmax=77)
-    cfg.write_text(config.config_text())
+    cfg.write_text(
+        "# series at a small cutoff\n\nsubcommand=series\n"
+        "coeffs = 1,1,1,1,1,1,1,1,1\nn=23\nqmax=77\nonly=\nformat=json\n"
+    )
     values = parse_config_file(str(cfg))
     assert values["coeffs"] == (1,) * 9
-    assert values["n"] == 23 and values["qmax"] == 77
-    assert RunConfig(**values) == config
+    assert values["n"] == 23 and values["qmax"] == 77 and values["only"] is None
+    assert RunConfig(**values) == RunConfig(subcommand="series", coeffs=(1,) * 9, n=23, qmax=77)
+    code, data = run_to_file(tmp_path, ["validate", "--config", str(cfg)])
+    assert code == 0 and json.loads(data)["coeffs"] == [1] * 9
+
+
+def test_option_parsers_return_checked_values():
+    assert cli.nine_ints("1, 2,3,4,5,6,7,8,-9") == (1, 2, 3, 4, 5, 6, 7, 8, -9)
+    assert cli.coefficient_grid(";1,1,1,1,1,1,1,1,1;") == ((1,) * 9,)
+    assert cli.check_names(" arc_dissection ,") == ("arc_dissection",)
+    assert cli.check_names(",") == ()  # selects no check
+    assert cli.check_names("") is None  # selects every check, as no value does
+    for parse, text in [(cli.nine_ints, "1,2"), (cli.nine_ints, "1,x"),
+                        (cli.coefficient_grid, " ; "), (cli.check_names, "nope")]:
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("grid=1,x", "bad value for grid: bad integer list '1,x'"),
+        ("grid=;", "bad value for grid: empty coefficient grid"),
+        ("only=nope", "bad value for only: unknown checks: nope"),
+        ("coeffs=1,1,1,1,1,1,1,1", "bad value for coeffs: needs 9 integers, got 8"),
+    ],
+    ids=["grid", "empty_grid", "only", "coeffs"],
+)
+def test_config_file_values_checked_when_read(tmp_path, capsys, line, reason):
+    # refused when the file is read, even for a subcommand that has no
+    # such option (series takes neither grid nor only)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"coeffs=1,1,1,1,1,1,1,1,1\nn=23\nqmax=10\n{line}\n")
+    assert run(["series", "--config", str(cfg)]) == 64
+    assert f"bad.cfg:4: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["selftest", "--only", "arc_dissection,nope"], "argument --only: unknown checks: nope"),
+        (["thresholds", "--grid", "1,1,1,1,1,1,1,1,1;1,1,1,1,1,1,1,1", "--n-lo", "1",
+          "--n-hi", "9"], "argument --grid: needs 9 integers, got 8 in '1,1,1,1,1,1,1,1'"),
+        (["thresholds", "--grid", " ; ", "--n-lo", "1", "--n-hi", "9"],
+         "argument --grid: empty coefficient grid"),
+        (["validate", "--coeffs", "1,2", "--n", "5"], "argument --coeffs: needs 9 integers, got 2"),
+    ],
+    ids=["unknown_check", "grid_count", "empty_grid", "coeffs_count"],
+)
+def test_flag_values_keep_their_reason(capsys, args, reason):
+    assert run(args) == 64
+    assert reason in capsys.readouterr().err
 
 
 def test_library_has_no_assert_guards():
