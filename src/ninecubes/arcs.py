@@ -11,7 +11,9 @@ it mod 1 into that window.  2P < Q makes the arcs pairwise disjoint.
 
 Count sum phi(q) and measure (2/Q) sum phi(q)/q come from phi; a/q is a convergent
 of any point within 1/(qQ) < 1/(2q^2) of it (Legendre; Hardy and Wright, Thm 184),
-so `classify` walks the convergents.  The arc list is built only when read.
+so `classify` walks the convergents.  `major_mask` classifies a float array
+in one pass per q and hands `classify` only the points it cannot decide.
+The arc list is built only when read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+
+import numpy as np
 
 from . import arith
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
@@ -132,3 +136,29 @@ def classify(alpha: float | Fraction, dissection: ArcDissection) -> tuple[int, i
         if a >= 1 and abs(q * num - a * den) * dissection.Q <= den:
             return q, a
     return None
+
+
+def major_mask(alphas: np.ndarray, dissection: ArcDissection) -> np.ndarray:
+    """Whether `classify` puts each float of alphas on a major arc.
+
+    For each q <= P one float pass takes d = |q alpha - rint(q alpha)|,
+    which is off the exact distance by at most q |alpha| 2^-53, and
+    compares it with 1/Q.  A point within a guard band of that error
+    around 1/Q for some q, and major for none, gets the exact `classify`;
+    the ends of the unit window lie in the band of q = 1.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    major = np.zeros(len(alphas), dtype=bool)
+    unsure = np.zeros(len(alphas), dtype=bool)
+    inv_q = 1 / dissection.Q
+    scale = float(np.abs(alphas).max(initial=0.0)) + 1.0
+    for q in range(1, dissection.P + 1):
+        d = q * alphas
+        d -= np.rint(d)
+        np.abs(d, out=d)
+        band = (q * scale + 1.0) * 2.0**-51
+        major |= d < inv_q - band
+        unsure |= np.abs(d - inv_q) <= band
+    for i in np.flatnonzero(unsure & ~major):
+        major[i] = classify(float(alphas[i]), dissection) is not None
+    return major

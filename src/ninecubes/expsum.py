@@ -31,6 +31,7 @@ from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
 SCAN_POINTS_CAP = 10**6
+_BLOCK_CELLS = 1 << 16  # points times primes of one block of support_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +66,23 @@ def cube_support(system: CoefficientSystem, j: int, M: int, N: int) -> WeightedC
     )
 
 
-def support_sum(sup: WeightedCubeSupport, alpha: float) -> complex:
-    """S_j(alpha) = sum over the support of log(p) e(a_j p^3 alpha)."""
-    phase = (sup.indices.astype(np.float64) * alpha) % 1.0
-    return complex(np.dot(sup.weights, np.exp(2j * np.pi * phase)))
+def support_sum(sup: WeightedCubeSupport, alpha: float | np.ndarray) -> complex | np.ndarray:
+    """S_j(alpha) = sum over the support of log(p) e(a_j p^3 alpha).
+
+    An array of alphas gives an array of sums, formed over blocks of at
+    most _BLOCK_CELLS points times primes.  Each point's sum is one np.dot
+    over its row, as for a single alpha: a matrix product would sum in
+    another order and change the bits.
+    """
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    index = sup.indices.astype(np.float64)
+    rows = max(1, _BLOCK_CELLS // max(1, len(index)))
+    sums = np.empty(len(alphas), dtype=np.complex128)
+    for lo in range(0, len(alphas), rows):
+        phase = (index * alphas[lo:lo + rows, None]) % 1.0
+        for k, row in enumerate(np.exp(2j * np.pi * phase), lo):
+            sums[k] = np.dot(sup.weights, row)
+    return sums if np.ndim(alpha) else complex(sums[0])
 
 
 def _supports(system: CoefficientSystem, M: int, N: int) -> list[WeightedCubeSupport]:
@@ -155,8 +169,7 @@ def minor_arc_sup(
     """
     if grid_step <= 0 or grid_step >= 1:
         raise DomainError(f"grid step must lie in (0, 1), got {grid_step}")
-    q_big = dissection.Q
-    start = 1.0 / q_big
+    start = 1.0 / dissection.Q
     npts = int(math.ceil(1.0 / grid_step))
     if npts > SCAN_POINTS_CAP:
         raise ResourceLimitError(f"scan of {npts} points exceeds cap {SCAN_POINTS_CAP}")
@@ -166,26 +179,21 @@ def minor_arc_sup(
             f"scan of {npts} points over {len(sup)} primes exceeds cap {convolve.CELL_CAP}"
         )
     ref = (N // abs(system.a[8])) ** (19.0 / 60.0)
-    best: tuple[float, float] | None = None
-    minor = 0
-    for i in range(npts):
-        alpha = start + i * grid_step
-        if alpha >= 1.0 + start:
-            break
-        if arcs.classify(alpha, dissection) is not None:
-            continue
-        minor += 1
-        mag = abs(support_sum(sup, alpha))
-        if best is None or mag > best[0]:
-            best = (float(mag), alpha)
+    alphas = start + np.arange(npts) * grid_step
+    alphas = alphas[alphas < 1.0 + start]
+    alphas = alphas[~arcs.major_mask(alphas, dissection)]
+    sums = support_sum(sup, alphas)
+    mags = np.hypot(sums.real, sums.imag)  # abs(complex)'s libm hypot; np.abs can differ
+    k = int(np.argmax(mags)) if len(mags) else None  # the first of equal maxima
+    sup_abs = None if k is None else float(mags[k])
     return MinorScanReport(
         grid_step=grid_step,
         points_total=npts,
-        points_minor=minor,
-        sup_abs=None if best is None else best[0],
-        sup_alpha=None if best is None else best[1],
+        points_minor=len(alphas),
+        sup_abs=sup_abs,
+        sup_alpha=None if k is None else float(alphas[k]),
         reference_power=ref,
-        ratio=None if best is None else best[0] / ref,
+        ratio=None if k is None else sup_abs / ref,
     )
 
 

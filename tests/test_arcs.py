@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +9,14 @@ import pytest
 
 from ninecubes import arcs as arcs_module
 from ninecubes import cli
-from ninecubes.arcs import build_dissection, classify, dirichlet_approx, normalize
+from ninecubes.arcs import (
+    MajorArc,
+    build_dissection,
+    classify,
+    dirichlet_approx,
+    major_mask,
+    normalize,
+)
 from ninecubes.errors import DomainError, ResourceLimitError
 
 
@@ -131,6 +139,47 @@ def test_classify_matches_membership(N, P):
             assert inside == []
         else:
             assert inside == [got]
+    # the float pass decides every point as classify does
+    floats = [float(alpha) for alpha in points]
+    want = [classify(alpha, dis) is not None for alpha in floats]
+    assert major_mask(np.array(floats), dis).tolist() == want
+
+
+def test_major_mask_near_the_cap(monkeypatch):
+    # arcs 1e-32 wide: every probe lies in the float test's guard band of
+    # some q, so each one is decided by the exact classify
+    dis = build_dissection(10**33, 2)
+    assert dis.P == 876 and dis.Q > 10**28
+    Q = dis.Q
+    points = []
+    for q, a in [(1, 1), (2, 1), (876, 5), (875, 437), (3, 2)]:
+        arc = MajorArc(q, a, Fraction(a * Q - 1, q * Q), Fraction(a * Q + 1, q * Q))
+        points += [float(x) for x in _probes(arc)]
+    want = [classify(alpha, dis) is not None for alpha in points]
+    calls = []
+
+    def spy(alpha, dissection):
+        calls.append(alpha)
+        return classify(alpha, dissection)
+
+    monkeypatch.setattr(arcs_module, "classify", spy)
+    assert major_mask(np.array(points), dis).tolist() == want
+    assert len(calls) == len(points)
+
+
+def test_major_mask_at_the_first_grid_point():
+    # the scan starts at float 1/Q; below the exact 1/Q it wraps to 1 + 1/Q,
+    # on the arc at 1/1, and at or above it is minor
+    dis = build_dissection(10**6, 2, 0.01, 1.0)
+    seen = set()
+    for Q in range(dis.Q - 50, dis.Q + 50):
+        shifted = dataclasses.replace(dis, Q=Q)
+        start = 1.0 / Q
+        below = Fraction(start) < Fraction(1, Q)
+        seen.add(below)
+        assert classify(start, shifted) == ((1, 1) if below else None)
+        assert major_mask(np.array([start]), shifted)[0] == below
+    assert seen == {True, False}
 
 
 def test_no_arc_list_near_the_cap(monkeypatch, tmp_path):

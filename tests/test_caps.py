@@ -57,7 +57,7 @@ SCAN = (ONES, arcs.build_dissection(10**3, 2), 10, 10**3, 0.05)
         pytest.param(expsum, "SCAN_POINTS_CAP", 19, lambda: expsum.minor_arc_sup(*SCAN),
                      (expsum, "cube_support"), id="scan_points"),
         pytest.param(convolve, "CELL_CAP", 59, lambda: expsum.minor_arc_sup(*SCAN),
-                     (arcs, "classify"), id="scan_cells"),
+                     (arcs, "major_mask"), id="scan_cells"),
     ],
 )
 def test_cap_is_read_at_call_time(monkeypatch, module, cap, value, call, work):

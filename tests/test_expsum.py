@@ -2,13 +2,14 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninecubes import convolve, expsum, singular
+from ninecubes import cli, convolve, expsum, singular
 from ninecubes.arcs import build_dissection
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.expsum import (
@@ -321,6 +322,29 @@ def test_minor_scan_against_brute_force(system, N, D, eps, c, step):
     else:
         assert rep.sup_alpha == best[1]
         assert rep.sup_abs == pytest.approx(best[0], rel=1e-12)
+
+
+def test_support_sum_blocks_keep_the_bits(monkeypatch):
+    # several blocks and a short last one: each point's sum has the bits of
+    # the single-alpha formula, one np.dot over its row
+    sup = cube_support(MIXED, 8, 10, 10**7)
+    monkeypatch.setattr(expsum, "_BLOCK_CELLS", 7 * len(sup) + 3)
+    alphas = np.random.default_rng(612).uniform(0, 1, 60)
+    got = support_sum(sup, alphas)
+    for alpha, value in zip(alphas, got):
+        phase = (sup.indices.astype(np.float64) * alpha) % 1.0
+        assert value == complex(np.dot(sup.weights, np.exp(2j * np.pi * phase)))
+        assert support_sum(sup, float(alpha)) == value
+
+
+def test_scan_minor_1e6_golden(tmp_path):
+    # 1e5 grid points, 17 of them major: the report, byte for byte as the
+    # point-by-point scan wrote it
+    out = tmp_path / "scan-minor-1e6.json"
+    args = ["scan-minor", "--coeffs", "1,1,1,1,1,1,1,1,1", "--n", "101", "--M", "100000",
+            "--N", "1000000", "--grid-step", "1e-5", "--out", str(out)]
+    assert cli.run(args) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "scan-minor-1e6.json").read_bytes()
 
 
 def test_rn_report_round_trip():
