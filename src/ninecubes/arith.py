@@ -98,12 +98,15 @@ def icbrt(n: int) -> int:
         raise DomainError("icbrt requires n >= 0")
     if n == 0:
         return 0
-    r = round(n ** (1.0 / 3.0))
-    while r**3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
+    # integer Newton from 1 << ceil(bits / 3), which is at least the root:
+    # each step stays at or above the floor of the root and drops strictly
+    # until it reaches it
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
 
 
 def _primitive_root(p: int) -> int:

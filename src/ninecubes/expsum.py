@@ -169,7 +169,6 @@ def minor_arc_sup(
     """
     if grid_step <= 0 or grid_step >= 1:
         raise DomainError(f"grid step must lie in (0, 1), got {grid_step}")
-    start = 1.0 / dissection.Q
     npts = int(math.ceil(1.0 / grid_step))
     if npts > SCAN_POINTS_CAP:
         raise ResourceLimitError(f"scan of {npts} points exceeds cap {SCAN_POINTS_CAP}")
@@ -178,6 +177,8 @@ def minor_arc_sup(
         raise ResourceLimitError(
             f"scan of {npts} points over {len(sup)} primes exceeds cap {convolve.CELL_CAP}"
         )
+    # after the support, whose sieve cap refuses an N past the float range
+    start = 1.0 / dissection.Q
     ref = (N // abs(system.a[8])) ** (19.0 / 60.0)
     alphas = start + np.arange(npts) * grid_step
     alphas = alphas[alphas < 1.0 + start]

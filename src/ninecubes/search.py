@@ -1,24 +1,25 @@
 """Explicit prime solutions of a1*p1^3 + ... + a9*p9^3 = n.
 
-The solver is a meet-in-the-middle search on distinct partial sums.
-Slots 1-4 (the index) and slots 5-8 are each reduced, slot by slot, to
-their sorted distinct sums, each with its least max prime and one
-ordered tuple attaining it; for every prime of slot 9 the sums of slots
-5-8 are matched against the index by binary search.  max is monotone in
-each half, so this loses no optimum.  Among all solutions under the
-prime bound it returns the one minimizing max p_j, tie-broken by the
-lexicographically smallest tuple (the max is the figure of merit;
-solution sizes are compared against n^(1/3)).
+The solver returns the solution under the prime bound minimizing max
+p_j, tie-broken by the lexicographically least tuple (the max is the
+figure of merit; solution sizes are compared against n^(1/3)).  It is a
+meet-in-the-middle search run twice: slots 1-4 (the index) and slots
+5-8 are each reduced to their sorted distinct sums, each keeping the
+least key of the ordered tuples that reach it, and for every prime of
+slot 9 the sums of slots 5-8 are matched against the index by binary
+search.  Pass 1 keys a sum by its least max prime and finds the optimal
+max; pass 2 caps every slot at that max and keys a sum by its least
+row-major flat index, so its least match is the lex-least solution.
 
 Every partial sum is pruned to the target's reach.  From the least and
 greatest cube of each slot, a run of slots adds a sum in a known range,
 so after each slot a partial sum that the remaining slots cannot bring
-to n is dropped before it is sorted: in both halves, in the suffix sets
-of the lexicographic pass and in `solution_exists`.  An n outside the
-range of all nine slots is reported exhausted without an index, and so
-is one that leaves either half with no sum in its window.  The
-pruning drops only sums that no solution uses, and `states_visited`
-still counts every ordered tuple the exhaustion covers.
+to n is dropped before it is sorted: in both halves of both passes and
+in `solution_exists`.  An n outside the range of all nine slots is
+reported exhausted without an index, and so is one that leaves either
+half with no sum in its window.  The pruning drops only sums that no
+solution uses, and `states_visited` still counts every ordered tuple
+the exhaustion covers.
 
 A solution is verified in exact integer arithmetic before it is
 returned.  `solution_exists` is an independent reachability check used
@@ -40,7 +41,7 @@ from .localdata import CoefficientSystem
 PRIME_BOUND_CAP = 10**4
 # ordered states the index and the scan cover, checked before any expansion
 ENUM_CAP = 2 * 10**8
-# total stored sums across the suffix-reachability refinement
+# pairs one step of solution_exists' reachability set may form
 REFINE_CAP = 3 * 10**7
 # largest n a threshold scan's reachability bitmaps cover
 THRESHOLD_N_CAP = 10**7
@@ -130,73 +131,53 @@ def _distinct(x: np.ndarray, window: tuple[int, int] | None = None) -> np.ndarra
     return x[convolve._run_starts(x)]
 
 
-def _distinct_sums(
-    slots: list[np.ndarray], cubes: list[np.ndarray], windows: list[tuple[int, int]]
-) -> tuple[np.ndarray, ...]:
-    """Sorted distinct sums of the slots' cubes, each with its least max
-    prime and the row-major flat index of one ordered tuple attaining
-    both.  Built slot by slot: extending a sum by prime p gives max(its
-    least max, p), and a partial sum over the first j slots outside
-    windows[j] is dropped before it is sorted.
-    """
-    sums = maxes = flat = np.zeros(1, dtype=np.int64)
+def _least_keys(
+    slots: list[np.ndarray],
+    cubes: list[np.ndarray],
+    windows: list[tuple[int, int]],
+    lex: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct sums of the slots' cubes, each with the least key
+    of the ordered tuples that reach it: their max prime, or with lex
+    their row-major flat index, which orders them lexicographically.
+    Built slot by slot: appending the prime p at column col maps a key
+    to max(key, p) or key * len(ps) + col, monotone in the key, so each
+    sum keeps the least over its prefix sums' least keys.  A partial sum
+    over the first j slots outside windows[j] is dropped before it is
+    sorted."""
+    sums = keys = np.zeros(1, dtype=np.int64)
     for j, (ps, c) in enumerate(zip(slots, cubes)):
         full = (sums[:, None] + c).ravel()
         lo, hi = windows[j + 1]
         idx = np.flatnonzero((full >= lo) & (full <= hi))
         row, col = np.divmod(idx, len(ps))
-        sums, maxes, flat = full[idx], np.maximum(maxes[row], ps[col]), flat[row] * len(ps) + col
-        order = np.argsort(sums)
-        run_max = maxes[order]
-        starts = np.flatnonzero(convolve._run_starts(sums[order]))
-        least = np.minimum.reduceat(run_max, starts)
-        # in each run of equal sums, the first row attaining its least max
-        rows = np.flatnonzero(run_max == np.repeat(least, np.diff(starts, append=len(order))))
-        keep = order[rows[np.searchsorted(rows, starts)]]
-        sums, maxes, flat = sums[keep], least, flat[keep]
-    return sums, maxes, flat
+        keys = keys[row] * len(ps) + col if lex else np.maximum(keys[row], ps[col])
+        order = np.argsort(full[idx])
+        sums = full[idx][order]
+        starts = np.flatnonzero(convolve._run_starts(sums))
+        sums, keys = sums[starts], np.minimum.reduceat(keys[order], starts)
+    return sums, keys
 
 
-def _lex_refine(
-    system: CoefficientSystem,
-    slots: list[np.ndarray],
-    max_p: int,
-) -> tuple[int, ...] | None:
-    """Lexicographically least solution tuple with all primes <= max_p.
-
-    Builds suffix reachability sets right to left, then fixes slots left
-    to right, always taking the smallest prime whose residual target
-    stays reachable.  suffix[j] keeps only the sums that slots 0..j-1 can
-    complete to n, the only residuals the greedy asks for.  Returns None
-    when the sets it stores, with the pairs of the one being built, would
-    exceed REFINE_CAP.
-    """
-    capped = [ps[ps <= max_p] for ps in slots]
-    cubes = [aj * ps**3 for aj, ps in zip(system.a, capped)]
-    # windows[9 - j]: the sums over slots j..8 that slots 0..j-1 complete to n
-    windows = _reach(system.n, cubes[::-1])
-    # suffix[j] = sorted achievable sums over slots j..8
-    suffix: list[np.ndarray | None] = [None] * 10
-    suffix[9] = np.zeros(1, dtype=np.int64)
-    stored = 1
-    for j in range(8, 0, -1):  # the greedy never reads suffix[0]
-        prev = suffix[j + 1]
-        if len(capped[j]) * len(prev) + stored > REFINE_CAP:
-            return None
-        suffix[j] = _distinct(cubes[j][:, None] + prev, windows[9 - j])
-        stored += len(suffix[j])
-    target = system.n
-    chosen = []
-    for j in range(9):
-        nxt = suffix[j + 1]
-        rest = target - cubes[j]
-        pos = np.minimum(np.searchsorted(nxt, rest), len(nxt) - 1)
-        hit = np.flatnonzero(nxt[pos] == rest)
-        if not hit.size:
-            return None
-        chosen.append(int(capped[j][hit[0]]))
-        target = int(rest[hit[0]])
-    return tuple(chosen)
+def _pairs(system: CoefficientSystem, slots: list[np.ndarray], lex: bool):
+    """For each prime p9 of slot 9 in ascending order: p9, and the
+    _least_keys keys of the index sums (slots 1-4) and of the sums of
+    slots 5-8 that pair up to complete n with it.  Each half keeps only
+    the sums the other half and slot 9 can complete to n."""
+    n = system.n
+    cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
+    index, index_keys = mid, mid_keys = _least_keys(slots[:4], cubes[:4], _reach(n, cubes), lex)
+    if system.a[:4] != system.a[4:8]:  # slot primes depend on a_j alone
+        order = cubes[4:8] + cubes[:4] + cubes[8:]
+        mid, mid_keys = _least_keys(slots[4:8], cubes[4:8], _reach(n, order), lex)
+    if not (len(index) and len(mid)):  # no half sum can reach n
+        return
+    for p9 in slots[8]:
+        need = n - system.a[8] * int(p9) ** 3 - mid
+        pos = np.searchsorted(index, need)
+        pos[pos == len(index)] = 0
+        rows = np.flatnonzero(index[pos] == need)
+        yield int(p9), index_keys[pos[rows]], mid_keys[rows]
 
 
 def _search_at(
@@ -208,72 +189,44 @@ def _search_at(
     if any(len(ps) == 0 for ps in slots):
         return SearchExhausted(system, prime_bound, window, 0)
 
-    left, mid, last = slots[:4], slots[4:8], slots[8]
-    size_left = math.prod(len(ps) for ps in left)
-    size_mid = math.prod(len(ps) for ps in mid)
-    visits = size_left + size_mid * len(last)
+    visits = math.prod(map(len, slots[:4])) + math.prod(map(len, slots[4:]))
     if visits > ENUM_CAP:
-        raise ResourceLimitError(
-            f"search would visit {visits} states, cap is {ENUM_CAP}"
-        )
-
-    n = system.n
-    cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
-    windows = _reach(n, cubes)
-    lo, hi = windows[0]
+        raise ResourceLimitError(f"search would visit {visits} states, cap is {ENUM_CAP}")
+    lo, hi = _reach(system.n, [aj * ps**3 for aj, ps in zip(system.a, slots)])[0]
     if not lo <= 0 <= hi:  # n outside [sum of minima, sum of maxima]
         return SearchExhausted(system, prime_bound, window, visits)
 
-    # a matched pair of distinct sums has least max max(key_max, max_mid);
-    # each half keeps the sums the other half and slot 9 can complete to n
-    keys, key_max, key_witness = _distinct_sums(left, cubes[:4], windows)
-    if system.a[:4] == system.a[4:8]:  # slot primes depend on a_j alone
-        sums_mid, max_mid, mid_witness = keys, key_max, key_witness
-    else:
-        sums_mid, max_mid, mid_witness = _distinct_sums(
-            mid, cubes[4:8], _reach(n, cubes[4:8] + cubes[:4] + cubes[8:])
-        )
-    if not (len(keys) and len(sums_mid)):  # no half sum can reach n
-        return SearchExhausted(system, prime_bound, window, visits)
-    a9 = system.a[8]
+    # pass 1: a matched pair of sums has least max max(its two least maxes, p9)
     best_max = None
-    best_tuple = None
-    for p9 in last:
+    for p9, left_max, mid_max in _pairs(system, slots, lex=False):
         if best_max is not None and p9 >= best_max:
             break
-        need = n - a9 * int(p9) ** 3 - sums_mid
-        pos = np.searchsorted(keys, need)
-        pos[pos == len(keys)] = 0
-        hit = keys[pos] == need
-        if not hit.any():
-            continue
-        cand = np.maximum(np.maximum(key_max[pos[hit]], max_mid[hit]), int(p9))
-        i = int(np.argmin(cand))
-        if best_max is None or int(cand[i]) < best_max:
-            best_max = int(cand[i])
-            left_idx = np.unravel_index(int(key_witness[pos[hit]][i]), [len(ps) for ps in left])
-            mid_idx = np.unravel_index(int(mid_witness[hit][i]), [len(ps) for ps in mid])
-            best_tuple = tuple(
-                [int(left[j][left_idx[j]]) for j in range(4)]
-                + [int(mid[j][mid_idx[j]]) for j in range(4)]
-                + [int(p9)]
-            )
-
+        if len(left_max):
+            cand = int(np.maximum(np.maximum(left_max, mid_max), p9).min())
+            best_max = cand if best_max is None else min(best_max, cand)
     if best_max is None:
         return SearchExhausted(system, prime_bound, window, visits)
 
-    refined = _lex_refine(system, slots, best_max)
-    if refined is not None:
-        best_tuple = refined
-        tag = "meet_in_the_middle+lex"
-    else:
-        tag = "meet_in_the_middle"
+    # pass 2: every solution with all primes <= best_max attains it, and
+    # for a fixed pair of half sums the lex-least left and mid tuples give
+    # the lex-least tuple; distinct index sums have distinct flat keys
+    slots = [ps[ps <= best_max] for ps in slots]
+    left, mid, p9 = min(
+        (int(left_flat.min()), int(mid_flat[left_flat.argmin()]), p9)
+        for p9, left_flat, mid_flat in _pairs(system, slots, lex=True)
+        if len(left_flat)
+    )
+    primes = [
+        int(ps[i])
+        for half, flat in ((slots[:4], left), (slots[4:8], mid))
+        for ps, i in zip(half, np.unravel_index(flat, [len(ps) for ps in half]))
+    ]
     return SolutionRecord(
         system=system,
-        primes=best_tuple,
+        primes=tuple(primes + [p9]),
         max_p=best_max,
         n_cuberoot=abs(system.n) ** (1.0 / 3.0) if system.n else 0.0,
-        found_by=tag,
+        found_by="meet_in_the_middle+lex",
     )
 
 
@@ -288,9 +241,8 @@ def find_solution(
     bound is deepened in stages so that small solutions are found
     without paying for the full bound; a solution found at a lower
     stage already has the globally minimal max p_j, since any better
-    solution would live entirely inside the smaller stage.  The
-    lexicographic pass is skipped (the meet-in-the-middle witness is
-    returned as-is) when the refinement would exceed REFINE_CAP.
+    solution would live entirely inside the smaller stage.  Both passes
+    of a stage fit under the ENUM_CAP check made before its first.
     """
     _check_prime_bound(prime_bound)
     ladder = [b for b in (8, 32, 128, 512, 2048) if b < prime_bound]

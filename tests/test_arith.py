@@ -110,6 +110,10 @@ def test_icbrt_exact():
         k = int(rng.integers(1, 10**12))
         assert arith.icbrt(k**3) == k
         assert arith.icbrt(k**3 - 1) == k - 1
+    # past the float range, which a float first guess cannot reach
+    k = 10**100 + 7
+    for m, want in [(k**3 - 1, k - 1), (k**3, k), (k**3 + 1, k)]:
+        assert arith.icbrt(m) == want
     with pytest.raises(DomainError):
         arith.icbrt(-1)
 

@@ -107,6 +107,16 @@ def test_arcs_past_the_float_range_exits_on_its_cap(tmp_path, capsys):
     assert code == 0 and (report["P"], report["arc_count"]) == (1, 1)
 
 
+def test_windows_past_the_float_range_exit_on_the_sieve_cap(capsys):
+    # icbrt stays in integers, and the scan takes 1 / Q as a float only
+    # after the support's sieve cap has refused the window
+    for args, huge in [(["scan-minor", "--epsilon", "0.0999"], 10**400),
+                       (["search", "--prime-bound", "100"], 10**200)]:
+        args += ["--coeffs", ONES, "--n", "101", "--M", "10", "--N", str(huge)]
+        assert run(args) == 2
+        assert "sieve limit" in capsys.readouterr().err
+
+
 def test_numeric_integrity_exit(monkeypatch, tmp_path):
     def broken(config):
         raise NumericIntegrityError("forced for the exit-code contract")
@@ -118,7 +128,14 @@ def test_numeric_integrity_exit(monkeypatch, tmp_path):
 
 
 def test_failed_search_checks_exit_3(monkeypatch, tmp_path):
-    monkeypatch.setattr(search, "_lex_refine", lambda system, slots, max_p: (2,) * 9)
+    least_keys = search._least_keys
+
+    def all_first_tuples(slots, cubes, windows, lex):
+        # the lex pass then claims the all-2 tuple of each half for every sum
+        sums, keys = least_keys(slots, cubes, windows, lex)
+        return sums, 0 * keys if lex else keys
+
+    monkeypatch.setattr(search, "_least_keys", all_first_tuples)
     code, data = run_to_file(
         tmp_path, ["search", "--coeffs", "1,1,1,1,1,1,1,1,-1", "--n", "0", "--prime-bound", "100"]
     )
@@ -250,6 +267,16 @@ def test_search_report_schema(tmp_path):
     report = json.loads(data)
     assert report["found"] is False
     assert report["prime_bound"] == 20
+
+
+def test_search_signed_128_golden(tmp_path):
+    # a signed system at bound 128 with several same-max solutions: the
+    # report, byte for byte, with the lex-least tuple at max 107
+    out = tmp_path / "search-signed-128.json"
+    args = ["search", "--coeffs", "1,1,1,1,-1,1,3,1,-1", "--n", "7806497",
+            "--prime-bound", "128", "--out", str(out)]
+    assert cli.run(args) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "search-signed-128.json").read_bytes()
 
 
 def test_thresholds_csv(tmp_path):

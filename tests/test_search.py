@@ -287,9 +287,7 @@ def test_search_matches_dict_oracle(data):
         assert isinstance(got, SearchExhausted)
         return
     assert isinstance(got, SolutionRecord)
-    assert got.max_p == want[0]
-    if got.found_by.endswith("+lex"):
-        assert got.primes == want[1]
+    assert (got.max_p, got.primes, got.found_by) == (*want, "meet_in_the_middle+lex")
 
 
 def edge_targets(coeffs, prime_bound, window=None):
@@ -342,7 +340,7 @@ def test_empty_half_is_exhausted(coeffs):
     assert lo <= 0 <= hi
     heavy = 0 if coeffs[0] == 100 else 4
     order = cubes[heavy : heavy + 4] + cubes[4 - heavy : 8 - heavy] + cubes[8:]
-    sums, _, _ = search._distinct_sums(slots[heavy : heavy + 4], order[:4], search._reach(system.n, order))
+    sums, _ = search._least_keys(slots[heavy : heavy + 4], order[:4], search._reach(system.n, order), lex=False)
     assert len(sums) == 0
     assert dict_oracle(system, 8) is None and brute_best(system, 8) is None
     assert not solution_exists(system, prime_bound=8)
@@ -363,7 +361,7 @@ def test_index_holds_distinct_sums(monkeypatch):
     assert len(distinct) == 44560
     slots = [np.asarray(primes, dtype=np.int64)] * 4
     cubes = [ps**3 for ps in slots]
-    keys, _, _ = search._distinct_sums(slots, cubes, windows_between(cubes, 4 * 2**3, 4 * 127**3))
+    keys, _ = search._least_keys(slots, cubes, windows_between(cubes, 4 * 2**3, 4 * 127**3), lex=False)
     assert keys.tolist() == sorted(distinct)
 
     # n = 3 lies below the least sum 9 * 2^3: every ladder stage (8, 32,
@@ -371,7 +369,7 @@ def test_index_holds_distinct_sums(monkeypatch):
     def forbidden(*args):
         raise AssertionError("built an index for an unreachable target")
 
-    monkeypatch.setattr(search, "_distinct_sums", forbidden)
+    monkeypatch.setattr(search, "_least_keys", forbidden)
     out = find_solution(CoefficientSystem.make([1] * 9, 3), prime_bound=128)
     assert isinstance(out, SearchExhausted)
     assert out.states_visited == 31**4 + 31**5
@@ -379,47 +377,33 @@ def test_index_holds_distinct_sums(monkeypatch):
 
 def test_distinct_sums_match_enumeration():
     # slots of different lengths, repeated and signed coefficients so that
-    # many ordered tuples share a sum
+    # many ordered tuples share a sum; itertools.product walks the index
+    # tuples in row-major order, so the first to reach a sum has its
+    # least flat index and is its lex-least tuple
     slots = [np.array(ps, dtype=np.int64) for ps in ([2, 3, 5, 7, 11], [3, 5, 7], [2, 3, 5, 7, 11, 13], [2, 7])]
     coeffs = (1, 2, 1, -1)
-    least = {}
-    for tup in itertools.product(*[ps.tolist() for ps in slots]):
+    least, first = {}, {}
+    for flat, tup in enumerate(itertools.product(*[ps.tolist() for ps in slots])):
         s = sum(a * p**3 for a, p in zip(coeffs, tup))
         least[s] = min(least.get(s, max(tup)), max(tup))
+        first.setdefault(s, flat)
     lo, hi = min(least), max(least)
     # the whole range, windows cut at a sum and one past it, and one empty
     windows = [(lo, hi), (lo - 5, hi + 5), (-1000, 3000), (-999, 2999), (0, 0), (hi + 1, hi + 9)]
     s1 = sorted(least)[len(least) // 3]
     windows += [(s1, s1), (s1 + 1, s1 + 4000), (s1 - 4000, s1 - 1)]
+    cubes = [a * ps**3 for a, ps in zip(coeffs, slots)]
     for w_lo, w_hi in windows:
         want = [s for s in sorted(least) if w_lo <= s <= w_hi]
-        cubes = [a * ps**3 for a, ps in zip(coeffs, slots)]
-        keys, maxes, flat = search._distinct_sums(slots, cubes, windows_between(cubes, w_lo, w_hi))
-        assert keys.tolist() == want
-        assert maxes.tolist() == [least[s] for s in want]
-        for s, m, f in zip(keys.tolist(), maxes.tolist(), flat.tolist()):
-            idx = np.unravel_index(f, [len(ps) for ps in slots])
-            tup = [int(ps[i]) for ps, i in zip(slots, idx)]
-            assert sum(a * p**3 for a, p in zip(coeffs, tup)) == s and max(tup) == m
+        for lex, key in ((False, least), (True, first)):
+            sums, keys = search._least_keys(slots, cubes, windows_between(cubes, w_lo, w_hi), lex)
+            assert sums.tolist() == want
+            assert keys.tolist() == [key[s] for s in want]
 
 
-def test_refine_cap_counts_only_stored_sets(monkeypatch):
-    # at the README search example the pass builds suffix sets for slots
-    # 8 .. 1, each cut to the sums the slots before it can complete to n,
-    # and at most 4,753 sums and pairs are alive at once (31,648 unpruned);
-    # the set over all nine slots is never read, so it is not sized
-    monkeypatch.setattr(search, "REFINE_CAP", 4_753)
-    system = CoefficientSystem.make((1,) * 8 + (-1,), 0)
-    rec = find_solution(system, prime_bound=100)
-    assert rec.found_by == "meet_in_the_middle+lex"
-    assert rec.primes == (2, 2, 2, 3, 5, 7, 13, 13, 17)
-    monkeypatch.setattr(search, "REFINE_CAP", 4_752)
-    assert find_solution(system, prime_bound=100).found_by == "meet_in_the_middle"
-
-
-def test_witness_without_refinement(monkeypatch):
-    # with the lexicographic pass refused, the meet-in-the-middle witness
-    # itself is returned and must solve the equation at the optimal max
+def test_search_ignores_refine_cap(monkeypatch):
+    # REFINE_CAP guards solution_exists alone: with it at 0 the search
+    # still returns the lex-least tuple at the optimal max
     monkeypatch.setattr(search, "REFINE_CAP", 0)
     rng = np.random.default_rng(814)
     for _ in range(15):
@@ -427,9 +411,18 @@ def test_witness_without_refinement(monkeypatch):
         n = sum(a * int(p) ** 3 for a, p in zip(coeffs, rng.choice([2, 3, 5, 7, 11], 9)))
         system = CoefficientSystem.make(coeffs, n)
         got = find_solution(system, prime_bound=11)
-        assert got.found_by == "meet_in_the_middle"
-        assert sum(a * p**3 for a, p in zip(coeffs, got.primes)) == n
-        assert max(got.primes) == got.max_p == dict_oracle(system, 11)[0]
+        assert got.found_by == "meet_in_the_middle+lex"
+        assert (got.max_p, got.primes) == dict_oracle(system, 11)
+
+
+def test_lex_least_past_the_old_refine_cap():
+    # a greedy over suffix sets of sums needs more than REFINE_CAP stored
+    # sums here; that greedy, uncapped, gives this tuple, while the first
+    # meet-in-the-middle witness at max 101 began (101, 101, 101, 89)
+    system = CoefficientSystem.make([3, 3, 3, 3, 3, -1, 2, 2, 1], 13825572)
+    got = find_solution(system, prime_bound=128)
+    assert (got.max_p, got.primes) == (101, (7, 97, 97, 97, 97, 2, 61, 101, 71))
+    assert got.found_by == "meet_in_the_middle+lex"
 
 
 def test_later_last_prime_lowers_max():
@@ -445,7 +438,7 @@ def test_enum_cap_refuses_before_expanding(monkeypatch):
     def forbidden(*args):
         raise AssertionError("expanded past the state cap")
 
-    monkeypatch.setattr(search, "_distinct_sums", forbidden)
+    monkeypatch.setattr(search, "_least_keys", forbidden)
     monkeypatch.setattr(search, "ENUM_CAP", 11**4 + 11**5 - 1)
     system = CoefficientSystem.make([1] * 9, 3)
     with pytest.raises(ResourceLimitError, match=f"visit {11**4 + 11**5} states"):
