@@ -21,7 +21,7 @@ from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 SIEVE_CAP = 10**8
 UNIT_GROUP_CAP = 10**6
 
-Factorization = list[tuple[int, int]]
+Factorization = tuple[tuple[int, int], ...]
 
 # (limit, primes <= limit) of the largest sieve so far: one tuple, so that a
 # reader in another thread never pairs one sieve's limit with another's list
@@ -52,6 +52,7 @@ def sieve_primes(limit: int) -> list[int]:
     return list(primes)
 
 
+@lru_cache(maxsize=8192)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -63,12 +64,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=8192)
 def factorize(n: int) -> Factorization:
-    """Prime factorization [(p, e), ...] with p ascending.  Requires n >= 1."""
+    """Prime factorization ((p, e), ...) with p ascending, cached.  Requires n >= 1."""
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    out: Factorization = []
-    m = n
+    out: list[tuple[int, int]] = []
+    m = int(n)  # a cached numpy integer would reach every later caller
     for p in sieve_primes(max(2, math.isqrt(n))):
         if p * p > m:
             break
@@ -80,7 +82,7 @@ def factorize(n: int) -> Factorization:
             out.append((p, e))
     if m > 1:
         out.append((m, 1))
-    return out
+    return tuple(out)
 
 
 def euler_phi(n: int) -> int:

@@ -16,6 +16,11 @@ lifting at prime powers; as a product over prime powers at composite q.  A
 prime dividing every a_j, which no pairwise-coprime system has, is refused.
 A(p^e) is exact from the counts.  Convolutions and transforms are the
 definition routes, kept as cross-checks.
+
+What depends on the modulus alone is cached for every system: the unit
+and cube tables and C_{chi_0} per q, factorizations, and the primary
+prime and cyclotomic numbers per prime p = 1 mod 3.  The twisted sums are
+per system; N(q) and A(q) are cached by (q, system).
 """
 
 from __future__ import annotations
@@ -115,8 +120,11 @@ def _cube_table(q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _unit_mask(q: int) -> np.ndarray:
-    return np.gcd(np.arange(q, dtype=np.int64), q) == 1
+def _units(q: int) -> np.ndarray:
+    """The units mod q, ascending, read-only."""
+    k = np.flatnonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)
+    k.flags.writeable = False
+    return k
 
 
 @lru_cache(maxsize=4096)
@@ -125,7 +133,7 @@ def principal_cubic_table(q: int) -> np.ndarray:
     _check_q(q, LOCAL_Q_CAP)
     if q == 1:
         return np.ones(1, dtype=np.complex128)
-    cubes = _cube_table(q)[_unit_mask(q)]
+    cubes = _cube_table(q)[_units(q)]
     hist = np.bincount(cubes, minlength=q).astype(np.float64)
     # C(a) = sum_r hist[r] e(a r / q) = q * ifft(hist)[a]
     tab = q * np.fft.ifft(hist)
@@ -163,10 +171,8 @@ def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -
     if q == 1:
         return 1 + 0j
     tab = principal_cubic_table(q)
-    k = np.arange(q, dtype=np.int64)
-    if units_only:
-        k = k[_unit_mask(q)]
-    total = unit_roots(q)[(-system.n) % q * k % q].copy()
+    k = _units(q) if units_only else np.arange(q, dtype=np.int64)
+    total = unit_roots(q)[(-system.n) % q * k % q]
     # one gather per distinct a_j mod q; the slot-order product keeps the rounding
     factors: dict[int, np.ndarray] = {}
     for aj in system.a:
@@ -194,7 +200,7 @@ def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]
     One bincount per distinct a_j mod q; slots with equal residues share
     one read-only array.
     """
-    cubes = _cube_table(q)[_unit_mask(q)]
+    cubes = _cube_table(q)[_units(q)]
     hists: dict[int, np.ndarray] = {}
     for r in (aj % q for aj in system.a):
         if r not in hists:
@@ -240,36 +246,25 @@ def _primary_prime(p: int) -> tuple[int, int]:
     raise NumericIntegrityError(f"no primary prime of norm {p}")
 
 
-def _twisted_sum_closed_form(p: int, system: CoefficientSystem) -> int:
-    """B(p) at a prime p != 3 in closed form, from J(chi, chi) = pi.
+@lru_cache(maxsize=2048)
+def _period_algebra(p: int) -> tuple[dict[int, int], tuple]:
+    """The cubic period algebra at a prime p = 1 mod 3, a function of p alone:
+    the map w^i -> i on the cube roots of unity mod p, and times[j], the
+    matrix of multiplication by eta_j on (eta_0, eta_1, eta_2), where
+    1 = -(eta_0 + eta_1 + eta_2).
 
-    The r slots with p | a_j give C(0) = p - 1 each, and the k-sum of
-    e(-k n / p) is c_p(n) = p - 1 if p | n, else -1.  For p = 2 mod 3
-    cubing permutes the units, so every other C(a_j k) is -1.
-
-    For p = 1 mod 3 let R_i = {t : chi(t) = w^i}, f = (p-1)/3 and eta_i
-    the Gaussian period, the sum of e(t / p) over R_i.  For k in R_c,
-    C(a_j k) = 3 eta_(i_j + c) with chi(a_j) = w^(i_j), and the twists
-    e(-k n / p) sum to eta_(c + i_n), or to f if p | n.  The sum over c is
-    the trace, which takes sum v_i eta_i to -sum v_i.  Periods multiply by
-    the cyclotomic numbers (h, m) = #{u in R_h : 1 + u in R_m}:
+    Let R_i = {t : chi(t) = w^i}, f = (p-1)/3 and eta_i the Gaussian
+    period, the sum of e(t / p) over R_i.  Periods multiply by the
+    cyclotomic numbers (h, m) = #{u in R_h : 1 + u in R_m}:
     eta_a eta_b = f [a = b] + sum_m (b - a, m) eta_(a+m).  Fourier
     inversion over the Jacobi sums J(chi, chi) = pi,
     J(chi^2, chi^2) = conj(pi) and J(chi, chi^2) = -1 gives
     9 (h, m) = p - 2 - t(h) - t(m) - t(h + 2m) + Tr(w^-(h+m) pi), where
     t(k) = 2 if 3 | k, else -1.
     """
-    r = sum(a % p == 0 for a in system.a)
-    ramanujan = p - 1 if system.n % p == 0 else -1
-    if p % 3 != 1:
-        return (-1) ** (9 - r) * (p - 1) ** r * ramanujan
     x, y = _primary_prime(p)
     w = -x * pow(y, -1, p) % p  # w = -x / y mod pi
     index = {1: 0, w: 1, w * w % p: 2}
-
-    def chi(t: int) -> int:
-        """i with chi(t) = w^i, from t^((p-1)/3) = w^i mod pi."""
-        return index[pow(t, (p - 1) // 3, p)]
 
     def t(k: int) -> int:
         return 2 if k % 3 == 0 else -1
@@ -283,11 +278,31 @@ def _twisted_sum_closed_form(p: int, system: CoefficientSystem) -> int:
         return nine // 9
 
     f = (p - 1) // 3
-    # times eta_j as a matrix on (eta_0, eta_1, eta_2), with 1 = -(eta_0 + eta_1 + eta_2)
-    times = [
-        [[cyclotomic((j - a) % 3, (k - a) % 3) - f * (a == j) for a in range(3)] for k in range(3)]
-        for j in range(3)
-    ]
+
+    def row(j: int, k: int) -> tuple[int, ...]:
+        return tuple(cyclotomic((j - a) % 3, (k - a) % 3) - f * (a == j) for a in range(3))
+
+    return index, tuple(tuple(row(j, k) for k in range(3)) for j in range(3))
+
+
+def _twisted_sum_closed_form(p: int, system: CoefficientSystem) -> int:
+    """B(p) at a prime p != 3 in closed form, from J(chi, chi) = pi.
+
+    The r slots with p | a_j give C(0) = p - 1 each, and the k-sum of
+    e(-k n / p) is c_p(n) = p - 1 if p | n, else -1.  For p = 2 mod 3
+    cubing permutes the units, so every other C(a_j k) is -1.
+
+    For p = 1 mod 3 and k in R_c (see _period_algebra), C(a_j k) =
+    3 eta_(i_j + c) with chi(a_j) = w^(i_j), read from a_j^f = w^(i_j) mod
+    pi, and the twists e(-k n / p) sum to eta_(c + i_n), or to f if p | n.
+    The sum over c is the trace, which takes sum v_i eta_i to -sum v_i.
+    """
+    r = sum(a % p == 0 for a in system.a)
+    ramanujan = p - 1 if system.n % p == 0 else -1
+    if p % 3 != 1:
+        return (-1) ** (9 - r) * (p - 1) ** r * ramanujan
+    index, times = _period_algebra(p)
+    f = (p - 1) // 3
     factors = [a for a in system.a if a % p]
     scale = 3 ** len(factors) * (p - 1) ** r
     if system.n % p:
@@ -296,7 +311,7 @@ def _twisted_sum_closed_form(p: int, system: CoefficientSystem) -> int:
         scale *= f
     v = [-1, -1, -1]
     for a in factors:
-        v = [r0 * v[0] + r1 * v[1] + r2 * v[2] for r0, r1, r2 in times[chi(a)]]
+        v = [r0 * v[0] + r1 * v[1] + r2 * v[2] for r0, r1, r2 in times[index[pow(a, f, p)]]]
     return -scale * sum(v)
 
 

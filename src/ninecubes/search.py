@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, convolve, expsum
+from . import arith, convolve
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
@@ -93,18 +93,20 @@ def _slot_primes(
     prime_bound: int,
     window: tuple[int, int] | None,
 ) -> list[np.ndarray]:
-    """Per-slot candidate primes, window-filtered when a window is given."""
+    """Per-slot candidate primes up to the bound, filtered to the window
+    M < |a_j| p^3 <= N when one is given.  Only the bound is sieved, so a
+    window's N past the sieve cap is searched, not refused."""
     _check_span(system, prime_bound)
     primes = np.asarray(arith.sieve_primes(prime_bound), dtype=np.int64)
-    out = []
-    for j in range(9):
-        if window is None:
-            out.append(primes)
-        else:
-            M, N = window
-            sup = expsum.cube_support(system, j, M, N)
-            out.append(sup.primes[sup.primes <= prime_bound])
-    return out
+    if window is None:
+        return [primes] * 9
+    M, N = window
+    if not 0 < M < N:
+        raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
+    # every |a_j| p^3 is below 2^62 (_check_span), so clamping M and N there keeps the filter
+    lo, hi = min(M, 2**62), min(N, 2**62)
+    cubes = [abs(aj) * primes**3 for aj in system.a]
+    return [primes[(c > lo) & (c <= hi)] for c in cubes]
 
 
 def _reach(n: int, cubes: list[np.ndarray]) -> list[tuple[int, int]]:

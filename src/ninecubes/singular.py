@@ -23,6 +23,7 @@ weights at multiples of |a_j| only, so it is transformed at L over the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,13 +90,13 @@ def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
     for p in arith.sieve_primes(math.isqrt(x)):
         step = 81 if p == 3 else p * p
         support[step::step] = False
+    power_term = functools.cache(functools.partial(prime_power_term, system=system))
     terms: list[tuple[int, float]] = []
     for q in np.flatnonzero(support).tolist():
         if q <= DEFINITION_ROUTE_MAX:
             terms.append((q, series_term(q, system)))
         else:
-            parts = (prime_power_term(p, e, system) for p, e in arith.factorize(q))
-            terms.append((q, math.prod(parts)))
+            terms.append((q, math.prod(power_term(p, e) for p, e in arith.factorize(q))))
     value = math.fsum(t for _, t in terms)
     # empirical tail scale C/x, calibrated on the computed prefix
     tail = 0.0

@@ -110,11 +110,22 @@ def test_arcs_past_the_float_range_exits_on_its_cap(tmp_path, capsys):
 def test_windows_past_the_float_range_exit_on_the_sieve_cap(capsys):
     # icbrt stays in integers, and the scan takes 1 / Q as a float only
     # after the support's sieve cap has refused the window
-    for args, huge in [(["scan-minor", "--epsilon", "0.0999"], 10**400),
-                       (["search", "--prime-bound", "100"], 10**200)]:
-        args += ["--coeffs", ONES, "--n", "101", "--M", "10", "--N", str(huge)]
-        assert run(args) == 2
-        assert "sieve limit" in capsys.readouterr().err
+    args = ["scan-minor", "--epsilon", "0.0999", "--coeffs", ONES, "--n", "101",
+            "--M", "10", "--N", str(10**400)]
+    assert run(args) == 2
+    assert "sieve limit" in capsys.readouterr().err
+
+
+def test_windowed_search_past_the_sieve_cap_matches_golden(tmp_path, capsys):
+    # a search sieves to its prime bound, not to the window's N: N = 10^200
+    # gives the exhaustion report of the bound's primes, byte for byte, and
+    # only a bound past its cap is refused
+    window = ["--coeffs", ONES, "--n", "101", "--M", "10", "--N", str(10**200)]
+    out = tmp_path / "search-window-1e200.json"
+    assert cli.run(["search", "--prime-bound", "100", "--out", str(out)] + window) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "search-window-1e200.json").read_bytes()
+    assert run(["search", "--prime-bound", "20000"] + window) == 2
+    assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_numeric_integrity_exit(monkeypatch, tmp_path):

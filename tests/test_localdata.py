@@ -1,4 +1,6 @@
 import cmath
+import functools
+import itertools
 import math
 from pathlib import Path
 
@@ -149,8 +151,31 @@ def test_closed_form_prime_count_matches_crt_count():
                 assert unit_solution_count(p, target) == localdata._count_by_convolution(p, target)
 
 
+def test_period_algebra_matches_brute_force():
+    # every cached cyclotomic number against a direct count of
+    # (h, m) = #{u in R_h : 1 + u in R_m}, R_i = {t : t^f = w^i mod p}
+    for p in arith.sieve_primes(400):
+        if p % 3 != 1:
+            continue
+        x, y = localdata._primary_prime(p)
+        assert x * x - x * y + y * y == p and x % 3 == 2 and y % 3 == 0
+        index, times = localdata._period_algebra(p)
+        f = (p - 1) // 3
+        assert sorted(index.values()) == [0, 1, 2] and all(pow(w, 3, p) == 1 for w in index)
+        cls = {t: index[pow(t, f, p)] for t in range(1, p)}
+        count = [[0] * 3 for _ in range(3)]
+        for u in range(1, p - 1):
+            count[cls[u]][cls[u + 1]] += 1
+        for j, k, a in itertools.product(range(3), repeat=3):
+            assert times[j][k][a] + f * (a == j) == count[(j - a) % 3][(k - a) % 3]
+
+
 def test_closed_form_rejects_a_non_primary_prime(monkeypatch):
-    # -pi = 1 mod 3 is not primary; its cyclotomic numbers are not integers
+    # -pi = 1 mod 3 is not primary; its cyclotomic numbers are not integers.
+    # The test runs on an empty period-algebra cache of its own, so the
+    # shared cache neither serves it the true algebra nor keeps its data.
+    algebra = functools.lru_cache(localdata._period_algebra.__wrapped__)
+    monkeypatch.setattr(localdata, "_period_algebra", algebra)
     primary = localdata._primary_prime
     monkeypatch.setattr(localdata, "_primary_prime", lambda p: tuple(-c for c in primary(p)))
     for p in (7, 13, 499):

@@ -115,6 +115,22 @@ def test_windowed_brute_force():
             assert (got.max_p, got.primes) == want
 
 
+def test_window_past_the_sieve_cap_searches_the_bound():
+    # N = 10^30 asks the window's own sieve for primes up to 10^10, past
+    # SIEVE_CAP; only the bound's primes can enter a solution, so the
+    # search sieves to the bound and matches the reference search
+    rng = np.random.default_rng(30)
+    window = (10, 10**30)
+    for _ in range(6):
+        coeffs = [1, 1, 1, 1, 1, 1, 1, int(rng.choice([1, 2])), int(rng.choice([-1, 1]))]
+        primes = [int(p) for p in rng.choice([3, 5, 7, 11, 13, 17, 19], size=9)]
+        system = CoefficientSystem.make(coeffs, sum(a * p**3 for a, p in zip(coeffs, primes)))
+        got = find_solution(system, prime_bound=19, window=window)
+        assert isinstance(got, SolutionRecord)
+        assert (got.max_p, got.primes) == brute_best(system, 19, window)
+        assert solution_exists(system, prime_bound=19, window=window)
+
+
 def test_ladder_prefers_smallest_max():
     # target built from a 31-cube, yet the true optimum tops out at 29:
     # the staged deepening must not stop at the first bound that works

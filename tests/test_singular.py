@@ -85,6 +85,38 @@ def test_fresh_series_reads_the_roots_of_the_last_one():
     assert after.misses == before.misses and after.hits - before.hits >= 677
 
 
+def _fresh_series(system, x):
+    """Reprs of every term and the Euler value, with the per-system caches
+    cleared so that each A(q) and N(q) is recomputed from the per-modulus data."""
+    series_term.cache_clear()
+    localdata.unit_solution_count.cache_clear()
+    rep = singular_series_partial(system, x)
+    return repr(rep.terms), repr(rep.euler_value)
+
+
+def test_series_bits_do_not_depend_on_the_modulus_caches():
+    # the README series and series-3000 in both orders, then after other
+    # systems warmed the caches keyed by the modulus alone, against each
+    # computed with those caches cleared
+    modulus_caches = (arith.is_prime, arith.factorize, localdata._period_algebra, localdata._units)
+
+    def clear():
+        for cache in modulus_caches:
+            cache.cache_clear()
+
+    cases = [(ONES, 1000), (MIXED, 3000)]
+    want = {}
+    for case in cases:
+        clear()
+        want[case] = _fresh_series(*case)
+    for order in (cases, cases[::-1]):
+        clear()
+        assert [_fresh_series(*case) for case in order] == [want[case] for case in order]
+    for n in (26, 101):
+        _fresh_series(CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], n), 3000)
+    assert [_fresh_series(*case) for case in cases] == [want[case] for case in cases]
+
+
 def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
     # above DEFINITION_ROUTE_MAX the Euler product takes s(p) = 1 + A(p)
     # from the exact count; the check of the definition value against that
