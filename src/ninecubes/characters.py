@@ -20,9 +20,10 @@ from . import arith
 from .errors import DomainError
 
 
-# A series reads the roots of each of the 677 supported q <= 1000 (its
-# definition route) in ascending order: a smaller LRU cache evicts every
-# table before the next series reads it again.
+# Read by character tables at the lcm of the generator orders, and by
+# series_term and principal_twisted_sum at their one modulus.  A series
+# builds the roots of its definition-route moduli into its own layout and
+# reads none of these tables.
 @lru_cache(maxsize=1024)
 def unit_roots(m: int) -> np.ndarray:
     """Array of exp(2 pi i k/m) for k = 0..m-1 (read-only)."""

@@ -17,17 +17,23 @@ prime dividing every a_j, which no pairwise-coprime system has, is refused.
 A(p^e) is exact from the counts.  Convolutions and transforms are the
 definition routes, kept as cross-checks.
 
+The twisted sums B(q) and F(q) run over a layout of one or more moduli:
+one blocked pass gives every B(q) of a series.
+
 What depends on the modulus alone is cached for every system: the unit
-and cube tables and C_{chi_0} per q, factorizations, and the primary
-prime and cyclotomic numbers per prime p = 1 mod 3.  The twisted sums are
-per system; N(q) and A(q) are cached by (q, system).
+and cube tables and C_{chi_0} per q, a few series layouts, factorizations,
+and the primary prime and cyclotomic numbers per prime p = 1 mod 3.  N(q)
+and A(q) are cached by (q, system), the A(q) of a series by (moduli, system).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +89,11 @@ class CoefficientSystem:
         if any(x == 0 for x in self.a):
             raise DomainError("coefficients must be nonzero")
         object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        # every cache lookup keyed by a system hashes it: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.a, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def make(cls, coeffs, n: int) -> "CoefficientSystem":
@@ -165,33 +176,109 @@ def char_sum_bound_ok(chi: DirichletCharacter) -> np.ndarray:
     return np.abs(cubic_char_sum_table(chi)) <= bound + 1e-6
 
 
+BLOCK = 1 << 13  # elements per block of whole moduli in the twisted-sum pass
+
+
+class _Layout(NamedTuple):
+    """Per element: a k summed at its modulus q (units, or all residues) and
+    the offset of q in `tables` and `roots`, which hold C_{chi_0}(j) and
+    e(j / q) for j = 0..q, entry q repeating entry 0 (a = -1 reads q - k,
+    even at k = 0).  The k of moduli[i] are k[bounds[i]:bounds[i + 1]]."""
+
+    moduli: tuple[int, ...]
+    bounds: tuple[int, ...]
+    k: np.ndarray
+    q: np.ndarray
+    off: np.ndarray
+    tables: np.ndarray
+    roots: np.ndarray
+
+
+def _layout(qs: tuple[int, ...], units_only: bool, table, roots) -> _Layout:
+    """The layout of moduli qs, with C_{chi_0} read from table(q) and roots from roots(q)."""
+    for q in (min(qs), max(qs)):
+        _check_q(q, LOCAL_Q_CAP)
+    ks = [_units(q) if units_only else np.arange(q) for q in qs]
+    counts = [len(k) for k in ks]
+    dtype = np.int32 if max(qs) ** 2 < 2**31 else np.int64  # holds r k < q^2
+    offs = np.cumsum([0] + [q + 1 for q in qs[:-1]])  # intp, as take reads them
+
+    def periodic(fn) -> np.ndarray:
+        # filled in place: a list of the small per-q tables would fragment the heap
+        out = np.empty(offs[-1] + qs[-1] + 1, dtype=np.complex128)
+        for o, q in zip(offs.tolist(), qs):
+            out[o : o + q] = fn(q)
+            out[o + q] = out[o]
+        return out
+
+    bounds = tuple(itertools.accumulate(counts, initial=0))
+    k, q = np.concatenate(ks, dtype=dtype), np.repeat(np.array(qs, dtype), counts)
+    return _Layout(qs, bounds, k, q, np.repeat(offs, counts), periodic(table), periodic(roots))
+
+
+def _twisted_sums(layout: _Layout, system: CoefficientSystem) -> list[complex]:
+    """sum_k e(-n k / q) prod_j C_{chi_0}(a_j k) at each modulus of the layout, over
+    blocks of whole moduli so temporaries stay small: the root gather, one table
+    gather per distinct a_j multiplied in slot order, one pairwise .sum() per
+    modulus.  n and a_j are reduced mod q in Python ints, so any size works."""
+    qs, bounds = layout.moduli, layout.bounds
+    counts = np.diff(bounds)
+    general = {-system.n, *system.a} - {1, -1}
+    res = {x: np.array([x % q for q in qs], layout.k.dtype) for x in general}
+    sums: list[complex] = []
+    i0 = 0
+    while i0 < len(qs):
+        i1 = bisect.bisect_left(bounds, bounds[i0] + BLOCK, i0 + 1, len(qs))
+        b0, b1 = bounds[i0], bounds[i1]
+        k, q, off = layout.k[b0:b1], layout.q[b0:b1], layout.off[b0:b1]
+
+        def at(x: int) -> np.ndarray:
+            if x in (1, -1):
+                return off + k if x == 1 else off + q - k
+            return off + np.repeat(res[x][i0:i1], counts[i0:i1]) * k % q
+
+        total = layout.roots.take(at(-system.n))
+        factors = {a: layout.tables.take(at(a)) for a in set(system.a)}
+        for a in system.a:
+            total *= factors[a]
+        cuts = bounds[i0 : i1 + 1]
+        sums += [complex(total[s - b0 : e - b0].sum()) for s, e in zip(cuts, cuts[1:])]
+        i0 = i1
+    return sums
+
+
+def _series_values(layout: _Layout, system: CoefficientSystem) -> tuple[float, ...]:
+    """A(q) = B(q) / phi(q)^9 at each modulus of a units layout, verified real."""
+    out, bounds = [], layout.bounds
+    for q, b0, b1, b in zip(layout.moduli, bounds, bounds[1:], _twisted_sums(layout, system)):
+        scale = 1.0 + abs(b)
+        if abs(b.imag) > 1e-9 * scale:
+            raise NumericIntegrityError(f"A({q}) has imaginary part {b.imag:.3e} (scale {scale:.3e})")
+        out.append(b.real / (b1 - b0) ** 9)  # phi(q) units were summed
+    return tuple(out)
+
+
+# A series layout holds its own tables, so it does not fill the per-q caches.
+@lru_cache(maxsize=4)
+def _series_layout(qs: tuple[int, ...]) -> _Layout:
+    return _layout(qs, True, principal_cubic_table.__wrapped__, unit_roots.__wrapped__)
+
+
 def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -> complex:
     """B(q) (k coprime to q) or F(q) (all k mod q) at principal characters."""
-    _check_q(q, LOCAL_Q_CAP)
-    if q == 1:
-        return 1 + 0j
-    tab = principal_cubic_table(q)
-    k = _units(q) if units_only else np.arange(q, dtype=np.int64)
-    total = unit_roots(q)[(-system.n) % q * k % q]
-    # one gather per distinct a_j mod q; the slot-order product keeps the rounding
-    factors: dict[int, np.ndarray] = {}
-    for aj in system.a:
-        r = aj % q
-        if r not in factors:
-            factors[r] = tab[r * k % q]
-        total *= factors[r]
-    return complex(total.sum())
+    return _twisted_sums(_layout((q,), units_only, principal_cubic_table, unit_roots), system)[0]
 
 
 @lru_cache(maxsize=200000)
 def series_term(q: int, system: CoefficientSystem) -> float:
     """A(q) = B(q at principal characters) / phi(q)^9, verified real."""
-    _check_q(q, LOCAL_Q_CAP)
-    b = principal_twisted_sum(q, system, units_only=True)
-    scale = 1.0 + abs(b)
-    if abs(b.imag) > 1e-9 * scale:
-        raise NumericIntegrityError(f"A({q}) has imaginary part {b.imag:.3e} (scale {scale:.3e})")
-    return b.real / arith.euler_phi(q) ** 9
+    return _series_values(_layout((q,), True, principal_cubic_table, unit_roots), system)[0]
+
+
+@lru_cache(maxsize=256)
+def series_terms(qs: tuple[int, ...], system: CoefficientSystem) -> tuple[float, ...]:
+    """A(q) at each modulus of qs in one blocked pass, bit-identical to series_term."""
+    return _series_values(_series_layout(qs), system)
 
 
 def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]:
@@ -380,11 +467,12 @@ def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
     return convolve.spectral_coefficient(parts, q, system.n % q)
 
 
-def euler_factor(p: int, system: CoefficientSystem) -> float:
-    """s(p) = 1 + A(p), cross-checked against p N(p) / phi(p)^9 with N(p) exact."""
+def euler_factor(p: int, system: CoefficientSystem, a_p: float | None = None) -> float:
+    """s(p) = 1 + A(p), cross-checked against p N(p) / phi(p)^9 with N(p) exact;
+    A(p) is series_term(p, system) unless the caller passes it."""
     if not arith.is_prime(p):
         raise DomainError(f"euler_factor requires a prime, got {p}")
-    s = 1.0 + series_term(p, system)
+    s = 1.0 + (series_term(p, system) if a_p is None else a_p)
     counted = p * unit_solution_count(p, system) / float(p - 1) ** 9
     if abs(s - counted) > 1e-9 * max(1.0, abs(s), abs(counted)):
         raise NumericIntegrityError(

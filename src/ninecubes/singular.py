@@ -6,8 +6,9 @@ exponent 3.  A(q) vanishes unless q is a power of 3 up to 27 times a
 squarefree number prime to 3.  The partial sum finds that support with one
 sieve over [1, x], which clears the multiples of 81 and of p^2 for each
 prime p != 3.  Up to DEFINITION_ROUTE_MAX, A(q) and s(p) come from the
-definition, each s(p) checked against the exact count; above it, from exact
-counts alone: A(q) as the product of prime-power terms over one
+definition, in one blocked pass over the support cached per system and read
+by both routes, each s(p) checked against the exact count; above it, from
+exact counts alone: A(q) as the product of prime-power terms over one
 factorization of q, and s(p) = 1 + A(p).
 
 The singular integral J(n) sums (m_1 ... m_9)^(-2/3) over integer tuples
@@ -23,6 +24,7 @@ weights at multiples of |a_j| only, so it is transformed at L over the
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import arith, convolve
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
-from .localdata import CoefficientSystem, euler_factor, prime_power_term, series_term
+from .localdata import CoefficientSystem, euler_factor, prime_power_term, series_term, series_terms
 
 SERIES_X_CAP = 10**4
 EULER_PMAX_CAP = 10**4
@@ -58,23 +60,36 @@ def _euler_tail_factor(pmax: int) -> float:
     return math.exp(40.0 * (2.0 / 7.0) * pmax ** (-3.5)) - 1.0
 
 
+def _support(x: int) -> tuple[int, ...]:
+    """The q <= x with A(q) possibly nonzero: 3^e m, e <= 3, m squarefree and prime to 3."""
+    support = np.ones(x + 1, dtype=bool)
+    support[0] = False
+    for p in arith.sieve_primes(math.isqrt(x)):
+        step = 81 if p == 3 else p * p
+        support[step::step] = False
+    return tuple(np.flatnonzero(support).tolist())
+
+
 def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
     """Euler route: prod_{p <= pmax, p != 3} s(p) times the 3-adic factor.
 
-    Up to DEFINITION_ROUTE_MAX each factor passes the s(p) = p N(p) / phi(p)^9
-    cross-check inside euler_factor, with N(p) exact in closed form from
-    cubic Gauss sums.  Above it, s(p) = 1 + A(p) with A(p) from that count.
+    Up to DEFINITION_ROUTE_MAX, A(p) is read from the series terms the partial
+    sum at cutoff pmax caches, and each factor passes the s(p) = p N(p) /
+    phi(p)^9 cross-check inside euler_factor, with N(p) exact in closed form
+    from cubic Gauss sums.  Above it, s(p) = 1 + A(p) with A(p) from that count.
     """
     if pmax < 3:
         raise DomainError(f"pmax must be >= 3, got {pmax}")
     if pmax > EULER_PMAX_CAP:
         raise ResourceLimitError(f"pmax {pmax} exceeds cap {EULER_PMAX_CAP}")
+    moduli = _support(min(pmax, DEFINITION_ROUTE_MAX))
+    term = dict(zip(moduli, series_terms(moduli, system)))
     value = 1.0 + series_term(3, system) + series_term(9, system) + series_term(27, system)
     for p in arith.sieve_primes(pmax):
         if p > DEFINITION_ROUTE_MAX:
             value *= 1.0 + prime_power_term(p, 1, system)
         elif p != 3:
-            value *= euler_factor(p, system)
+            value *= euler_factor(p, system, term[p])
     return value
 
 
@@ -84,19 +99,12 @@ def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
         raise DomainError(f"cutoff must be >= 1, got {x}")
     if x > SERIES_X_CAP:
         raise ResourceLimitError(f"cutoff {x} exceeds cap {SERIES_X_CAP}")
-    # A(q) = 0 unless q = 3^e m with e <= 3 and m squarefree and prime to 3
-    support = np.ones(x + 1, dtype=bool)
-    support[0] = False
-    for p in arith.sieve_primes(math.isqrt(x)):
-        step = 81 if p == 3 else p * p
-        support[step::step] = False
+    support = _support(x)
+    definition = support[: bisect.bisect_right(support, DEFINITION_ROUTE_MAX)]
+    terms = list(zip(definition, series_terms(definition, system)))
     power_term = functools.cache(functools.partial(prime_power_term, system=system))
-    terms: list[tuple[int, float]] = []
-    for q in np.flatnonzero(support).tolist():
-        if q <= DEFINITION_ROUTE_MAX:
-            terms.append((q, series_term(q, system)))
-        else:
-            terms.append((q, math.prod(power_term(p, e) for p, e in arith.factorize(q))))
+    for q in support[len(definition) :]:
+        terms.append((q, math.prod(power_term(p, e) for p, e in arith.factorize(q))))
     value = math.fsum(t for _, t in terms)
     # empirical tail scale C/x, calibrated on the computed prefix
     tail = 0.0

@@ -290,6 +290,16 @@ def test_search_signed_128_golden(tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "search-signed-128.json").read_bytes()
 
 
+def test_series_997_big_n_golden(tmp_path):
+    # an odd cutoff just below the definition cutoff 1000, mixed signs and
+    # n = 10^29 >= 2^63, byte for byte
+    out = tmp_path / "series-997-bign.json"
+    args = ["series", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", str(10**29),
+            "--qmax", "997", "--out", str(out)]
+    assert cli.run(args) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "series-997-bign.json").read_bytes()
+
+
 def test_thresholds_csv(tmp_path):
     code, data = run_to_file(
         tmp_path,

@@ -1,13 +1,15 @@
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ninecubes import arith, localdata
+from ninecubes import arith, localdata, singular
 from ninecubes.cli import run
 from ninecubes.characters import character_group, unit_roots
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
@@ -358,6 +360,55 @@ def test_full_sum_counts_solutions():
             assert abs(value.imag) <= 1e-9 * (1 + target)
             assert round(value.real) == target
             assert abs(value.real - target) <= 1e-6 * (1 + target)
+
+
+def test_system_hash_is_stored_and_survives_copies():
+    a = [1, 1, 1, -2, 3, 1, 5, 1, -1]
+    one, two = CoefficientSystem.make(a, 10**30), CoefficientSystem(tuple(a), 10**30)
+    assert one == two and hash(one) == hash(two)
+    moved = dataclasses.replace(one, n=15)
+    assert moved == CoefficientSystem.make(a, 15) and hash(moved) == hash(CoefficientSystem.make(a, 15))
+    back = pickle.loads(pickle.dumps(one))
+    assert back == one and hash(back) == hash(one)
+    assert {one: 1}[back] == 1 and one != moved
+
+
+def test_series_terms_match_series_term_bit_for_bit():
+    # the blocked pass over the support to 1000 against one modulus at a
+    # time, each computed first in turn, on systems with n >= 2^63 and a
+    # coefficient >= 2^31 among them
+    rng = np.random.default_rng(29)
+    systems = [random_valid_system(rng, 1, 10**6) for _ in range(7)]
+    systems += [
+        CoefficientSystem.make([1, -1, 1, 1, 2, 1, -3, 1, 1], 2**64 + 3),
+        CoefficientSystem.make([1, 1, -1, 1, 1, 2**31 + 11, 1, 1, -5], 10**6 + 1),
+        CoefficientSystem.make([2**31 + 11, 1, -1, 1, 1, 1, 1, 7, 1], -(10**25) - 1),
+    ]
+    moduli = singular._support(singular.DEFINITION_ROUTE_MAX)
+    for i, system in enumerate(systems):
+        for blocked_first in (i % 2 == 0, i % 2 == 1):
+            series_term.cache_clear()
+            localdata.series_terms.cache_clear()
+            if blocked_first:
+                blocked = localdata.series_terms(moduli, system)
+                single = tuple(series_term(q, system) for q in moduli)
+            else:
+                single = tuple(series_term(q, system) for q in moduli)
+                blocked = localdata.series_terms(moduli, system)
+            assert [x.hex() for x in blocked] == [x.hex() for x in single]
+
+
+def test_twisted_sum_at_a_prime_near_the_cap_matches_the_count():
+    # q^2 >= 2^31 takes int64 indices: (p - 1)^9 + B(p) = p N(p), N(p) exact,
+    # to the rounding of p - 1 summands of size (p - 1)^r, r slots with p | a_j
+    p = 999983
+    assert localdata._layout((p,), True, principal_cubic_table, unit_roots).k.dtype == np.int64
+    for r, system in enumerate((MIXED, CoefficientSystem.make([1, 1, 1, -2, 3, 1, 5, p, -1], 14))):
+        b = principal_twisted_sum(p, system, units_only=True)
+        exact = p * unit_solution_count(p, system) - (p - 1) ** 9
+        tol = 1e-12 * (p - 1) ** (1 + r)
+        assert abs(exact) >= (p - 1) ** r
+        assert abs(b.real - exact) <= tol and abs(b.imag) <= tol
 
 
 def test_twisted_sum_matches_slotwise_gathers():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ninecubes import arith, convolve, localdata, singular
-from ninecubes.characters import unit_roots
 from ninecubes.cli import run
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.localdata import CoefficientSystem, euler_factor, prime_power_term, series_term
@@ -74,21 +73,41 @@ def test_partial_tracks_euler_product():
     assert rep.euler_value == pytest.approx(0.6355906, abs=5e-6)
 
 
-def test_fresh_series_reads_the_roots_of_the_last_one():
+def test_fresh_series_reads_the_layout_of_the_last_one():
     # a series on a new system recomputes every A(q) on its definition
-    # route, and finds each root table the previous series left cached
+    # route, over the layout the previous series left cached
+    localdata.series_terms.cache_clear()
     for n in (26, 28):
         system = CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], n)
-        before = unit_roots.cache_info()
+        before = localdata._series_layout.cache_info()
         singular_series_partial(system, 1000)
-        after = unit_roots.cache_info()
-    assert after.misses == before.misses and after.hits - before.hits >= 677
+        after = localdata._series_layout.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+
+
+def _series_layouts_read(monkeypatch):
+    """The moduli of each series layout read from here on, all caches of
+    series terms and layouts cleared, so the first read of each builds it."""
+    localdata.series_terms.cache_clear()
+    localdata._series_layout.cache_clear()
+    read = []
+    layout = localdata._series_layout
+    monkeypatch.setattr(localdata, "_series_layout", lambda qs: read.append(qs) or layout(qs))
+    return read
+
+
+def test_series_at_30_lays_out_its_own_support_only(monkeypatch):
+    # the partial sum and the Euler product share one layout, of q <= 30
+    read = _series_layouts_read(monkeypatch)
+    singular_series_partial(CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], 30), 30)
+    assert set(read) == {tuple(q for q in range(1, 31) if _on_support(q))}
 
 
 def _fresh_series(system, x):
     """Reprs of every term and the Euler value, with the per-system caches
     cleared so that each A(q) and N(q) is recomputed from the per-modulus data."""
     series_term.cache_clear()
+    localdata.series_terms.cache_clear()
     localdata.unit_solution_count.cache_clear()
     rep = singular_series_partial(system, x)
     return repr(rep.terms), repr(rep.euler_value)
@@ -98,7 +117,13 @@ def test_series_bits_do_not_depend_on_the_modulus_caches():
     # the README series and series-3000 in both orders, then after other
     # systems warmed the caches keyed by the modulus alone, against each
     # computed with those caches cleared
-    modulus_caches = (arith.is_prime, arith.factorize, localdata._period_algebra, localdata._units)
+    modulus_caches = (
+        arith.is_prime,
+        arith.factorize,
+        localdata._period_algebra,
+        localdata._units,
+        localdata._series_layout,
+    )
 
     def clear():
         for cache in modulus_caches:
@@ -130,16 +155,14 @@ def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
         )
 
 
-def test_series_above_the_cutoff_takes_no_transform(monkeypatch):
-    # the partial sum and the Euler product read no cubic table above
-    # DEFINITION_ROUTE_MAX
-    series_term.cache_clear()
-    seen = []
-    table = localdata.principal_cubic_table
-    monkeypatch.setattr(localdata, "principal_cubic_table", lambda q: seen.append(q) or table(q))
+def test_series_above_the_cutoff_lays_out_no_modulus_past_it(monkeypatch):
+    # the partial sum and the Euler product to 3000 share one layout, of
+    # the support to DEFINITION_ROUTE_MAX
+    read = _series_layouts_read(monkeypatch)
     rep = singular_series_partial(MIXED, 3000)
     assert rep.euler_pmax == 3000
-    assert seen and max(seen) <= singular.DEFINITION_ROUTE_MAX
+    cutoff = singular.DEFINITION_ROUTE_MAX
+    assert set(read) == {tuple(q for q in range(1, cutoff + 1) if _on_support(q))}
 
 
 def test_series_above_the_cutoff_matches_the_definition():
