@@ -20,10 +20,10 @@ from . import arith
 from .errors import DomainError
 
 
-# Read by character tables at the lcm of the generator orders, and by
-# series_term and principal_twisted_sum at their one modulus.  A series
-# builds the roots of its definition-route moduli into its own layout and
-# reads none of these tables.
+# Read by character_values at the lcm of the generator orders, once per
+# block of C_chi tables or value_table, and by series_term and
+# principal_twisted_sum at their one modulus.  A series lays out the roots
+# of its definition-route moduli itself and reads none of these tables.
 @lru_cache(maxsize=1024)
 def unit_roots(m: int) -> np.ndarray:
     """Array of exp(2 pi i k/m) for k = 0..m-1 (read-only)."""
@@ -51,18 +51,34 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
+    @property
+    def index(self) -> int:
+        """Position in character_group(q): the exponents as mixed-radix digits."""
+        orders = [c.order for c in arith.unit_group(self.modulus).components]
+        return int(np.ravel_multi_index(self.exponents, orders))
+
     def value_table(self) -> np.ndarray:
         """chi(k) for k = 0..q-1 as a complex array, 0 where gcd(k, q) > 1."""
-        q = self.modulus
-        comps = arith.unit_group(q).components
-        lam = math.lcm(*(c.order for c in comps))
-        num = np.zeros(q, dtype=np.int64)
-        for e, c in zip(self.exponents, comps):
-            num += e * (lam // c.order) * c.dlog
-        units = np.gcd(np.arange(q), q) == 1
-        tab = np.zeros(q, dtype=np.complex128)
-        tab[units] = unit_roots(lam)[num[units] % lam]
+        comps = arith.unit_group(self.modulus).components
+        # a trivial group (q = 1 or 2) has no generator and one unit, q - 1
+        units = np.flatnonzero(comps[0].dlog >= 0) if comps else np.array([self.modulus - 1])
+        tab = np.zeros(self.modulus, dtype=np.complex128)
+        tab[units] = character_values(self.modulus, self.index, self.index + 1, units)[0]
         return tab
+
+
+def character_values(q: int, start: int, stop: int, k: np.ndarray) -> np.ndarray:
+    """chi(k) at the units k for characters start..stop-1 of character_group(q),
+    one row each, the exponents decoded from the index: no group list is built."""
+    comps = arith.unit_group(q).components
+    lam = math.lcm(*(c.order for c in comps))
+    idx = np.arange(start, stop, dtype=np.int64)[:, None]
+    num = np.zeros((stop - start, len(k)), dtype=np.int64)
+    for c in reversed(comps):
+        num += idx % c.order * (lam // c.order) * c.dlog[k]
+        idx //= c.order
+    num %= lam
+    return unit_roots(lam)[num]
 
 
 def character_group(q: int) -> list[DirichletCharacter]:

@@ -24,6 +24,9 @@ What depends on the modulus alone is cached for every system: the unit
 and cube tables and C_{chi_0} per q, a few series layouts, factorizations,
 and the primary prime and cyclotomic numbers per prime p = 1 mod 3.  N(q)
 and A(q) are cached by (q, system), the A(q) of a series by (moduli, system).
+C_chi for non-principal chi is computed a block of characters at a time
+(at most CHAR_BLOCK cells, at least one row) in one pass with one batched
+inverse FFT; only the last block is cached, and its rows are read-only.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arith, convolve
-from .characters import DirichletCharacter, unit_roots
+from .characters import DirichletCharacter, character_values, unit_roots
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
 LOCAL_Q_CAP = 10**6
@@ -152,31 +155,54 @@ def principal_cubic_table(q: int) -> np.ndarray:
     return tab
 
 
+BLOCK = 1 << 13  # elements per block of whole moduli in the twisted-sum pass
+CHAR_BLOCK = 1 << 17  # cells (characters x residues) per block of C_chi tables
+
+
 def cubic_char_sum_table(chi: DirichletCharacter) -> np.ndarray:
-    """C_chi(a) for a = 0..q-1."""
+    """C_chi(a) for a = 0..q-1, read-only.  A non-principal chi reads its row
+    of the one cached block of characters that holds it."""
     q = chi.modulus
     _check_q(q, LOCAL_Q_CAP)
     if chi.is_principal:
         return principal_cubic_table(q)
-    hist = np.zeros(q, dtype=np.complex128)
-    np.add.at(hist, _cube_table(q), chi.value_table())
-    return q * np.fft.ifft(hist)
+    block, row = divmod(chi.index, max(1, CHAR_BLOCK // q))
+    return _char_sum_block(q, block)[row]
+
+
+@lru_cache(maxsize=1)
+def _char_sum_block(q: int, block: int) -> np.ndarray:
+    """C_chi for one block of character_group(q): each cube's d preimages (the
+    units sorted stably by cube) added in ascending order, as np.add.at would."""
+    rows = max(1, CHAR_BLOCK // q)
+    start, stop = block * rows, min(block * rows + rows, arith.euler_phi(q))
+    cube = _cube_table(q)[_units(q)]
+    order = np.argsort(cube, kind="stable")
+    d = len(order) // np.count_nonzero(np.bincount(cube, minlength=q))
+    vals = character_values(q, start, stop, _units(q)[order]).reshape(stop - start, -1, d)
+    acc = vals[..., 0]  # summed in place: no temporaries beside the block
+    for j in range(1, d):
+        acc += vals[..., j]
+    hist = np.zeros((stop - start, q), dtype=np.complex128)
+    hist[:, cube[order[::d]]] = acc
+    del vals, acc
+    hist = np.fft.ifft(hist, axis=1)  # no out=: numpy 1.x has none
+    hist *= q
+    hist.flags.writeable = False
+    return hist
+
+
+@lru_cache(maxsize=1)
+def _char_sum_bound(q: int) -> np.ndarray:
+    (p, alpha), = arith.factorize(q) or [(1, 0)]  # q = 1 = 1^0
+    return 3 * math.gcd(3, p) * np.sqrt(np.gcd(np.arange(q), q)) * p ** (alpha / 2) + 1e-6
 
 
 def char_sum_bound_ok(chi: DirichletCharacter) -> np.ndarray:
     """For a = 0..q-1, whether |C_chi(a)| <= 3 (3,p) (a, p^alpha)^(1/2) p^(alpha/2),
     from one cubic_char_sum_table, up to 1e-6 of rounding.  Characters live at
     prime-power moduli q = p^alpha only, so q has one prime factor."""
-    q = chi.modulus
-    if q == 1:
-        return np.ones(1, dtype=bool)
-    (p, alpha), = arith.factorize(q)
-    a = np.arange(q)
-    bound = 3 * math.gcd(3, p) * np.sqrt(np.gcd(a, q)) * p ** (alpha / 2)
-    return np.abs(cubic_char_sum_table(chi)) <= bound + 1e-6
-
-
-BLOCK = 1 << 13  # elements per block of whole moduli in the twisted-sum pass
+    return np.abs(cubic_char_sum_table(chi)) <= _char_sum_bound(chi.modulus)
 
 
 class _Layout(NamedTuple):

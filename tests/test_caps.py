@@ -45,6 +45,9 @@ SCAN = (ONES, arcs.build_dissection(10**3, 2), 10, 10**3, 0.05)
         pytest.param(localdata, "LOCAL_Q_CAP", 10,
                      lambda: localdata.unit_solution_count_float(11, ONES),
                      (localdata, "_unit_cube_histograms"), id="local_q"),
+        pytest.param(localdata, "LOCAL_Q_CAP", 10,
+                     lambda: localdata.cubic_char_sum_table(characters.DirichletCharacter(11, (1,))),
+                     (localdata, "_char_sum_block"), id="char_sums"),
         pytest.param(convolve, "CELL_CAP", 40, lambda: convolve.convolve_read([DENSE, DENSE], 49),
                      (np.fft, "rfft"), id="read"),
         pytest.param(convolve, "CELL_CAP", 40, lambda: convolve.convolve_full([DENSE, DENSE]),

@@ -1,17 +1,19 @@
 import cmath
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ninecubes import arith, localdata, singular
+from ninecubes import arith, characters, localdata, singular
 from ninecubes.cli import run
-from ninecubes.characters import character_group, unit_roots
+from ninecubes.characters import DirichletCharacter, character_group, unit_roots
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.selftest import random_valid_system
 from ninecubes.localdata import (
@@ -339,6 +341,101 @@ def test_cubic_char_sum_matches_definition():
                     if math.gcd(x, q) == 1
                 )
                 assert abs(table[a] - brute) < 1e-10
+
+
+CHAR_MODULI = (2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 32, 49, 81, 125, 243, 256, 289, 343, 997, 1024)
+# sha256 over the tables of character_group(q), in its order, from the
+# per-character path (np.add.at, then one length-q inverse FFT per character)
+CHAR_TABLE_SHA256 = {
+    2: "f22632020555098d523f7f407516ba415cf32b8192c8759925bc03e305be5f56",
+    3: "968273574753765d3daf78234eb91def7bfd7b545767320ec6b09b40f1099e7f",
+    4: "9273b5816bb47bfd2487bc5e946d73ab234e1aecf79a201ca5f7a9e83ce2c25f",
+    5: "01d0cc194d08967489f2ad3b83854a6baa5e6fd1cb0e38a8d6d67dd8283a2754",
+    7: "eb3439b50bf18aaec12a38e5f781013e857843699198db6e657e5ce056f253f1",
+    8: "e8cf5cc6c3bb8014028ecdcd201b7e52f26b7f09257a51cea72b47aa27dbbc5b",
+    9: "d89b24a849bfddc44dbb52714ae1239c41dc5c498a63d108c023ae8144c4fde2",
+    13: "31e93adca5f28a70c8929054288951848cec54fb879f141ea337ed97c0fce861",
+    16: "0465af4fcf00ce11eec1e21d63c77810f9553d86517154edeca0019fb405875d",
+    25: "e21bf938a6c150bfa7987ab0d07c769dec76571c6502d7e02b250379e79b1660",
+    27: "38f96db507cbc494eda46470bfcaa3c16d273b5642f35a35744f359e3282a2e7",
+    32: "2014eabe108075c80f88d2d36616978ddf997fe70b1f06a709fd867b8e1489dc",
+    49: "6f03fc915d2e7a4c0fde13fafe41a09e8a77b51486d6ba8fe17f521e87180519",
+    81: "871d91a6be810da4857950b516f326eceb9fb1ed8a0ba1c33f13d384412bc448",
+    125: "871745271ea07600e608b39ffe8c761e2239d6d0faa20537b09f32c410713116",
+    243: "98933ac0636c091be026076d58183d2f5174297ddf3f6373a22a626a63cf36c8",
+    256: "3e1b06b40785547f50cd6cfa3d354bf4f259e6a478b2a0c16a16f4528b321f9c",
+    289: "a03c485a1956c4a0fac6b6d309c18598b9c0335a86524ec94849e0bc3f361dd6",
+    343: "dd75b9e1f52c2eae2a329e2184776eefa2006d9c2d41304f9766ce428907a9ca",
+    997: "8247718b95b710222543a31e135bdc0ac3ab4adf038853417142a745b22862b1",
+    1024: "c395322c0eba57de2e5f3a7555eeb41f6843a3a187b02a9267b445dcdd0f7d07",
+}
+
+
+def per_character_table(chi):
+    """C_chi one character at a time: the histogram at the cubes, then q ifft."""
+    q = chi.modulus
+    hist = np.zeros(q, dtype=np.complex128)
+    np.add.at(hist, localdata._cube_table(q), chi.value_table())
+    return q * np.fft.ifft(hist)
+
+
+def test_char_sum_blocks_match_the_per_character_path_bit_for_bit():
+    # 997 and 1024 span several blocks; the others fit in one
+    for q in CHAR_MODULI:
+        digest = hashlib.sha256()
+        for chi in character_group(q):
+            table = cubic_char_sum_table(chi)
+            digest.update(table.tobytes())
+            if not chi.is_principal:
+                want = per_character_table(chi)
+                assert np.array_equal(table, want) and table.tobytes() == want.tobytes(), (q, chi)
+        assert digest.hexdigest() == CHAR_TABLE_SHA256[q], q
+
+
+def test_char_sums_sum_to_phi_times_the_additive_character():
+    # sum over chi of C_chi(a) = phi(q) e(a/q): only k = 1 survives orthogonality
+    for q in (7, 16, 27, 343, 997, 1024):
+        total = sum(cubic_char_sum_table(chi) for chi in character_group(q))
+        want = arith.euler_phi(q) * np.exp(2j * np.pi * np.arange(q) / q)
+        assert np.abs(total - want).max() <= 1e-9 * arith.euler_phi(q) * q, q
+
+
+def test_char_sum_rows_are_read_only_and_one_block_is_cached():
+    localdata._char_sum_block.cache_clear()
+    for q in (7, 997):
+        group = character_group(q)
+        for chi in (group[0], group[1], group[-1]):
+            with pytest.raises(ValueError):
+                cubic_char_sum_table(chi)[0] = 1.0
+    rows = localdata.CHAR_BLOCK // 997
+    localdata._char_sum_block.cache_clear()
+    for chi in character_group(997)[1:]:
+        block = localdata._char_sum_block(997, chi.index // rows)
+        assert block.shape[0] <= rows and block.size <= 1 << 17
+    info = localdata._char_sum_block.cache_info()
+    assert (info.misses, info.currsize) == (-(-996 // rows), 1)
+
+
+def test_one_character_near_the_cap_takes_one_row(monkeypatch):
+    # one non-principal character at q = 999983 allocates O(q): one row, no
+    # exponent list or table of the whole group
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the whole group")
+
+    q = 999983
+    chi = DirichletCharacter(q, (5,))
+    arith.unit_group(q), localdata._units(q), localdata._cube_table(q)
+    monkeypatch.setattr(characters, "character_group", refuse)
+    monkeypatch.setattr(characters, "product", refuse)
+    localdata._char_sum_block.cache_clear()
+    tracemalloc.start()
+    try:
+        table = cubic_char_sum_table(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (q,) and table.base.shape == (1, q) and peak < 6 * 16 * q
+    assert abs(table[0]) < 1e-6 * q  # sum of chi over the units vanishes
 
 
 def test_unit_weighted_sum_mod_2():
