@@ -161,7 +161,9 @@ CHAR_BLOCK = 1 << 17  # cells (characters x residues) per block of C_chi tables
 
 def cubic_char_sum_table(chi: DirichletCharacter) -> np.ndarray:
     """C_chi(a) for a = 0..q-1, read-only.  A non-principal chi reads its row
-    of the one cached block of characters that holds it."""
+    of the one cached block of characters that holds it: a kept row pins its
+    whole block (up to CHAR_BLOCK cells), and a walk over the characters out
+    of order recomputes a block on every call."""
     q = chi.modulus
     _check_q(q, LOCAL_Q_CAP)
     if chi.is_principal:

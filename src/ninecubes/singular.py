@@ -3,13 +3,13 @@
 Two independent routes to the series: the partial sum of A(q) over q <= x,
 and the Euler product of s(p) = 1 + A(p) with the 3-adic factor summed to
 exponent 3.  A(q) vanishes unless q is a power of 3 up to 27 times a
-squarefree number prime to 3.  The partial sum finds that support with one
-sieve over [1, x], which clears the multiples of 81 and of p^2 for each
-prime p != 3.  Up to DEFINITION_ROUTE_MAX, A(q) and s(p) come from the
-definition, in one blocked pass over the support cached per system and read
-by both routes, each s(p) checked against the exact count; above it, from
-exact counts alone: A(q) as the product of prime-power terms over one
-factorization of q, and s(p) = 1 + A(p).
+squarefree number prime to 3: one sieve over [1, x] finds that support.
+Up to DEFINITION_ROUTE_MAX, A(q) and s(p) come from the definition, in one
+blocked pass cached per system; above it, A(q) is the product of the exact
+prime-power terms A(p^e) and s(p) = 1 + A(p).  One plan per cutoff holds
+what depends on x alone: the support, the tail cuts, the Euler primes'
+positions and each far q's places among the distinct (p, e).  Each call
+redoes the s(p) checks and, from cached counts, the far terms' products.
 
 The singular integral J(n) sums (m_1 ... m_9)^(-2/3) over integer tuples
 with sum a_j m_j = n and M < |a_j| m_j <= N.  The constraint is linear in
@@ -28,6 +28,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,40 +57,65 @@ class SeriesReport:
 
 
 def _euler_tail_factor(pmax: int) -> float:
-    """Bound for the neglected product over p > pmax, via |A(p)| <= 40 p^(-9/2)."""
+    """Heuristic size of the product over p > pmax, not a bound: |A(p)| <= 40 p^(-9/2) fails."""
     return math.exp(40.0 * (2.0 / 7.0) * pmax ** (-3.5)) - 1.0
 
 
 def _support(x: int) -> tuple[int, ...]:
     """The q <= x with A(q) possibly nonzero: 3^e m, e <= 3, m squarefree and prime to 3."""
-    support = np.ones(x + 1, dtype=bool)
-    support[0] = False
+    support = np.arange(x + 1) > 0
     for p in arith.sieve_primes(math.isqrt(x)):
         step = 81 if p == 3 else p * p
         support[step::step] = False
     return tuple(np.flatnonzero(support).tolist())
 
 
+class _Plan(NamedTuple):
+    """What a series at cutoff x needs of x alone, built once per cutoff."""
+
+    support: tuple[int, ...]
+    definition: tuple[int, ...]  # the support up to DEFINITION_ROUTE_MAX
+    cuts: tuple[tuple[int, int], ...]  # (x0, position of the first q > x0) per tail
+    euler: tuple[tuple[int, int], ...]  # (p, position in definition), p != 3
+    above: tuple[int, ...]  # the primes in (DEFINITION_ROUTE_MAX, x]
+    keys: tuple[tuple[int, int], ...]  # the (p, e) of the far q, those past the definition
+    index: np.ndarray  # per far q, its positions in keys, padded with len(keys), a 1.0
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(x: int) -> _Plan:
+    support = _support(x)
+    definition = support[: bisect.bisect_right(support, DEFINITION_ROUTE_MAX)]
+    cuts = tuple((x0, bisect.bisect_right(support, x0)) for x0 in (x // 4, x // 2) if x0 >= 1)
+    far = support[len(definition) :]
+    primes = set(arith.sieve_primes(x)) - {3}
+    euler = tuple((p, i) for i, p in enumerate(definition) if p in primes)
+    above = tuple(q for q in far if q in primes)
+    pos: dict[tuple[int, int], int] = {}
+    rows = [[pos.setdefault(pe, len(pos)) for pe in arith.factorize(q)] for q in far]
+    width = max(map(len, rows), default=1)  # (0, 1) when no q is far
+    index = np.array([r + [len(pos)] * (width - len(r)) for r in rows], np.intp).reshape(-1, width)
+    index.flags.writeable = False
+    return _Plan(support, definition, cuts, euler, above, tuple(pos), index)
+
+
 def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
     """Euler route: prod_{p <= pmax, p != 3} s(p) times the 3-adic factor.
 
-    Up to DEFINITION_ROUTE_MAX, A(p) is read from the series terms the partial
-    sum at cutoff pmax caches, and each factor passes the s(p) = p N(p) /
-    phi(p)^9 cross-check inside euler_factor, with N(p) exact in closed form
-    from cubic Gauss sums.  Above it, s(p) = 1 + A(p) with A(p) from that count.
-    """
+    Up to DEFINITION_ROUTE_MAX, A(p) is the term the partial sum at pmax caches,
+    and euler_factor checks each s(p) against p N(p) / phi(p)^9, with N(p)
+    exact from cubic Gauss sums; above it, s(p) = 1 + A(p) from that count."""
     if pmax < 3:
         raise DomainError(f"pmax must be >= 3, got {pmax}")
     if pmax > EULER_PMAX_CAP:
         raise ResourceLimitError(f"pmax {pmax} exceeds cap {EULER_PMAX_CAP}")
-    moduli = _support(min(pmax, DEFINITION_ROUTE_MAX))
-    term = dict(zip(moduli, series_terms(moduli, system)))
+    plan = _plan(pmax)
+    term = series_terms(plan.definition, system)
     value = 1.0 + series_term(3, system) + series_term(9, system) + series_term(27, system)
-    for p in arith.sieve_primes(pmax):
-        if p > DEFINITION_ROUTE_MAX:
-            value *= 1.0 + prime_power_term(p, 1, system)
-        elif p != 3:
-            value *= euler_factor(p, system, term[p])
+    for p, i in plan.euler:
+        value *= euler_factor(p, system, term[i])
+    for p in plan.above:
+        value *= 1.0 + prime_power_term(p, 1, system)
     return value
 
 
@@ -99,30 +125,22 @@ def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
         raise DomainError(f"cutoff must be >= 1, got {x}")
     if x > SERIES_X_CAP:
         raise ResourceLimitError(f"cutoff {x} exceeds cap {SERIES_X_CAP}")
-    support = _support(x)
-    definition = support[: bisect.bisect_right(support, DEFINITION_ROUTE_MAX)]
-    terms = list(zip(definition, series_terms(definition, system)))
-    power_term = functools.cache(functools.partial(prime_power_term, system=system))
-    for q in support[len(definition) :]:
-        terms.append((q, math.prod(power_term(p, e) for p, e in arith.factorize(q))))
-    value = math.fsum(t for _, t in terms)
+    plan = _plan(x)
+    values = series_terms(plan.definition, system)
+    powers = np.array([prime_power_term(p, e, system) for p, e in plan.keys] + [1.0])
+    # a left fold along each row, as math.prod; the padding multiplies by 1.0
+    values += tuple(np.multiply.reduce(powers[plan.index], axis=1).tolist())
     # empirical tail scale C/x, calibrated on the computed prefix
-    tail = 0.0
-    for frac in (4, 2):
-        x0 = x // frac
-        if x0 >= 1:
-            seen = math.fsum(t for q, t in terms if q > x0)
-            tail = max(tail, abs(seen) * x0 / x)
-    pmax = min(x, EULER_PMAX_CAP)
-    euler = singular_series_euler(system, max(pmax, 3))
+    tail = max([abs(math.fsum(values[cut:])) * x0 / x for x0, cut in plan.cuts], default=0.0)
+    pmax = max(min(x, EULER_PMAX_CAP), 3)
     return SeriesReport(
         cutoff=x,
-        value=value,
-        terms=tuple(terms),
+        value=math.fsum(values),
+        terms=tuple(zip(plan.support, values)),
         tail_estimate=tail,
-        euler_pmax=max(pmax, 3),
-        euler_value=euler,
-        euler_tail_factor=_euler_tail_factor(max(pmax, 3)),
+        euler_pmax=pmax,
+        euler_value=singular_series_euler(system, pmax),
+        euler_tail_factor=_euler_tail_factor(pmax),
     )
 
 

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -298,6 +299,17 @@ def test_series_997_big_n_golden(tmp_path):
             "--qmax", "997", "--out", str(out)]
     assert cli.run(args) == 0
     assert out.read_bytes() == (Path(__file__).parent / "data" / "series-997-bign.json").read_bytes()
+
+
+def test_series_at_the_cap_matches_its_hash(tmp_path):
+    # the 6,080 products above the definition cutoff at q <= 10^4, byte for
+    # byte against the sha256sum line of the same command's stdout
+    out = tmp_path / "series-10000.json"
+    args = ["series", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "14",
+            "--qmax", "10000", "--out", str(out)]
+    assert cli.run(args) == 0
+    pinned = (Path(__file__).parent / "data" / "series-10000.sha256").read_text()
+    assert pinned == hashlib.sha256(out.read_bytes()).hexdigest() + "  -\n"
 
 
 def test_thresholds_csv(tmp_path):

@@ -123,6 +123,7 @@ def test_series_bits_do_not_depend_on_the_modulus_caches():
         localdata._period_algebra,
         localdata._units,
         localdata._series_layout,
+        singular._plan,
     )
 
     def clear():
@@ -140,6 +141,38 @@ def test_series_bits_do_not_depend_on_the_modulus_caches():
     for n in (26, 101):
         _fresh_series(CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], n), 3000)
     assert [_fresh_series(*case) for case in cases] == [want[case] for case in cases]
+
+
+@pytest.mark.parametrize("x", [1022, 3000, singular.SERIES_X_CAP])
+def test_far_terms_match_the_prime_power_fold(x):
+    # the terms above the definition cutoff against math.prod over each
+    # factorization, left to right, and the sums against generator fsums;
+    # at 1022 both tails start on the support, at 255 = 3 * 5 * 17 and 511 = 7 * 73
+    big_n = CoefficientSystem.make(MIXED.a, 10**29)
+    for system in (ONES, MIXED, big_n):
+        rep = singular_series_partial(system, x)
+        for q, t in rep.terms:
+            if q > singular.DEFINITION_ROUTE_MAX:
+                fold = math.prod(prime_power_term(p, e, system) for p, e in arith.factorize(q))
+                assert t.hex() == fold.hex(), q
+        assert rep.value == math.fsum(t for _, t in rep.terms)
+        tail = 0.0
+        for x0 in (x // 4, x // 2):
+            seen = math.fsum(t for q, t in rep.terms if q > x0)
+            tail = max(tail, abs(seen) * x0 / x)
+        assert rep.tail_estimate == tail
+
+
+def test_repeated_series_does_no_per_modulus_work(monkeypatch):
+    # what depends on the cutoff alone is planned once: a second series at
+    # 3000 on the same system factorizes nothing and sieves no support
+    singular_series_partial(MIXED, 3000)
+    calls = []
+    for module, name in ((arith, "factorize"), (singular, "_support")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    singular_series_partial(MIXED, 3000)
+    assert calls == []
 
 
 def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
