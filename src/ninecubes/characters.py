@@ -21,9 +21,8 @@ from .errors import DomainError
 
 
 # Read by character_values at the lcm of the generator orders, once per
-# block of C_chi tables or value_table, and by series_term and
-# principal_twisted_sum at their one modulus.  A series lays out the roots
-# of its definition-route moduli itself and reads none of these tables.
+# block of C_chi tables or value_table.  The twisted sums B(q) and F(q) lay
+# out the roots of their moduli themselves and read none of these tables.
 @lru_cache(maxsize=1024)
 def unit_roots(m: int) -> np.ndarray:
     """Array of exp(2 pi i k/m) for k = 0..m-1 (read-only)."""

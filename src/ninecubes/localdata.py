@@ -20,10 +20,11 @@ definition routes, kept as cross-checks.
 The twisted sums B(q) and F(q) run over a layout of one or more moduli:
 one blocked pass gives every B(q) of a series.
 
-What depends on the modulus alone is cached for every system: the unit
-and cube tables and C_{chi_0} per q, a few series layouts, factorizations,
-and the primary prime and cyclotomic numbers per prime p = 1 mod 3.  N(q)
-and A(q) are cached by (q, system), the A(q) of a series by (moduli, system).
+What depends on the modulus alone is cached for every system: the last 8
+layouts, the only holders of units and of C_{chi_0} and root tables for the
+twisted sums, C_{chi_0} per q for the character sums, factorizations, and
+the primary prime and cyclotomic numbers per prime p = 1 mod 3.  N(q) and
+A(q) are cached by (q, system), the A(q) of a series by (moduli, system).
 C_chi for non-principal chi is computed a block of characters at a time
 (at most CHAR_BLOCK cells, at least one row) in one pass with one batched
 inverse FFT; only the last block is cached, and its rows are read-only.
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arith, convolve
-from .characters import DirichletCharacter, character_values, unit_roots
+from .characters import DirichletCharacter, character_values
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
 LOCAL_Q_CAP = 10**6
@@ -126,31 +127,28 @@ def _check_q(q: int, cap: int) -> None:
         raise ResourceLimitError(f"modulus {q} exceeds cap {cap}")
 
 
-@lru_cache(maxsize=4096)
-def _cube_table(q: int) -> np.ndarray:
-    """k^3 mod q for k = 0..q-1."""
-    k = np.arange(q, dtype=np.int64)
+def _units(q: int) -> np.ndarray:
+    """The units mod q, ascending."""
+    return np.flatnonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)
+
+
+def _cubes(k: np.ndarray, q: int) -> np.ndarray:
+    """k^3 mod q, elementwise."""
     return (k * k % q) * k % q
 
 
-@lru_cache(maxsize=4096)
-def _units(q: int) -> np.ndarray:
-    """The units mod q, ascending, read-only."""
-    k = np.flatnonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)
-    k.flags.writeable = False
-    return k
+def _principal_table(q: int, units: np.ndarray) -> np.ndarray:
+    """C_{chi_0}(a) for a = 0..q-1 from the units mod q, via the DFT of their cubes' histogram."""
+    hist = np.bincount(_cubes(units, q), minlength=q).astype(np.float64)
+    # C(a) = sum_r hist[r] e(a r / q) = q * ifft(hist)[a]
+    return q * np.fft.ifft(hist)
 
 
 @lru_cache(maxsize=4096)
 def principal_cubic_table(q: int) -> np.ndarray:
-    """C_{chi_0}(a) for a = 0..q-1, via the DFT of the unit-cube histogram."""
+    """C_{chi_0}(a) for a = 0..q-1, read-only."""
     _check_q(q, LOCAL_Q_CAP)
-    if q == 1:
-        return np.ones(1, dtype=np.complex128)
-    cubes = _cube_table(q)[_units(q)]
-    hist = np.bincount(cubes, minlength=q).astype(np.float64)
-    # C(a) = sum_r hist[r] e(a r / q) = q * ifft(hist)[a]
-    tab = q * np.fft.ifft(hist)
+    tab = _principal_table(q, _units(q))
     tab.flags.writeable = False
     return tab
 
@@ -178,10 +176,11 @@ def _char_sum_block(q: int, block: int) -> np.ndarray:
     units sorted stably by cube) added in ascending order, as np.add.at would."""
     rows = max(1, CHAR_BLOCK // q)
     start, stop = block * rows, min(block * rows + rows, arith.euler_phi(q))
-    cube = _cube_table(q)[_units(q)]
+    units = _units(q)
+    cube = _cubes(units, q)
     order = np.argsort(cube, kind="stable")
     d = len(order) // np.count_nonzero(np.bincount(cube, minlength=q))
-    vals = character_values(q, start, stop, _units(q)[order]).reshape(stop - start, -1, d)
+    vals = character_values(q, start, stop, units[order]).reshape(stop - start, -1, d)
     acc = vals[..., 0]  # summed in place: no temporaries beside the block
     for j in range(1, d):
         acc += vals[..., j]
@@ -222,11 +221,13 @@ class _Layout(NamedTuple):
     roots: np.ndarray
 
 
-def _layout(qs: tuple[int, ...], units_only: bool, table, roots) -> _Layout:
-    """The layout of moduli qs, with C_{chi_0} read from table(q) and roots from roots(q)."""
+@lru_cache(maxsize=8)
+def _layout(qs: tuple[int, ...], units_only: bool) -> _Layout:
+    """The layout of moduli qs, units only or all residues, with its own tables."""
     for q in (min(qs), max(qs)):
         _check_q(q, LOCAL_Q_CAP)
-    ks = [_units(q) if units_only else np.arange(q) for q in qs]
+    units = [_units(q) for q in qs]
+    ks = units if units_only else [np.arange(q) for q in qs]
     counts = [len(k) for k in ks]
     dtype = np.int32 if max(qs) ** 2 < 2**31 else np.int64  # holds r k < q^2
     offs = np.cumsum([0] + [q + 1 for q in qs[:-1]])  # intp, as take reads them
@@ -234,14 +235,16 @@ def _layout(qs: tuple[int, ...], units_only: bool, table, roots) -> _Layout:
     def periodic(fn) -> np.ndarray:
         # filled in place: a list of the small per-q tables would fragment the heap
         out = np.empty(offs[-1] + qs[-1] + 1, dtype=np.complex128)
-        for o, q in zip(offs.tolist(), qs):
-            out[o : o + q] = fn(q)
+        for o, q, u in zip(offs.tolist(), qs, units):
+            out[o : o + q] = fn(q, u)
             out[o + q] = out[o]
         return out
 
+    tables = periodic(_principal_table)
+    roots = periodic(lambda q, u: np.exp(2j * np.pi * np.arange(q) / q))  # as unit_roots(q)
     bounds = tuple(itertools.accumulate(counts, initial=0))
     k, q = np.concatenate(ks, dtype=dtype), np.repeat(np.array(qs, dtype), counts)
-    return _Layout(qs, bounds, k, q, np.repeat(offs, counts), periodic(table), periodic(roots))
+    return _Layout(qs, bounds, k, q, np.repeat(offs, counts), tables, roots)
 
 
 def _twisted_sums(layout: _Layout, system: CoefficientSystem) -> list[complex]:
@@ -286,27 +289,21 @@ def _series_values(layout: _Layout, system: CoefficientSystem) -> tuple[float, .
     return tuple(out)
 
 
-# A series layout holds its own tables, so it does not fill the per-q caches.
-@lru_cache(maxsize=4)
-def _series_layout(qs: tuple[int, ...]) -> _Layout:
-    return _layout(qs, True, principal_cubic_table.__wrapped__, unit_roots.__wrapped__)
-
-
 def principal_twisted_sum(q: int, system: CoefficientSystem, units_only: bool) -> complex:
     """B(q) (k coprime to q) or F(q) (all k mod q) at principal characters."""
-    return _twisted_sums(_layout((q,), units_only, principal_cubic_table, unit_roots), system)[0]
+    return _twisted_sums(_layout((q,), units_only), system)[0]
 
 
 @lru_cache(maxsize=200000)
 def series_term(q: int, system: CoefficientSystem) -> float:
     """A(q) = B(q at principal characters) / phi(q)^9, verified real."""
-    return _series_values(_layout((q,), True, principal_cubic_table, unit_roots), system)[0]
+    return _series_values(_layout((q,), True), system)[0]
 
 
 @lru_cache(maxsize=256)
 def series_terms(qs: tuple[int, ...], system: CoefficientSystem) -> tuple[float, ...]:
     """A(q) at each modulus of qs in one blocked pass, bit-identical to series_term."""
-    return _series_values(_series_layout(qs), system)
+    return _series_values(_layout(qs, True), system)
 
 
 def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]:
@@ -315,7 +312,7 @@ def _unit_cube_histograms(q: int, system: CoefficientSystem) -> list[np.ndarray]
     One bincount per distinct a_j mod q; slots with equal residues share
     one read-only array.
     """
-    cubes = _cube_table(q)[_units(q)]
+    cubes = _cubes(_units(q), q)
     hists: dict[int, np.ndarray] = {}
     for r in (aj % q for aj in system.a):
         if r not in hists:

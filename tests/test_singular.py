@@ -1,3 +1,4 @@
+import functools
 import math
 from pathlib import Path
 
@@ -79,28 +80,51 @@ def test_fresh_series_reads_the_layout_of_the_last_one():
     localdata.series_terms.cache_clear()
     for n in (26, 28):
         system = CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], n)
-        before = localdata._series_layout.cache_info()
+        before = localdata._layout.cache_info()
         singular_series_partial(system, 1000)
-        after = localdata._series_layout.cache_info()
+        after = localdata._layout.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
 
 
-def _series_layouts_read(monkeypatch):
-    """The moduli of each series layout read from here on, all caches of
-    series terms and layouts cleared, so the first read of each builds it."""
+def _layouts_read(monkeypatch):
+    """The moduli of each layout read from here on, all caches of terms and
+    layouts cleared, so the first read of each builds it."""
+    series_term.cache_clear()
     localdata.series_terms.cache_clear()
-    localdata._series_layout.cache_clear()
+    localdata._layout.cache_clear()
     read = []
-    layout = localdata._series_layout
-    monkeypatch.setattr(localdata, "_series_layout", lambda qs: read.append(qs) or layout(qs))
+    layout = localdata._layout
+    monkeypatch.setattr(localdata, "_layout", lambda qs, units: read.append(qs) or layout(qs, units))
     return read
+
+
+# the Euler factor at 3 reads A(3), A(9) and A(27) at one modulus each
+EULER_AT_3 = {(3,), (9,), (27,)}
+
+
+def test_a_wrapped_principal_table_caches_what_the_plain_one_does(monkeypatch):
+    # a tracing wrapper, as bench/spans.py installs, leaves a series at 1000
+    # filling the C_{chi_0} cache exactly as it does unwrapped
+    table = localdata.principal_cubic_table
+    system = CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], 32)
+
+    def fills():
+        for cache in (series_term, localdata.series_terms, localdata._layout, table):
+            cache.cache_clear()
+        singular_series_partial(system, 1000)
+        return table.cache_info()
+
+    plain = fills()
+    wrapped = functools.wraps(table)(lambda q: table(q))
+    monkeypatch.setattr(localdata, "principal_cubic_table", wrapped)
+    assert fills() == plain
 
 
 def test_series_at_30_lays_out_its_own_support_only(monkeypatch):
     # the partial sum and the Euler product share one layout, of q <= 30
-    read = _series_layouts_read(monkeypatch)
+    read = _layouts_read(monkeypatch)
     singular_series_partial(CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], 30), 30)
-    assert set(read) == {tuple(q for q in range(1, 31) if _on_support(q))}
+    assert set(read) == {tuple(q for q in range(1, 31) if _on_support(q))} | EULER_AT_3
 
 
 def _fresh_series(system, x):
@@ -121,8 +145,7 @@ def test_series_bits_do_not_depend_on_the_modulus_caches():
         arith.is_prime,
         arith.factorize,
         localdata._period_algebra,
-        localdata._units,
-        localdata._series_layout,
+        localdata._layout,
         singular._plan,
     )
 
@@ -191,11 +214,11 @@ def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
 def test_series_above_the_cutoff_lays_out_no_modulus_past_it(monkeypatch):
     # the partial sum and the Euler product to 3000 share one layout, of
     # the support to DEFINITION_ROUTE_MAX
-    read = _series_layouts_read(monkeypatch)
+    read = _layouts_read(monkeypatch)
     rep = singular_series_partial(MIXED, 3000)
     assert rep.euler_pmax == 3000
     cutoff = singular.DEFINITION_ROUTE_MAX
-    assert set(read) == {tuple(q for q in range(1, cutoff + 1) if _on_support(q))}
+    assert set(read) == {tuple(q for q in range(1, cutoff + 1) if _on_support(q))} | EULER_AT_3
 
 
 def test_series_above_the_cutoff_matches_the_definition():
