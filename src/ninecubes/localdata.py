@@ -14,17 +14,17 @@ allocates no array: in closed form at a prime p != 3, from cubic Gauss and
 Jacobi sums; at 3 and 9 from the signs of unit cubes mod 9; by Hensel
 lifting at prime powers; as a product over prime powers at composite q.  A
 prime dividing every a_j, which no pairwise-coprime system has, is refused.
-A(p^e) is exact from the counts.  Convolutions and transforms are the
-definition routes, kept as cross-checks.
+B(p^e) = phi(p^e)^9 A(p^e) is exact from the counts.  Convolutions and
+transforms are the definition routes, kept as cross-checks.
 
 The twisted sums B(q) and F(q) run over a layout of one or more moduli:
-one blocked pass gives every B(q) of a series.
+one blocked pass gives B(p) at every prime a series checks.
 
 What depends on the modulus alone is cached for every system: the last 8
 layouts, the only holders of units and of C_{chi_0} and root tables for the
 twisted sums, C_{chi_0} per q for the character sums, factorizations, and
 the primary prime and cyclotomic numbers per prime p = 1 mod 3.  N(q) and
-A(q) are cached by (q, system), the A(q) of a series by (moduli, system).
+A(q) are cached by (q, system), a blocked pass's A(p) by (moduli, system).
 C_chi for non-principal chi is computed a block of characters at a time
 (at most CHAR_BLOCK cells, at least one row) in one pass with one batched
 inverse FFT; only the last block is cached, and its rows are read-only.
@@ -469,13 +469,12 @@ def unit_solution_count(q: int, system: CoefficientSystem) -> int:
     return count
 
 
-def prime_power_term(p: int, e: int, system: CoefficientSystem) -> float:
-    """A(p^e) = g(p^e) - g(p^(e-1)), g(d) = d N(d) / phi(d)^9, as one correctly
-    rounded int/int division: phi(p^e) / phi(p^(e-1)) is the integer lifts."""
+def prime_power_sum(p: int, e: int, system: CoefficientSystem) -> int:
+    """B(p^e) = phi(p^e)^9 A(p^e), exact: A(p^e) = g(p^e) - g(p^(e-1)) with
+    g(d) = d N(d) / phi(d)^9, and phi(p^e) / phi(p^(e-1)) is the integer lifts."""
     q, lifts = p**e, (p - 1 if e == 1 else p)
-    high = q * unit_solution_count(q, system)
     low = q // p * lifts**9 * unit_solution_count(q // p, system)
-    return (high - low) / (q - q // p) ** 9
+    return q * unit_solution_count(q, system) - low
 
 
 def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:

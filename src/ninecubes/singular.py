@@ -4,12 +4,13 @@ Two independent routes to the series: the partial sum of A(q) over q <= x,
 and the Euler product of s(p) = 1 + A(p) with the 3-adic factor summed to
 exponent 3.  A(q) vanishes unless q is a power of 3 up to 27 times a
 squarefree number prime to 3: one sieve over [1, x] finds that support.
-Up to DEFINITION_ROUTE_MAX, A(q) and s(p) come from the definition, in one
-blocked pass cached per system; above it, A(q) is the product of the exact
-prime-power terms A(p^e) and s(p) = 1 + A(p).  One plan per cutoff holds
-what depends on x alone: the support, the tail cuts, the Euler primes'
-positions and each far q's places among the distinct (p, e).  Each call
-redoes the s(p) checks and, from cached counts, the far terms' products.
+A is multiplicative, so both routes read each A(q) correctly rounded from
+the exact counts, cached per cutoff and system: the product of the exact
+B(p^e) over q's prime powers, then one int/int division by phi(q)^9.  A
+plan per cutoff holds what depends on x alone: the support, the tail cuts,
+the Euler primes' positions, each q's places among the distinct (p, e) and
+phi(q)^9.  Each call checks the definition route against the counts at
+3, 9, 27 and, through s(p), at each prime up to DEFINITION_ROUTE_MAX.
 
 The singular integral J(n) sums (m_1 ... m_9)^(-2/3) over integer tuples
 with sum a_j m_j = n and M < |a_j| m_j <= N.  The constraint is linear in
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import arith, convolve
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
-from .localdata import CoefficientSystem, euler_factor, prime_power_term, series_term, series_terms
+from .localdata import CoefficientSystem, euler_factor, prime_power_sum, series_term, series_terms
 
 SERIES_X_CAP = 10**4
 EULER_PMAX_CAP = 10**4
@@ -74,49 +75,58 @@ class _Plan(NamedTuple):
     """What a series at cutoff x needs of x alone, built once per cutoff."""
 
     support: tuple[int, ...]
-    definition: tuple[int, ...]  # the support up to DEFINITION_ROUTE_MAX
     cuts: tuple[tuple[int, int], ...]  # (x0, position of the first q > x0) per tail
-    euler: tuple[tuple[int, int], ...]  # (p, position in definition), p != 3
-    above: tuple[int, ...]  # the primes in (DEFINITION_ROUTE_MAX, x]
-    keys: tuple[tuple[int, int], ...]  # the (p, e) of the far q, those past the definition
-    index: np.ndarray  # per far q, its positions in keys, padded with len(keys), a 1.0
+    euler: tuple[int, ...]  # the positions in support of the primes p != 3
+    checked: tuple[int, ...]  # those primes up to DEFINITION_ROUTE_MAX
+    keys: tuple[tuple[int, int], ...]  # the distinct (p, e) of the support
+    rows: tuple[tuple[int, ...], ...]  # per q, the positions of its (p, e) in keys
+    phi9: tuple[int, ...]  # per q, phi(q)^9
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(x: int) -> _Plan:
     support = _support(x)
-    definition = support[: bisect.bisect_right(support, DEFINITION_ROUTE_MAX)]
     cuts = tuple((x0, bisect.bisect_right(support, x0)) for x0 in (x // 4, x // 2) if x0 >= 1)
-    far = support[len(definition) :]
     primes = set(arith.sieve_primes(x)) - {3}
-    euler = tuple((p, i) for i, p in enumerate(definition) if p in primes)
-    above = tuple(q for q in far if q in primes)
+    euler = tuple(i for i, q in enumerate(support) if q in primes)
+    checked = tuple(p for p in sorted(primes) if p <= DEFINITION_ROUTE_MAX)
     pos: dict[tuple[int, int], int] = {}
-    rows = [[pos.setdefault(pe, len(pos)) for pe in arith.factorize(q)] for q in far]
-    width = max(map(len, rows), default=1)  # (0, 1) when no q is far
-    index = np.array([r + [len(pos)] * (width - len(r)) for r in rows], np.intp).reshape(-1, width)
-    index.flags.writeable = False
-    return _Plan(support, definition, cuts, euler, above, tuple(pos), index)
+    rows = tuple(tuple(pos.setdefault(pe, len(pos)) for pe in arith.factorize(q)) for q in support)
+    phi9 = tuple(arith.euler_phi(q) ** 9 for q in support)
+    return _Plan(support, cuts, euler, checked, tuple(pos), rows, phi9)
+
+
+@functools.lru_cache(maxsize=4)
+def _terms(x: int, system: CoefficientSystem) -> tuple[float, ...]:
+    """A(q) at each q of the support to x, correctly rounded: the product of
+    the exact B(p^e) over q's prime powers, then one int/int division by phi(q)^9."""
+    plan = _plan(x)
+    sums = [prime_power_sum(p, e, system) for p, e in plan.keys]
+    return tuple(math.prod([sums[i] for i in row]) / d for row, d in zip(plan.rows, plan.phi9))
 
 
 def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
     """Euler route: prod_{p <= pmax, p != 3} s(p) times the 3-adic factor.
 
-    Up to DEFINITION_ROUTE_MAX, A(p) is the term the partial sum at pmax caches,
-    and euler_factor checks each s(p) against p N(p) / phi(p)^9, with N(p)
-    exact from cubic Gauss sums; above it, s(p) = 1 + A(p) from that count."""
+    Each A(p) and A(3^e), e <= 3, is the exact term the partial sum at pmax
+    reports.  Every call checks the definition route against the exact
+    counts: series_term at 3, 9 and 27, and euler_factor's s(p) check of the
+    blocked pass's A(p) at each Euler prime up to DEFINITION_ROUTE_MAX."""
     if pmax < 3:
         raise DomainError(f"pmax must be >= 3, got {pmax}")
     if pmax > EULER_PMAX_CAP:
         raise ResourceLimitError(f"pmax {pmax} exceeds cap {EULER_PMAX_CAP}")
     plan = _plan(pmax)
-    term = series_terms(plan.definition, system)
-    value = 1.0 + series_term(3, system) + series_term(9, system) + series_term(27, system)
-    for p, i in plan.euler:
-        value *= euler_factor(p, system, term[i])
-    for p in plan.above:
-        value *= 1.0 + prime_power_term(p, 1, system)
-    return value
+    threes = [prime_power_sum(3, e, system) / (2 * 3 ** (e - 1)) ** 9 for e in (1, 2, 3)]
+    for q, exact in zip((3, 9, 27), threes):  # held to the counts as euler_factor holds s(p)
+        a = series_term(q, system)
+        if abs(a - exact) > 1e-9 * max(1.0, abs(a), abs(exact)):
+            raise NumericIntegrityError(f"A({q}) = {a!r} by definition vs {exact!r} from the counts")
+    for p, a in zip(plan.checked, series_terms(plan.checked, system)):
+        euler_factor(p, system, a)
+    terms = _terms(pmax, system)
+    three_adic = 1.0 + threes[0] + threes[1] + threes[2]
+    return math.prod([1.0 + terms[i] for i in plan.euler], start=three_adic)
 
 
 def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
@@ -126,10 +136,7 @@ def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
     if x > SERIES_X_CAP:
         raise ResourceLimitError(f"cutoff {x} exceeds cap {SERIES_X_CAP}")
     plan = _plan(x)
-    values = series_terms(plan.definition, system)
-    powers = np.array([prime_power_term(p, e, system) for p, e in plan.keys] + [1.0])
-    # a left fold along each row, as math.prod; the padding multiplies by 1.0
-    values += tuple(np.multiply.reduce(powers[plan.index], axis=1).tolist())
+    values = _terms(x, system)
     # empirical tail scale C/x, calibrated on the computed prefix
     tail = max([abs(math.fsum(values[cut:])) * x0 / x for x0, cut in plan.cuts], default=0.0)
     pmax = max(min(x, EULER_PMAX_CAP), 3)

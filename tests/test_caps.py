@@ -33,10 +33,10 @@ SCAN = (ONES, arcs.build_dissection(10**3, 2), 10, 10**3, 0.05)
                      (arith, "_unit_group"), id="character_group"),
         pytest.param(singular, "SERIES_X_CAP", 10,
                      lambda: singular.singular_series_partial(ONES, 11),
-                     (singular, "series_terms"), id="series"),
+                     (singular, "_plan"), id="series"),
         pytest.param(singular, "EULER_PMAX_CAP", 10,
                      lambda: singular.singular_series_euler(ONES, 11),
-                     (singular, "series_terms"), id="euler"),
+                     (singular, "_plan"), id="euler"),
         pytest.param(singular, "INTEGRAL_N_CAP", 99,
                      lambda: singular.singular_integral(ONES, 10, 100),
                      (singular, "integral_support"), id="integral"),

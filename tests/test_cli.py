@@ -302,8 +302,9 @@ def test_series_997_big_n_golden(tmp_path):
 
 
 def test_series_at_the_cap_matches_its_hash(tmp_path):
-    # the 6,080 products above the definition cutoff at q <= 10^4, byte for
-    # byte against the sha256sum line of the same command's stdout
+    # the 6,758 correctly rounded terms at q <= 10^4, 6,080 of them above the
+    # definition cutoff, byte for byte against the sha256sum line of the same
+    # command's stdout
     out = tmp_path / "series-10000.json"
     args = ["series", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "14",
             "--qmax", "10000", "--out", str(out)]

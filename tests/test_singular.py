@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from ninecubes import arith, convolve, localdata, singular
 from ninecubes.cli import run
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
-from ninecubes.localdata import CoefficientSystem, euler_factor, prime_power_term, series_term
+from ninecubes.localdata import CoefficientSystem, euler_factor, prime_power_sum, series_term
 from ninecubes.singular import (
     integral_support,
     main_term,
@@ -75,8 +76,8 @@ def test_partial_tracks_euler_product():
 
 
 def test_fresh_series_reads_the_layout_of_the_last_one():
-    # a series on a new system recomputes every A(q) on its definition
-    # route, over the layout the previous series left cached
+    # a series on a new system recomputes the definition A(p) at its Euler
+    # primes, over the layout the previous series left cached
     localdata.series_terms.cache_clear()
     for n in (26, 28):
         system = CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], n)
@@ -120,11 +121,15 @@ def test_a_wrapped_principal_table_caches_what_the_plain_one_does(monkeypatch):
     assert fills() == plain
 
 
+def _euler_primes(x):
+    return tuple(p for p in arith.sieve_primes(min(x, singular.DEFINITION_ROUTE_MAX)) if p != 3)
+
+
 def test_series_at_30_lays_out_its_own_support_only(monkeypatch):
-    # the partial sum and the Euler product share one layout, of q <= 30
+    # the definition pass lays out the Euler primes to 30 and nothing else
     read = _layouts_read(monkeypatch)
     singular_series_partial(CoefficientSystem.make([1, 1, 1, -1, 1, 1, 1, 2, 3], 30), 30)
-    assert set(read) == {tuple(q for q in range(1, 31) if _on_support(q))} | EULER_AT_3
+    assert set(read) == {_euler_primes(30)} | EULER_AT_3
 
 
 def _fresh_series(system, x):
@@ -133,6 +138,7 @@ def _fresh_series(system, x):
     series_term.cache_clear()
     localdata.series_terms.cache_clear()
     localdata.unit_solution_count.cache_clear()
+    singular._terms.cache_clear()
     rep = singular_series_partial(system, x)
     return repr(rep.terms), repr(rep.euler_value)
 
@@ -166,24 +172,69 @@ def test_series_bits_do_not_depend_on_the_modulus_caches():
     assert [_fresh_series(*case) for case in cases] == [want[case] for case in cases]
 
 
+def _exact_term(q, system):
+    """A(q) as a Fraction: the product over q's prime powers of
+    g(p^e) - g(p^(e-1)), g(d) = d N(d) / phi(d)^9 with N(d) exact."""
+
+    def g(d):
+        return Fraction(d * localdata.unit_solution_count(d, system), arith.euler_phi(d) ** 9)
+
+    return math.prod((g(p**e) - g(p ** (e - 1)) for p, e in arith.factorize(q)), start=Fraction(1))
+
+
 @pytest.mark.parametrize("x", [1022, 3000, singular.SERIES_X_CAP])
-def test_far_terms_match_the_prime_power_fold(x):
-    # the terms above the definition cutoff against math.prod over each
-    # factorization, left to right, and the sums against generator fsums;
-    # at 1022 both tails start on the support, at 255 = 3 * 5 * 17 and 511 = 7 * 73
+def test_every_term_is_the_correctly_rounded_exact_value(x):
+    # every term to 3000 equals the float of the exact product, and the sums
+    # the generator fsums; at 1022 both tails start on the support, at
+    # 255 = 3 * 5 * 17 and 511 = 7 * 73
     big_n = CoefficientSystem.make(MIXED.a, 10**29)
     for system in (ONES, MIXED, big_n):
         rep = singular_series_partial(system, x)
         for q, t in rep.terms:
-            if q > singular.DEFINITION_ROUTE_MAX:
-                fold = math.prod(prime_power_term(p, e, system) for p, e in arith.factorize(q))
-                assert t.hex() == fold.hex(), q
+            if q <= 3000:
+                assert t.hex() == float(_exact_term(q, system)).hex(), (system.n, q)
         assert rep.value == math.fsum(t for _, t in rep.terms)
         tail = 0.0
         for x0 in (x // 4, x // 2):
             seen = math.fsum(t for q, t in rep.terms if q > x0)
             tail = max(tail, abs(seen) * x0 / x)
         assert rep.tail_estimate == tail
+
+
+def test_an_exact_zero_term_is_reported_as_zero():
+    # A(54) of the README system is 0: the definition route gave -9.39e-147
+    assert _exact_term(54, ONES) == 0
+    assert _terms(ONES, 1000)[54] == 0.0
+
+
+def test_every_series_call_checks_s_p_at_each_prime_to_the_definition_cutoff(monkeypatch):
+    # the s(p) check runs on every call, the terms cached or not
+    seen = []
+    check = singular.euler_factor
+    monkeypatch.setattr(singular, "euler_factor", lambda p, *a: seen.append(p) or check(p, *a))
+    for x in (2, 300, 3000, 3000):
+        seen.clear()
+        singular_series_partial(MIXED, x)
+        assert tuple(seen) == _euler_primes(max(x, 3)), x
+
+
+def test_a_definition_term_off_the_exact_one_is_refused(monkeypatch):
+    # one definition A(p) of the blocked pass, or A(27), moved by 1e-8
+    blocked, single = singular.series_terms, singular.series_term
+
+    def moved(qs, system):
+        terms = list(blocked(qs, system))
+        terms[qs.index(997)] += 1e-8
+        return tuple(terms)
+
+    singular_series_partial(MIXED, 1000)
+    monkeypatch.setattr(singular, "series_terms", moved)
+    with pytest.raises(NumericIntegrityError, match=r"s\(997\)"):
+        singular_series_partial(MIXED, 1000)
+    monkeypatch.setattr(singular, "series_terms", blocked)
+    monkeypatch.setattr(singular, "series_term", lambda q, s: single(q, s) + 1e-8 * (q == 27))
+    with pytest.raises(NumericIntegrityError, match=r"A\(27\)"):
+        singular_series_partial(MIXED, 1000)
 
 
 def test_repeated_series_does_no_per_modulus_work(monkeypatch):
@@ -207,18 +258,16 @@ def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
     assert len(primes) == 1061
     for p in primes:
         assert euler_factor(p, MIXED) == pytest.approx(
-            1.0 + prime_power_term(p, 1, MIXED), rel=1e-12
+            1.0 + prime_power_sum(p, 1, MIXED) / (p - 1) ** 9, rel=1e-12
         )
 
 
 def test_series_above_the_cutoff_lays_out_no_modulus_past_it(monkeypatch):
-    # the partial sum and the Euler product to 3000 share one layout, of
-    # the support to DEFINITION_ROUTE_MAX
+    # a series to 3000 lays out the Euler primes to DEFINITION_ROUTE_MAX
     read = _layouts_read(monkeypatch)
     rep = singular_series_partial(MIXED, 3000)
     assert rep.euler_pmax == 3000
-    cutoff = singular.DEFINITION_ROUTE_MAX
-    assert set(read) == {tuple(q for q in range(1, cutoff + 1) if _on_support(q))} | EULER_AT_3
+    assert set(read) == {_euler_primes(3000)} | EULER_AT_3
 
 
 def test_series_above_the_cutoff_matches_the_definition():
@@ -232,7 +281,7 @@ def test_series_above_the_cutoff_matches_the_definition():
 
 
 def test_series_report_to_3000_matches_golden(tmp_path):
-    # the terms above the definition cutoff and the Euler factors at p > 1000
+    # the terms and Euler factors above the definition cutoff, whose checks stop at 1000
     golden = Path(__file__).parent / "data" / "series-3000.json"
     out = tmp_path / "series-3000.json"
     args = ["series", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "14", "--qmax", "3000"]
