@@ -11,14 +11,14 @@ For a system a_1 x_1^3 + ... + a_9 x_9^3 = n the objects computed here are
 
 A(q) is the per-modulus term of the singular series.  N(q) is exact and
 allocates no array: in closed form at a prime p != 3, from cubic Gauss and
-Jacobi sums; at 3 and 9 from the signs of unit cubes mod 9; by Hensel
-lifting at prime powers; as a product over prime powers at composite q.  A
-prime dividing every a_j, which no pairwise-coprime system has, is refused.
-B(p^e) = phi(p^e)^9 A(p^e) is exact from the counts.  Convolutions and
-transforms are the definition routes, kept as cross-checks.
-
-The twisted sums B(q) and F(q) run over a layout of one or more moduli:
-one blocked pass gives B(p) at every prime a series checks.
+Jacobi sums with one character index per distinct coefficient; at 3 and 9
+from the signs of unit cubes mod 9; by Hensel lifting at prime powers; as
+a product over prime powers at composite q.  A prime dividing every a_j
+(their gcd), which no pairwise-coprime system has, is refused.  B(p^e) =
+phi(p^e)^9 A(p^e) is exact from the counts, and exact_term(q) is A(q) from
+them.  The twisted sums B(q) and F(q), over layouts of moduli, and the
+convolutions are the definition routes, held to the counts at 1e-9 by
+check_routes: for A(q), and for s(p) in euler_factor at one or more primes.
 
 What depends on the modulus alone is cached for every system: the last 8
 layouts, the only holders of units and of C_{chi_0} and root tables for the
@@ -93,8 +93,10 @@ class CoefficientSystem:
         if any(x == 0 for x in self.a):
             raise DomainError("coefficients must be nonzero")
         object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        # every cache lookup keyed by a system hashes it: hash the fields once
+        # cache keys hash a system, exact counts read its distinct a_j and gcd: each made once
         object.__setattr__(self, "_hash", hash((self.a, self.n)))
+        object.__setattr__(self, "_distinct", tuple({a: self.a.count(a) for a in self.a}.items()))
+        object.__setattr__(self, "_gcd", math.gcd(*self.a))
 
     def __hash__(self) -> int:
         return self._hash
@@ -404,27 +406,24 @@ def _twisted_sum_closed_form(p: int, system: CoefficientSystem) -> int:
     e(-k n / p) is c_p(n) = p - 1 if p | n, else -1.  For p = 2 mod 3
     cubing permutes the units, so every other C(a_j k) is -1.
 
-    For p = 1 mod 3 and k in R_c (see _period_algebra), C(a_j k) =
-    3 eta_(i_j + c) with chi(a_j) = w^(i_j), read from a_j^f = w^(i_j) mod
-    pi, and the twists e(-k n / p) sum to eta_(c + i_n), or to f if p | n.
-    The sum over c is the trace, which takes sum v_i eta_i to -sum v_i.
+    For p = 1 mod 3 and k in R_c (see _period_algebra), C(a_j k) = 3 eta_(i_j + c)
+    with chi(a_j) = w^(i_j), read once per distinct a_j from a_j^f mod pi (i_j = 0
+    at a_j = +-1: -1 is a cube), and the twists e(-k n / p) sum to eta_(c + i_n),
+    or to f if p | n.  The sum over c is the trace: x eta_0 + y eta_1 + z eta_2 -> -(x + y + z).
     """
-    r = sum(a % p == 0 for a in system.a)
+    r = sum(m for a, m in system._distinct if a % p == 0)
     ramanujan = p - 1 if system.n % p == 0 else -1
     if p % 3 != 1:
         return (-1) ** (9 - r) * (p - 1) ** r * ramanujan
     index, times = _period_algebra(p)
     f = (p - 1) // 3
-    factors = [a for a in system.a if a % p]
-    scale = 3 ** len(factors) * (p - 1) ** r
-    if system.n % p:
-        factors.append(system.n)
-    else:
-        scale *= f
-    v = [-1, -1, -1]
-    for a in factors:
-        v = [r0 * v[0] + r1 * v[1] + r2 * v[2] for r0, r1, r2 in times[index[pow(a, f, p)]]]
-    return -scale * sum(v)
+    scale = 3 ** (9 - r) * (p - 1) ** r * (f if system.n % p == 0 else 1)
+    x = y = z = -1
+    for a, m in [t for t in (*system._distinct, (system.n, 1)) if t[0] % p]:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = times[0 if a in (1, -1) else index[pow(a, f, p)]]
+        for _ in range(m):
+            x, y, z = a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z
+    return -scale * (x + y + z)
 
 
 def _prime_count(p: int, system: CoefficientSystem) -> int:
@@ -459,7 +458,7 @@ def unit_solution_count(q: int, system: CoefficientSystem) -> int:
     _check_q(q, LOCAL_Q_CAP)
     count = 1
     for p, e in arith.factorize(q):
-        if all(a % p == 0 for a in system.a):
+        if system._gcd % p == 0:
             raise DomainError(f"N({q}) needs some coefficient prime to {p}, which divides every a_j")
         if p == 3:
             k = min(e, 2)
@@ -473,8 +472,14 @@ def prime_power_sum(p: int, e: int, system: CoefficientSystem) -> int:
     """B(p^e) = phi(p^e)^9 A(p^e), exact: A(p^e) = g(p^e) - g(p^(e-1)) with
     g(d) = d N(d) / phi(d)^9, and phi(p^e) / phi(p^(e-1)) is the integer lifts."""
     q, lifts = p**e, (p - 1 if e == 1 else p)
-    low = q // p * lifts**9 * unit_solution_count(q // p, system)
+    low = q // p * lifts**9 * (unit_solution_count(q // p, system) if e > 1 else 1)
     return q * unit_solution_count(q, system) - low
+
+
+def exact_term(q: int, system: CoefficientSystem) -> float:
+    """A(q) correctly rounded: the product of the exact B(p^e) over phi(q)^9, one division."""
+    b_q = math.prod(prime_power_sum(p, e, system) for p, e in arith.factorize(q))
+    return b_q / arith.euler_phi(q) ** 9
 
 
 def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
@@ -491,23 +496,32 @@ def unit_solution_count_float(q: int, system: CoefficientSystem) -> float:
     return convolve.spectral_coefficient(parts, q, system.n % q)
 
 
-def euler_factor(p: int, system: CoefficientSystem, a_p: float | None = None) -> float:
-    """s(p) = 1 + A(p), cross-checked against p N(p) / phi(p)^9 with N(p) exact;
-    A(p) is series_term(p, system) unless the caller passes it."""
-    if not arith.is_prime(p):
-        raise DomainError(f"euler_factor requires a prime, got {p}")
-    s = 1.0 + (series_term(p, system) if a_p is None else a_p)
-    counted = p * unit_solution_count(p, system) / float(p - 1) ** 9
-    if abs(s - counted) > 1e-9 * max(1.0, abs(s), abs(counted)):
-        raise NumericIntegrityError(
-            f"s({p}) identity violated: 1 + A = {s!r} vs p N / phi^9 = {counted!r}"
-        )
-    return s
+def check_routes(name: str, keys: tuple, definition, exact) -> None:
+    """Raise NumericIntegrityError at the first key whose values differ by > 1e-9 max(1, |.|)."""
+    d, e = np.array(definition, np.float64, ndmin=1), np.array(exact, np.float64, ndmin=1)
+    off = np.abs(d - e) > 1e-9 * np.maximum(1.0, np.maximum(np.abs(d), np.abs(e)))
+    if off.any():
+        i = int(off.argmax())
+        raise NumericIntegrityError(f"{name}({keys[i]}) identity violated: {float(d[i])!r}"
+                                    f" by definition vs {float(e[i])!r} from the counts")
+
+
+def euler_factor(p, system: CoefficientSystem, a_p=None, exact=None):
+    """s(p) = 1 + A(p) at a prime p, or an array at a tuple of primes, A(p) from series_term
+    unless passed, held to the exact s(p) passed or else (primes only) to p N(p) / phi(p)^9."""
+    primes = p if isinstance(p, tuple) else (p,)
+    if exact is None:
+        if not all(map(arith.is_prime, primes)):
+            raise DomainError(f"euler_factor requires primes, got {p}")
+        exact = [q * unit_solution_count(q, system) / float(q - 1) ** 9 for q in primes]
+    s = 1.0 + np.array([series_term(q, system) for q in primes] if a_p is None else a_p, ndmin=1)
+    check_routes("s", primes, s, exact)
+    return s if isinstance(p, tuple) else float(s[0])
 
 
 @dataclass(frozen=True)
 class LocalData:
-    """A(q), exact N(q), and s(p) when q is prime."""
+    """A(q) from the exact counts, exact N(q), and at a prime q the definition route's s(q)."""
 
     q: int
     series_term: float
@@ -517,7 +531,8 @@ class LocalData:
 
 def local_data(q: int, system: CoefficientSystem) -> LocalData:
     _check_q(q, EXACT_COUNT_CAP)
-    a_q = series_term(q, system)
-    n_q = unit_solution_count(q, system)
-    s_p = euler_factor(q, system) if arith.is_prime(q) else None
-    return LocalData(q=q, series_term=a_q, unit_solutions=n_q, euler_factor=s_p)
+    definition, a_q = series_term(q, system), exact_term(q, system)
+    s_p = euler_factor(q, system, definition) if arith.is_prime(q) else None
+    if s_p is None:  # at a prime q the s(q) check holds this A(q) to the counts
+        check_routes("A", (q,), definition, a_q)
+    return LocalData(q, a_q, unit_solution_count(q, system), s_p)

@@ -9,8 +9,9 @@ the exact counts, cached per cutoff and system: the product of the exact
 B(p^e) over q's prime powers, then one int/int division by phi(q)^9.  A
 plan per cutoff holds what depends on x alone: the support, the tail cuts,
 the Euler primes' positions, each q's places among the distinct (p, e) and
-phi(q)^9.  Each call checks the definition route against the counts at
-3, 9, 27 and, through s(p), at each prime up to DEFINITION_ROUTE_MAX.
+phi(q)^9.  Each call holds the definition route to the cached exact values:
+A(3), A(9) and A(27) in one check_routes call, and the Euler factors s(p) at
+every prime up to DEFINITION_ROUTE_MAX in one euler_factor call.
 
 The singular integral J(n) sums (m_1 ... m_9)^(-2/3) over integer tuples
 with sum a_j m_j = n and M < |a_j| m_j <= N.  The constraint is linear in
@@ -35,7 +36,8 @@ import numpy as np
 
 from . import arith, convolve
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
-from .localdata import CoefficientSystem, euler_factor, prime_power_sum, series_term, series_terms
+from .localdata import CoefficientSystem, check_routes, euler_factor, exact_term, prime_power_sum
+from .localdata import series_term, series_terms
 
 SERIES_X_CAP = 10**4
 EULER_PMAX_CAP = 10**4
@@ -97,36 +99,29 @@ def _plan(x: int) -> _Plan:
 
 
 @functools.lru_cache(maxsize=4)
-def _terms(x: int, system: CoefficientSystem) -> tuple[float, ...]:
-    """A(q) at each q of the support to x, correctly rounded: the product of
-    the exact B(p^e) over q's prime powers, then one int/int division by phi(q)^9."""
+def _terms(x: int, system: CoefficientSystem) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A(q) at each q of the support to x, and at 3, 9, 27, correctly rounded: the
+    product of the exact B(p^e) over q's prime powers over phi(q)^9, one int/int division."""
     plan = _plan(x)
-    sums = [prime_power_sum(p, e, system) for p, e in plan.keys]
-    return tuple(math.prod([sums[i] for i in row]) / d for row, d in zip(plan.rows, plan.phi9))
+    sum_at = [prime_power_sum(p, e, system) for p, e in plan.keys].__getitem__
+    terms = tuple([math.prod(map(sum_at, row)) / d for row, d in zip(plan.rows, plan.phi9)])
+    return terms, tuple(exact_term(q, system) for q in (3, 9, 27))
 
 
 def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
-    """Euler route: prod_{p <= pmax, p != 3} s(p) times the 3-adic factor.
-
-    Each A(p) and A(3^e), e <= 3, is the exact term the partial sum at pmax
-    reports.  Every call checks the definition route against the exact
-    counts: series_term at 3, 9 and 27, and euler_factor's s(p) check of the
-    blocked pass's A(p) at each Euler prime up to DEFINITION_ROUTE_MAX."""
+    """Euler route: prod_{p <= pmax, p != 3} s(p) times the 3-adic factor, from the exact
+    terms the partial sum at pmax reports; every call holds series_term at 3, 9, 27 and the
+    blocked pass's A(p) at each Euler prime up to DEFINITION_ROUTE_MAX to them."""
     if pmax < 3:
         raise DomainError(f"pmax must be >= 3, got {pmax}")
     if pmax > EULER_PMAX_CAP:
         raise ResourceLimitError(f"pmax {pmax} exceeds cap {EULER_PMAX_CAP}")
     plan = _plan(pmax)
-    threes = [prime_power_sum(3, e, system) / (2 * 3 ** (e - 1)) ** 9 for e in (1, 2, 3)]
-    for q, exact in zip((3, 9, 27), threes):  # held to the counts as euler_factor holds s(p)
-        a = series_term(q, system)
-        if abs(a - exact) > 1e-9 * max(1.0, abs(a), abs(exact)):
-            raise NumericIntegrityError(f"A({q}) = {a!r} by definition vs {exact!r} from the counts")
-    for p, a in zip(plan.checked, series_terms(plan.checked, system)):
-        euler_factor(p, system, a)
-    terms = _terms(pmax, system)
-    three_adic = 1.0 + threes[0] + threes[1] + threes[2]
-    return math.prod([1.0 + terms[i] for i in plan.euler], start=three_adic)
+    terms, threes = _terms(pmax, system)
+    check_routes("A", (3, 9, 27), [series_term(q, system) for q in (3, 9, 27)], threes)
+    factors, k = [1.0 + terms[i] for i in plan.euler], len(plan.checked)  # checked primes first
+    euler_factor(plan.checked, system, series_terms(plan.checked, system), factors[:k])
+    return math.prod(factors, start=1.0 + threes[0] + threes[1] + threes[2])
 
 
 def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
@@ -136,7 +131,7 @@ def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
     if x > SERIES_X_CAP:
         raise ResourceLimitError(f"cutoff {x} exceeds cap {SERIES_X_CAP}")
     plan = _plan(x)
-    values = _terms(x, system)
+    values = _terms(x, system)[0]
     # empirical tail scale C/x, calibrated on the computed prefix
     tail = max([abs(math.fsum(values[cut:])) * x0 / x for x0, cut in plan.cuts], default=0.0)
     pmax = max(min(x, EULER_PMAX_CAP), 3)

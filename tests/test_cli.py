@@ -301,6 +301,27 @@ def test_series_997_big_n_golden(tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "series-997-bign.json").read_bytes()
 
 
+def test_series_with_coefficients_divisible_by_primes_1_mod_3_golden(tmp_path):
+    # 7 and 13 are 1 mod 3 and each divides a coefficient, and 19 (1 mod 3)
+    # divides n = 57: the closed form's p | a_j and p | n branches at
+    # p = 1 mod 3 inside a series, byte for byte
+    out = tmp_path / "series-1000-divisible.json"
+    args = ["series", "--coeffs", "1,1,1,-1,7,1,13,1,-1", "--n", "57",
+            "--qmax", "1000", "--out", str(out)]
+    assert cli.run(args) == 0
+    golden = Path(__file__).parent / "data" / "series-1000-divisible.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_local_reports_the_exact_zero_term(tmp_path):
+    # A(54) of the README system is exactly 0; the definition route alone
+    # gave -9.39e-147, and series reports 0.0 for the same term
+    code, data = run_to_file(tmp_path, ["local", "--coeffs", ONES, "--n", "23", "--q", "54"])
+    assert code == 0
+    assert json.loads(data)["series_term"] == 0.0
+    assert b'"series_term": 0.0,' in data
+
+
 def test_series_at_the_cap_matches_its_hash(tmp_path):
     # the 6,758 correctly rounded terms at q <= 10^4, 6,080 of them above the
     # definition cutoff, byte for byte against the sha256sum line of the same

@@ -1,4 +1,5 @@
 import cmath
+import copy as copy_module
 import dataclasses
 import functools
 import hashlib
@@ -145,14 +146,29 @@ def test_float_count_transforms_once_per_distinct_histogram(monkeypatch):
 
 def test_closed_form_prime_count_matches_crt_count():
     # N(p) from Gaussian periods and the cubic Jacobi sum against the
-    # convolution count, with targets prime to p and divisible by p
+    # convolution count, with targets prime to p, divisible by p and
+    # negative, and a coefficient 2p - 1 = -1 mod p beside a -1
     for p in arith.sieve_primes(500):
         if p == 3:
             continue
-        for system in shared_transform_systems(p):
-            for n in (system.n, 7 * p):
+        systems = shared_transform_systems(p)
+        systems.append(CoefficientSystem.make([1, 2 * p - 1, 1, -1, 2, 1, 5, 1, 1], 0))
+        for system in systems:
+            for n in (system.n, 7 * p, -(12345 + p)):
                 target = CoefficientSystem.make(system.a, n)
                 assert unit_solution_count(p, target) == localdata._count_by_convolution(p, target)
+
+
+def test_closed_form_reads_one_index_per_distinct_coefficient(monkeypatch):
+    # at p = 7 = 1 mod 3: one cubic-character index each for 2, 5 and n,
+    # none for the six slots holding 1 or -1, none for 14 (7 divides it);
+    # the period algebra at 7 is built first, as it takes an inverse by pow
+    localdata._period_algebra(7)
+    calls = []
+    monkeypatch.setattr(localdata, "pow", lambda *a: calls.append(a[0]) or pow(*a), raising=False)
+    system = CoefficientSystem.make([1, 1, -1, 2, 2, 5, 1, -1, 14], 19)
+    localdata._twisted_sum_closed_form(7, system)
+    assert sorted(calls) == [2, 5, 19]
 
 
 def test_period_algebra_matches_brute_force():
@@ -468,6 +484,42 @@ def test_system_hash_is_stored_and_survives_copies():
     back = pickle.loads(pickle.dumps(one))
     assert back == one and hash(back) == hash(one)
     assert {one: 1}[back] == 1 and one != moved
+    # the distinct coefficients with their multiplicities, and their gcd
+    stored = ((1, 5), (-2, 1), (3, 1), (5, 1), (-1, 1)), 1
+    for copy in (one, two, moved, back, copy_module.copy(one), copy_module.deepcopy(one)):
+        assert (copy._distinct, copy._gcd) == stored
+    scaled = dataclasses.replace(one, a=(6, 12, -6, 6, 18, 6, 30, 6, 6))
+    assert (scaled._distinct, scaled._gcd) == (((6, 5), (12, 1), (-6, 1), (18, 1), (30, 1)), 6)
+    assert (pickle.loads(pickle.dumps(scaled))._gcd, scaled.n) == (6, 10**30)
+
+
+def test_batched_euler_factor_matches_the_scalar_calls_bit_for_bit():
+    # one call over a tuple of primes against one call per prime, and each
+    # scalar s(p) against 1 + series_term(p) as floats; a tuple naming a
+    # non-prime is refused like a scalar one
+    primes = tuple(p for p in arith.sieve_primes(200) if p != 3)
+    for system in (ONES, MIXED):
+        batched = euler_factor(primes, system)
+        scalar = [euler_factor(p, system) for p in primes]
+        assert [float(x).hex() for x in batched] == [x.hex() for x in scalar]
+        assert all(type(x) is float for x in scalar)
+        assert [x.hex() for x in scalar] == [(1.0 + series_term(p, system)).hex() for p in primes]
+        passed = tuple(series_term(p, system) for p in primes)
+        assert [float(x).hex() for x in euler_factor(primes, system, passed)] == [x.hex() for x in scalar]
+    # with the exact s(p) passed, the check compares against it alone
+    counted = tuple(p * unit_solution_count(p, MIXED) / float(p - 1) ** 9 for p in primes)
+    assert euler_factor(primes, MIXED, None, counted).tolist() == euler_factor(primes, MIXED).tolist()
+
+
+def test_batched_euler_factor_names_the_first_prime_off():
+    primes = (2, 5, 7, 11, 13)
+    terms = [series_term(p, MIXED) for p in primes]
+    terms[2] += 1e-8
+    terms[4] += 1e-8
+    with pytest.raises(NumericIntegrityError, match=r"^s\(7\) identity violated: "):
+        euler_factor(primes, MIXED, tuple(terms))
+    terms[2] -= 1e-8
+    assert euler_factor(primes[:4], MIXED, tuple(terms[:4])).shape == (4,)
 
 
 def test_series_terms_match_series_term_bit_for_bit():
@@ -572,7 +624,7 @@ def test_series_term_support():
     assert abs(series_term(9, ONES)) > 1e-6
 
 
-def test_euler_factor_values():
+def test_euler_factor_values(monkeypatch):
     odd = CoefficientSystem.make([1] * 9, 23)
     even = CoefficientSystem.make([1] * 9, 14)
     assert euler_factor(2, odd) == pytest.approx(2.0)
@@ -581,8 +633,12 @@ def test_euler_factor_values():
         s = euler_factor(p, odd)
         phi = float(p - 1)
         assert s == pytest.approx(p * unit_solution_count(p, odd) / phi**9, rel=1e-9)
-    with pytest.raises(DomainError):
-        euler_factor(6, odd)
+    # a non-prime, or a tuple holding one, is refused before any term is
+    # computed; a composite above LOCAL_Q_CAP as a non-prime, not on the cap
+    monkeypatch.setattr(localdata, "series_term", lambda q, s: pytest.fail(f"computed A({q})"))
+    for p in (1, 6, 2 * localdata.LOCAL_Q_CAP, (2, 5, 9), (5, 7, 2**40)):
+        with pytest.raises(DomainError, match="requires primes"):
+            euler_factor(p, odd)
 
 
 def test_char_bound_exhaustive_small():
@@ -610,6 +666,41 @@ def test_local_data_bundle():
     assert data.euler_factor is None
     prime = local_data(7, ONES)
     assert prime.euler_factor == pytest.approx(1.0 + prime.series_term, rel=1e-9)
+
+
+def test_local_data_reports_the_exact_term_held_to_the_definition(monkeypatch):
+    # A(q) from the exact counts, checked against series_term at 1e-9
+    for q in (5, 9, 54, 1729):
+        exact = math.prod(prime_power_sum(p, e, ONES) for p, e in arith.factorize(q))
+        assert local_data(q, ONES).series_term == exact / arith.euler_phi(q) ** 9
+    definition = localdata.series_term
+    monkeypatch.setattr(localdata, "series_term", lambda q, s: definition(q, s) + 1e-8)
+    with pytest.raises(NumericIntegrityError, match=r"A\(1729\)"):
+        local_data(1729, ONES)
+    # at a prime q the one check is euler_factor's, on the same definition A(q)
+    with pytest.raises(NumericIntegrityError, match=r"^s\(997\) identity violated"):
+        local_data(997, ONES)
+
+
+def test_local_data_at_a_prime_checks_once(monkeypatch):
+    # the definition A(q) is computed once and handed to euler_factor, whose
+    # s(q) check is the only one; at a composite q the A(q) check runs
+    calls = []
+    check = localdata.check_routes
+
+    def watch(name, *args):
+        calls.append(name)
+        check(name, *args)
+
+    monkeypatch.setattr(localdata, "check_routes", watch)
+    term = localdata.series_term
+    monkeypatch.setattr(localdata, "series_term", lambda q, s: calls.append(q) or term(q, s))
+    prime = local_data(997, MIXED)
+    assert calls == [997, "s"]
+    assert prime.euler_factor == (1.0 + term(997, MIXED))
+    calls.clear()
+    local_data(1729, MIXED)
+    assert calls == [1729, "A"]
 
 
 def test_local_data_at_a_prime_counts_once():

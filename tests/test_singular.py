@@ -208,14 +208,15 @@ def test_an_exact_zero_term_is_reported_as_zero():
 
 
 def test_every_series_call_checks_s_p_at_each_prime_to_the_definition_cutoff(monkeypatch):
-    # the s(p) check runs on every call, the terms cached or not
+    # the s(p) check runs on every call, the terms cached or not, as one
+    # euler_factor call over the tuple of those primes
     seen = []
     check = singular.euler_factor
     monkeypatch.setattr(singular, "euler_factor", lambda p, *a: seen.append(p) or check(p, *a))
     for x in (2, 300, 3000, 3000):
         seen.clear()
         singular_series_partial(MIXED, x)
-        assert tuple(seen) == _euler_primes(max(x, 3)), x
+        assert seen == [_euler_primes(max(x, 3))], x
 
 
 def test_a_definition_term_off_the_exact_one_is_refused(monkeypatch):
@@ -235,6 +236,22 @@ def test_a_definition_term_off_the_exact_one_is_refused(monkeypatch):
     monkeypatch.setattr(singular, "series_term", lambda q, s: single(q, s) + 1e-8 * (q == 27))
     with pytest.raises(NumericIntegrityError, match=r"A\(27\)"):
         singular_series_partial(MIXED, 1000)
+
+
+def test_repeated_series_takes_the_3_adic_terms_from_the_cache(monkeypatch):
+    # the exact A(3), A(9), A(27) are kept with the cached terms, so a
+    # repeated series computes no prime-power sum; with the term cache
+    # cleared, the same series computes them again
+    singular_series_partial(MIXED, 1000)
+    calls = []
+    fn = localdata.prime_power_sum
+    for module in (singular, localdata):
+        monkeypatch.setattr(module, "prime_power_sum", lambda *a: calls.append(a[:2]) or fn(*a))
+    singular_series_partial(MIXED, 1000)
+    assert calls == []
+    singular._terms.cache_clear()
+    singular_series_partial(MIXED, 1000)
+    assert {(3, 1), (3, 2), (3, 3)} <= set(calls)
 
 
 def test_repeated_series_does_no_per_modulus_work(monkeypatch):
