@@ -14,17 +14,17 @@ row-major flat index, so its least match is the lex-least solution.
 Every partial sum is pruned to the target's reach.  From the least and
 greatest cube of each slot, a run of slots adds a sum in a known range,
 so after each slot a partial sum that the remaining slots cannot bring
-to n is dropped before it is sorted: in both halves of both passes and
-in `solution_exists`.  An n outside the range of all nine slots is
-reported exhausted without an index, and so is one that leaves either
-half with no sum in its window.  The pruning drops only sums that no
-solution uses, and `states_visited` still counts every ordered tuple
-the exhaustion covers.
+to n is dropped before it is sorted or set in a bitmap: in both halves
+of both passes and in `solution_exists`.  An n outside the range of all
+nine slots is reported exhausted without an index, and so is one that
+leaves either half with no sum in its window.  The pruning drops only
+sums that no solution uses, and `states_visited` still counts every
+ordered tuple the exhaustion covers.
 
 A solution is verified in exact integer arithmetic before it is
-returned.  `solution_exists` is an independent reachability check used
-to cross-validate the solver, and `threshold_scan` tabulates, for
-all-positive systems, the least representable n in a range.
+returned.  `solution_exists`, an independent reachability check used to
+cross-validate the solver, and `threshold_scan`, the least representable
+n in a range per all-positive system, share the bitmap step `_shift_or`.
 """
 
 from __future__ import annotations
@@ -256,26 +256,47 @@ def find_solution(
     return result
 
 
+def _shift_or(reach: np.ndarray, lo: int, cubes, a: int, b: int) -> np.ndarray:
+    """Bitmap over [a, b] of every s + c there, s a set cell of the bitmap
+    reach over [lo, ...], c in cubes: one in-place slice OR per cube."""
+    out = np.zeros(b - a + 1, dtype=bool)
+    for c in map(int, cubes):  # Python ints: no cube overflows
+        d = lo + c - a  # reach[i] lands on out[i + d]
+        if -len(reach) < d < len(out):  # the shifted reach overlaps out
+            out[max(d, 0) : d + len(reach)] |= reach[max(-d, 0) : len(out) - d]
+    return out
+
+
 def solution_exists(
     system: CoefficientSystem,
     prime_bound: int = 100,
     window: tuple[int, int] | None = None,
 ) -> bool:
     """Independent reachability check via a running set of partial sums,
-    each kept only while the remaining slots can still complete it to n."""
+    each kept only while the remaining slots can still complete it to n:
+    sorted int64 sums, and from the first slot whose window has no more
+    cells than the bytes of the step's int64 (sum, cube) pairs, a bitmap."""
     _check_prime_bound(prime_bound)
     slots = _slot_primes(system, prime_bound, window)
     if any(len(ps) == 0 for ps in slots):
         return False
     cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
     windows = _reach(system.n, cubes)
-    reach = np.zeros(1, dtype=np.int64)
-    for j in range(9):
-        if len(cubes[j]) * len(reach) > REFINE_CAP:
+    reach = np.array([0], dtype=np.int64)
+    for j, (c, (a, b)) in enumerate(zip(cubes, windows[1:])):
+        pairs = len(c) * (np.count_nonzero(reach) if reach.dtype == bool else len(reach))
+        if pairs > REFINE_CAP:
             raise ResourceLimitError("reachability set too large")
         # keep the sums that slots j+1..8 can still complete to n
-        reach = _distinct(reach[:, None] + cubes[j], windows[j + 1])
-    return len(reach) > 0  # the last window is [n, n]
+        if reach.dtype == bool:  # a bitmap over windows[j]
+            reach = _shift_or(reach, windows[j][0], c, a, b)
+        elif b - a < 8 * pairs:
+            full = reach[:, None] + c - a
+            reach = np.zeros(b - a + 1, dtype=bool)
+            reach[full[(full >= 0) & (full <= b - a)]] = True
+        else:
+            reach = _distinct(reach[:, None] + c, (a, b))
+    return bool(reach.any())  # the last window is [n, n]; a set there is empty
 
 
 @dataclass(frozen=True)
@@ -295,12 +316,11 @@ def threshold_scan(
 ) -> list[ThresholdRow]:
     """Least representable n per all-positive system, scanned over n_range.
 
-    Reachability of every candidate n is decided at once by a boolean
-    convolution over [0, max(n_range)]; the witness for the least hit is
-    then recovered with find_solution.  max(n_range) > THRESHOLD_N_CAP is
-    refused before anything is built, as is a prime bound outside
-    [2, PRIME_BOUND_CAP].
-    """
+    Reachability of every candidate n is decided at once by one
+    `_shift_or` step per slot over [0, max(n_range)]; the witness for the
+    least hit is then recovered with find_solution.  max(n_range) >
+    THRESHOLD_N_CAP is refused before anything is built, as is a prime
+    bound outside [2, PRIME_BOUND_CAP]."""
     if not isinstance(n_range, range):
         n_range = [int(n) for n in n_range]
     # a range's ends bound it without walking it
@@ -312,22 +332,15 @@ def threshold_scan(
         raise ResourceLimitError(f"scan end {n_max} exceeds cap {THRESHOLD_N_CAP}")
     _check_prime_bound(prime_bound)
     n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)))
-    primes = arith.sieve_primes(prime_bound)
+    cubes = [p**3 for p in arith.sieve_primes(prime_bound)]
     rows = []
     for coeffs in coeff_grid:
         coeffs = tuple(int(c) for c in coeffs)
         if any(c <= 0 for c in coeffs):
             raise DomainError(f"threshold scan needs all-positive systems, got {coeffs}")
-        reach = np.zeros(n_max + 1, dtype=bool)
-        reach[0] = True
-        for aj in coeffs:
-            nxt = np.zeros(n_max + 1, dtype=bool)
-            for p in primes:
-                v = aj * int(p) ** 3
-                if v > n_max:
-                    break
-                nxt[v:] |= reach[: n_max + 1 - v]
-            reach = nxt
+        reach = np.ones(1, dtype=bool)  # the sums over no slot: {0}
+        for aj in coeffs:  # Python ints; a cube past n_max reaches no n of the scan
+            reach = _shift_or(reach, 0, [aj * c for c in cubes if aj * c <= n_max], 0, n_max)
         hits = n_values[reach[n_values]]
         hit = int(hits[0]) if hits.size else None
         D = max(2, max(abs(c) for c in coeffs))

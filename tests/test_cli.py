@@ -291,6 +291,14 @@ def test_search_signed_128_golden(tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "search-signed-128.json").read_bytes()
 
 
+def test_search_consistency_selftest_golden(tmp_path):
+    # the reachability check against find_solution and r(n) on 20 windowed
+    # systems at the default seed, byte for byte
+    out = tmp_path / "selftest-search.json"
+    assert cli.run(["selftest", "--only", "search_consistency", "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "selftest-search.json").read_bytes()
+
+
 def test_series_997_big_n_golden(tmp_path):
     # an odd cutoff just below the definition cutoff 1000, mixed signs and
     # n = 10^29 >= 2^63, byte for byte

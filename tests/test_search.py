@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,3 +473,124 @@ def test_threshold_scan_cross_check_is_typed(monkeypatch):
     monkeypatch.setattr(search, "find_solution", lambda system, bound: SearchExhausted(exhausted, bound, None, 0))
     with pytest.raises(NumericIntegrityError):
         threshold_scan([[1] * 9], range(1, 100), prime_bound=20)
+
+
+def pruned_set_pairs(coeffs, n, primes):
+    """Pairs each step of a pruned running set of sums forms, and whether
+    n is reached, in Python sets: the counts REFINE_CAP is checked against."""
+    cubes = [[a * p**3 for p in primes] for a in coeffs]
+    sums, pairs = {0}, []
+    for j, c in enumerate(cubes):
+        rest = cubes[j + 1 :]
+        lo, hi = n - sum(max(r) for r in rest), n - sum(min(r) for r in rest)
+        pairs.append(len(sums) * len(c))
+        sums = {s + x for s in sums for x in c if lo <= s + x <= hi}
+    return pairs, bool(sums)
+
+
+# a search benchmark existence check: the set becomes a bitmap at its fifth slot
+BITMAP_CASE = ((1, 1, 3, 1, 1, 1, 1, 1, 1), 46959, 30)
+
+
+def test_shift_or_matches_pairwise_sums():
+    # bitmaps over [lo, ...] shifted by signed cubes into [a, b]: shifts that
+    # overlap out at either end, cover it, miss it on either side or are empty
+    rng = np.random.default_rng(36)
+    for _ in range(400):
+        reach = rng.random(int(rng.integers(1, 30))) < 0.4
+        lo, a = (int(x) for x in rng.integers(-60, 60, size=2))
+        b = a + int(rng.integers(0, 40))
+        cubes = [int(x) for x in rng.integers(-120, 120, size=int(rng.integers(0, 6)))]
+        want = {lo + i + c for i in np.flatnonzero(reach).tolist() for c in cubes} & set(range(a, b + 1))
+        got = search._shift_or(reach, lo, cubes, a, b)
+        assert len(got) == b - a + 1 and set((np.flatnonzero(got) + a).tolist()) == want
+
+
+def test_exists_matches_oracle_on_the_set_and_the_bitmap(monkeypatch):
+    # each call spied: its set steps (_distinct) and its bitmap steps
+    # (_shift_or); the step that turns the set into a bitmap calls neither
+    steps = []
+    for name in ("_distinct", "_shift_or"):
+        real = getattr(search, name)
+
+        def spy(*args, name=name, real=real):
+            steps[-1].append(name)
+            return real(*args)
+
+        monkeypatch.setattr(search, name, spy)
+    rng = np.random.default_rng(35)
+    seen = set()
+    for _ in range(80):
+        coeffs = tuple(int(rng.choice([1, -1, 2, -2, 3, -3, 5])) for _ in range(9))
+        bound = int(rng.integers(5, 14))
+        window = None
+        if rng.random() < 0.5:
+            M = int(rng.integers(1, 150))
+            window = (M, M + int(rng.integers(100, 12000)))
+        slots = small_slots(coeffs, bound, window)
+        if all(slots) and rng.random() < 0.5:
+            n = sum(a * int(rng.choice(ps)) ** 3 for a, ps in zip(coeffs, slots))
+        else:
+            n = int(rng.integers(-30000, 60000))
+        steps.append([])
+        got = solution_exists(CoefficientSystem.make(coeffs, n), prime_bound=bound, window=window)
+        assert got == (n in least_max_by_sum(coeffs, bound, window))
+        if not all(slots):  # refused before any step
+            continue
+        sets, bitmaps = steps[-1].count("_distinct"), steps[-1].count("_shift_or")
+        assert sets == 9 or sets + 1 + bitmaps == 9  # one switch, one way
+        seen.add(("set" if sets == 9 else "bitmap", got))
+        if sets and bitmaps:
+            seen.add("switch at a later slot")
+    assert seen >= {("set", False), ("bitmap", False), ("bitmap", True), "switch at a later slot"}
+
+
+def test_exists_refuses_over_the_cap_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    monkeypatch.setattr(search, "REFINE_CAP", 0)
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "sort", refuse)
+    with pytest.raises(ResourceLimitError):
+        solution_exists(CoefficientSystem.make([1] * 9, 72), prime_bound=10)
+
+
+def test_exists_cap_counts_the_pairs_of_the_set_path(monkeypatch):
+    # the largest step of BITMAP_CASE is a bitmap step; REFINE_CAP refuses
+    # it exactly when the running set's pairs there exceed the cap
+    coeffs, n, bound = BITMAP_CASE
+    pairs, reached = pruned_set_pairs(coeffs, n, arith.sieve_primes(bound))
+    assert pairs.index(max(pairs)) > 4
+    system = CoefficientSystem.make(coeffs, n)
+    monkeypatch.setattr(search, "REFINE_CAP", max(pairs))
+    assert solution_exists(system, prime_bound=bound) == reached
+    monkeypatch.setattr(search, "REFINE_CAP", max(pairs) - 1)
+    with pytest.raises(ResourceLimitError):
+        solution_exists(system, prime_bound=bound)
+
+
+def test_exists_bitmap_stays_under_the_pair_array():
+    # a step that sorted the 190,280 pairs of slot 8 would hold their int64
+    # array and its sorted copy, twice the bound; the bitmaps hold at most
+    # one window each.  Slack: 64 KiB for the slot arrays and Python objects
+    coeffs, n, bound = BITMAP_CASE
+    pairs, _ = pruned_set_pairs(coeffs, n, arith.sieve_primes(bound))
+    system = CoefficientSystem.make(coeffs, n)
+    solution_exists(system, prime_bound=bound)  # sieve and caches warm
+    tracemalloc.start()
+    try:
+        assert solution_exists(system, prime_bound=bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * max(pairs) + 64 * 1024
+
+
+def test_threshold_scan_skips_cubes_past_the_scan_without_overflow():
+    # 3 * 10^18 * 2^3 overflows int64; every cube a_1 p^3 of the two big
+    # first coefficients lies past the scan, so neither system reaches any n
+    rows = threshold_scan([[10**15] + [1] * 8, [1] * 9], range(1, 300), 100)
+    assert [(r.found, r.n, r.max_p) for r in rows] == [(False, None, None), (True, 72, 2)]
+    rows = threshold_scan([[3 * 10**18] + [1] * 8], range(1, 10**5), 100)
+    assert [(r.found, r.n, r.max_p) for r in rows] == [(False, None, None)]
