@@ -1,9 +1,9 @@
 """Primes, factorization, multiplicative functions, and unit groups mod p^e.
 
 The unit group (Z/p^eZ)* is cyclic for odd p and for 2 and 4, and is the
-product of the subgroups generated by -1 and 5 at 2^e with e >= 3.  Its
-discrete logarithms are precomputed as flat tables, one per generator, so
-that character evaluation elsewhere is table lookup, not repeated powering.
+product of the subgroups generated by -1 and 5 at 2^e with e >= 3.  It is
+held as one table of generator powers, indexed by each unit's exponent
+vector, so that character evaluation elsewhere is no repeated powering.
 """
 
 from __future__ import annotations
@@ -53,18 +53,6 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 @lru_cache(maxsize=8192)
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in sieve_primes(max(2, math.isqrt(n))):
-        if p * p > n:
-            break
-        if n % p == 0:
-            return False
-    return True
-
-
-@lru_cache(maxsize=8192)
 def factorize(n: int) -> Factorization:
     """Prime factorization ((p, e), ...) with p ascending, cached.  Requires n >= 1."""
     if n < 1:
@@ -83,6 +71,20 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         out.append((m, 1))
     return tuple(out)
+
+
+def integral(x) -> int:
+    """x as an int, refused unless it is integral."""
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):  # int() of None, a str, nan, inf
+        pass
+    raise DomainError(f"expected an integer, got {x!r}")
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and factorize(n) == ((n, 1),)
 
 
 def euler_phi(n: int) -> int:
@@ -144,21 +146,12 @@ def _powers(g: int, order: int, pe: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CyclicComponent:
-    """One cyclic factor of (Z/qZ)*: dlog maps a residue mod q to the
-    exponent of this factor's generator, and is -1 at non-units."""
-
-    order: int
-    dlog: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class UnitGroup:
-    """(Z/qZ)* for a prime power q, with flat discrete-log tables."""
+    """(Z/qZ)* at a prime power q: units[t] = prod_i g_i^t_i mod q, axis i of length orders[i]."""
 
     modulus: int
-    phi: int
-    components: tuple[CyclicComponent, ...]
+    orders: tuple[int, ...]
+    units: np.ndarray
 
 
 @lru_cache(maxsize=2048)
@@ -167,18 +160,11 @@ def _unit_group(q: int) -> UnitGroup:
     if len(factors) > 1:
         raise DomainError(f"unit groups are built at prime-power moduli only, got {q}")
     gens = _generators(*factors[0]) if factors else []
-    # units[t_1, ..., t_r] = prod_i g_i^t_i mod q, so t_i is the index on axis i
-    units = reduce(np.multiply.outer, [_powers(g, order, q) for g, order in gens], 1) % q
-    exponents = np.indices(np.shape(units))
-    comps = []
-    for (_, order), t in zip(gens, exponents):
-        dlog = np.full(q, -1, dtype=np.int64)
-        dlog[units] = t
-        comps.append(CyclicComponent(order=order, dlog=dlog))
-    phi = euler_phi(q)
-    if comps and np.count_nonzero(comps[0].dlog >= 0) != phi:
-        raise NumericIntegrityError(f"generator powers do not reach all {phi} units mod {q}")
-    return UnitGroup(modulus=q, phi=phi, components=tuple(comps))
+    units = np.asarray(reduce(np.multiply.outer, [_powers(g, m, q) for g, m in gens], 1) % q)
+    if np.count_nonzero(np.diff(np.sort(units, axis=None))) + 1 != euler_phi(q):  # distinct entries
+        raise NumericIntegrityError(f"generator powers do not reach all {euler_phi(q)} units mod {q}")
+    units.flags.writeable = False
+    return UnitGroup(modulus=q, orders=tuple(m for _, m in gens), units=units)
 
 
 def unit_group(q: int) -> UnitGroup:

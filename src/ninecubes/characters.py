@@ -1,10 +1,10 @@
 """Dirichlet characters mod a prime power q, represented by exponent vectors.
 
-A character is stored as its exponents on the generators of (Z/qZ)* that
-`arith.unit_group` picks.  Its value at a unit k is e(sum_i x_i t_i / m_i),
-where t_i is the discrete log of k on generator i of order m_i.  The angle
-is summed as an integer numerator over the lcm of the orders and reduced
-before one lookup into `unit_roots`, so no drift accumulates.
+A character is stored as its exponents x_i on the generators g_i of (Z/qZ)*
+that `arith.unit_group` picks.  Its value at the unit prod_i g_i^t_i, entry
+(t_1, ..., t_r) of the group's power table, is e(sum_i x_i t_i / m_i), m_i
+the order of g_i.  The angle is an integer numerator over the lcm of the
+orders, reduced before one lookup into `unit_roots`, so no drift accumulates.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ class DirichletCharacter:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ug = arith.unit_group(self.modulus)
-        if len(self.exponents) != len(ug.components):
-            raise DomainError("exponent vector does not match the unit group")
-        for e, c in zip(self.exponents, ug.components):
-            if not 0 <= e < c.order:
-                raise DomainError(f"exponent {e} out of range for order {c.order}")
+        exps = tuple(map(arith.integral, self.exponents))
+        orders = arith.unit_group(self.modulus).orders
+        if len(exps) != len(orders) or not all(0 <= e < m for e, m in zip(exps, orders)):
+            raise DomainError(f"exponents {exps} do not fit the generator orders {orders}")
+        object.__setattr__(self, "exponents", exps)
 
     @property
     def is_principal(self) -> bool:
@@ -53,34 +52,31 @@ class DirichletCharacter:
     @property
     def index(self) -> int:
         """Position in character_group(q): the exponents as mixed-radix digits."""
-        orders = [c.order for c in arith.unit_group(self.modulus).components]
-        return int(np.ravel_multi_index(self.exponents, orders))
+        return int(np.ravel_multi_index(self.exponents, arith.unit_group(self.modulus).orders))
 
     def value_table(self) -> np.ndarray:
         """chi(k) for k = 0..q-1 as a complex array, 0 where gcd(k, q) > 1."""
-        comps = arith.unit_group(self.modulus).components
-        # a trivial group (q = 1 or 2) has no generator and one unit, q - 1
-        units = np.flatnonzero(comps[0].dlog >= 0) if comps else np.array([self.modulus - 1])
+        units = arith.unit_group(self.modulus).units.ravel()
         tab = np.zeros(self.modulus, dtype=np.complex128)
-        tab[units] = character_values(self.modulus, self.index, self.index + 1, units)[0]
+        tab[units] = character_values(self.modulus, self.index, self.index + 1, np.arange(len(units)))[0]
         return tab
 
 
-def character_values(q: int, start: int, stop: int, k: np.ndarray) -> np.ndarray:
-    """chi(k) at the units k for characters start..stop-1 of character_group(q),
-    one row each, the exponents decoded from the index: no group list is built."""
-    comps = arith.unit_group(q).components
-    lam = math.lcm(*(c.order for c in comps))
+def character_values(q: int, start: int, stop: int, pos: np.ndarray) -> np.ndarray:
+    """chi at flat positions pos of the unit group's power table, one row per character
+    start..stop-1 of character_group(q): index and pos both read as exponent vectors."""
+    orders = arith.unit_group(q).orders
+    lam = math.lcm(*orders)
     idx = np.arange(start, stop, dtype=np.int64)[:, None]
-    num = np.zeros((stop - start, len(k)), dtype=np.int64)
-    for c in reversed(comps):
-        num += idx % c.order * (lam // c.order) * c.dlog[k]
-        idx //= c.order
+    num = np.zeros((stop - start, len(pos)), dtype=np.int64)
+    for m in reversed(orders):
+        (idx, x), (pos, t) = np.divmod(idx, m), np.divmod(pos, m)
+        num += x * t * (lam // m)
     num %= lam
     return unit_roots(lam)[num]
 
 
 def character_group(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod a prime power q, principal first."""
-    orders = [c.order for c in arith.unit_group(q).components]
+    orders = arith.unit_group(q).orders
     return [DirichletCharacter(q, vec) for vec in product(*(range(m) for m in orders))]

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from . import arcs, expsum, localdata, search, selftest, singular
@@ -158,8 +159,8 @@ def _json_ready(obj):
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _json_ready(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+    if isinstance(obj, (float, Fraction)):
+        return float(f"{float(obj):.12g}")
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, dict):
@@ -250,18 +251,7 @@ def _run_rn(config: RunConfig):
 
 
 def _run_arcs(config: RunConfig):
-    dis = arcs.build_dissection(config.N, config.D, config.epsilon, config.c)
-    report = {
-        "N": dis.N,
-        "D": dis.D,
-        "epsilon": dis.epsilon,
-        "c": dis.c,
-        "P": dis.P,
-        "Q": dis.Q,
-        "arc_count": dis.arc_count,
-        "major_measure": float(dis.major_measure),
-    }
-    return report, 0
+    return arcs.build_dissection(config.N, config.D, config.epsilon, config.c), 0
 
 
 def _run_scan_minor(config: RunConfig):

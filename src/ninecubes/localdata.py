@@ -88,11 +88,12 @@ class CoefficientSystem:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "a", tuple(map(arith.integral, self.a)))
+        object.__setattr__(self, "n", arith.integral(self.n))
         if len(self.a) != 9:
             raise DomainError(f"expected 9 coefficients, got {len(self.a)}")
         if any(x == 0 for x in self.a):
             raise DomainError("coefficients must be nonzero")
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
         # cache keys hash a system, exact counts read its distinct a_j and gcd: each made once
         object.__setattr__(self, "_hash", hash((self.a, self.n)))
         object.__setattr__(self, "_distinct", tuple({a: self.a.count(a) for a in self.a}.items()))
@@ -103,7 +104,7 @@ class CoefficientSystem:
 
     @classmethod
     def make(cls, coeffs, n: int) -> "CoefficientSystem":
-        return cls(tuple(int(x) for x in coeffs), int(n))
+        return cls(coeffs, n)
 
     @property
     def size_bound(self) -> int:
@@ -175,14 +176,14 @@ def cubic_char_sum_table(chi: DirichletCharacter) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _char_sum_block(q: int, block: int) -> np.ndarray:
     """C_chi for one block of character_group(q): each cube's d preimages (the
-    units sorted stably by cube) added in ascending order, as np.add.at would."""
+    units sorted by cube, then by value) added in ascending order, as np.add.at would."""
     rows = max(1, CHAR_BLOCK // q)
-    start, stop = block * rows, min(block * rows + rows, arith.euler_phi(q))
-    units = _units(q)
+    units = arith.unit_group(q).units.ravel()
+    start, stop = block * rows, min(block * rows + rows, len(units))
     cube = _cubes(units, q)
-    order = np.argsort(cube, kind="stable")
+    order = np.lexsort((units, cube))  # positions in the unit group's power table
     d = len(order) // np.count_nonzero(np.bincount(cube, minlength=q))
-    vals = character_values(q, start, stop, units[order]).reshape(stop - start, -1, d)
+    vals = character_values(q, start, stop, order).reshape(stop - start, -1, d)
     acc = vals[..., 0]  # summed in place: no temporaries beside the block
     for j in range(1, d):
         acc += vals[..., j]

@@ -39,8 +39,7 @@ from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem, check_routes, euler_factor, exact_term, prime_power_sum
 from .localdata import series_term, series_terms
 
-SERIES_X_CAP = 10**4
-EULER_PMAX_CAP = 10**4
+SERIES_X_CAP = 10**4  # also the Euler product's largest prime
 DEFINITION_ROUTE_MAX = 10**3
 INTEGRAL_N_CAP = 10**6
 NORMALIZER = 3.0**-9  # each V_j contributes a factor 1/3 in the main term
@@ -114,8 +113,8 @@ def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
     blocked pass's A(p) at each Euler prime up to DEFINITION_ROUTE_MAX to them."""
     if pmax < 3:
         raise DomainError(f"pmax must be >= 3, got {pmax}")
-    if pmax > EULER_PMAX_CAP:
-        raise ResourceLimitError(f"pmax {pmax} exceeds cap {EULER_PMAX_CAP}")
+    if pmax > SERIES_X_CAP:
+        raise ResourceLimitError(f"pmax {pmax} exceeds cap {SERIES_X_CAP}")
     plan = _plan(pmax)
     terms, threes = _terms(pmax, system)
     check_routes("A", (3, 9, 27), [series_term(q, system) for q in (3, 9, 27)], threes)
@@ -134,7 +133,7 @@ def singular_series_partial(system: CoefficientSystem, x: int) -> SeriesReport:
     values = _terms(x, system)[0]
     # empirical tail scale C/x, calibrated on the computed prefix
     tail = max([abs(math.fsum(values[cut:])) * x0 / x for x0, cut in plan.cuts], default=0.0)
-    pmax = max(min(x, EULER_PMAX_CAP), 3)
+    pmax = max(x, 3)
     return SeriesReport(
         cutoff=x,
         value=math.fsum(values),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -122,33 +123,31 @@ def test_cube_roots_of_unity_brute():
     # x^3 = 1 (mod q) has gcd(3, m) solutions in each cyclic factor of order m
     for q in (9, 5, 7, 49, 343, 11, 169, 8, 16, 27, 256, 2):
         brute = sum(1 for x in range(1, q) if math.gcd(x, q) == 1 and pow(x, 3, q) == 1)
-        factors = arith.unit_group(q).components
-        assert math.prod(math.gcd(3, c.order) for c in factors) == brute
+        assert math.prod(math.gcd(3, m) for m in arith.unit_group(q).orders) == brute
 
 
 def test_unit_group_structure():
     ug = arith.unit_group(256)
-    assert ug.phi == 128
-    assert [c.order for c in ug.components] == [2, 64]
+    assert ug.orders == (2, 64)
     for q in (2, 3, 4, 8, 16, 27, 81, 125, 256, 343):
         ug = arith.unit_group(q)
-        assert math.prod(c.order for c in ug.components) == arith.euler_phi(q)
-        # each unit has its own in-range exponent vector; non-units read -1
-        seen = set()
-        for k in range(q):
-            vec = tuple(int(c.dlog[k]) for c in ug.components)
-            if math.gcd(k, q) == 1:
-                assert all(0 <= x < c.order for x, c in zip(vec, ug.components))
-                seen.add(vec)
-            else:
-                assert all(x == -1 for x in vec)
-        assert len(seen) == ug.phi
+        # the power table is the group's only array: one axis per generator,
+        # of length its order, holding each of the phi(q) units exactly once
+        assert [f.name for f in dataclasses.fields(ug)] == ["modulus", "orders", "units"]
+        assert ug.units.shape == ug.orders
+        assert sorted(ug.units.ravel().tolist()) == [k for k in range(q) if math.gcd(k, q) == 1]
+        # units[t] = prod_i g_i^t_i, g_i the unit at the i-th unit vector
+        gens = [int(ug.units[tuple(int(i == j) for j in range(len(ug.orders)))])
+                for i in range(len(ug.orders))]
+        for t in np.ndindex(ug.units.shape):
+            assert ug.units[t] == math.prod(pow(g, e, q) for g, e in zip(gens, t)) % q
 
 
 def test_unit_group_trivial_and_non_units():
-    assert arith.unit_group(1).phi == 1
-    assert arith.unit_group(1).components == ()
-    assert [int(c.dlog[6]) for c in arith.unit_group(9).components] == [-1]
+    for q in (1, 2):
+        ug = arith.unit_group(q)
+        assert ug.orders == () and ug.units.shape == () and int(ug.units) == q - 1
+    assert 6 not in arith.unit_group(9).units
     for q in (12, 35, 63, 360):
         with pytest.raises(DomainError):
             arith.unit_group(q)

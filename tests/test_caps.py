@@ -34,7 +34,7 @@ SCAN = (ONES, arcs.build_dissection(10**3, 2), 10, 10**3, 0.05)
         pytest.param(singular, "SERIES_X_CAP", 10,
                      lambda: singular.singular_series_partial(ONES, 11),
                      (singular, "_plan"), id="series"),
-        pytest.param(singular, "EULER_PMAX_CAP", 10,
+        pytest.param(singular, "SERIES_X_CAP", 10,
                      lambda: singular.singular_series_euler(ONES, 11),
                      (singular, "_plan"), id="euler"),
         pytest.param(singular, "INTEGRAL_N_CAP", 99,

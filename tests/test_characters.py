@@ -16,18 +16,15 @@ MODULI = (1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 128, 256)
 def brute_dlog(q):
     """Each unit's exponents on the unit group's generators, by brute force.
 
-    Generator i is read back from the dlog tables as the residue with
-    exponent 1 on component i and 0 on the others; then every exponent
-    vector is powered out, and each unit must be reached exactly once.
+    Generator i is read from the power table as the unit at the unit vector
+    e_i; then every exponent vector is powered out, and each unit must be
+    reached exactly once.
     """
-    comps = arith.unit_group(q).components
-    gens = []
-    for i in range(len(comps)):
-        want = [int(j == i) for j in range(len(comps))]
-        (g,) = [k for k in range(q) if [int(c.dlog[k]) for c in comps] == want]
-        gens.append(g)
+    ug = arith.unit_group(q)
+    r = len(ug.orders)
+    gens = [int(ug.units[tuple(int(j == i) for j in range(r))]) for i in range(r)]
     logs = {}
-    for vec in product(*(range(c.order) for c in comps)):
+    for vec in product(*(range(m) for m in ug.orders)):
         k = math.prod(pow(g, t, q) for g, t in zip(gens, vec)) % q
         assert k not in logs
         logs[k] = vec
@@ -40,8 +37,8 @@ def brute_value(chi, k, logs):
     vec = logs.get(k % chi.modulus)
     if vec is None:
         return 0j
-    comps = arith.unit_group(chi.modulus).components
-    angle = sum(Fraction(e * t, c.order) for e, t, c in zip(chi.exponents, vec, comps)) % 1
+    orders = arith.unit_group(chi.modulus).orders
+    angle = sum(Fraction(e * t, m) for e, t, m in zip(chi.exponents, vec, orders)) % 1
     return cmath.exp(2j * cmath.pi * float(angle))
 
 

@@ -95,6 +95,23 @@ def test_system_construction_guards():
     assert MIXED.coefficient_product == 30
 
 
+def test_non_integral_systems_and_characters_are_refused():
+    # converted first, then validated: a fraction is neither truncated nor
+    # kept, so no later check meets a zero coefficient or a float n
+    for make in (
+        lambda: CoefficientSystem((0.5,) + (1,) * 8, 3),
+        lambda: CoefficientSystem((1,) * 9, 3.7),
+        lambda: CoefficientSystem.make([1.5] * 9, 3),
+        lambda: DirichletCharacter(7, (1.5,)),
+        lambda: DirichletCharacter(7, ("1",)),
+    ):
+        with pytest.raises(DomainError, match="expected an integer"):
+            make()
+    system = CoefficientSystem((np.int64(1), 1.0) + (1,) * 7, 23.0)
+    assert system == ONES and type(system.n) is int and type(system.a[0]) is int
+    assert DirichletCharacter(7, (np.int64(2),)).index == 2
+
+
 def test_counts_match_brute_force():
     rng = np.random.default_rng(311)
     systems = [ONES, MIXED]

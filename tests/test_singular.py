@@ -148,7 +148,6 @@ def test_series_bits_do_not_depend_on_the_modulus_caches():
     # systems warmed the caches keyed by the modulus alone, against each
     # computed with those caches cleared
     modulus_caches = (
-        arith.is_prime,
         arith.factorize,
         localdata._period_algebra,
         localdata._layout,
@@ -271,7 +270,7 @@ def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
     # from the exact count; the check of the definition value against that
     # count runs here, over the same primes
     cutoff = singular.DEFINITION_ROUTE_MAX
-    primes = [p for p in arith.sieve_primes(singular.EULER_PMAX_CAP) if p > cutoff]
+    primes = [p for p in arith.sieve_primes(singular.SERIES_X_CAP) if p > cutoff]
     assert len(primes) == 1061
     for p in primes:
         assert euler_factor(p, MIXED) == pytest.approx(
@@ -313,7 +312,7 @@ def test_euler_product_positive_and_even_weight():
     even = CoefficientSystem.make([1] * 9, 14)
     assert singular_series_euler(even, 101) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ResourceLimitError):
-        singular_series_euler(ONES, singular.EULER_PMAX_CAP + 1)
+        singular_series_euler(ONES, singular.SERIES_X_CAP + 1)
 
 
 def test_integral_support_window_split():
