@@ -83,6 +83,12 @@ def integral(x) -> int:
     raise DomainError(f"expected an integer, got {x!r}")
 
 
+def check_window(M: int, N: int) -> None:
+    """Refuse a window (M, N] unless 0 < M < N."""
+    if not 0 < M < N:
+        raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
+
+
 def is_prime(n: int) -> bool:
     return n > 1 and factorize(n) == ((n, 1),)
 

@@ -204,12 +204,11 @@ def _valid_system(config: RunConfig) -> CoefficientSystem:
     problems = system.violations()
     # parity has an escape clause (a slot value of 2 repairs it when the
     # window admits 2), so it only warns; the other conditions are hard
-    hard = [p for p in problems if not p.startswith("parity violated")]
-    soft = [p for p in problems if p.startswith("parity violated")]
+    hard = [p for p in problems if p != localdata.PARITY_VIOLATION]
     if hard:
         raise DomainError("invalid coefficient system: " + "; ".join(hard))
-    for note in soft:
-        sys.stderr.write(f"warning: {note}\n")
+    if localdata.PARITY_VIOLATION in problems:
+        sys.stderr.write(f"warning: {localdata.PARITY_VIOLATION}\n")
     return system
 
 

@@ -51,8 +51,7 @@ def cube_support(system: CoefficientSystem, j: int, M: int, N: int) -> WeightedC
     """Support of slot j over the window (M, N]."""
     if not 0 <= j < 9:
         raise DomainError(f"slot must be 0..8, got {j}")
-    if not 0 < M < N:
-        raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
+    arith.check_window(M, N)
     aj = system.a[j]
     mag = abs(aj)
     p_hi = arith.icbrt(N // mag)

@@ -47,42 +47,25 @@ from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 
 LOCAL_Q_CAP = 10**6
 EXACT_COUNT_CAP = 2 * 10**4
+PARITY_VIOLATION = (
+    "parity violated: sum of coefficients and n differ mod 2 "
+    "(solutions then need some x_j = 2, which the odd-prime windows exclude)"
+)
 
 
 def validate_coefficients(coeffs, n: int) -> list[str]:
-    """Violation messages for the solvability conditions; empty means valid.
-
-    Checks: nine nonzero integer coefficients, parity sum(a) = n mod 2,
-    pairwise coprime coefficients, and gcd(n, a_1, ..., a_9) = 1.
-    """
-    problems: list[str] = []
-    coeffs = list(coeffs)
-    if len(coeffs) != 9:
-        problems.append(f"expected 9 coefficients, got {len(coeffs)}")
-        return problems
-    if any(a == 0 for a in coeffs):
-        problems.append("all coefficients must be nonzero")
-        return problems
-    if (sum(coeffs) - n) % 2 != 0:
-        problems.append(
-            "parity violated: sum of coefficients and n differ mod 2 "
-            "(solutions then need some x_j = 2, which the odd-prime windows exclude)"
-        )
-    for i in range(9):
-        for j in range(i + 1, 9):
-            if math.gcd(coeffs[i], coeffs[j]) != 1:
-                problems.append(
-                    f"coefficients {i + 1} and {j + 1} share a factor "
-                    f"gcd({coeffs[i]},{coeffs[j]}) > 1"
-                )
-    if math.gcd(n, *coeffs) != 1:
-        problems.append("gcd of n with all coefficients exceeds 1")
-    return problems
+    """Violation messages of a system; empty means valid: the constructor's
+    one message if CoefficientSystem refuses the shape, else its violations()."""
+    try:
+        system = CoefficientSystem(coeffs, n)
+    except DomainError as exc:
+        return [str(exc)]
+    return system.violations()
 
 
 @dataclass(frozen=True)
 class CoefficientSystem:
-    """Nine nonzero integer coefficients and the target n."""
+    """Nine nonzero integer coefficients and the target n; any other shape is refused."""
 
     a: tuple[int, ...]
     n: int
@@ -116,11 +99,19 @@ class CoefficientSystem:
         return math.prod(self.a)
 
     def violations(self) -> list[str]:
-        return validate_coefficients(self.a, self.n)
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations()
+        """The solvability conditions the system breaks, in this order: parity
+        sum(a) = n mod 2 (PARITY_VIOLATION), pairwise coprime coefficients,
+        and gcd(n, a_1, ..., a_9) = 1.  Empty means none."""
+        a, n = self.a, self.n
+        problems = [PARITY_VIOLATION] if (sum(a) - n) % 2 else []
+        problems += [
+            f"coefficients {i + 1} and {j + 1} share a factor gcd({a[i]},{a[j]}) > 1"
+            for i, j in itertools.combinations(range(9), 2)
+            if math.gcd(a[i], a[j]) != 1
+        ]
+        if math.gcd(n, self._gcd) != 1:
+            problems.append("gcd of n with all coefficients exceeds 1")
+        return problems
 
 
 def _check_q(q: int, cap: int) -> None:

@@ -72,11 +72,14 @@ class SearchExhausted:
     states_visited: int
 
 
-def _check_prime_bound(prime_bound: int) -> None:
+def _check_prime_bound(prime_bound: int) -> int:
+    """The prime bound as an int, refused unless integral and in [2, PRIME_BOUND_CAP]."""
+    prime_bound = arith.integral(prime_bound)
     if prime_bound < 2:
         raise DomainError(f"prime bound must be >= 2, got {prime_bound}")
     if prime_bound > PRIME_BOUND_CAP:
         raise ResourceLimitError(f"prime bound {prime_bound} exceeds cap {PRIME_BOUND_CAP}")
+    return prime_bound
 
 
 def _check_span(system: CoefficientSystem, prime_bound: int) -> None:
@@ -101,8 +104,7 @@ def _slot_primes(
     if window is None:
         return [primes] * 9
     M, N = window
-    if not 0 < M < N:
-        raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
+    arith.check_window(M, N)
     # every |a_j| p^3 is below 2^62 (_check_span), so clamping M and N there keeps the filter
     lo, hi = min(M, 2**62), min(N, 2**62)
     cubes = [abs(aj) * primes**3 for aj in system.a]
@@ -246,7 +248,7 @@ def find_solution(
     solution would live entirely inside the smaller stage.  Both passes
     of a stage fit under the ENUM_CAP check made before its first.
     """
-    _check_prime_bound(prime_bound)
+    prime_bound = _check_prime_bound(prime_bound)
     ladder = [b for b in (8, 32, 128, 512, 2048) if b < prime_bound]
     ladder.append(prime_bound)
     for bound in ladder:
@@ -276,7 +278,7 @@ def solution_exists(
     each kept only while the remaining slots can still complete it to n:
     sorted int64 sums, and from the first slot whose window has no more
     cells than the bytes of the step's int64 (sum, cube) pairs, a bitmap."""
-    _check_prime_bound(prime_bound)
+    prime_bound = _check_prime_bound(prime_bound)
     slots = _slot_primes(system, prime_bound, window)
     if any(len(ps) == 0 for ps in slots):
         return False
@@ -318,11 +320,13 @@ def threshold_scan(
 
     Reachability of every candidate n is decided at once by one
     `_shift_or` step per slot over [0, max(n_range)]; the witness for the
-    least hit is then recovered with find_solution.  max(n_range) >
-    THRESHOLD_N_CAP is refused before anything is built, as is a prime
-    bound outside [2, PRIME_BOUND_CAP]."""
+    least hit is then recovered with find_solution.  Refused before any
+    bitmap is built: a grid row the CoefficientSystem constructor refuses
+    (not nine nonzero integers) or with a coefficient below 1, a
+    non-integral n, max(n_range) > THRESHOLD_N_CAP, and a prime bound
+    outside [2, PRIME_BOUND_CAP]."""
     if not isinstance(n_range, range):
-        n_range = [int(n) for n in n_range]
+        n_range = [arith.integral(n) for n in n_range]
     # a range's ends bound it without walking it
     ends = [n_range[0], n_range[-1]] if isinstance(n_range, range) and n_range else n_range
     if not ends or min(ends) < 1:
@@ -330,29 +334,29 @@ def threshold_scan(
     n_max = max(ends)
     if n_max > THRESHOLD_N_CAP:
         raise ResourceLimitError(f"scan end {n_max} exceeds cap {THRESHOLD_N_CAP}")
-    _check_prime_bound(prime_bound)
+    prime_bound = _check_prime_bound(prime_bound)
+    systems = [CoefficientSystem.make(coeffs, n_max) for coeffs in coeff_grid]
+    for system in systems:
+        if min(system.a) <= 0:
+            raise DomainError(f"threshold scan needs all-positive systems, got {system.a}")
     n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)))
     cubes = [p**3 for p in arith.sieve_primes(prime_bound)]
     rows = []
-    for coeffs in coeff_grid:
-        coeffs = tuple(int(c) for c in coeffs)
-        if any(c <= 0 for c in coeffs):
-            raise DomainError(f"threshold scan needs all-positive systems, got {coeffs}")
+    for system in systems:
         reach = np.ones(1, dtype=bool)  # the sums over no slot: {0}
-        for aj in coeffs:  # Python ints; a cube past n_max reaches no n of the scan
+        for aj in system.a:  # Python ints; a cube past n_max reaches no n of the scan
             reach = _shift_or(reach, 0, [aj * c for c in cubes if aj * c <= n_max], 0, n_max)
         hits = n_values[reach[n_values]]
-        hit = int(hits[0]) if hits.size else None
-        D = max(2, max(abs(c) for c in coeffs))
-        if hit is None:
-            rows.append(ThresholdRow(coeffs, None, False, None, None, D))
+        if not hits.size:
+            rows.append(ThresholdRow(system.a, None, False, None, None, system.size_bound))
             continue
-        record = find_solution(CoefficientSystem.make(coeffs, hit), prime_bound)
+        hit = int(hits[0])
+        record = find_solution(CoefficientSystem.make(system.a, hit), prime_bound)
         if not isinstance(record, SolutionRecord):
             raise NumericIntegrityError(
-                f"bitmap reaches n = {hit} for {coeffs}, find_solution does not"
+                f"bitmap reaches n = {hit} for {system.a}, find_solution does not"
             )
         rows.append(
-            ThresholdRow(coeffs, hit, True, record.max_p, record.n_cuberoot, D)
+            ThresholdRow(system.a, hit, True, record.max_p, record.n_cuberoot, system.size_bound)
         )
     return rows

@@ -64,8 +64,8 @@ def random_valid_system(
     if (sum(coeffs) - n) % 2 != 0:
         n += 1 if n < n_hi else -1
     system = CoefficientSystem.make(coeffs, n)
-    if not system.is_valid:
-        raise DomainError(f"generated system {coeffs} violates {system.violations()}")
+    if problems := system.violations():
+        raise DomainError(f"generated system {coeffs} violates {problems}")
     return system
 
 

@@ -10,14 +10,11 @@ faithfully and left failing rather than weakened.
 
 import math
 
-from ninecubes.selftest import CHECKS, DEFAULT_SEED, _run_one, corridor_block_diagnostic
-
-_TABLE = dict(CHECKS)
-_INDEX = {name: i for i, (name, _) in enumerate(CHECKS)}
+from ninecubes.selftest import corridor_block_diagnostic, run_all
 
 
 def run_criterion(number, name, budget_s):
-    res = _run_one(name, _TABLE[name], DEFAULT_SEED + _INDEX[name])
+    (res,) = run_all([name])
     status = "PASS" if res.passed else "FAIL"
     line = f"criterion {number:02d} {name}: {status} ({res.elapsed:.1f}s) {res.detail}"
     print(line)

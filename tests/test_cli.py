@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ninecubes
-from ninecubes import cli, search
+from ninecubes import cli, localdata, search
 from ninecubes.cli import RunConfig, parse_config_file, run
 from ninecubes.errors import NumericIntegrityError
 from ninecubes.localdata import CoefficientSystem
@@ -70,7 +70,16 @@ def test_parity_warns_but_runs(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "parity" in err
+    assert err == f"warning: {localdata.PARITY_VIOLATION}\n"
     assert json.loads(data)["r_direct"] > 0
+
+
+def test_invalid_system_report_matches_golden(tmp_path):
+    # a parity violation and a shared factor, both listed, byte for byte
+    args = ["validate", "--coeffs", "2,4,1,1,1,1,1,1,1", "--n", "14"]
+    code, data = run_to_file(tmp_path, args)
+    assert code == 1
+    assert data == (Path(__file__).parent / "data" / "validate-invalid.json").read_bytes()
 
 
 def test_hard_violation_rejected(tmp_path):

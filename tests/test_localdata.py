@@ -77,6 +77,7 @@ def test_validator_messages():
     assert validate_coefficients(MIXED.a, 14) == []
     assert "expected 9 coefficients" in validate_coefficients([1] * 8, 5)[0]
     assert "nonzero" in validate_coefficients([1] * 8 + [0], 5)[0]
+    assert validate_coefficients([1.5] + [1] * 8, 3) == ["expected an integer, got 1.5"]
     msgs = validate_coefficients([1] * 9, 24)
     assert len(msgs) == 1 and msgs[0].startswith("parity violated")
     msgs = validate_coefficients([2, 4, 1, 1, 1, 1, 1, 1, 1], 14)
@@ -291,7 +292,7 @@ def test_exact_term_at_27_vanishes_on_valid_systems():
     systems = [ONES, MIXED, CoefficientSystem.make([9, 1, 2, -1, 1, 5, 1, 1, 7], 16)]
     systems += [random_valid_system(rng, 1, 1000) for _ in range(20)]
     for system in systems:
-        assert system.is_valid
+        assert not system.violations()
         assert prime_power_sum(3, 3, system) == 0
 
 

@@ -191,6 +191,23 @@ def test_prime_bound_guards():
         find_solution(huge, prime_bound=10**4)
 
 
+@pytest.mark.parametrize("sieved", [0, 100])
+def test_prime_bound_must_be_integral_whatever_the_sieve(monkeypatch, sieved):
+    # a fractional bound was truncated by a sieve cached past it and raised
+    # TypeError in a fresh process: now refused either way
+    monkeypatch.setattr(arith, "_sieve", (0, []))
+    arith.sieve_primes(sieved)
+    system = CoefficientSystem.make([1] * 9, 23)
+    calls = [
+        lambda: find_solution(system, 30.5),
+        lambda: solution_exists(system, 30.5),
+        lambda: threshold_scan([[1] * 9], range(1, 100), 30.5),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="expected an integer, got 30.5"):
+            call()
+
+
 def test_threshold_rows():
     rows = threshold_scan(
         [[1] * 9, [1] * 8 + [3]],
@@ -219,6 +236,26 @@ def test_threshold_scan_guards():
         threshold_scan([[1] * 8 + [-1]], range(1, 10))
     with pytest.raises(DomainError):
         threshold_scan([[1] * 9], [])
+
+
+@pytest.mark.parametrize(
+    "grid, n_range, message",
+    [
+        ([[1] * 8], range(1, 10), "expected 9 coefficients, got 8"),  # no reachable n
+        ([[1] * 9, [1] * 8], range(1, 200), "expected 9 coefficients, got 8"),
+        ([[1.5] + [1] * 8], range(1, 200), "expected an integer, got 1.5"),
+        ([[1] * 9], [72.5], "expected an integer, got 72.5"),
+    ],
+)
+def test_threshold_scan_refuses_malformed_input_before_any_bitmap(monkeypatch, grid, n_range, message):
+    # a row the CoefficientSystem constructor refuses is refused whatever the
+    # range holds, and no value is truncated to an integer
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a bitmap before refusing the input")
+
+    monkeypatch.setattr(search, "_shift_or", refuse)
+    with pytest.raises(DomainError, match=message):
+        threshold_scan(grid, n_range)
 
 
 def test_threshold_scan_refuses_oversized_range_before_allocating(monkeypatch):
