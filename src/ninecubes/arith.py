@@ -83,10 +83,21 @@ def integral(x) -> int:
     raise DomainError(f"expected an integer, got {x!r}")
 
 
-def check_window(M: int, N: int) -> None:
-    """Refuse a window (M, N] unless 0 < M < N."""
+def check_window(M: int, N: int) -> tuple[int, int]:
+    """The window (M, N] as ints, refused unless 0 < M < N and both ends are integral."""
     if not 0 < M < N:
         raise DomainError(f"need 0 < M < N, got M={M}, N={N}")
+    return integral(M), integral(N)
+
+
+def window_primes(mag: int, M: int, N: int) -> list[int]:
+    """The primes p with M < mag p^3 <= N, for ints mag >= 1 and M >= 0: exactly those
+    in (icbrt(M // mag), icbrt(N // mag)], since mag p^3 > M iff p^3 > M // mag.  The
+    sieve's cap refuses a window whose cube root passes SIEVE_CAP."""
+    if mag < 1:
+        raise DomainError(f"window_primes requires mag >= 1, got {mag}")
+    primes = sieve_primes(icbrt(N // mag))
+    return primes[bisect.bisect_right(primes, icbrt(M // mag)) :]
 
 
 def is_prime(n: int) -> bool:

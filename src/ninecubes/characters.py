@@ -10,7 +10,7 @@ orders, reduced before one lookup into `unit_roots`, so no drift accumulates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -37,22 +37,23 @@ class DirichletCharacter:
 
     modulus: int
     exponents: tuple[int, ...]
+    # position in character_group(q): the exponents as mixed-radix digits
+    index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         exps = tuple(map(arith.integral, self.exponents))
         orders = arith.unit_group(self.modulus).orders
         if len(exps) != len(orders) or not all(0 <= e < m for e, m in zip(exps, orders)):
             raise DomainError(f"exponents {exps} do not fit the generator orders {orders}")
+        index = 0
+        for e, m in zip(exps, orders):
+            index = index * m + e
         object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "index", index)
 
     @property
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    @property
-    def index(self) -> int:
-        """Position in character_group(q): the exponents as mixed-radix digits."""
-        return int(np.ravel_multi_index(self.exponents, arith.unit_group(self.modulus).orders))
 
     def value_table(self) -> np.ndarray:
         """chi(k) for k = 0..q-1 as a complex array, 0 where gcd(k, q) > 1."""

@@ -1,10 +1,11 @@
 """Exponential sums over prime cubes and the weighted solution count r(n).
 
-The generating sum for slot j is S_j(alpha) = sum over primes p with
-M < |a_j| p^3 <= N of log(p) e(a_j p^3 alpha).  The weighted count
+Slot j's support holds the primes p with M < |a_j| p^3 <= N, as listed by
+arith.window_primes, once per distinct coefficient.  Its generating sum is
+S_j(alpha) = sum over the support of log(p) e(a_j p^3 alpha), and the count
 
-    r(n) = sum over solutions of n = a_1 p_1^3 + ... + a_9 p_9^3
-           of log(p_1) ... log(p_9),   all |a_j| p_j^3 in (M, N],
+    r(n) = sum over solutions of n = a_1 p_1^3 + ... + a_9 p_9^3,
+           each p_j in slot j's support, of log(p_1) ... log(p_9)
 
 is computed two independent ways: by a join of the distinct index sums
 of slots 1-4 and 5-9, which adds only positive products and takes no
@@ -38,7 +39,6 @@ _BLOCK_CELLS = 1 << 16  # points times primes of one block of support_sum
 class WeightedCubeSupport:
     """Primes p with M < |a| p^3 <= N, their signed indices a p^3, and log p."""
 
-    coefficient: int
     primes: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
@@ -47,22 +47,11 @@ class WeightedCubeSupport:
         return len(self.primes)
 
 
-def cube_support(system: CoefficientSystem, j: int, M: int, N: int) -> WeightedCubeSupport:
-    """Support of slot j over the window (M, N]."""
-    if not 0 <= j < 9:
-        raise DomainError(f"slot must be 0..8, got {j}")
-    arith.check_window(M, N)
-    aj = system.a[j]
-    mag = abs(aj)
-    p_hi = arith.icbrt(N // mag)
-    primes = [p for p in arith.sieve_primes(max(p_hi, 2)) if mag * p**3 > M and mag * p**3 <= N]
-    arr = np.array(primes, dtype=np.int64)
-    return WeightedCubeSupport(
-        coefficient=aj,
-        primes=arr,
-        indices=aj * arr**3,
-        weights=np.log(arr.astype(np.float64)) if len(arr) else np.zeros(0),
-    )
+def cube_support(aj: int, M: int, N: int) -> WeightedCubeSupport:
+    """Support of a slot with coefficient aj over the window (M, N]: arith.window_primes."""
+    aj, (M, N) = arith.integral(aj), arith.check_window(M, N)
+    p = np.array(arith.window_primes(abs(aj), M, N), dtype=np.int64)
+    return WeightedCubeSupport(primes=p, indices=aj * p**3, weights=np.log(p.astype(np.float64)))
 
 
 def support_sum(sup: WeightedCubeSupport, alpha: float | np.ndarray) -> complex | np.ndarray:
@@ -85,7 +74,9 @@ def support_sum(sup: WeightedCubeSupport, alpha: float | np.ndarray) -> complex 
 
 
 def _supports(system: CoefficientSystem, M: int, N: int) -> list[WeightedCubeSupport]:
-    return [cube_support(system, j, M, N) for j in range(9)]
+    """The slots' supports, one per distinct coefficient: equal slots share one object."""
+    sups = {aj: cube_support(aj, M, N) for aj in set(system.a)}
+    return [sups[aj] for aj in system.a]
 
 
 def _weighted_sums(sups: list[WeightedCubeSupport]) -> tuple[np.ndarray, np.ndarray]:
@@ -128,11 +119,8 @@ def weighted_count_fourier(system: CoefficientSystem, M: int, N: int) -> float:
     span = sum(int(s.indices.max()) - int(s.indices.min()) for s in sups) + 1
     if span > convolve.CELL_CAP:
         raise ResourceLimitError(f"product span {span} exceeds cap {convolve.CELL_CAP}")
-    factors: dict[int, convolve.IndexedWeights] = {}
-    for s in sups:
-        if s.coefficient not in factors:
-            factors[s.coefficient] = convolve.from_sparse(s.indices, s.weights)
-    r, bound = convolve.convolve_read([factors[s.coefficient] for s in sups], system.n)
+    dense = {s: convolve.from_sparse(s.indices, s.weights) for s in set(sups)}
+    r, bound = convolve.convolve_read([dense[s] for s in sups], system.n)
     least = math.prod(float(s.weights.min()) for s in sups)
     if 2 * bound >= least or r >= least - bound:
         return r
@@ -171,7 +159,7 @@ def minor_arc_sup(
     npts = int(math.ceil(1.0 / grid_step))
     if npts > SCAN_POINTS_CAP:
         raise ResourceLimitError(f"scan of {npts} points exceeds cap {SCAN_POINTS_CAP}")
-    sup = cube_support(system, 8, M, N)
+    sup = cube_support(system.a[8], M, N)
     if npts * len(sup) > convolve.CELL_CAP:
         raise ResourceLimitError(
             f"scan of {npts} points over {len(sup)} primes exceeds cap {convolve.CELL_CAP}"

@@ -524,7 +524,6 @@ class LocalData:
 def local_data(q: int, system: CoefficientSystem) -> LocalData:
     _check_q(q, EXACT_COUNT_CAP)
     definition, a_q = series_term(q, system), exact_term(q, system)
-    s_p = euler_factor(q, system, definition) if arith.is_prime(q) else None
-    if s_p is None:  # at a prime q the s(q) check holds this A(q) to the counts
-        check_routes("A", (q,), definition, a_q)
+    check_routes("A", (q,), definition, a_q)
+    s_p = 1.0 + definition if arith.is_prime(q) else None
     return LocalData(q, a_q, unit_solution_count(q, system), s_p)

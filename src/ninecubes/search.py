@@ -96,19 +96,19 @@ def _slot_primes(
     prime_bound: int,
     window: tuple[int, int] | None,
 ) -> list[np.ndarray]:
-    """Per-slot candidate primes up to the bound, filtered to the window
-    M < |a_j| p^3 <= N when one is given.  Only the bound is sieved, so a
-    window's N past the sieve cap is searched, not refused."""
+    """Per-slot candidate primes up to the bound: with a window, those of
+    arith.window_primes with N capped at |a_j| * bound^3, read once per
+    distinct |a_j|.  Only the bound is sieved, so a window's N past the
+    sieve cap is searched, not refused."""
     _check_span(system, prime_bound)
-    primes = np.asarray(arith.sieve_primes(prime_bound), dtype=np.int64)
     if window is None:
-        return [primes] * 9
-    M, N = window
-    arith.check_window(M, N)
-    # every |a_j| p^3 is below 2^62 (_check_span), so clamping M and N there keeps the filter
-    lo, hi = min(M, 2**62), min(N, 2**62)
-    cubes = [abs(aj) * primes**3 for aj in system.a]
-    return [primes[(c > lo) & (c <= hi)] for c in cubes]
+        return [np.asarray(arith.sieve_primes(prime_bound), dtype=np.int64)] * 9
+    M, N = arith.check_window(*window)
+    slots = {
+        mag: np.asarray(arith.window_primes(mag, M, min(N, mag * prime_bound**3)), dtype=np.int64)
+        for mag in {abs(aj) for aj in system.a}
+    }
+    return [slots[abs(aj)] for aj in system.a]
 
 
 def _reach(n: int, cubes: list[np.ndarray]) -> list[tuple[int, int]]:

@@ -93,7 +93,7 @@ def check_fourier_direct(rng: np.random.Generator) -> tuple[bool, str]:
             N = 10**5
             system = random_valid_system(rng, 1, 10, max_prime_slots=0)
         M = N // 10
-        sups = [expsum.cube_support(system, j, M, N) for j in range(9)]
+        sups = [expsum.cube_support(aj, M, N) for aj in system.a]
         if trial % 2 == 0 and all(len(s) for s in sups):
             n = sum(int(rng.choice(s.indices)) for s in sups)
         else:
@@ -338,8 +338,7 @@ def corridor_block_diagnostic() -> tuple[tuple[float, ...], tuple[float, ...]]:
     raw, corrected = [], []
     for N in (10**5, 3 * 10**5, 10**6):
         M = N // 10
-        system = CoefficientSystem.make((1,) * 9, 1)
-        sup = expsum.cube_support(system, 0, M, N)
+        sup = expsum.cube_support(1, M, N)
         theta = float(sup.weights.sum())
         kappa9 = (theta / (N ** (1.0 / 3.0) - M ** (1.0 / 3.0))) ** 9
         r_all = convolve.convolve_full([convolve.from_sparse(sup.indices, sup.weights)] * 9)
@@ -367,7 +366,7 @@ def check_search_consistency(rng: np.random.Generator) -> tuple[bool, str]:
     soluble = 0
     for trial in range(20):
         system = random_valid_system(rng, 1, 10, max_prime_slots=2)
-        sups = [expsum.cube_support(system, j, M, N) for j in range(9)]
+        sups = [expsum.cube_support(aj, M, N) for aj in system.a]
         if any(len(s) == 0 for s in sups):
             continue
         if trial % 2 == 0:

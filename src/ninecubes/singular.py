@@ -187,7 +187,7 @@ def _integral_value(
     system: CoefficientSystem, M: int, N: int
 ) -> tuple[float, list[convolve.IndexedWeights]]:
     """J(n) over the window M < |a_j| m_j <= N, and the nine factors it is read from."""
-    arith.check_window(M, N)
+    M, N = arith.check_window(M, N)
     if N > INTEGRAL_N_CAP:
         raise ResourceLimitError(f"window bound {N} exceeds cap {INTEGRAL_N_CAP}")
     supports = {aj: integral_support(aj, M, N) for aj in set(system.a)}

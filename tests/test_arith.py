@@ -156,3 +156,32 @@ def test_unit_group_trivial_and_non_units():
 def test_sieve_cap():
     with pytest.raises(ResourceLimitError):
         arith.sieve_primes(arith.SIEVE_CAP + 1)
+
+
+def test_window_primes_match_brute_force_at_the_cube_edges():
+    # ends at |a| p^3 - 1, |a| p^3 and |a| p^3 + 1, with M = 0 and N below 8
+    primes = arith.sieve_primes(40)
+    for mag in (1, 2, 3, 5, 7, 11, 13, 97):
+        edges = sorted({0, 1, 7} | {mag * p**3 + d for p in primes[:8] for d in (-1, 0, 1)})
+        for M in edges:
+            for N in edges:
+                want = [p for p in primes if M < mag * p**3 <= N]
+                assert arith.window_primes(mag, M, N) == want
+
+
+def test_window_primes_are_exact_past_the_float_range():
+    big = 10**300
+    assert arith.window_primes(big, 8 * big - 1, 27 * big) == [2, 3]
+    assert arith.window_primes(big, 8 * big, 27 * big - 1) == []
+    p = 999983  # the greatest prime below 10^6
+    assert arith.window_primes(1, p**3 - 1, p**3) == [p]
+    with pytest.raises(DomainError):
+        arith.window_primes(0, 1, 8)
+
+
+def test_check_window_returns_integers():
+    assert arith.check_window(10, 100.0) == (10, 100)
+    assert all(type(end) is int for end in arith.check_window(np.int64(10), 100.0))
+    for M, N in ((10, 100.5), (10.5, 100), (0, 8), (8, 8)):
+        with pytest.raises(DomainError):
+            arith.check_window(M, N)

@@ -100,3 +100,9 @@ def test_bad_exponents_rejected():
         DirichletCharacter(7, (6, 0))
     with pytest.raises(DomainError):
         DirichletCharacter(7, (99,))
+
+
+def test_index_is_the_position_in_the_group():
+    for q in MODULI + (337, 343):
+        for pos, chi in enumerate(character_group(q)):
+            assert chi.index == pos and type(chi.index) is int

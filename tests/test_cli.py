@@ -300,6 +300,14 @@ def test_search_signed_128_golden(tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "search-signed-128.json").read_bytes()
 
 
+def test_rn_mixed_signs_golden(tmp_path):
+    # six distinct coefficients of both signs, r(n) by both routes, byte for byte
+    args = ["rn", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "156", "--M", "7", "--N", "1000"]
+    code, data = run_to_file(tmp_path, args, "rn-mixed.json")
+    assert code == 0
+    assert data == (Path(__file__).parent / "data" / "rn-mixed.json").read_bytes()
+
+
 def test_search_consistency_selftest_golden(tmp_path):
     # the reachability check against find_solution and r(n) on 20 windowed
     # systems at the default seed, byte for byte

@@ -175,7 +175,7 @@ def test_full_route_on_window_tables(monkeypatch):
     system = CoefficientSystem.make(coeffs, 1)
     calls, sumsets = count_rffts(monkeypatch), count_sumsets(monkeypatch)
     for N in (10**4, 10**5):
-        sups = [cube_support(system, j, N // 10, N) for j in range(9)]
+        sups = [cube_support(aj, N // 10, N) for aj in system.a]
         parts = [from_sparse(s.indices, s.weights) for s in sups]
         sumsets.clear()
         convolve_full(parts)
@@ -243,7 +243,7 @@ def test_sparse_prime_cube_table_is_its_sumset(monkeypatch):
     # log-weight products of its tuples, and no cell is negative
     coeffs = (1, 1, 1, -1, -1, 1, 1, 2, 3)
     system = CoefficientSystem.make(coeffs, 1)
-    sups = [cube_support(system, j, 300, 3000) for j in range(9)]
+    sups = [cube_support(aj, 300, 3000) for aj in system.a]
     brute = {}
     for combo in itertools.product(*(list(zip(s.indices.tolist(), s.weights)) for s in sups)):
         n = sum(i for i, _ in combo)
@@ -263,7 +263,7 @@ def test_stages_follow_observed_counts(monkeypatch):
     # products at the last stage, where the product of the counts bounds
     # that stage by 4^9
     system = CoefficientSystem.make((1,) * 9, 1)
-    sups = [cube_support(system, j, 1000, 10**4) for j in range(9)]
+    sups = [cube_support(aj, 1000, 10**4) for aj in system.a]
     parts = [from_sparse(s.indices, s.weights) for s in sups]
     want = convolve_full(parts)
     monkeypatch.setattr(convolve, "_DIRECT_COST_LIMIT", 1000)
@@ -304,7 +304,7 @@ def test_sparse_tables_run_every_stage_sparse(monkeypatch, N):
     rffts, sumsets = count_rffts(monkeypatch), count_sumsets(monkeypatch)
     for _ in range(3):
         system = CoefficientSystem.make(bench_signs(rng), 1)
-        parts = [from_sparse(s.indices, s.weights) for s in (cube_support(system, j, N // 10, N) for j in range(9))]
+        parts = [from_sparse(s.indices, s.weights) for s in (cube_support(aj, N // 10, N) for aj in system.a)]
         sumsets.clear()
         got = convolve_full(parts)
         assert (rffts, len(sumsets)) == ([], 7)
@@ -328,7 +328,7 @@ def test_dense_table_sorts_nothing(monkeypatch):
 def test_sparse_table_peak_memory():
     # the sparse accumulator stays small next to the table it builds
     system = CoefficientSystem.make((1, 1, 1, -1, -1, 1, 1, 2, 3), 1)
-    parts = [from_sparse(s.indices, s.weights) for s in (cube_support(system, j, 3 * 10**4, 3 * 10**5) for j in range(9))]
+    parts = [from_sparse(s.indices, s.weights) for s in (cube_support(aj, 3 * 10**4, 3 * 10**5) for aj in system.a)]
     tracemalloc.start()
     try:
         table = convolve_full(parts)
@@ -555,7 +555,7 @@ def test_prime_cube_read_within_bound_of_exact_sum():
     # and next to it
     coeffs = (1, 1, -1, 1, 2, 1, -1, 1, 1)
     parts = [from_sparse(s.indices, s.weights)
-             for s in (cube_support(CoefficientSystem.make(coeffs, 1), j, 200, 3000) for j in range(9))]
+             for s in (cube_support(aj, 200, 3000) for aj in coeffs)]
     sums = {0}
     for p in parts:
         sums = {x + p.lo + int(i) for x in sums for i in np.flatnonzero(p.values)}
@@ -652,7 +652,7 @@ def test_direct_count_never_takes_the_spectral_read(monkeypatch):
     systems = [CoefficientSystem.make((1,) * 9, n) for n in (5 * 10**5 + 1, planted)]
     reads = []
     for system in systems:
-        sups = [cube_support(system, j, 10**4, 10**5) for j in range(9)]
+        sups = [cube_support(aj, 10**4, 10**5) for aj in system.a]
         parts = [from_sparse(s.indices, s.weights) for s in sups]
         reads.append(convolve_read(parts, system.n))
 

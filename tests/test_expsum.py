@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninecubes import cli, convolve, expsum, singular
+from ninecubes import cli, convolve, expsum, search, singular
 from ninecubes.arcs import build_dissection
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.expsum import (
@@ -27,7 +27,7 @@ MIXED = CoefficientSystem.make([1, 1, 1, -2, 3, 1, 5, 1, -1], 270)
 
 
 def brute_weighted_count(system, M, N):
-    sups = [cube_support(system, j, M, N) for j in range(9)]
+    sups = [cube_support(aj, M, N) for aj in system.a]
     total = 0.0
     count = 0
     for tup in itertools.product(*(range(len(s)) for s in sups)):
@@ -39,17 +39,49 @@ def brute_weighted_count(system, M, N):
 
 
 def test_support_window_is_half_open():
-    sup = cube_support(ONES, 0, 8, 1000)
+    sup = cube_support(ONES.a[0], 8, 1000)
     assert list(sup.primes) == [3, 5, 7]  # 2^3 = 8 excluded, 10^3 > 1000
-    sup = cube_support(ONES, 0, 7, 8)
+    sup = cube_support(ONES.a[0], 7, 8)
     assert list(sup.primes) == [2]
-    scaled = cube_support(MIXED, 3, 16, 1000)  # a = -2
+    scaled = cube_support(MIXED.a[3], 16, 1000)  # a = -2
     assert list(scaled.primes) == [3, 5, 7]
     assert list(scaled.indices) == [-54, -250, -686]
     with pytest.raises(DomainError):
-        cube_support(ONES, 9, 7, 8)
-    with pytest.raises(DomainError):
-        cube_support(ONES, 0, 8, 8)
+        cube_support(ONES.a[0], 8, 8)
+
+
+def test_fractional_window_ends_are_refused():
+    # each reader of the window refuses a fractional end the same way
+    for window in ((10, 100.5), (10, 1000.5), (10.5, 1000)):
+        with pytest.raises(DomainError):
+            cube_support(1, *window)
+        with pytest.raises(DomainError):
+            singular.singular_integral(ONES, *window)
+        with pytest.raises(DomainError):
+            search.find_solution(ONES, 20, window=window)
+        with pytest.raises(DomainError):
+            search.solution_exists(ONES, 20, window=window)
+
+
+def test_integral_float_window_ends_read_as_ints():
+    for by_float, by_int in ((cube_support(1, 10, 100.0), cube_support(1, 10, 100)),
+                             (cube_support(-2.0, 16, 1000), cube_support(-2, 16, 1000))):
+        for field in ("primes", "indices", "weights"):
+            got, want = getattr(by_float, field), getattr(by_int, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    for aj in (1.5, 0):
+        with pytest.raises(DomainError):
+            cube_support(aj, 8, 1000)
+    system = CoefficientSystem.make([1] * 9, 1001)
+    assert singular.singular_integral(system, 10.0, 1000.0) == singular.singular_integral(system, 10, 1000)
+    assert search.find_solution(system, 20, (10.0, 1000.0)) == search.find_solution(system, 20, (10, 1000))
+
+
+def test_equal_coefficients_share_one_support():
+    sups = expsum._supports(MIXED, 10, 5000)
+    for aj, sup in zip(MIXED.a, sups):
+        assert all((other is sup) == (b == aj) for b, other in zip(MIXED.a, sups))
+        assert np.array_equal(sup.indices, cube_support(aj, 10, 5000).indices)
 
 
 def test_single_atom_window_gives_log_power():
@@ -63,7 +95,7 @@ def test_conjugate_symmetry():
     rng = np.random.default_rng(611)
     for _ in range(25):
         alpha = float(rng.uniform(0, 1))
-        sup = cube_support(MIXED, int(rng.integers(0, 9)), 10, 5000)
+        sup = cube_support(MIXED.a[int(rng.integers(0, 9))], 10, 5000)
         s1 = support_sum(sup, alpha)
         s2 = support_sum(sup, 1.0 - alpha)
         assert s2 == pytest.approx(s1.conjugate(), abs=1e-8)
@@ -72,7 +104,7 @@ def test_conjugate_symmetry():
 def test_mean_square_is_weight_energy():
     # (1/T) sum over the T-th roots recovers sum of squared weights when
     # the support span stays below T
-    sup = cube_support(ONES, 0, 8, 3000)
+    sup = cube_support(ONES.a[0], 8, 3000)
     span = int(sup.indices.max() - sup.indices.min())
     T = 8192
     assert span < T
@@ -174,7 +206,7 @@ def test_fourier_read_is_cropped_at_an_edge_target(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", lambda x, n, *a, **k: lengths.append(n) or rfft(x, n, *a, **k))
     r = weighted_count_fourier(system, M, N)
     read = lengths[:]
-    sups = [cube_support(system, j, M, N) for j in range(9)]
+    sups = [cube_support(aj, M, N) for aj in system.a]
     lengths.clear()
     convolve.convolve_read([convolve.from_sparse(s.indices, s.weights) for s in sups], system.n)
     assert read == lengths
@@ -274,7 +306,7 @@ def test_minor_scan_report_shape():
     assert 0 <= rep.points_minor <= rep.points_total
     assert rep.reference_power == pytest.approx(float(20000) ** (19.0 / 60.0))
     if rep.points_minor:
-        sup = cube_support(ONES, 8, 100, 20000)
+        sup = cube_support(ONES.a[8], 100, 20000)
         assert rep.sup_abs <= float(sup.weights.sum()) + 1e-9
         assert rep.ratio == pytest.approx(rep.sup_abs / rep.reference_power)
 
@@ -327,7 +359,7 @@ def test_minor_scan_against_brute_force(system, N, D, eps, c, step):
 def test_support_sum_blocks_keep_the_bits(monkeypatch):
     # several blocks and a short last one: each point's sum has the bits of
     # the single-alpha formula, one np.dot over its row
-    sup = cube_support(MIXED, 8, 10, 10**7)
+    sup = cube_support(MIXED.a[8], 10, 10**7)
     monkeypatch.setattr(expsum, "_BLOCK_CELLS", 7 * len(sup) + 3)
     alphas = np.random.default_rng(612).uniform(0, 1, 60)
     got = support_sum(sup, alphas)

@@ -695,14 +695,14 @@ def test_local_data_reports_the_exact_term_held_to_the_definition(monkeypatch):
     monkeypatch.setattr(localdata, "series_term", lambda q, s: definition(q, s) + 1e-8)
     with pytest.raises(NumericIntegrityError, match=r"A\(1729\)"):
         local_data(1729, ONES)
-    # at a prime q the one check is euler_factor's, on the same definition A(q)
-    with pytest.raises(NumericIntegrityError, match=r"^s\(997\) identity violated"):
+    # a prime q is checked the same way, on A(q) itself
+    with pytest.raises(NumericIntegrityError, match=r"^A\(997\) identity violated"):
         local_data(997, ONES)
 
 
 def test_local_data_at_a_prime_checks_once(monkeypatch):
-    # the definition A(q) is computed once and handed to euler_factor, whose
-    # s(q) check is the only one; at a composite q the A(q) check runs
+    # the definition A(q) is computed once and held to the counts by one A(q)
+    # check, at a prime q as at a composite one; s(q) is 1 + that A(q)
     calls = []
     check = localdata.check_routes
 
@@ -714,7 +714,7 @@ def test_local_data_at_a_prime_checks_once(monkeypatch):
     term = localdata.series_term
     monkeypatch.setattr(localdata, "series_term", lambda q, s: calls.append(q) or term(q, s))
     prime = local_data(997, MIXED)
-    assert calls == [997, "s"]
+    assert calls == [997, "A"]
     assert prime.euler_factor == (1.0 + term(997, MIXED))
     calls.clear()
     local_data(1729, MIXED)
@@ -722,7 +722,7 @@ def test_local_data_at_a_prime_checks_once(monkeypatch):
 
 
 def test_local_data_at_a_prime_counts_once():
-    # local_data and its euler_factor share one cached N(q)
+    # local_data's exact A(q) and its N(q) share one cached count
     unit_solution_count.cache_clear()
     local_data(997, MIXED)
     info = unit_solution_count.cache_info()
