@@ -10,6 +10,7 @@ slot 9 the sums of slots 5-8 are matched against the index by binary
 search.  Pass 1 keys a sum by its least max prime and finds the optimal
 max; pass 2 caps every slot at that max and keys a sum by its least
 row-major flat index, so its least match is the lex-least solution.
+`find_solution` runs the passes in steps its docstring lists.
 
 Every partial sum is pruned to the target's reach.  From the least and
 greatest cube of each slot, a run of slots adds a sum in a known range,
@@ -30,7 +31,7 @@ n in a range per all-positive system, share the bitmap step `_shift_or`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +42,8 @@ from .localdata import CoefficientSystem
 PRIME_BOUND_CAP = 10**4
 # ordered states the index and the scan cover, checked before any expansion
 ENUM_CAP = 2 * 10**8
+# candidate primes up to which find_solution runs no step at P0: a failed one costs the search
+STEP_PRIMES = 10
 # pairs one step of solution_exists' reachability set may form
 REFINE_CAP = 3 * 10**7
 # largest n a threshold scan's reachability bitmaps cover
@@ -100,7 +103,6 @@ def _slot_primes(
     arith.window_primes with N capped at |a_j| * bound^3, read once per
     distinct |a_j|.  Only the bound is sieved, so a window's N past the
     sieve cap is searched, not refused."""
-    _check_span(system, prime_bound)
     if window is None:
         return [np.asarray(arith.sieve_primes(prime_bound), dtype=np.int64)] * 9
     M, N = arith.check_window(*window)
@@ -186,23 +188,24 @@ def _pairs(system: CoefficientSystem, slots: list[np.ndarray], lex: bool):
 
 def _search_at(
     system: CoefficientSystem,
+    slots: list[np.ndarray],
     prime_bound: int,
     window: tuple[int, int] | None,
+    best_max: int | None = None,
 ) -> SolutionRecord | SearchExhausted:
-    slots = _slot_primes(system, prime_bound, window)
+    """One step over the slots; a best_max given is the least max of any solution in them."""
+    _check_span(system, prime_bound)
     if any(len(ps) == 0 for ps in slots):
         return SearchExhausted(system, prime_bound, window, 0)
 
     visits = math.prod(map(len, slots[:4])) + math.prod(map(len, slots[4:]))
     if visits > ENUM_CAP:
         raise ResourceLimitError(f"search would visit {visits} states, cap is {ENUM_CAP}")
-    lo, hi = _reach(system.n, [aj * ps**3 for aj, ps in zip(system.a, slots)])[0]
-    if not lo <= 0 <= hi:  # n outside [sum of minima, sum of maxima]
+    if not _reachable(system, slots, [prime_bound])[0]:  # n outside [sum of minima, sum of maxima]
         return SearchExhausted(system, prime_bound, window, visits)
 
     # pass 1: a matched pair of sums has least max max(its two least maxes, p9)
-    best_max = None
-    for p9, left_max, mid_max in _pairs(system, slots, lex=False):
+    for p9, left_max, mid_max in _pairs(system, slots, lex=False) if best_max is None else ():
         if best_max is not None and p9 >= best_max:
             break
         if len(left_max):
@@ -215,11 +218,14 @@ def _search_at(
     # for a fixed pair of half sums the lex-least left and mid tuples give
     # the lex-least tuple; distinct index sums have distinct flat keys
     slots = [ps[ps <= best_max] for ps in slots]
-    left, mid, p9 = min(
+    least = [
         (int(left_flat.min()), int(mid_flat[left_flat.argmin()]), p9)
         for p9, left_flat, mid_flat in _pairs(system, slots, lex=True)
         if len(left_flat)
-    )
+    ]
+    if not least:  # only where best_max was given
+        return SearchExhausted(system, prime_bound, window, visits)
+    left, mid, p9 = min(least)
     primes = [
         int(ps[i])
         for half, flat in ((slots[:4], left), (slots[4:8], mid))
@@ -242,20 +248,41 @@ def find_solution(
     """Best prime solution with all p_j <= prime_bound, or an exhaustion report.
 
     "Best" minimizes max p_j, then the tuple lexicographically.  The
-    bound is deepened in stages so that small solutions are found
-    without paying for the full bound; a solution found at a lower
-    stage already has the globally minimal max p_j, since any better
-    solution would live entirely inside the smaller stage.  Both passes
-    of a stage fit under the ENUM_CAP check made before its first.
+    slots are read once at the bound and searched in steps of growing
+    bound: P0, the least prime at which the capped slots can reach n, and
+    the next prime (with more than STEP_PRIMES candidate primes), the last
+    primes below 8, 32, 128, 512 and 2048 from P0 on, and the bound.  The
+    first step with a solution holds the least max; a step at P0 or one
+    prime past an exhausted step knows it and runs pass 2 alone.  Each
+    step checks its int64 span and ENUM_CAP states before it allocates;
+    an n out of reach at the bound runs that step alone.
     """
     prime_bound = _check_prime_bound(prime_bound)
-    ladder = [b for b in (8, 32, 128, 512, 2048) if b < prime_bound]
-    ladder.append(prime_bound)
-    for bound in ladder:
-        result = _search_at(system, bound, window)
+    slots = _slot_primes(system, prime_bound, window)
+    if not (all(map(len, slots)) and _reachable(system, slots, [prime_bound])[0]):
+        return _search_at(system, slots, prime_bound, window)  # exhausts before pass 1
+    caps = _distinct(np.concatenate(slots), (max(ps[0] for ps in slots), prime_bound))
+    i0 = int(np.argmax(_reachable(system, slots, caps)))
+    rungs = np.searchsorted(caps, [8, 32, 128, 512, 2048], side="right") - 1
+    at = {int(i) for i in rungs if i >= i0} | {len(caps) - 1}
+    at = sorted(at | ({i0, min(i0 + 1, len(caps) - 1)} if len(caps) > STEP_PRIMES else set()))
+    for j, i in zip([i0 - 1] + at, at):
+        cap = int(caps[i])
+        best_max = cap if i == j + 1 else None  # no solution below cap
+        result = _search_at(system, [ps[ps <= cap] for ps in slots], cap, window, best_max)
         if isinstance(result, SolutionRecord):
             return result
-    return result
+    return replace(result, prime_bound=prime_bound)
+
+
+def _reachable(system: CoefficientSystem, slots: list[np.ndarray], caps) -> np.ndarray:
+    """Per cap P >= each slot's first prime: can the slots capped at P reach n (Python ints)?"""
+    lo = hi = 0
+    for aj in set(system.a):  # slots of equal a_j hold the same primes
+        ps, k = slots[system.a.index(aj)], system.a.count(aj) * aj
+        ends = k * int(ps[0]) ** 3, k * ps[np.searchsorted(ps, caps, "right") - 1].astype(object) ** 3
+        lo, hi = lo + ends[aj < 0], hi + ends[aj > 0]
+    return (lo <= system.n) & (system.n <= hi)
 
 
 def _shift_or(reach: np.ndarray, lo: int, cubes, a: int, b: int) -> np.ndarray:
@@ -279,6 +306,7 @@ def solution_exists(
     sorted int64 sums, and from the first slot whose window has no more
     cells than the bytes of the step's int64 (sum, cube) pairs, a bitmap."""
     prime_bound = _check_prime_bound(prime_bound)
+    _check_span(system, prime_bound)
     slots = _slot_primes(system, prime_bound, window)
     if any(len(ps) == 0 for ps in slots):
         return False

@@ -300,6 +300,16 @@ def test_search_signed_128_golden(tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "search-signed-128.json").read_bytes()
 
 
+def test_search_planted_41_golden(tmp_path):
+    # nine primes from {37, 41} at bound 128: n is first in reach at 41,
+    # where the first step of the search finds max 41, byte for byte
+    out = tmp_path / "search-planted-41.json"
+    args = ["search", "--coeffs", "1,1,1,1,1,1,1,1,2", "--n", "597870",
+            "--prime-bound", "128", "--out", str(out)]
+    assert cli.run(args) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "search-planted-41.json").read_bytes()
+
+
 def test_rn_mixed_signs_golden(tmp_path):
     # six distinct coefficients of both signs, r(n) by both routes, byte for byte
     args = ["rn", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "156", "--M", "7", "--N", "1000"]

@@ -407,6 +407,18 @@ def windows_between(cubes, lo, hi):
     return [(w[0], v[1]) for w, v in zip(search._reach(lo, cubes), search._reach(hi, cubes))]
 
 
+def spy_steps(monkeypatch):
+    """The steps find_solution runs, in order: (bound, best_max given)."""
+    steps, real = [], search._search_at
+
+    def spy(system, slots, prime_bound, window, best_max=None):
+        steps.append((prime_bound, best_max))
+        return real(system, slots, prime_bound, window, best_max)
+
+    monkeypatch.setattr(search, "_search_at", spy)
+    return steps
+
+
 def test_index_holds_distinct_sums(monkeypatch):
     # (1,...,1) at bound 128: 31^4 ordered 4-tuples but only the distinct
     # sums of four prime cubes enter an index whose window admits them all
@@ -418,15 +430,87 @@ def test_index_holds_distinct_sums(monkeypatch):
     keys, _ = search._least_keys(slots, cubes, windows_between(cubes, 4 * 2**3, 4 * 127**3), lex=False)
     assert keys.tolist() == sorted(distinct)
 
-    # n = 3 lies below the least sum 9 * 2^3: every ladder stage (8, 32,
-    # 128) reports exhaustion of all its ordered states without an index
+    # n = 3 lies below the least sum 9 * 2^3: the search runs the bound
+    # alone and reports exhaustion of all its ordered states without an index
     def forbidden(*args):
         raise AssertionError("built an index for an unreachable target")
 
     monkeypatch.setattr(search, "_least_keys", forbidden)
+    steps = spy_steps(monkeypatch)
     out = find_solution(CoefficientSystem.make([1] * 9, 3), prime_bound=128)
     assert isinstance(out, SearchExhausted)
     assert out.states_visited == 31**4 + 31**5
+    assert steps == [(128, None)]
+
+
+def test_steps_start_at_the_least_prime_that_reaches_n(monkeypatch):
+    # nine primes from {37, 41}: 10 * 37^3 < n <= 10 * 41^3, so no prime
+    # bound below 41 reaches n, and the first step runs at 41, pass 2 alone
+    steps = spy_steps(monkeypatch)
+    got = find_solution(CoefficientSystem.make([1] * 8 + [2], 597870), prime_bound=128)
+    assert (got.max_p, got.primes) == (41, (37,) * 5 + (41,) * 4)
+    assert steps == [(41, 41)]
+
+
+def test_steps_past_the_least_prime_that_reaches_n(monkeypatch):
+    # eight 37s and a 43: n is first in reach at 41, whose step exhausts,
+    # and the step one prime higher (no old rung) knows its least max
+    steps = spy_steps(monkeypatch)
+    got = find_solution(CoefficientSystem.make([1] * 8 + [2], 8 * 37**3 + 2 * 43**3), prime_bound=128)
+    assert (got.max_p, got.primes) == (43, (37,) * 8 + (43,))
+    assert steps == [(41, 41), (43, 43)]
+    # a window leaves six candidate primes (23 to 43), no more than
+    # STEP_PRIMES: no step at P0, and the bound's last prime runs both passes
+    steps.clear()
+    system = CoefficientSystem.make([1] * 9, 4 * 29**3 + 4 * 31**3 + 43**3)
+    got = find_solution(system, prime_bound=128, window=(10**4, 10**5))
+    assert (got.max_p, got.primes) == (43, (29,) * 4 + (31,) * 4 + (43,))
+    assert steps == [(43, None)]
+
+
+def test_small_step_answers_past_the_int64_span_of_the_bound():
+    # a_9 = 10^13: nine 2s solve it, but a step at the full bound spans
+    # 10^25 and is refused; the slots and the least reaching prime are
+    # computed once at the bound without that refusal
+    system = CoefficientSystem.make([1] * 8 + [10**13], 8 * 8 + 8 * 10**13)
+    got = find_solution(system, prime_bound=10**4)
+    assert (got.max_p, got.primes) == (2, (2,) * 9)
+    with pytest.raises(ResourceLimitError, match="64-bit"):
+        search._search_at(system, search._slot_primes(system, 10**4, None), 10**4, None)
+    # a window leaves 2 and 3 in every slot: each step spans its own largest
+    # prime, not the bound, so the step that holds them all is not refused
+    system = CoefficientSystem.make([10**6] * 9, 8 * 8 * 10**6 + 27 * 10**6)
+    got = find_solution(system, prime_bound=10**4, window=(1, 10**8))
+    assert (got.max_p, got.primes) == (3, (2,) * 8 + (3,))
+
+
+def test_ladder_matches_one_step_at_the_bound():
+    # wherever the ladder starts and whichever steps it runs, it returns
+    # what one search at the full bound returns
+    rng = np.random.default_rng(39)
+    found = 0
+    for _ in range(240):
+        coeffs = [int(rng.choice([1, -1, 2, -2, 3, -3, 5])) for _ in range(9)]
+        bound = int(rng.integers(2, 61))
+        window = None
+        if rng.random() < 0.5:
+            M = int(rng.integers(1, 500))
+            window = (M, M + int(rng.integers(100, 10**6)))
+        primes = arith.sieve_primes(bound)
+        if rng.random() < 0.6:
+            n = sum(a * int(rng.choice(primes)) ** 3 for a in coeffs)
+        else:
+            n = int(rng.integers(-10**5, 10**5))
+        system = CoefficientSystem.make(coeffs, n)
+        got = find_solution(system, prime_bound=bound, window=window)
+        want = search._search_at(system, search._slot_primes(system, bound, window), bound, window)
+        assert type(got) is type(want)
+        if isinstance(want, SolutionRecord):
+            assert (got.primes, got.max_p) == (want.primes, want.max_p)
+            found += 1
+        else:
+            assert (got.prime_bound, got.states_visited) == (want.prime_bound, want.states_visited)
+    assert 60 <= found <= 180
 
 
 def test_distinct_sums_match_enumeration():
@@ -483,7 +567,7 @@ def test_later_last_prime_lowers_max():
     # p9 = 2, 3 and 5 each complete a solution with max 13; only p9 = 7
     # reaches the optimum 7, so the scan must not stop at the first hit
     system = CoefficientSystem.make([1, 2, 2, 1, -1, -1, 1, 1, -1], -655)
-    got = search._search_at(system, 13, None)
+    got = search._search_at(system, search._slot_primes(system, 13, None), 13, None)
     assert got.max_p == 7 and got.primes[8] == 7
     assert (got.max_p, got.primes) == dict_oracle(system, 13)
 
@@ -496,7 +580,7 @@ def test_enum_cap_refuses_before_expanding(monkeypatch):
     monkeypatch.setattr(search, "ENUM_CAP", 11**4 + 11**5 - 1)
     system = CoefficientSystem.make([1] * 9, 3)
     with pytest.raises(ResourceLimitError, match=f"visit {11**4 + 11**5} states"):
-        search._search_at(system, 31, None)
+        search._search_at(system, search._slot_primes(system, 31, None), 31, None)
 
 
 def test_failed_solution_check_is_typed():
