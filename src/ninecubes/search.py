@@ -5,11 +5,13 @@ p_j, tie-broken by the lexicographically least tuple (the max is the
 figure of merit; solution sizes are compared against n^(1/3)).  It is a
 meet-in-the-middle search run twice: slots 1-4 (the index) and slots
 5-8 are each reduced to their sorted distinct sums, each keeping the
-least key of the ordered tuples that reach it, and for every prime of
-slot 9 the sums of slots 5-8 are matched against the index by binary
-search.  Pass 1 keys a sum by its least max prime and finds the optimal
-max; pass 2 caps every slot at that max and keys a sum by its least
-row-major flat index, so its least match is the lex-least solution.
+least key of the ordered tuples that reach it.  One match pass then
+completes each sum of slots 5-8 with every prime of slot 9 and finds the
+rest in the index by binary search, slot 9's primes taken in ascending
+chunks of no more cells than the two halves hold.  Pass 1 keys a sum by
+its least max prime and finds the optimal max; pass 2 caps every slot at
+that max and keys a sum by its least row-major flat index, so its least
+match is the lex-least solution.
 `find_solution` runs the passes in steps its docstring lists.
 
 Every partial sum is pruned to the target's reach.  From the least and
@@ -85,9 +87,9 @@ def _check_prime_bound(prime_bound: int) -> int:
     return prime_bound
 
 
-def _check_span(system: CoefficientSystem, prime_bound: int) -> None:
-    # partial sums must stay inside int64 for the vectorized search
-    span = sum(abs(aj) for aj in system.a) * prime_bound**3 + abs(system.n)
+def _check_span(system: CoefficientSystem, slots: list[np.ndarray]) -> None:
+    # partial sums must stay inside int64 for the vectorized search; slots nonempty
+    span = sum(abs(aj) * int(ps[-1]) ** 3 for aj, ps in zip(system.a, slots)) + abs(system.n)
     if span >= 2**62:
         raise ResourceLimitError(
             f"coefficient sums near {span} overflow the 64-bit search arithmetic"
@@ -165,25 +167,38 @@ def _least_keys(
     return sums, keys
 
 
-def _pairs(system: CoefficientSystem, slots: list[np.ndarray], lex: bool):
-    """For each prime p9 of slot 9 in ascending order: p9, and the
-    _least_keys keys of the index sums (slots 1-4) and of the sums of
-    slots 5-8 that pair up to complete n with it.  Each half keeps only
-    the sums the other half and slot 9 can complete to n."""
-    n = system.n
-    cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
+def _best_match(system: CoefficientSystem, slots: list[np.ndarray], cubes: list, lex: bool):
+    """The least match of a pair of half sums (_least_keys) and a prime p9
+    of slot 9 that completes n, or None: its least max prime, or with lex
+    its least (index flat key, mid flat key, p9).  Each half keeps only the
+    sums the other half and slot 9 can complete to n.  Slot 9's ascending
+    primes are matched in chunks of no more cells than the two halves
+    hold, one binary search each; without lex, the pass stops before a
+    chunk whose primes all reach the least max already found."""
+    n, ps = system.n, slots[8]
     index, index_keys = mid, mid_keys = _least_keys(slots[:4], cubes[:4], _reach(n, cubes), lex)
     if system.a[:4] != system.a[4:8]:  # slot primes depend on a_j alone
         order = cubes[4:8] + cubes[:4] + cubes[8:]
         mid, mid_keys = _least_keys(slots[4:8], cubes[4:8], _reach(n, order), lex)
     if not (len(index) and len(mid)):  # no half sum can reach n
-        return
-    for p9 in slots[8]:
-        need = n - system.a[8] * int(p9) ** 3 - mid
+        return None
+    best, step = None, (len(index) + len(mid)) // len(mid)
+    for i in range(0, len(ps), step):
+        if not lex and best is not None and ps[i] >= best:
+            break
+        need = (n - cubes[8][i : i + step, None] - mid).ravel()
         pos = np.searchsorted(index, need)
-        pos[pos == len(index)] = 0
-        rows = np.flatnonzero(index[pos] == need)
-        yield int(p9), index_keys[pos[rows]], mid_keys[rows]
+        hits = np.flatnonzero(index.take(pos, mode="clip") == need)
+        if len(hits):
+            row, col = np.divmod(hits, len(mid))
+            p9, left, right = ps[i + row], index_keys[pos[hits]], mid_keys[col]
+            if lex:
+                k = np.lexsort((p9, right, left))[0]
+                cand = (int(left[k]), int(right[k]), int(p9[k]))
+            else:
+                cand = int(np.maximum(np.maximum(left, right), p9).min())
+            best = cand if best is None else min(best, cand)
+    return best
 
 
 def _search_at(
@@ -194,23 +209,22 @@ def _search_at(
     best_max: int | None = None,
 ) -> SolutionRecord | SearchExhausted:
     """One step over the slots; a best_max given is the least max of any solution in them."""
-    _check_span(system, prime_bound)
     if any(len(ps) == 0 for ps in slots):
         return SearchExhausted(system, prime_bound, window, 0)
-
+    _check_span(system, slots)
     visits = math.prod(map(len, slots[:4])) + math.prod(map(len, slots[4:]))
     if visits > ENUM_CAP:
         raise ResourceLimitError(f"search would visit {visits} states, cap is {ENUM_CAP}")
-    if not _reachable(system, slots, [prime_bound])[0]:  # n outside [sum of minima, sum of maxima]
+    # slots of equal a_j hold the same primes
+    by_a = {aj: aj * slots[system.a.index(aj)] ** 3 for aj in set(system.a)}
+    cubes = [by_a[aj] for aj in system.a]
+    lo, hi = _reach(system.n, cubes)[0]
+    if not lo <= 0 <= hi:  # n outside [sum of minima, sum of maxima]
         return SearchExhausted(system, prime_bound, window, visits)
 
     # pass 1: a matched pair of sums has least max max(its two least maxes, p9)
-    for p9, left_max, mid_max in _pairs(system, slots, lex=False) if best_max is None else ():
-        if best_max is not None and p9 >= best_max:
-            break
-        if len(left_max):
-            cand = int(np.maximum(np.maximum(left_max, mid_max), p9).min())
-            best_max = cand if best_max is None else min(best_max, cand)
+    if best_max is None:
+        best_max = _best_match(system, slots, cubes, lex=False)
     if best_max is None:
         return SearchExhausted(system, prime_bound, window, visits)
 
@@ -218,14 +232,10 @@ def _search_at(
     # for a fixed pair of half sums the lex-least left and mid tuples give
     # the lex-least tuple; distinct index sums have distinct flat keys
     slots = [ps[ps <= best_max] for ps in slots]
-    least = [
-        (int(left_flat.min()), int(mid_flat[left_flat.argmin()]), p9)
-        for p9, left_flat, mid_flat in _pairs(system, slots, lex=True)
-        if len(left_flat)
-    ]
-    if not least:  # only where best_max was given
+    least = _best_match(system, slots, [c[: len(ps)] for c, ps in zip(cubes, slots)], lex=True)
+    if least is None:  # only where best_max was given
         return SearchExhausted(system, prime_bound, window, visits)
-    left, mid, p9 = min(least)
+    left, mid, p9 = least
     primes = [
         int(ps[i])
         for half, flat in ((slots[:4], left), (slots[4:8], mid))
@@ -305,11 +315,10 @@ def solution_exists(
     each kept only while the remaining slots can still complete it to n:
     sorted int64 sums, and from the first slot whose window has no more
     cells than the bytes of the step's int64 (sum, cube) pairs, a bitmap."""
-    prime_bound = _check_prime_bound(prime_bound)
-    _check_span(system, prime_bound)
-    slots = _slot_primes(system, prime_bound, window)
+    slots = _slot_primes(system, _check_prime_bound(prime_bound), window)
     if any(len(ps) == 0 for ps in slots):
         return False
+    _check_span(system, slots)
     cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
     windows = _reach(system.n, cubes)
     reach = np.array([0], dtype=np.int64)
@@ -346,13 +355,16 @@ def threshold_scan(
 ) -> list[ThresholdRow]:
     """Least representable n per all-positive system, scanned over n_range.
 
-    Reachability of every candidate n is decided at once by one
-    `_shift_or` step per slot over [0, max(n_range)]; the witness for the
-    least hit is then recovered with find_solution.  Refused before any
-    bitmap is built: a grid row the CoefficientSystem constructor refuses
-    (not nine nonzero integers) or with a coefficient below 1, a
-    non-integral n, max(n_range) > THRESHOLD_N_CAP, and a prime bound
-    outside [2, PRIME_BOUND_CAP]."""
+    The least n and its least max prime depend only on the multiset of
+    coefficients, so each multiset is scanned once, in sorted order, and
+    its row is given to every grid row that permutes it.  Reachability of
+    every candidate n is decided at once by one `_shift_or` step per slot
+    over [0, max(n_range)]; the least max prime of the least hit is then
+    found with find_solution.  Refused before any bitmap is built: a grid
+    row the CoefficientSystem constructor refuses (not nine nonzero
+    integers) or with a coefficient below 1, a non-integral n,
+    max(n_range) > THRESHOLD_N_CAP, and a prime bound outside
+    [2, PRIME_BOUND_CAP]."""
     if not isinstance(n_range, range):
         n_range = [arith.integral(n) for n in n_range]
     # a range's ends bound it without walking it
@@ -369,22 +381,20 @@ def threshold_scan(
             raise DomainError(f"threshold scan needs all-positive systems, got {system.a}")
     n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)))
     cubes = [p**3 for p in arith.sieve_primes(prime_bound)]
-    rows = []
-    for system in systems:
+    scans = {}  # the row of each sorted coefficient tuple, scanned once
+    for key, system in {tuple(sorted(s.a)): s for s in systems}.items():
         reach = np.ones(1, dtype=bool)  # the sums over no slot: {0}
-        for aj in system.a:  # Python ints; a cube past n_max reaches no n of the scan
+        for aj in key:  # Python ints; a cube past n_max reaches no n of the scan
             reach = _shift_or(reach, 0, [aj * c for c in cubes if aj * c <= n_max], 0, n_max)
         hits = n_values[reach[n_values]]
         if not hits.size:
-            rows.append(ThresholdRow(system.a, None, False, None, None, system.size_bound))
+            scans[key] = ThresholdRow(key, None, False, None, None, system.size_bound)
             continue
         hit = int(hits[0])
-        record = find_solution(CoefficientSystem.make(system.a, hit), prime_bound)
+        record = find_solution(CoefficientSystem.make(key, hit), prime_bound)
         if not isinstance(record, SolutionRecord):
             raise NumericIntegrityError(
-                f"bitmap reaches n = {hit} for {system.a}, find_solution does not"
+                f"bitmap reaches n = {hit} for {key}, find_solution does not"
             )
-        rows.append(
-            ThresholdRow(system.a, hit, True, record.max_p, record.n_cuberoot, system.size_bound)
-        )
-    return rows
+        scans[key] = ThresholdRow(key, hit, True, record.max_p, record.n_cuberoot, system.size_bound)
+    return [replace(scans[tuple(sorted(s.a))], coeffs=s.a) for s in systems]

@@ -310,6 +310,17 @@ def test_search_planted_41_golden(tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "search-planted-41.json").read_bytes()
 
 
+def test_thresholds_permuted_golden(tmp_path):
+    # five rows, two coefficient multisets in several slot orders: every
+    # row of a multiset reports its least n and max_p, byte for byte
+    out = tmp_path / "thresholds-permuted.csv"
+    grid = "1,1,1,1,1,1,1,1,3;3,1,1,1,1,1,1,1,1;1,1,1,1,2,1,1,1,1;1,1,1,2,1,1,1,1,1;2,1,1,1,1,1,1,1,1"
+    args = ["thresholds", "--grid", grid, "--n-lo", "2000", "--n-hi", "4000",
+            "--prime-bound", "50", "--format", "csv", "--out", str(out)]
+    assert cli.run(args) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "thresholds-permuted.csv").read_bytes()
+
+
 def test_rn_mixed_signs_golden(tmp_path):
     # six distinct coefficients of both signs, r(n) by both routes, byte for byte
     args = ["rn", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "156", "--M", "7", "--N", "1000"]

@@ -715,3 +715,99 @@ def test_threshold_scan_skips_cubes_past_the_scan_without_overflow():
     assert [(r.found, r.n, r.max_p) for r in rows] == [(False, None, None), (True, 72, 2)]
     rows = threshold_scan([[3 * 10**18] + [1] * 8], range(1, 10**5), 100)
     assert [(r.found, r.n, r.max_p) for r in rows] == [(False, None, None)]
+
+
+def test_span_is_checked_at_the_largest_prime_the_slots_hold():
+    # a window leaves 2 and 3 in every slot of [10^6] * 9: the sums span
+    # about 10^8, though the prime bound 10^4 would span 9 * 10^18
+    system = CoefficientSystem.make([10**6] * 9, 91 * 10**6)
+    assert solution_exists(system, 10**4, (1, 10**8))
+    out = find_solution(CoefficientSystem.make([10**6] * 9, 1), 10**4, (1, 10**8))
+    assert isinstance(out, SearchExhausted)  # n = 1 lies below every sum
+    assert (out.prime_bound, out.states_visited) == (10**4, 2**4 + 2**5)
+    # with no window the slots hold primes up to 9973, and the span refuses
+    with pytest.raises(ResourceLimitError, match="64-bit"):
+        solution_exists(system, 10**4)
+
+
+def spy_threshold_passes(monkeypatch):
+    """The bitmap steps (_shift_or calls) and the systems find_solution gets."""
+    shifts, searched = [], []
+    real_shift, real_find = search._shift_or, search.find_solution
+
+    def shift(*args):
+        shifts.append(1)
+        return real_shift(*args)
+
+    def find(system, bound):
+        searched.append(system.a)
+        return real_find(system, bound)
+
+    monkeypatch.setattr(search, "_shift_or", shift)
+    monkeypatch.setattr(search, "find_solution", find)
+    return shifts, searched
+
+
+def test_threshold_scan_searches_each_multiset_once(monkeypatch):
+    # two multisets in five slot orders and one with no n in the range:
+    # three bitmap passes of nine steps, and one search per multiset with
+    # a hit, on its sorted coefficients
+    shifts, searched = spy_threshold_passes(monkeypatch)
+    grid = [[1] * 8 + [3], [3] + [1] * 8, [1] * 4 + [2] + [1] * 4, [1] * 3 + [2] + [1] * 5,
+            [2] + [1] * 8, [1] * 8 + [300]]
+    rows = threshold_scan(grid, range(2000, 2101), 50)
+    assert len(shifts) == 3 * 9
+    assert searched == [(1,) * 8 + (3,), (1,) * 8 + (2,)]
+    assert [r.coeffs for r in rows] == [tuple(g) for g in grid]
+    assert [(r.n, r.max_p, r.D) for r in rows] == [(2013, 7, 3)] * 2 + [(2005, 7, 2)] * 3 + [(None, None, 300)]
+
+
+def test_permuted_threshold_rows_match_a_search_in_their_own_order():
+    # each row's least n and max_p are those of find_solution run on the
+    # row as given: it solves n with that max, and no n of the range below
+    rng = np.random.default_rng(40)
+    checked = 0
+    for _ in range(4):
+        base = [int(x) for x in rng.choice([1, 1, 1, 2, 3, 5], size=9)]
+        grid = [rng.permutation(base).tolist() for _ in range(3)]
+        lo = int(rng.integers(100, 3000))
+        for row in threshold_scan(grid, range(lo, lo + 300), 30):
+            for n in range(lo, row.n if row.found else lo + 300):
+                assert isinstance(find_solution(CoefficientSystem.make(row.coeffs, n), 30), SearchExhausted)
+            if row.found:
+                got = find_solution(CoefficientSystem.make(row.coeffs, row.n), 30)
+                assert (got.max_p, got.n_cuberoot) == (row.max_p, row.n_cuberoot)
+                checked += 1
+    assert checked >= 6
+
+
+def test_match_pass_stays_within_the_halves(monkeypatch):
+    # pass 1 of a bound-128 step for [1] * 9: one index of all 44,560 sums
+    # of four prime cubes serves both halves.  A chunk of slot 9 forms at
+    # most len(index) + len(mid) cells; its needs, their positions, the
+    # index values there and the hit mask take 25 bytes a cell, where
+    # matching all 31 primes of slot 9 at once would take 15.5 times as
+    # many cells.  The pass holds at least one int64 need per mid sum.
+    # Slack: 64 KiB for Python objects
+    system = CoefficientSystem.make([1] * 9, 9 * 101**3)
+    slots = search._slot_primes(system, 128, None)
+    search._search_at(system, slots, 128, None)  # caches warm
+    sizes, extra, real = [], [], search._least_keys
+
+    def spy(*args):
+        if sizes:  # the match pass of the halves before has run
+            extra.append(tracemalloc.get_traced_memory()[1] - sizes[-1][1])
+        out = real(*args)
+        tracemalloc.reset_peak()
+        sizes.append((len(out[0]), tracemalloc.get_traced_memory()[0]))
+        return out
+
+    monkeypatch.setattr(search, "_least_keys", spy)
+    tracemalloc.start()
+    try:
+        assert search._search_at(system, slots, 128, None).max_p == 101
+    finally:
+        tracemalloc.stop()
+    cells = 2 * sizes[0][0]
+    assert sizes[0][0] == 44560
+    assert 8 * sizes[0][0] <= extra[0] < 32 * cells + 64 * 1024
