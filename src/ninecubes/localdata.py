@@ -9,21 +9,21 @@ For a system a_1 x_1^3 + ... + a_9 x_9^3 = n the objects computed here are
     N(q)      = #{unit 9-tuples (x_j) with sum a_j x_j^3 = n mod q}
     s(p)      = 1 + A(p) = p N(p) / phi(p)^9
 
-A(q) is the per-modulus term of the singular series.  N(q) is exact and
-allocates no array: in closed form at a prime p != 3, from cubic Gauss and
-Jacobi sums with one character index per distinct coefficient; at 3 and 9
-from the signs of unit cubes mod 9; by Hensel lifting at prime powers; as
-a product over prime powers at composite q.  A prime dividing every a_j
-(their gcd), which no pairwise-coprime system has, is refused.  B(p^e) =
-phi(p^e)^9 A(p^e) is exact from the counts, and exact_term(q) is A(q) from
-them.  The twisted sums B(q) and F(q), over layouts of moduli, and the
-convolutions are the definition routes, held to the counts at 1e-9 by
-check_routes: for A(q), and for s(p) in euler_factor at one or more primes.
+A(q) is the per-modulus term of the singular series.  B(p) at primes
+p != 3 is exact from one closed-form pass over a tuple of primes (cubic
+Gauss and Jacobi sums, one character index per distinct coefficient), which
+a series makes once, so it fills no N(q) cache.  N(q) is exact and
+allocates no array: from B(p) at a prime p != 3; at 3 and 9 from the signs
+of unit cubes mod 9; by Hensel lifting at prime powers; as a product over
+prime powers at composite q.  A prime dividing every a_j (their gcd) is
+refused.  B(p^e) and exact_term(q) = A(q) are exact from the counts.  The
+twisted sums B(q) and F(q), over layouts of moduli, and the convolutions
+are the definition routes, held to the counts at 1e-9 by check_routes.
 
 What depends on the modulus alone is cached for every system: the last 8
 layouts, the only holders of units and of C_{chi_0} and root tables for the
-twisted sums, C_{chi_0} per q for the character sums, factorizations, and
-the primary prime and cyclotomic numbers per prime p = 1 mod 3.  N(q) and
+twisted sums, C_{chi_0} per q, factorizations, and per prime p = 1 mod 3
+its period algebra, with the powers of eta_0 that carry the +-1 slots.  N(q) and
 A(q) are cached by (q, system), a blocked pass's A(p) by (moduli, system).
 C_chi for non-principal chi is computed a block of characters at a time
 (at most CHAR_BLOCK cells, at least one row) in one pass with one batched
@@ -353,11 +353,11 @@ def _primary_prime(p: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=2048)
-def _period_algebra(p: int) -> tuple[dict[int, int], tuple]:
+def _period_algebra(p: int) -> tuple[dict[int, int], tuple, tuple]:
     """The cubic period algebra at a prime p = 1 mod 3, a function of p alone:
-    the map w^i -> i on the cube roots of unity mod p, and times[j], the
-    matrix of multiplication by eta_j on (eta_0, eta_1, eta_2), where
-    1 = -(eta_0 + eta_1 + eta_2).
+    the map w^i -> i on the cube roots of unity mod p, times[j], the matrix of
+    multiplication by eta_j on (eta_0, eta_1, eta_2), where 1 = -(eta_0 + eta_1 + eta_2),
+    and eta_0^k for k <= 10 in those coordinates (all +-1 slots and an n of +-1 at once).
 
     Let R_i = {t : chi(t) = w^i}, f = (p-1)/3 and eta_i the Gaussian
     period, the sum of e(t / p) over R_i.  Periods multiply by the
@@ -370,29 +370,33 @@ def _period_algebra(p: int) -> tuple[dict[int, int], tuple]:
     """
     x, y = _primary_prime(p)
     w = -x * pow(y, -1, p) % p  # w = -x / y mod pi
-    index = {1: 0, w: 1, w * w % p: 2}
-
-    def t(k: int) -> int:
-        return 2 if k % 3 == 0 else -1
-
-    trace = (2 * x - y, 2 * y - x, -x - y)  # Tr(w^-s pi) for s = 0, 1, 2
-
-    def cyclotomic(h: int, m: int) -> int:
-        nine = p - 2 - t(h) - t(m) - t(h + 2 * m) + trace[(h + m) % 3]
+    index, f = {1: 0, w: 1, w * w % p: 2}, (p - 1) // 3
+    t, trace = (2, -1, -1), (2 * x - y, 2 * y - x, -x - y)  # Tr(w^-s pi) for s = 0, 1, 2
+    cyclotomic = {}
+    for h, m in itertools.product(range(3), repeat=2):
+        nine = p - 2 - t[h] - t[m] - t[(h + 2 * m) % 3] + trace[(h + m) % 3]
         if nine % 9:
             raise NumericIntegrityError(f"cyclotomic number ({h}, {m}) mod {p} is {nine}/9")
-        return nine // 9
-
-    f = (p - 1) // 3
-
-    def row(j: int, k: int) -> tuple[int, ...]:
-        return tuple(cyclotomic((j - a) % 3, (k - a) % 3) - f * (a == j) for a in range(3))
-
-    return index, tuple(tuple(row(j, k) for k in range(3)) for j in range(3))
+        cyclotomic[h, m] = nine // 9
+    times = tuple(tuple(tuple(cyclotomic[(j - a) % 3, (k - a) % 3] - f * (a == j) for a in range(3))
+                        for k in range(3)) for j in range(3))
+    return index, times, tuple(_times(times[0], (-1, -1, -1), k) for k in range(11))
 
 
-def _twisted_sum_closed_form(p: int, system: CoefficientSystem) -> int:
-    """B(p) at a prime p != 3 in closed form, from J(chi, chi) = pi.
+def _times(matrix: tuple, v: tuple[int, int, int], k: int) -> tuple[int, int, int]:
+    """matrix^k v for a 3 x 3 integer matrix."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = matrix
+    x, y, z = v
+    for _ in range(k):
+        x, y, z = a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z
+    return x, y, z
+
+
+def prime_sums(primes, system: CoefficientSystem):
+    """B(p) at each prime p != 3 of primes, in closed form from J(chi, chi) = pi,
+    yielded in order, so a caller reads each B(p) when it reaches p.  The
+    coefficients are split into +-1 slots and the rest once per call; a prime
+    dividing every a_j is refused, and each B(p) is held to p | phi(p)^9 + B(p).
 
     The r slots with p | a_j give C(0) = p - 1 each, and the k-sum of
     e(-k n / p) is c_p(n) = p - 1 if p | n, else -1.  For p = 2 mod 3
@@ -403,29 +407,32 @@ def _twisted_sum_closed_form(p: int, system: CoefficientSystem) -> int:
     at a_j = +-1: -1 is a cube), and the twists e(-k n / p) sum to eta_(c + i_n),
     or to f if p | n.  The sum over c is the trace: x eta_0 + y eta_1 + z eta_2 -> -(x + y + z).
     """
-    r = sum(m for a, m in system._distinct if a % p == 0)
-    ramanujan = p - 1 if system.n % p == 0 else -1
-    if p % 3 != 1:
-        return (-1) ** (9 - r) * (p - 1) ** r * ramanujan
-    index, times = _period_algebra(p)
-    f = (p - 1) // 3
-    scale = 3 ** (9 - r) * (p - 1) ** r * (f if system.n % p == 0 else 1)
-    x = y = z = -1
-    for a, m in [t for t in (*system._distinct, (system.n, 1)) if t[0] % p]:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = times[0 if a in (1, -1) else index[pow(a, f, p)]]
-        for _ in range(m):
-            x, y, z = a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z
-    return -scale * (x + y + z)
+    n, gcd = system.n, system._gcd
+    general = [(a, m) for a, m in system._distinct if a not in (1, -1)]
+    units = 9 - sum(m for _, m in general) + (n in (1, -1))  # slots of index 0, n's twist included
+    twists = general if n in (1, -1) else general + [(n, 1)]
+    for p in primes:
+        if gcd % p == 0:
+            raise DomainError(f"N({p}) needs some coefficient prime to {p}, which divides every a_j")
+        r = sum(m for a, m in general if a % p == 0)
+        if p % 3 != 1:
+            b = (-1) ** (9 - r) * (p - 1) ** r * (p - 1 if n % p == 0 else -1)
+        else:
+            index, times, powers = _period_algebra(p)
+            f, v = (p - 1) // 3, powers[units]
+            for a, m in twists:
+                if a % p:
+                    v = _times(times[index[pow(a, f, p)]], v, m)
+            b = -(3 ** (9 - r)) * (p - 1) ** r * (f if n % p == 0 else 1) * sum(v)
+        if (total := (p - 1) ** 9 + b) % p:
+            raise NumericIntegrityError(f"closed form phi({p})^9 + B({p}) = {total}"
+                                        f" is not a multiple of {p}")
+        yield b
 
 
 def _prime_count(p: int, system: CoefficientSystem) -> int:
-    """N(p) = (phi(p)^9 + B(p)) / p at a prime p != 3, with B(p) in closed form."""
-    total = (p - 1) ** 9 + _twisted_sum_closed_form(p, system)
-    if total % p:
-        raise NumericIntegrityError(
-            f"closed form phi({p})^9 + B({p}) = {total} is not a multiple of {p}"
-        )
-    return total // p
+    """N(p) = (phi(p)^9 + B(p)) / p at a prime p != 3, with B(p) from prime_sums."""
+    return ((p - 1) ** 9 + next(prime_sums((p,), system))) // p
 
 
 def _sign_count(m: int, system: CoefficientSystem) -> int:
@@ -461,8 +468,10 @@ def unit_solution_count(q: int, system: CoefficientSystem) -> int:
 
 
 def prime_power_sum(p: int, e: int, system: CoefficientSystem) -> int:
-    """B(p^e) = phi(p^e)^9 A(p^e), exact: A(p^e) = g(p^e) - g(p^(e-1)) with
-    g(d) = d N(d) / phi(d)^9, and phi(p^e) / phi(p^(e-1)) is the integer lifts."""
+    """B(p^e) = phi(p^e)^9 A(p^e), exact: prime_sums at e = 1, p != 3, else from A(p^e) =
+    g(p^e) - g(p^(e-1)), g(d) = d N(d) / phi(d)^9; phi(p^e) / phi(p^(e-1)) is the integer lifts."""
+    if e == 1 and p != 3:
+        return next(prime_sums((p,), system))
     q, lifts = p**e, (p - 1 if e == 1 else p)
     low = q // p * lifts**9 * (unit_solution_count(q // p, system) if e > 1 else 1)
     return q * unit_solution_count(q, system) - low

@@ -37,7 +37,7 @@ import numpy as np
 from . import arith, convolve
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem, check_routes, euler_factor, exact_term, prime_power_sum
-from .localdata import series_term, series_terms
+from .localdata import prime_sums, series_term, series_terms
 
 SERIES_X_CAP = 10**4  # also the Euler product's largest prime
 DEFINITION_ROUTE_MAX = 10**3
@@ -102,7 +102,10 @@ def _terms(x: int, system: CoefficientSystem) -> tuple[tuple[float, ...], tuple[
     """A(q) at each q of the support to x, and at 3, 9, 27, correctly rounded: the
     product of the exact B(p^e) over q's prime powers over phi(q)^9, one int/int division."""
     plan = _plan(x)
-    sum_at = [prime_power_sum(p, e, system) for p, e in plan.keys].__getitem__
+    # B(p) at p != 3 from one closed-form pass, read in key order: a shared prime is refused first
+    closed = prime_sums((p for p, _ in plan.keys if p != 3), system)
+    sum_at = [next(closed) if p != 3 else prime_power_sum(p, e, system)
+              for p, e in plan.keys].__getitem__
     terms = tuple([math.prod(map(sum_at, row)) / d for row, d in zip(plan.rows, plan.phi9)])
     return terms, tuple(exact_term(q, system) for q in (3, 9, 27))
 

@@ -359,6 +359,17 @@ def test_series_with_coefficients_divisible_by_primes_1_mod_3_golden(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_series_to_3000_with_divisible_coefficients_and_target_golden(tmp_path):
+    # 1001 = 7 11 13 divides a coefficient and 1615 = 5 17 19 is the target,
+    # at a cutoff past the definition route, byte for byte
+    out = tmp_path / "series-3000-divisible.json"
+    args = ["series", "--coeffs", "1,1,1,-1,1001,1,3,1,-1", "--n", "1615",
+            "--qmax", "3000", "--out", str(out)]
+    assert cli.run(args) == 0
+    golden = Path(__file__).parent / "data" / "series-3000-divisible.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_local_reports_the_exact_zero_term(tmp_path):
     # A(54) of the README system is exactly 0; the definition route alone
     # gave -9.39e-147, and series reports 0.0 for the same term

@@ -177,6 +177,20 @@ def test_closed_form_prime_count_matches_crt_count():
                 assert unit_solution_count(p, target) == localdata._count_by_convolution(p, target)
 
 
+def test_prime_sums_match_the_definition_count():
+    # one pass over every prime 5 <= p <= 200 against p N(p) - phi(p)^9 by
+    # convolution: 1001 = 7 11 13 puts p | a_j at 7, 11 and 13, the targets
+    # 1615 = 5 17 19 and -2002 put p | n, beside n = 0, negative n and n = +-1
+    primes = tuple(p for p in arith.sieve_primes(200) if p >= 5)
+    for a in ([1, 1, 1, -1, 1001, 1, 3, 1, -1], [1001, 1001, 2, 2, -5, -1, 1, 1, 1]):
+        for n in (1615, 0, -1615, -2002, -12347, 1, -1):
+            system = CoefficientSystem.make(a, n)
+            sums = tuple(localdata.prime_sums(primes, system))
+            assert sums == tuple(
+                p * localdata._count_by_convolution(p, system) - (p - 1) ** 9 for p in primes
+            )
+
+
 def test_closed_form_reads_one_index_per_distinct_coefficient(monkeypatch):
     # at p = 7 = 1 mod 3: one cubic-character index each for 2, 5 and n,
     # none for the six slots holding 1 or -1, none for 14 (7 divides it);
@@ -185,7 +199,7 @@ def test_closed_form_reads_one_index_per_distinct_coefficient(monkeypatch):
     calls = []
     monkeypatch.setattr(localdata, "pow", lambda *a: calls.append(a[0]) or pow(*a), raising=False)
     system = CoefficientSystem.make([1, 1, -1, 2, 2, 5, 1, -1, 14], 19)
-    localdata._twisted_sum_closed_form(7, system)
+    next(localdata.prime_sums((7,), system))
     assert sorted(calls) == [2, 5, 19]
 
 
@@ -197,7 +211,7 @@ def test_period_algebra_matches_brute_force():
             continue
         x, y = localdata._primary_prime(p)
         assert x * x - x * y + y * y == p and x % 3 == 2 and y % 3 == 0
-        index, times = localdata._period_algebra(p)
+        index, times, _ = localdata._period_algebra(p)
         f = (p - 1) // 3
         assert sorted(index.values()) == [0, 1, 2] and all(pow(w, 3, p) == 1 for w in index)
         cls = {t: index[pow(t, f, p)] for t in range(1, p)}
@@ -722,7 +736,7 @@ def test_local_data_at_a_prime_checks_once(monkeypatch):
 
 
 def test_local_data_at_a_prime_counts_once():
-    # local_data's exact A(q) and its N(q) share one cached count
+    # local_data counts N(q) once; its exact A(q) at a prime reads B(q) from prime_sums
     unit_solution_count.cache_clear()
     local_data(997, MIXED)
     info = unit_solution_count.cache_info()

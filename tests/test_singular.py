@@ -265,6 +265,45 @@ def test_repeated_series_does_no_per_modulus_work(monkeypatch):
     assert calls == []
 
 
+def test_series_refuses_a_prime_dividing_every_coefficient():
+    # the library refuses a shared prime on its own, before any term is
+    # summed, at the first modulus that reaches it: 2 before the 3-adic
+    # terms, and those before every prime past 3
+    message = "N({0}) needs some coefficient prime to {0}, which divides every a_j"
+    for a, p in ((5, 5), (6, 2), (15, 3), (1001, 7)):
+        system = CoefficientSystem.make((a,) * 9, 7)
+        for route in (singular_series_partial, singular_series_euler):
+            with pytest.raises(DomainError) as exc:
+                route(system, 100)
+            assert str(exc.value) == message.format(p)
+
+
+def test_fresh_series_counts_only_at_powers_of_3(monkeypatch):
+    # a fresh series reads every B(p), p != 3, from one closed-form pass, so
+    # it counts N(q) only for the 3-adic terms; a second fresh system finds
+    # the period algebra of every prime to 3000 cached
+    calls = []
+    count = localdata.unit_solution_count
+    monkeypatch.setattr(localdata, "unit_solution_count", lambda q, s: calls.append(q) or count(q, s))
+    singular_series_partial(CoefficientSystem.make([1, 1, 1, -1, 7, 1, 2, 1, -1], 4101), 3000)
+    assert set(calls) == {3, 9, 27}
+    misses = localdata._period_algebra.cache_info().misses
+    singular_series_partial(CoefficientSystem.make([1, 1, 1, -1, 7, 1, 2, 1, -1], 4103), 3000)
+    assert localdata._period_algebra.cache_info().misses == misses
+
+
+def test_series_rejects_a_non_primary_prime(monkeypatch):
+    # -pi is not primary: the series refuses its non-integral cyclotomic
+    # numbers.  The period algebras and the terms run on empty caches of
+    # their own, so the shared ones neither serve the true values nor keep these.
+    for module, name in ((localdata, "_period_algebra"), (singular, "_terms")):
+        monkeypatch.setattr(module, name, functools.lru_cache(getattr(module, name).__wrapped__))
+    primary = localdata._primary_prime
+    monkeypatch.setattr(localdata, "_primary_prime", lambda p: tuple(-c for c in primary(p)))
+    with pytest.raises(NumericIntegrityError, match="cyclotomic number"):
+        singular_series_partial(MIXED, 100)
+
+
 def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
     # above DEFINITION_ROUTE_MAX the Euler product takes s(p) = 1 + A(p)
     # from the exact count; the check of the definition value against that
