@@ -53,7 +53,7 @@ class DirichletCharacter:
 
     @property
     def is_principal(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        return self.index == 0
 
     def value_table(self) -> np.ndarray:
         """chi(k) for k = 0..q-1 as a complex array, 0 where gcd(k, q) > 1."""
@@ -78,6 +78,11 @@ def character_values(q: int, start: int, stop: int, pos: np.ndarray) -> np.ndarr
 
 
 def character_group(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod a prime power q, principal first."""
+    """All phi(q) characters mod a prime power q, principal first.  Each is set
+    from the exponents and index enumerated here, not validated again."""
     orders = arith.unit_group(q).orders
-    return [DirichletCharacter(q, vec) for vec in product(*(range(m) for m in orders))]
+    group = []
+    for index, vec in enumerate(product(*(range(m) for m in orders))):
+        group.append(chi := object.__new__(DirichletCharacter))
+        chi.__dict__.update(modulus=q, exponents=vec, index=index)
+    return group

@@ -21,8 +21,9 @@ twisted sums B(q) and F(q), over layouts of moduli, and the convolutions
 are the definition routes, held to the counts at 1e-9 by check_routes.
 
 What depends on the modulus alone is cached for every system: the last 8
-layouts, the only holders of units and of C_{chi_0} and root tables for the
-twisted sums, C_{chi_0} per q, factorizations, and per prime p = 1 mod 3
+layouts, the only holders of units, of C_{chi_0} and root tables for the
+twisted sums and of the factors C_{chi_0}(+-k) that every +-1 slot reads,
+C_{chi_0} per q, factorizations, and per prime p = 1 mod 3
 its period algebra, with the powers of eta_0 that carry the +-1 slots.  N(q) and
 A(q) are cached by (q, system), a blocked pass's A(p) by (moduli, system).
 C_chi for non-principal chi is computed a block of characters at a time
@@ -202,17 +203,20 @@ def char_sum_bound_ok(chi: DirichletCharacter) -> np.ndarray:
 
 class _Layout(NamedTuple):
     """Per element: a k summed at its modulus q (units, or all residues) and
-    the offset of q in `tables` and `roots`, which hold C_{chi_0}(j) and
-    e(j / q) for j = 0..q, entry q repeating entry 0 (a = -1 reads q - k,
-    even at k = 0).  The k of moduli[i] are k[bounds[i]:bounds[i + 1]]."""
+    the +-1 slots' factors C_{chi_0}(k) and C_{chi_0}(-k), which every system
+    reads.  Per modulus: its offset in `tables` and `roots`, which hold
+    C_{chi_0}(j) and e(j / q) for j = 0..q, entry q repeating entry 0 (a = -1
+    reads q - k, even at k = 0).  The k of moduli[i] are k[bounds[i]:bounds[i + 1]]."""
 
     moduli: tuple[int, ...]
     bounds: tuple[int, ...]
     k: np.ndarray
     q: np.ndarray
-    off: np.ndarray
+    offs: np.ndarray
     tables: np.ndarray
     roots: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -238,14 +242,16 @@ def _layout(qs: tuple[int, ...], units_only: bool) -> _Layout:
     roots = periodic(lambda q, u: np.exp(2j * np.pi * np.arange(q) / q))  # as unit_roots(q)
     bounds = tuple(itertools.accumulate(counts, initial=0))
     k, q = np.concatenate(ks, dtype=dtype), np.repeat(np.array(qs, dtype), counts)
-    return _Layout(qs, bounds, k, q, np.repeat(offs, counts), tables, roots)
+    off = np.repeat(offs, counts)
+    return _Layout(qs, bounds, k, q, offs, tables, roots, tables.take(off + k), tables.take(off + q - k))
 
 
 def _twisted_sums(layout: _Layout, system: CoefficientSystem) -> list[complex]:
     """sum_k e(-n k / q) prod_j C_{chi_0}(a_j k) at each modulus of the layout, over
     blocks of whole moduli so temporaries stay small: the root gather, one table
-    gather per distinct a_j multiplied in slot order, one pairwise .sum() per
-    modulus.  n and a_j are reduced mod q in Python ints, so any size works."""
+    gather per distinct a_j other than +-1 (those read the layout's factors),
+    multiplied in slot order, one pairwise .sum() per modulus.  n and a_j are
+    reduced mod q in Python ints, so any size works."""
     qs, bounds = layout.moduli, layout.bounds
     counts = np.diff(bounds)
     general = {-system.n, *system.a} - {1, -1}
@@ -255,7 +261,7 @@ def _twisted_sums(layout: _Layout, system: CoefficientSystem) -> list[complex]:
     while i0 < len(qs):
         i1 = bisect.bisect_left(bounds, bounds[i0] + BLOCK, i0 + 1, len(qs))
         b0, b1 = bounds[i0], bounds[i1]
-        k, q, off = layout.k[b0:b1], layout.q[b0:b1], layout.off[b0:b1]
+        k, q, off = layout.k[b0:b1], layout.q[b0:b1], np.repeat(layout.offs[i0:i1], counts[i0:i1])
 
         def at(x: int) -> np.ndarray:
             if x in (1, -1):
@@ -263,7 +269,8 @@ def _twisted_sums(layout: _Layout, system: CoefficientSystem) -> list[complex]:
             return off + np.repeat(res[x][i0:i1], counts[i0:i1]) * k % q
 
         total = layout.roots.take(at(-system.n))
-        factors = {a: layout.tables.take(at(a)) for a in set(system.a)}
+        factors = {1: layout.plus[b0:b1], -1: layout.minus[b0:b1]}
+        factors.update({a: layout.tables.take(at(a)) for a in set(system.a) - {1, -1}})
         for a in system.a:
             total *= factors[a]
         cuts = bounds[i0 : i1 + 1]
@@ -380,7 +387,8 @@ def _period_algebra(p: int) -> tuple[dict[int, int], tuple, tuple]:
         cyclotomic[h, m] = nine // 9
     times = tuple(tuple(tuple(cyclotomic[(j - a) % 3, (k - a) % 3] - f * (a == j) for a in range(3))
                         for k in range(3)) for j in range(3))
-    return index, times, tuple(_times(times[0], (-1, -1, -1), k) for k in range(11))
+    powers = itertools.accumulate(range(10), lambda v, _: _times(times[0], v, 1), initial=(-1, -1, -1))
+    return index, times, tuple(powers)
 
 
 def _times(matrix: tuple, v: tuple[int, int, int], k: int) -> tuple[int, int, int]:
@@ -468,10 +476,8 @@ def unit_solution_count(q: int, system: CoefficientSystem) -> int:
 
 
 def prime_power_sum(p: int, e: int, system: CoefficientSystem) -> int:
-    """B(p^e) = phi(p^e)^9 A(p^e), exact: prime_sums at e = 1, p != 3, else from A(p^e) =
-    g(p^e) - g(p^(e-1)), g(d) = d N(d) / phi(d)^9; phi(p^e) / phi(p^(e-1)) is the integer lifts."""
-    if e == 1 and p != 3:
-        return next(prime_sums((p,), system))
+    """B(p^e) = phi(p^e)^9 A(p^e), exact from A(p^e) = g(p^e) - g(p^(e-1)), g(d) = d N(d) / phi(d)^9,
+    N(d) cached; phi(p^e) / phi(p^(e-1)) is the integer lifts."""
     q, lifts = p**e, (p - 1 if e == 1 else p)
     low = q // p * lifts**9 * (unit_solution_count(q // p, system) if e > 1 else 1)
     return q * unit_solution_count(q, system) - low

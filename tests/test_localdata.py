@@ -211,7 +211,7 @@ def test_period_algebra_matches_brute_force():
             continue
         x, y = localdata._primary_prime(p)
         assert x * x - x * y + y * y == p and x % 3 == 2 and y % 3 == 0
-        index, times, _ = localdata._period_algebra(p)
+        index, times, powers = localdata._period_algebra(p)
         f = (p - 1) // 3
         assert sorted(index.values()) == [0, 1, 2] and all(pow(w, 3, p) == 1 for w in index)
         cls = {t: index[pow(t, f, p)] for t in range(1, p)}
@@ -220,6 +220,15 @@ def test_period_algebra_matches_brute_force():
             count[cls[u]][cls[u + 1]] += 1
         for j, k, a in itertools.product(range(3), repeat=3):
             assert times[j][k][a] + f * (a == j) == count[(j - a) % 3][(k - a) % 3]
+        if p < 100:
+            # eta_0^k for k <= 10 as exact integer sums c_t zeta^t, one product by
+            # eta_0 at a time; zeta, ..., zeta^(p-1) are a basis and 1 is minus
+            # their sum, so coordinate i is c_t - c_0 for every t in R_i
+            assert len(powers) == 11
+            power = [1] + [0] * (p - 1)
+            for want in powers:
+                assert all(power[t] - power[0] == want[i] for t, i in cls.items()), p
+                power = [sum(power[(t - s) % p] for s in cls if cls[s] == 0) for t in range(p)]
 
 
 def test_closed_form_rejects_a_non_primary_prime(monkeypatch):
@@ -345,6 +354,16 @@ def test_local_report_at_1729_matches_golden(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_local_report_at_997_with_signed_slots_matches_golden(tmp_path):
+    # a prime in the series band with slots of 1 and -1, coefficients 5 and 7
+    # and an n-twist: the definition route's every factor kind, held to the counts
+    golden = Path(__file__).parent / "data" / "local-997-signed.json"
+    out = tmp_path / "local-997-signed.json"
+    args = ["local", "--coeffs", "1,-1,1,1,5,1,-1,1,7", "--n", "1235", "--q", "997"]
+    assert run(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_histograms_built_once_per_distinct_residue(monkeypatch):
     calls = []
     bincount = np.bincount
@@ -417,6 +436,17 @@ CHAR_TABLE_SHA256 = {
     997: "8247718b95b710222543a31e135bdc0ac3ab4adf038853417142a745b22862b1",
     1024: "c395322c0eba57de2e5f3a7555eeb41f6843a3a187b02a9267b445dcdd0f7d07",
 }
+
+
+def test_character_group_matches_the_validating_constructor():
+    # character_group sets each character from its own enumeration; the public
+    # constructor checks the exponents and computes the index itself
+    for q in CHAR_MODULI:
+        for chi in character_group(q):
+            ref = DirichletCharacter(q, chi.exponents)
+            assert (chi.modulus, chi.exponents, chi.index) == (ref.modulus, ref.exponents, ref.index)
+            assert chi == ref and hash(chi) == hash(ref)
+            assert chi.is_principal == ref.is_principal == all(e == 0 for e in chi.exponents)
 
 
 def per_character_table(chi):
@@ -609,6 +639,20 @@ def test_twisted_sum_at_a_prime_near_the_cap_matches_the_count():
         assert abs(b.real - exact) <= tol and abs(b.imag) <= tol
 
 
+def test_layout_keeps_the_gathers_of_the_unit_slots():
+    # the kept factors of the +-1 slots are the gathers they replace, byte for
+    # byte; at k = 0 an all-residue layout reads entry q, which repeats entry 0
+    full = localdata._layout((2, 9, 10, 97), False)
+    for layout in (localdata._layout(tuple(arith.sieve_primes(1000)), True), full):
+        k, q, off = layout.k, layout.q, np.repeat(layout.offs, np.diff(layout.bounds))
+        assert layout.plus.tobytes() == layout.tables.take(off + k).tobytes()
+        assert layout.minus.tobytes() == layout.tables.take(off + q - k).tobytes()
+    for m, b0, b1 in zip(full.moduli, full.bounds, full.bounds[1:]):
+        tab = principal_cubic_table(m)
+        assert full.plus[b0:b1].tobytes() == tab.tobytes()
+        assert full.minus[b0:b1].tobytes() == tab[-np.arange(m) % m].tobytes()
+
+
 def test_twisted_sum_matches_slotwise_gathers():
     # the reference gathers the table once per slot, as the definition reads
     systems = [ONES, MIXED, CoefficientSystem.make([1, -1, 1, 8, 2, 2, 15, 30, 1], 17)]
@@ -741,6 +785,16 @@ def test_local_data_at_a_prime_counts_once():
     local_data(997, MIXED)
     info = unit_solution_count.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_local_data_at_a_prime_evaluates_the_closed_form_once(monkeypatch):
+    # the exact A(q) and N(q) at a prime q share one closed-form B(q)
+    calls = []
+    closed = localdata.prime_sums
+    monkeypatch.setattr(localdata, "prime_sums", lambda ps, s: calls.append(tuple(ps)) or closed(ps, s))
+    unit_solution_count.cache_clear()
+    local_data(997, MIXED)
+    assert calls == [(997,)]
 
 
 def test_reference_count_refuses_a_large_modulus_before_allocating(monkeypatch):
