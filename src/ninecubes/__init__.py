@@ -8,7 +8,7 @@ meet-in-the-middle solution search.
 """
 
 from .errors import DomainError, NumericIntegrityError, ResourceLimitError
-from .localdata import CoefficientSystem, validate_coefficients
+from .localdata import CoefficientSystem
 from .search import SearchExhausted, SolutionRecord, find_solution, threshold_scan
 from .singular import main_term, singular_integral, singular_series_partial
 from .expsum import rn_report, weighted_count_direct, weighted_count_fourier
@@ -31,7 +31,6 @@ __all__ = [
     "singular_integral",
     "singular_series_partial",
     "threshold_scan",
-    "validate_coefficients",
     "weighted_count_direct",
     "weighted_count_fourier",
     "__version__",

@@ -14,11 +14,11 @@ p != 3 is exact from one closed-form pass over a tuple of primes (cubic
 Gauss and Jacobi sums, one character index per distinct coefficient), which
 a series makes once, so it fills no N(q) cache.  N(q) is exact and
 allocates no array: from B(p) at a prime p != 3; at 3 and 9 from the signs
-of unit cubes mod 9; by Hensel lifting at prime powers; as a product over
-prime powers at composite q.  A prime dividing every a_j (their gcd) is
-refused.  B(p^e) and exact_term(q) = A(q) are exact from the counts.  The
-twisted sums B(q) and F(q), over layouts of moduli, and the convolutions
-are the definition routes, held to the counts at 1e-9 by check_routes.
+of unit cubes mod 9; by Hensel lifting at prime powers; at composite q as a
+product over prime powers of the cached N(p).  A prime dividing every a_j is
+refused.  B(p^e) and exact_term(q) = A(q) follow exactly.  The twisted sums
+B(q) and F(q) over layouts of moduli and the convolutions are the definition
+routes, held to the counts at 1e-9 by check_routes (s(p) in euler_factor).
 
 What depends on the modulus alone is cached for every system: the last 8
 layouts, the only holders of units, of C_{chi_0} and root tables for the
@@ -52,16 +52,6 @@ PARITY_VIOLATION = (
     "parity violated: sum of coefficients and n differ mod 2 "
     "(solutions then need some x_j = 2, which the odd-prime windows exclude)"
 )
-
-
-def validate_coefficients(coeffs, n: int) -> list[str]:
-    """Violation messages of a system; empty means valid: the constructor's
-    one message if CoefficientSystem refuses the shape, else its violations()."""
-    try:
-        system = CoefficientSystem(coeffs, n)
-    except DomainError as exc:
-        return [str(exc)]
-    return system.violations()
 
 
 @dataclass(frozen=True)
@@ -250,12 +240,12 @@ def _twisted_sums(layout: _Layout, system: CoefficientSystem) -> list[complex]:
     """sum_k e(-n k / q) prod_j C_{chi_0}(a_j k) at each modulus of the layout, over
     blocks of whole moduli so temporaries stay small: the root gather, one table
     gather per distinct a_j other than +-1 (those read the layout's factors),
-    multiplied in slot order, one pairwise .sum() per modulus.  n and a_j are
-    reduced mod q in Python ints, so any size works."""
+    multiplied in slot order, one pairwise .sum() per modulus.  Each twist x is read at
+    off + (x mod q) k mod q, with x reduced mod q in Python ints, so any size works."""
     qs, bounds = layout.moduli, layout.bounds
     counts = np.diff(bounds)
-    general = {-system.n, *system.a} - {1, -1}
-    res = {x: np.array([x % q for q in qs], layout.k.dtype) for x in general}
+    general = set(system.a) - {1, -1}
+    res = {x: np.array([x % q for q in qs], layout.k.dtype) for x in general | {-system.n}}
     sums: list[complex] = []
     i0 = 0
     while i0 < len(qs):
@@ -264,13 +254,11 @@ def _twisted_sums(layout: _Layout, system: CoefficientSystem) -> list[complex]:
         k, q, off = layout.k[b0:b1], layout.q[b0:b1], np.repeat(layout.offs[i0:i1], counts[i0:i1])
 
         def at(x: int) -> np.ndarray:
-            if x in (1, -1):
-                return off + k if x == 1 else off + q - k
             return off + np.repeat(res[x][i0:i1], counts[i0:i1]) * k % q
 
         total = layout.roots.take(at(-system.n))
         factors = {1: layout.plus[b0:b1], -1: layout.minus[b0:b1]}
-        factors.update({a: layout.tables.take(at(a)) for a in set(system.a) - {1, -1}})
+        factors.update({a: layout.tables.take(at(a)) for a in general})
         for a in system.a:
             total *= factors[a]
         cuts = bounds[i0 : i1 + 1]
@@ -456,11 +444,11 @@ def unit_solution_count(q: int, system: CoefficientSystem) -> int:
     """N(q): unit 9-tuples with sum a_j x_j^3 = n mod q, exact.
 
     The product over the prime powers p^e of q.  With some a_j prime to p,
-    Hensel lifting gives N(p^e) = p^(8(e-1)) N(p) for p != 3, with N(p) in
-    closed form, and N(3^e) = 3^(8(e-2)) N(9) for e >= 2.  A unit cubes to
-    -1 or 1 mod 9 (three units each) and mod 3 (one each), so N(3^k) is
-    3^(9(k-1)) times a sign count for k <= 2.  A prime dividing every a_j
-    is refused: pairwise-coprime coefficients never share one.
+    Hensel lifting gives N(p^e) = p^(8(e-1)) N(p) for p != 3, with N(p) in closed
+    form at q = p, else from this cache, and N(3^e) = 3^(8(e-2)) N(9) for e >= 2.
+    A unit cubes to -1 or 1 mod 9 (three units each) and mod 3 (one each), so
+    N(3^k) is 3^(9(k-1)) times a sign count for k <= 2.  A prime dividing every
+    a_j is refused: pairwise-coprime coefficients never share one.
     """
     _check_q(q, LOCAL_Q_CAP)
     count = 1
@@ -471,7 +459,7 @@ def unit_solution_count(q: int, system: CoefficientSystem) -> int:
             k = min(e, 2)
             count *= 3 ** (8 * (e - k) + 9 * (k - 1)) * _sign_count(3**k, system)
         else:
-            count *= p ** (8 * (e - 1)) * _prime_count(p, system)
+            count *= p ** (8 * (e - 1)) * (_prime_count if p == q else unit_solution_count)(p, system)
     return count
 
 
@@ -513,17 +501,12 @@ def check_routes(name: str, keys: tuple, definition, exact) -> None:
                                     f" by definition vs {float(e[i])!r} from the counts")
 
 
-def euler_factor(p, system: CoefficientSystem, a_p=None, exact=None):
-    """s(p) = 1 + A(p) at a prime p, or an array at a tuple of primes, A(p) from series_term
-    unless passed, held to the exact s(p) passed or else (primes only) to p N(p) / phi(p)^9."""
-    primes = p if isinstance(p, tuple) else (p,)
-    if exact is None:
-        if not all(map(arith.is_prime, primes)):
-            raise DomainError(f"euler_factor requires primes, got {p}")
-        exact = [q * unit_solution_count(q, system) / float(q - 1) ** 9 for q in primes]
-    s = 1.0 + np.array([series_term(q, system) for q in primes] if a_p is None else a_p, ndmin=1)
+def euler_factor(primes: tuple[int, ...], a_p, exact) -> np.ndarray:
+    """s(p) = 1 + A(p) at each prime of primes, from the definition route's A(p),
+    held to the exact s(p) by check_routes."""
+    s = 1.0 + np.array(a_p, ndmin=1)
     check_routes("s", primes, s, exact)
-    return s if isinstance(p, tuple) else float(s[0])
+    return s
 
 
 @dataclass(frozen=True)

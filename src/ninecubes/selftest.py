@@ -187,12 +187,12 @@ def check_char_sum_bound(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def check_local_factor_identity(rng: np.random.Generator) -> tuple[bool, str]:
-    """s(p) = p N(p) / phi(p)^9 with N(p) counted exactly."""
+    """s(p) = 1 + A(p), A(p) by definition, equals p N(p) / phi(p)^9 with N(p) counted exactly."""
     worst = 0.0
     for _ in range(5):
         system = random_valid_system(rng, 1, 1000)
         for p in arith.sieve_primes(101):
-            s = localdata.euler_factor(p, system)
+            s = 1.0 + localdata.series_term(p, system)
             exact = Fraction(
                 p * localdata.unit_solution_count(p, system), arith.euler_phi(p) ** 9
             )

@@ -122,7 +122,7 @@ def singular_series_euler(system: CoefficientSystem, pmax: int) -> float:
     terms, threes = _terms(pmax, system)
     check_routes("A", (3, 9, 27), [series_term(q, system) for q in (3, 9, 27)], threes)
     factors, k = [1.0 + terms[i] for i in plan.euler], len(plan.checked)  # checked primes first
-    euler_factor(plan.checked, system, series_terms(plan.checked, system), factors[:k])
+    euler_factor(plan.checked, series_terms(plan.checked, system), factors[:k])
     return math.prod(factors, start=1.0 + threes[0] + threes[1] + threes[2])
 
 

@@ -347,6 +347,15 @@ def test_series_997_big_n_golden(tmp_path):
     assert out.read_bytes() == (Path(__file__).parent / "data" / "series-997-bign.json").read_bytes()
 
 
+def test_series_with_an_n_of_one_golden(tmp_path):
+    # slots of 1 and -1 and n = 1: the blocked pass and 3, 9, 27 read the
+    # n-twist at the index of a +1 slot, byte for byte
+    out = tmp_path / "series-1000-unit-n.json"
+    args = ["series", "--coeffs", "1,-1,1,1,5,1,-1,1,7", "--n", "1", "--qmax", "1000", "--out", str(out)]
+    assert cli.run(args) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "series-1000-unit-n.json").read_bytes()
+
+
 def test_series_with_coefficients_divisible_by_primes_1_mod_3_golden(tmp_path):
     # 7 and 13 are 1 mod 3 and each divides a coefficient, and 19 (1 mod 3)
     # divides n = 57: the closed form's p | a_j and p | n branches at

@@ -29,7 +29,6 @@ from ninecubes.localdata import (
     series_term,
     unit_solution_count,
     unit_solution_count_float,
-    validate_coefficients,
 )
 
 ONES = CoefficientSystem.make([1] * 9, 23)
@@ -73,16 +72,21 @@ def brute_series_term(q, system):
 
 
 def test_validator_messages():
-    assert validate_coefficients([1] * 9, 23) == []
-    assert validate_coefficients(MIXED.a, 14) == []
-    assert "expected 9 coefficients" in validate_coefficients([1] * 8, 5)[0]
-    assert "nonzero" in validate_coefficients([1] * 8 + [0], 5)[0]
-    assert validate_coefficients([1.5] + [1] * 8, 3) == ["expected an integer, got 1.5"]
-    msgs = validate_coefficients([1] * 9, 24)
+    # the constructor refuses a shape with its one message; violations()
+    # names the solvability conditions a system breaks
+    assert CoefficientSystem([1] * 9, 23).violations() == []
+    assert CoefficientSystem(MIXED.a, 14).violations() == []
+    with pytest.raises(DomainError, match="expected 9 coefficients"):
+        CoefficientSystem([1] * 8, 5)
+    with pytest.raises(DomainError, match="nonzero"):
+        CoefficientSystem([1] * 8 + [0], 5)
+    with pytest.raises(DomainError, match=r"^expected an integer, got 1\.5$"):
+        CoefficientSystem([1.5] + [1] * 8, 3)
+    msgs = CoefficientSystem([1] * 9, 24).violations()
     assert len(msgs) == 1 and msgs[0].startswith("parity violated")
-    msgs = validate_coefficients([2, 4, 1, 1, 1, 1, 1, 1, 1], 14)
+    msgs = CoefficientSystem([2, 4, 1, 1, 1, 1, 1, 1, 1], 14).violations()
     assert any("share a factor" in m for m in msgs)
-    msgs = validate_coefficients([3, 3, 3, 3, 3, 3, 3, 3, 3], 27)
+    msgs = CoefficientSystem([3, 3, 3, 3, 3, 3, 3, 3, 3], 27).violations()
     assert any("gcd of n" in m for m in msgs)
 
 
@@ -320,9 +324,9 @@ def test_exact_term_at_27_vanishes_on_valid_systems():
 
 
 def test_counts_take_no_convolution_or_transform(monkeypatch):
-    # A(q) stays on its DFT route and is computed first; the counts behind
-    # euler_factor at p != 3 and local_data at a composite q take no
-    # np.convolve and no np.fft function
+    # A(q) stays on its DFT route and is computed first; the counts N(p) at
+    # p != 3 and local_data at a composite q take no np.convolve and no
+    # np.fft function
     unit_solution_count.cache_clear()
     calls = []
 
@@ -339,7 +343,7 @@ def test_counts_take_no_convolution_or_transform(monkeypatch):
     for name in np.fft.__all__:
         watch(np.fft, name)
     for p in primes:
-        euler_factor(p, MIXED)
+        unit_solution_count(p, MIXED)
     for q in composites:
         local_data(q, MIXED)
     assert calls == []
@@ -360,6 +364,16 @@ def test_local_report_at_997_with_signed_slots_matches_golden(tmp_path):
     golden = Path(__file__).parent / "data" / "local-997-signed.json"
     out = tmp_path / "local-997-signed.json"
     args = ["local", "--coeffs", "1,-1,1,1,5,1,-1,1,7", "--n", "1235", "--q", "997"]
+    assert run(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_local_report_at_1729_with_an_n_of_minus_one_matches_golden(tmp_path):
+    # the composite of the report above with the signed slots of the one
+    # below and n = -1: the n-twist reads the index of a -1 slot
+    golden = Path(__file__).parent / "data" / "local-1729-unit-n.json"
+    out = tmp_path / "local-1729-unit-n.json"
+    args = ["local", "--coeffs", "1,-1,1,1,5,1,-1,1,7", "--n", "-1", "--q", "1729"]
     assert run(args + ["--out", str(out)]) == 0
     assert out.read_bytes() == golden.read_bytes()
 
@@ -555,22 +569,20 @@ def test_system_hash_is_stored_and_survives_copies():
     assert (pickle.loads(pickle.dumps(scaled))._gcd, scaled.n) == (6, 10**30)
 
 
+def exact_s(primes, system):
+    """s(p) = p N(p) / phi(p)^9 at each prime, from the exact counts."""
+    return tuple(p * unit_solution_count(p, system) / float(p - 1) ** 9 for p in primes)
+
+
 def test_batched_euler_factor_matches_the_scalar_calls_bit_for_bit():
-    # one call over a tuple of primes against one call per prime, and each
-    # scalar s(p) against 1 + series_term(p) as floats; a tuple naming a
-    # non-prime is refused like a scalar one
+    # one call over a tuple of primes, fed by the blocked pass as a series
+    # feeds it or by one series_term per prime, against 1 + series_term(p)
+    # at each prime as floats
     primes = tuple(p for p in arith.sieve_primes(200) if p != 3)
     for system in (ONES, MIXED):
-        batched = euler_factor(primes, system)
-        scalar = [euler_factor(p, system) for p in primes]
-        assert [float(x).hex() for x in batched] == [x.hex() for x in scalar]
-        assert all(type(x) is float for x in scalar)
-        assert [x.hex() for x in scalar] == [(1.0 + series_term(p, system)).hex() for p in primes]
-        passed = tuple(series_term(p, system) for p in primes)
-        assert [float(x).hex() for x in euler_factor(primes, system, passed)] == [x.hex() for x in scalar]
-    # with the exact s(p) passed, the check compares against it alone
-    counted = tuple(p * unit_solution_count(p, MIXED) / float(p - 1) ** 9 for p in primes)
-    assert euler_factor(primes, MIXED, None, counted).tolist() == euler_factor(primes, MIXED).tolist()
+        scalar = [(1.0 + series_term(p, system)).hex() for p in primes]
+        for a_p in (localdata.series_terms(primes, system), tuple(series_term(p, system) for p in primes)):
+            assert [float(x).hex() for x in euler_factor(primes, a_p, exact_s(primes, system))] == scalar
 
 
 def test_batched_euler_factor_names_the_first_prime_off():
@@ -578,10 +590,11 @@ def test_batched_euler_factor_names_the_first_prime_off():
     terms = [series_term(p, MIXED) for p in primes]
     terms[2] += 1e-8
     terms[4] += 1e-8
+    exact = exact_s(primes, MIXED)
     with pytest.raises(NumericIntegrityError, match=r"^s\(7\) identity violated: "):
-        euler_factor(primes, MIXED, tuple(terms))
+        euler_factor(primes, tuple(terms), exact)
     terms[2] -= 1e-8
-    assert euler_factor(primes[:4], MIXED, tuple(terms[:4])).shape == (4,)
+    assert euler_factor(primes[:4], tuple(terms[:4]), exact[:4]).shape == (4,)
 
 
 def test_series_terms_match_series_term_bit_for_bit():
@@ -700,21 +713,16 @@ def test_series_term_support():
     assert abs(series_term(9, ONES)) > 1e-6
 
 
-def test_euler_factor_values(monkeypatch):
+def test_euler_factor_values():
+    # s(p) = 1 + A(p) from the definition route
     odd = CoefficientSystem.make([1] * 9, 23)
     even = CoefficientSystem.make([1] * 9, 14)
-    assert euler_factor(2, odd) == pytest.approx(2.0)
-    assert euler_factor(2, even) == pytest.approx(0.0)
+    assert 1.0 + series_term(2, odd) == pytest.approx(2.0)
+    assert 1.0 + series_term(2, even) == pytest.approx(0.0)
     for p in (3, 5, 7, 11):
-        s = euler_factor(p, odd)
+        s = 1.0 + series_term(p, odd)
         phi = float(p - 1)
         assert s == pytest.approx(p * unit_solution_count(p, odd) / phi**9, rel=1e-9)
-    # a non-prime, or a tuple holding one, is refused before any term is
-    # computed; a composite above LOCAL_Q_CAP as a non-prime, not on the cap
-    monkeypatch.setattr(localdata, "series_term", lambda q, s: pytest.fail(f"computed A({q})"))
-    for p in (1, 6, 2 * localdata.LOCAL_Q_CAP, (2, 5, 9), (5, 7, 2**40)):
-        with pytest.raises(DomainError, match="requires primes"):
-            euler_factor(p, odd)
 
 
 def test_char_bound_exhaustive_small():
@@ -795,6 +803,20 @@ def test_local_data_at_a_prime_evaluates_the_closed_form_once(monkeypatch):
     unit_solution_count.cache_clear()
     local_data(997, MIXED)
     assert calls == [(997,)]
+
+
+def test_local_data_at_a_composite_evaluates_each_closed_form_once(monkeypatch):
+    # N(1729) reads the N(7), N(13) and N(19) that the exact A(1729) counted;
+    # a prime dividing every a_j is still refused as N(q)'s
+    calls = []
+    closed = localdata.prime_sums
+    monkeypatch.setattr(localdata, "prime_sums", lambda ps, s: calls.append(tuple(ps)) or closed(ps, s))
+    unit_solution_count.cache_clear()
+    local_data(1729, MIXED)
+    assert calls == [(7,), (13,), (19,)]
+    shared = CoefficientSystem([13 * a for a in MIXED.a], MIXED.n)
+    with pytest.raises(DomainError, match=r"^N\(1729\) needs some coefficient prime to 13,"):
+        unit_solution_count(1729, shared)
 
 
 def test_reference_count_refuses_a_large_modulus_before_allocating(monkeypatch):
