@@ -48,8 +48,13 @@ class WeightedCubeSupport:
 
 
 def cube_support(aj: int, M: int, N: int) -> WeightedCubeSupport:
-    """Support of a slot with coefficient aj over the window (M, N]: arith.window_primes."""
+    """Support of a slot with coefficient aj over the window (M, N]: arith.window_primes.
+    A window whose indices could pass int64 is refused before the sieve, unless
+    the sieve's own cap refuses it first."""
     aj, (M, N) = arith.integral(aj), arith.check_window(M, N)
+    top = arith.icbrt(N // max(abs(aj), 1))  # aj = 0 is for window_primes to refuse
+    if top <= arith.SIEVE_CAP and abs(aj) * top**3 >= 2**63:
+        raise ResourceLimitError(f"indices of slot {aj} up to {abs(aj) * top**3} exceed int64")
     p = np.array(arith.window_primes(abs(aj), M, N), dtype=np.int64)
     return WeightedCubeSupport(primes=p, indices=aj * p**3, weights=np.log(p.astype(np.float64)))
 

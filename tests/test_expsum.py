@@ -2,14 +2,13 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninecubes import cli, convolve, expsum, search, singular
+from ninecubes import arith, convolve, expsum, search, singular
 from ninecubes.arcs import build_dissection
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.expsum import (
@@ -75,6 +74,22 @@ def test_integral_float_window_ends_read_as_ints():
     system = CoefficientSystem.make([1] * 9, 1001)
     assert singular.singular_integral(system, 10.0, 1000.0) == singular.singular_integral(system, 10, 1000)
     assert search.find_solution(system, 20, (10.0, 1000.0)) == search.find_solution(system, 20, (10, 1000))
+
+
+def test_supports_whose_indices_pass_int64_are_refused_before_the_sieve(monkeypatch):
+    # the largest accepted window: icbrt(2^63 - 1) = 2^21 - 1, and every index
+    # is the Python-int p^3
+    sup = cube_support(1, 10**18, 2**63 - 1)
+    assert (len(sup), int(sup.primes[-1])) == (77113, 2097143)
+    assert sup.indices.tolist() == [p**3 for p in sup.primes.tolist()]
+
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(arith, "sieve_primes", refuse)
+    for aj in (1, -3):
+        with pytest.raises(ResourceLimitError, match="exceed int64"):
+            cube_support(aj, 10**20, 10**21)
 
 
 def test_equal_coefficients_share_one_support():
@@ -367,16 +382,6 @@ def test_support_sum_blocks_keep_the_bits(monkeypatch):
         phase = (sup.indices.astype(np.float64) * alpha) % 1.0
         assert value == complex(np.dot(sup.weights, np.exp(2j * np.pi * phase)))
         assert support_sum(sup, float(alpha)) == value
-
-
-def test_scan_minor_1e6_golden(tmp_path):
-    # 1e5 grid points, 17 of them major: the report, byte for byte as the
-    # point-by-point scan wrote it
-    out = tmp_path / "scan-minor-1e6.json"
-    args = ["scan-minor", "--coeffs", "1,1,1,1,1,1,1,1,1", "--n", "101", "--M", "100000",
-            "--N", "1000000", "--grid-step", "1e-5", "--out", str(out)]
-    assert cli.run(args) == 0
-    assert out.read_bytes() == (Path(__file__).parent / "data" / "scan-minor-1e6.json").read_bytes()
 
 
 def test_rn_report_round_trip():

@@ -7,13 +7,11 @@ import itertools
 import math
 import pickle
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ninecubes import arith, characters, localdata, singular
-from ninecubes.cli import run
 from ninecubes.characters import DirichletCharacter, character_group, unit_roots
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.selftest import random_valid_system
@@ -347,35 +345,6 @@ def test_counts_take_no_convolution_or_transform(monkeypatch):
     for q in composites:
         local_data(q, MIXED)
     assert calls == []
-
-
-def test_local_report_at_1729_matches_golden(tmp_path):
-    # 1729 = 7 * 13 * 19; the golden is the report of the convolution count
-    golden = Path(__file__).parent / "data" / "local-1729.json"
-    out = tmp_path / "local-1729.json"
-    args = ["local", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "14", "--q", "1729"]
-    assert run(args + ["--out", str(out)]) == 0
-    assert out.read_bytes() == golden.read_bytes()
-
-
-def test_local_report_at_997_with_signed_slots_matches_golden(tmp_path):
-    # a prime in the series band with slots of 1 and -1, coefficients 5 and 7
-    # and an n-twist: the definition route's every factor kind, held to the counts
-    golden = Path(__file__).parent / "data" / "local-997-signed.json"
-    out = tmp_path / "local-997-signed.json"
-    args = ["local", "--coeffs", "1,-1,1,1,5,1,-1,1,7", "--n", "1235", "--q", "997"]
-    assert run(args + ["--out", str(out)]) == 0
-    assert out.read_bytes() == golden.read_bytes()
-
-
-def test_local_report_at_1729_with_an_n_of_minus_one_matches_golden(tmp_path):
-    # the composite of the report above with the signed slots of the one
-    # below and n = -1: the n-twist reads the index of a -1 slot
-    golden = Path(__file__).parent / "data" / "local-1729-unit-n.json"
-    out = tmp_path / "local-1729-unit-n.json"
-    args = ["local", "--coeffs", "1,-1,1,1,5,1,-1,1,7", "--n", "-1", "--q", "1729"]
-    assert run(args + ["--out", str(out)]) == 0
-    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_histograms_built_once_per_distinct_residue(monkeypatch):

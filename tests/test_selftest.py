@@ -1,10 +1,7 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from ninecubes import expsum, localdata, selftest
-from ninecubes.cli import run
 from ninecubes.errors import DomainError
 from ninecubes.selftest import CHECKS, DEFAULT_SEED, random_valid_system, run_all
 
@@ -12,15 +9,6 @@ from ninecubes.selftest import CHECKS, DEFAULT_SEED, random_valid_system, run_al
 def test_registry_names_are_unique():
     names = [name for name, _ in CHECKS]
     assert len(names) == len(set(names)) == 11
-
-
-def test_local_checks_report_matches_golden(tmp_path):
-    # the stdout report of the three local-criterion checks, byte for byte
-    golden = Path(__file__).parent / "data" / "selftest-local.json"
-    out = tmp_path / "selftest-local.json"
-    only = "char_sum_bound,local_factor_identity,full_sum_count_identity"
-    assert run(["selftest", "--only", only, "--out", str(out)]) == 0
-    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_random_systems_are_valid():

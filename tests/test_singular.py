@@ -1,13 +1,11 @@
 import functools
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ninecubes import arith, convolve, localdata, singular
-from ninecubes.cli import run
 from ninecubes.errors import DomainError, NumericIntegrityError, ResourceLimitError
 from ninecubes.localdata import CoefficientSystem, prime_power_sum, series_term
 from ninecubes.singular import (
@@ -333,15 +331,6 @@ def test_series_above_the_cutoff_matches_the_definition():
     for q in sorted(int(v) for v in rng.choice(moduli, size=20, replace=False)):
         for system in (ONES, MIXED):
             assert terms[system][q] == pytest.approx(series_term(q, system), abs=1e-12)
-
-
-def test_series_report_to_3000_matches_golden(tmp_path):
-    # the terms and Euler factors above the definition cutoff, whose checks stop at 1000
-    golden = Path(__file__).parent / "data" / "series-3000.json"
-    out = tmp_path / "series-3000.json"
-    args = ["series", "--coeffs", "1,1,1,-2,3,1,5,1,-1", "--n", "14", "--qmax", "3000"]
-    assert run(args + ["--out", str(out)]) == 0
-    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_euler_product_positive_and_even_weight():
