@@ -8,7 +8,6 @@ vector, so that character evaluation elsewhere is no repeated powering.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -24,32 +23,31 @@ UNIT_GROUP_CAP = 10**6
 Factorization = tuple[tuple[int, int], ...]
 
 # (limit, primes <= limit) of the largest sieve so far: one tuple, so that a
-# reader in another thread never pairs one sieve's limit with another's list
-_sieve: tuple[int, list[int]] = (0, [])
+# reader in another thread never pairs one sieve's limit with another's array
+_sieve: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
 _sieve_lock = threading.Lock()
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending.  The largest sieve is kept and reused."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as a read-only int64 view of the largest sieve so
+    far, which is kept and reused.  Exact integer arithmetic reads .tolist() of the view."""
     if limit > SIEVE_CAP:
         raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
     global _sieve
     known_limit, known = _sieve
-    if limit <= known_limit:
-        return known[: bisect.bisect_right(known, limit)]
-    if limit < 2:
-        return []
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    primes = [int(p) for p in np.flatnonzero(mask)]
-    with _sieve_lock:
-        # a smaller sieve that finishes last must not replace a larger one
-        if limit > _sieve[0]:
-            _sieve = (limit, primes)
-    return list(primes)
+    if limit > known_limit:
+        mask = np.ones(limit + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        known = np.flatnonzero(mask).astype(np.int64, copy=False)
+        known.flags.writeable = False
+        with _sieve_lock:
+            # a smaller sieve that finishes last must not replace a larger one
+            if limit > _sieve[0]:
+                _sieve = (limit, known)
+    return known[: known.searchsorted(limit, "right")]
 
 
 @lru_cache(maxsize=8192)
@@ -59,16 +57,14 @@ def factorize(n: int) -> Factorization:
         raise DomainError(f"factorize requires n >= 1, got {n}")
     out: list[tuple[int, int]] = []
     m = int(n)  # a cached numpy integer would reach every later caller
-    for p in sieve_primes(max(2, math.isqrt(n))):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    if m > 1:
+    primes = sieve_primes(max(2, math.isqrt(m)))  # m < 2^63, as the sieve's cap bounds its root
+    for p in primes[m % primes == 0].tolist():
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
+    if m > 1:  # what is left has no prime factor up to isqrt(n): it is prime
         out.append((m, 1))
     return tuple(out)
 
@@ -90,14 +86,16 @@ def check_window(M: int, N: int) -> tuple[int, int]:
     return integral(M), integral(N)
 
 
-def window_primes(mag: int, M: int, N: int) -> list[int]:
-    """The primes p with M < mag p^3 <= N, for ints mag >= 1 and M >= 0: exactly those
-    in (icbrt(M // mag), icbrt(N // mag)], since mag p^3 > M iff p^3 > M // mag.  The
-    sieve's cap refuses a window whose cube root passes SIEVE_CAP."""
+def window_primes(mag: int, M: int, N: int) -> np.ndarray:
+    """The primes p with M < mag p^3 <= N, for ints mag >= 1 and M >= 0, as a read-only int64
+    view (.tolist() for exact arithmetic): those in (icbrt(M // mag), icbrt(N // mag)], as
+    mag p^3 > M iff p^3 > M // mag.  The sieve's cap refuses a root past SIEVE_CAP."""
     if mag < 1:
         raise DomainError(f"window_primes requires mag >= 1, got {mag}")
-    primes = sieve_primes(icbrt(N // mag))
-    return primes[bisect.bisect_right(primes, icbrt(M // mag)) :]
+    top = icbrt(N // mag)
+    primes = sieve_primes(top)
+    # clamped to top, so that no int past int64 reaches numpy when M passes N
+    return primes[primes.searchsorted(min(icbrt(M // mag), top), "right") :]
 
 
 def is_prime(n: int) -> bool:

@@ -55,7 +55,7 @@ def cube_support(aj: int, M: int, N: int) -> WeightedCubeSupport:
     top = arith.icbrt(N // max(abs(aj), 1))  # aj = 0 is for window_primes to refuse
     if top <= arith.SIEVE_CAP and abs(aj) * top**3 >= 2**63:
         raise ResourceLimitError(f"indices of slot {aj} up to {abs(aj) * top**3} exceed int64")
-    p = np.array(arith.window_primes(abs(aj), M, N), dtype=np.int64)
+    p = arith.window_primes(abs(aj), M, N)
     return WeightedCubeSupport(primes=p, indices=aj * p**3, weights=np.log(p.astype(np.float64)))
 
 

@@ -106,10 +106,10 @@ def _slot_primes(
     distinct |a_j|.  Only the bound is sieved, so a window's N past the
     sieve cap is searched, not refused."""
     if window is None:
-        return [np.asarray(arith.sieve_primes(prime_bound), dtype=np.int64)] * 9
+        return [arith.sieve_primes(prime_bound)] * 9
     M, N = arith.check_window(*window)
     slots = {
-        mag: np.asarray(arith.window_primes(mag, M, min(N, mag * prime_bound**3)), dtype=np.int64)
+        mag: arith.window_primes(mag, M, min(N, mag * prime_bound**3))
         for mag in {abs(aj) for aj in system.a}
     }
     return [slots[abs(aj)] for aj in system.a]
@@ -380,7 +380,7 @@ def threshold_scan(
         if min(system.a) <= 0:
             raise DomainError(f"threshold scan needs all-positive systems, got {system.a}")
     n_values = _distinct(np.fromiter(n_range, dtype=np.int64, count=len(n_range)))
-    cubes = [p**3 for p in arith.sieve_primes(prime_bound)]
+    cubes = [p**3 for p in arith.sieve_primes(prime_bound).tolist()]
     scans = {}  # the row of each sorted coefficient tuple, scanned once
     for key, system in {tuple(sorted(s.a)): s for s in systems}.items():
         reach = np.ones(1, dtype=bool)  # the sums over no slot: {0}

@@ -191,7 +191,7 @@ def check_local_factor_identity(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(5):
         system = random_valid_system(rng, 1, 1000)
-        for p in arith.sieve_primes(101):
+        for p in arith.sieve_primes(101).tolist():
             s = 1.0 + localdata.series_term(p, system)
             exact = Fraction(
                 p * localdata.unit_solution_count(p, system), arith.euler_phi(p) ** 9

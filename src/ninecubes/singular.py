@@ -88,7 +88,7 @@ class _Plan(NamedTuple):
 def _plan(x: int) -> _Plan:
     support = _support(x)
     cuts = tuple((x0, bisect.bisect_right(support, x0)) for x0 in (x // 4, x // 2) if x0 >= 1)
-    primes = set(arith.sieve_primes(x)) - {3}
+    primes = set(arith.sieve_primes(x).tolist()) - {3}
     euler = tuple(i for i, q in enumerate(support) if q in primes)
     checked = tuple(p for p in sorted(primes) if p <= DEFINITION_ROUTE_MAX)
     pos: dict[tuple[int, int], int] = {}

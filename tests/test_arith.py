@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,19 +15,19 @@ def test_prime_counts():
     assert len(arith.sieve_primes(10**6)) == 78498
     assert arith.sieve_primes(10)[-1] == 7
     assert arith.sieve_primes(11)[-1] == 11
-    assert arith.sieve_primes(1) == []
+    assert arith.sieve_primes(1).tolist() == []
 
 
 def test_sieve_cache_reuse_smaller_limit():
-    big = arith.sieve_primes(5000)
-    small = arith.sieve_primes(100)
+    big = arith.sieve_primes(5000).tolist()
+    small = arith.sieve_primes(100).tolist()
     assert small == [p for p in big if p <= 100]
 
 
 def test_sieve_cache_never_shrinks_under_threads(monkeypatch):
     # a large sieve finishes in another thread while a small one is sieving;
     # the small one, finishing last, must not replace the cached large one
-    monkeypatch.setattr(arith, "_sieve", (0, []))
+    monkeypatch.setattr(arith, "_sieve", (0, np.empty(0, dtype=np.int64)))
     flatnonzero = np.flatnonzero
     sieved = []
 
@@ -49,7 +50,7 @@ def test_sieve_cache_never_shrinks_under_threads(monkeypatch):
 def test_sieve_cache_stress_under_threads(monkeypatch):
     # more threads than cores, switching often: every call returns exactly the
     # primes up to its limit, and the cache ends at the largest limit asked for
-    monkeypatch.setattr(arith, "_sieve", (0, []))
+    monkeypatch.setattr(arith, "_sieve", (0, np.empty(0, dtype=np.int64)))
     marks = np.ones(20001, dtype=bool)
     marks[:2] = False
     for p in range(2, 142):
@@ -60,7 +61,7 @@ def test_sieve_cache_stress_under_threads(monkeypatch):
 
     def worker(row):
         for limit in row:
-            if arith.sieve_primes(int(limit)) != np.flatnonzero(marks[: limit + 1]).tolist():
+            if arith.sieve_primes(int(limit)).tolist() != np.flatnonzero(marks[: limit + 1]).tolist():
                 errors.append(int(limit))
 
     interval = sys.getswitchinterval()
@@ -76,6 +77,30 @@ def test_sieve_cache_stress_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert arith._sieve[0] == limits.max()
+
+
+def test_sieve_keeps_eight_bytes_per_prime(monkeypatch):
+    # one int64 array: a list would hold a pointer and a Python int per prime
+    monkeypatch.setattr(arith, "_sieve", (0, np.empty(0, dtype=np.int64)))
+    tracemalloc.start()
+    try:
+        count = len(arith.sieve_primes(10**7))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count == 664579
+    assert held <= 8 * count + 64 * 1024
+
+
+def test_sieve_and_window_primes_are_read_only():
+    before = arith.sieve_primes(1000).tolist()
+    for primes in (arith.sieve_primes(1000), arith.window_primes(1, 8, 10**9)):
+        with pytest.raises(ValueError):
+            primes[0] = 4
+        with pytest.raises(ValueError):
+            primes[:] = 0
+    assert arith.sieve_primes(1000).tolist() == before
+    assert arith.window_primes(1, 8, 10**9).tolist() == before[1:]
 
 
 def test_is_prime_against_sieve():
@@ -160,21 +185,23 @@ def test_sieve_cap():
 
 def test_window_primes_match_brute_force_at_the_cube_edges():
     # ends at |a| p^3 - 1, |a| p^3 and |a| p^3 + 1, with M = 0 and N below 8
-    primes = arith.sieve_primes(40)
+    primes = arith.sieve_primes(40).tolist()
     for mag in (1, 2, 3, 5, 7, 11, 13, 97):
         edges = sorted({0, 1, 7} | {mag * p**3 + d for p in primes[:8] for d in (-1, 0, 1)})
         for M in edges:
             for N in edges:
                 want = [p for p in primes if M < mag * p**3 <= N]
-                assert arith.window_primes(mag, M, N) == want
+                assert arith.window_primes(mag, M, N).tolist() == want
 
 
 def test_window_primes_are_exact_past_the_float_range():
     big = 10**300
-    assert arith.window_primes(big, 8 * big - 1, 27 * big) == [2, 3]
-    assert arith.window_primes(big, 8 * big, 27 * big - 1) == []
+    assert arith.window_primes(big, 8 * big - 1, 27 * big).tolist() == [2, 3]
+    assert arith.window_primes(big, 8 * big, 27 * big - 1).tolist() == []
     p = 999983  # the greatest prime below 10^6
-    assert arith.window_primes(1, p**3 - 1, p**3) == [p]
+    assert arith.window_primes(1, p**3 - 1, p**3).tolist() == [p]
+    # M past N: the lower end is clamped, so no int past int64 reaches numpy
+    assert arith.window_primes(1, 10**200, 10**6).tolist() == []
     with pytest.raises(DomainError):
         arith.window_primes(0, 1, 8)
 

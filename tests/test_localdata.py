@@ -183,7 +183,7 @@ def test_prime_sums_match_the_definition_count():
     # one pass over every prime 5 <= p <= 200 against p N(p) - phi(p)^9 by
     # convolution: 1001 = 7 11 13 puts p | a_j at 7, 11 and 13, the targets
     # 1615 = 5 17 19 and -2002 put p | n, beside n = 0, negative n and n = +-1
-    primes = tuple(p for p in arith.sieve_primes(200) if p >= 5)
+    primes = tuple(p for p in arith.sieve_primes(200).tolist() if p >= 5)
     for a in ([1, 1, 1, -1, 1001, 1, 3, 1, -1], [1001, 1001, 2, 2, -5, -1, 1, 1, 1]):
         for n in (1615, 0, -1615, -2002, -12347, 1, -1):
             system = CoefficientSystem.make(a, n)
@@ -208,7 +208,7 @@ def test_closed_form_reads_one_index_per_distinct_coefficient(monkeypatch):
 def test_period_algebra_matches_brute_force():
     # every cached cyclotomic number against a direct count of
     # (h, m) = #{u in R_h : 1 + u in R_m}, R_i = {t : t^f = w^i mod p}
-    for p in arith.sieve_primes(400):
+    for p in arith.sieve_primes(400).tolist():
         if p % 3 != 1:
             continue
         x, y = localdata._primary_prime(p)
@@ -547,7 +547,7 @@ def test_batched_euler_factor_matches_the_scalar_calls_bit_for_bit():
     # one call over a tuple of primes, fed by the blocked pass as a series
     # feeds it or by one series_term per prime, against 1 + series_term(p)
     # at each prime as floats
-    primes = tuple(p for p in arith.sieve_primes(200) if p != 3)
+    primes = tuple(p for p in arith.sieve_primes(200).tolist() if p != 3)
     for system in (ONES, MIXED):
         scalar = [(1.0 + series_term(p, system)).hex() for p in primes]
         for a_p in (localdata.series_terms(primes, system), tuple(series_term(p, system) for p in primes)):

@@ -132,6 +132,14 @@ def test_window_past_the_sieve_cap_searches_the_bound():
         assert solution_exists(system, prime_bound=19, window=window)
 
 
+def test_window_above_the_bound_exhausts_before_any_state():
+    # N is capped at the bound's cubes, 10^6, far below M = 10^200: every slot is empty
+    system = CoefficientSystem.make([1] * 9, 101)
+    out = find_solution(system, prime_bound=100, window=(10**200, 10**201))
+    assert isinstance(out, SearchExhausted)
+    assert out.states_visited == 0
+
+
 def test_ladder_prefers_smallest_max():
     # target built from a 31-cube, yet the true optimum tops out at 29:
     # the staged deepening must not stop at the first bound that works
@@ -195,7 +203,7 @@ def test_prime_bound_guards():
 def test_prime_bound_must_be_integral_whatever_the_sieve(monkeypatch, sieved):
     # a fractional bound was truncated by a sieve cached past it and raised
     # TypeError in a fresh process: now refused either way
-    monkeypatch.setattr(arith, "_sieve", (0, []))
+    monkeypatch.setattr(arith, "_sieve", (0, np.empty(0, dtype=np.int64)))
     arith.sieve_primes(sieved)
     system = CoefficientSystem.make([1] * 9, 23)
     calls = [
@@ -714,6 +722,9 @@ def test_threshold_scan_skips_cubes_past_the_scan_without_overflow():
     rows = threshold_scan([[10**15] + [1] * 8, [1] * 9], range(1, 300), 100)
     assert [(r.found, r.n, r.max_p) for r in rows] == [(False, None, None), (True, 72, 2)]
     rows = threshold_scan([[3 * 10**18] + [1] * 8], range(1, 10**5), 100)
+    assert [(r.found, r.n, r.max_p) for r in rows] == [(False, None, None)]
+    # in int64 this coefficient times 9973^3 wraps to 1, which would be reached
+    rows = threshold_scan([[1] * 8 + [2115153437228793093]], range(1, 2000), 10**4)
     assert [(r.found, r.n, r.max_p) for r in rows] == [(False, None, None)]
 
 

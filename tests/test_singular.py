@@ -307,7 +307,7 @@ def test_euler_factor_check_at_every_prime_above_the_definition_cutoff():
     # from the exact count; the check of the definition value against that
     # count runs here, over the same primes
     cutoff = singular.DEFINITION_ROUTE_MAX
-    primes = [p for p in arith.sieve_primes(singular.SERIES_X_CAP) if p > cutoff]
+    primes = [p for p in arith.sieve_primes(singular.SERIES_X_CAP).tolist() if p > cutoff]
     assert len(primes) == 1061
     for p in primes:
         assert 1.0 + series_term(p, MIXED) == pytest.approx(
