@@ -14,15 +14,14 @@ that max and keys a sum by its least row-major flat index, so its least
 match is the lex-least solution.
 `find_solution` runs the passes in steps its docstring lists.
 
-Every partial sum is pruned to the target's reach.  From the least and
-greatest cube of each slot, a run of slots adds a sum in a known range,
-so after each slot a partial sum that the remaining slots cannot bring
-to n is dropped before it is sorted or set in a bitmap: in both halves
-of both passes and in `solution_exists`.  An n outside the range of all
-nine slots is reported exhausted without an index, and so is one that
-leaves either half with no sum in its window.  The pruning drops only
-sums that no solution uses, and `states_visited` still counts every
-ordered tuple the exhaustion covers.
+Every step, and `solution_exists`, first cuts each slot to the primes
+whose term a_j p^3 the other eight slots can complete to n; an n out of
+reach leaves the cut empty and is reported exhausted without an index.
+Every partial sum is then pruned to the target's reach: after each slot,
+a sum that the remaining slots cannot bring to n is dropped before it is
+sorted or set in a bitmap.  A half with no sum in its window exhausts
+too.  The cut and the pruning drop only what no solution uses, and
+`states_visited` still counts every ordered tuple of the uncut slots.
 
 A solution is verified in exact integer arithmetic before it is
 returned.  `solution_exists`, an independent reachability check used to
@@ -42,7 +41,7 @@ from .errors import DomainError, NumericIntegrityError, ResourceLimitError
 from .localdata import CoefficientSystem
 
 PRIME_BOUND_CAP = 10**4
-# ordered states the index and the scan cover, checked before any expansion
+# ordered states over a step's cut slots, checked before any expansion
 ENUM_CAP = 2 * 10**8
 # candidate primes up to which find_solution runs no step at P0: a failed one costs the search
 STEP_PRIMES = 10
@@ -87,15 +86,6 @@ def _check_prime_bound(prime_bound: int) -> int:
     return prime_bound
 
 
-def _check_span(system: CoefficientSystem, slots: list[np.ndarray]) -> None:
-    # partial sums must stay inside int64 for the vectorized search; slots nonempty
-    span = sum(abs(aj) * int(ps[-1]) ** 3 for aj, ps in zip(system.a, slots)) + abs(system.n)
-    if span >= 2**62:
-        raise ResourceLimitError(
-            f"coefficient sums near {span} overflow the 64-bit search arithmetic"
-        )
-
-
 def _slot_primes(
     system: CoefficientSystem,
     prime_bound: int,
@@ -127,6 +117,23 @@ def _reach(n: int, cubes: list[np.ndarray]) -> list[tuple[int, int]]:
         lo, hi = lo + ends[0], hi + ends[1]
         windows.append((n - hi, n - lo))
     return windows[::-1]
+
+
+def _in_reach(system: CoefficientSystem, slots: list[np.ndarray]) -> tuple[list, list]:
+    """The slots, each nonempty, and their terms a_j p^3, each cut to the
+    terms in [n - (HI - hi_j), n - (LO - lo_j)], the reach the other eight
+    slots leave (LO, HI: the sums of the slots' least and greatest terms;
+    lo_j, hi_j: slot j's).  The int64 span is checked on the uncut slots."""
+    span = sum(abs(aj) * int(ps[-1]) ** 3 for aj, ps in zip(system.a, slots)) + abs(system.n)
+    if span >= 2**62:
+        raise ResourceLimitError(f"coefficient sums near {span} overflow the 64-bit search arithmetic")
+    terms = {aj: aj * slots[system.a.index(aj)] ** 3 for aj in set(system.a)}  # equal a_j, equal primes
+    lo, hi = _reach(system.n, [terms[aj] for aj in system.a])[0]  # n - HI, n - LO
+    cut = {}
+    for aj, c in terms.items():  # none kept when n is out of reach
+        keep = (c >= lo + max(c[0], c[-1])) & (c <= hi + min(c[0], c[-1])) if lo <= 0 <= hi else slice(0)
+        cut[aj] = slots[system.a.index(aj)][keep], c[keep]
+    return [cut[aj][0] for aj in system.a], [cut[aj][1] for aj in system.a]
 
 
 def _distinct(x: np.ndarray, window: tuple[int, int] | None = None) -> np.ndarray:
@@ -211,27 +218,23 @@ def _search_at(
     """One step over the slots; a best_max given is the least max of any solution in them."""
     if any(len(ps) == 0 for ps in slots):
         return SearchExhausted(system, prime_bound, window, 0)
-    _check_span(system, slots)
-    visits = math.prod(map(len, slots[:4])) + math.prod(map(len, slots[4:]))
-    if visits > ENUM_CAP:
-        raise ResourceLimitError(f"search would visit {visits} states, cap is {ENUM_CAP}")
-    # slots of equal a_j hold the same primes
-    by_a = {aj: aj * slots[system.a.index(aj)] ** 3 for aj in set(system.a)}
-    cubes = [by_a[aj] for aj in system.a]
-    lo, hi = _reach(system.n, cubes)[0]
-    if not lo <= 0 <= hi:  # n outside [sum of minima, sum of maxima]
+    cut, cubes = _in_reach(system, slots)
+    visits, states = (math.prod(map(len, s[:4])) + math.prod(map(len, s[4:])) for s in (slots, cut))
+    if not all(map(len, cut)):  # no solution in the slots
         return SearchExhausted(system, prime_bound, window, visits)
+    if states > ENUM_CAP:
+        raise ResourceLimitError(f"search would visit {states} states, cap is {ENUM_CAP}")
 
     # pass 1: a matched pair of sums has least max max(its two least maxes, p9)
     if best_max is None:
-        best_max = _best_match(system, slots, cubes, lex=False)
+        best_max = _best_match(system, cut, cubes, lex=False)
     if best_max is None:
         return SearchExhausted(system, prime_bound, window, visits)
 
     # pass 2: every solution with all primes <= best_max attains it, and
     # for a fixed pair of half sums the lex-least left and mid tuples give
     # the lex-least tuple; distinct index sums have distinct flat keys
-    slots = [ps[ps <= best_max] for ps in slots]
+    slots = [ps[ps <= best_max] for ps in cut]
     least = _best_match(system, slots, [c[: len(ps)] for c, ps in zip(cubes, slots)], lex=True)
     if least is None:  # only where best_max was given
         return SearchExhausted(system, prime_bound, window, visits)
@@ -264,8 +267,9 @@ def find_solution(
     primes below 8, 32, 128, 512 and 2048 from P0 on, and the bound.  The
     first step with a solution holds the least max; a step at P0 or one
     prime past an exhausted step knows it and runs pass 2 alone.  Each
-    step checks its int64 span and ENUM_CAP states before it allocates;
-    an n out of reach at the bound runs that step alone.
+    step checks its int64 span, cuts its slots to n's reach (`_in_reach`)
+    and checks ENUM_CAP on the cut's states before it allocates; an n out
+    of reach at the bound runs that step alone, and its cut is empty.
     """
     prime_bound = _check_prime_bound(prime_bound)
     slots = _slot_primes(system, prime_bound, window)
@@ -316,16 +320,14 @@ def solution_exists(
     sorted int64 sums, and from the first slot whose window has no more
     cells than the bytes of the step's int64 (sum, cube) pairs, a bitmap."""
     slots = _slot_primes(system, _check_prime_bound(prime_bound), window)
-    if any(len(ps) == 0 for ps in slots):
-        return False
-    _check_span(system, slots)
-    cubes = [aj * ps**3 for aj, ps in zip(system.a, slots)]
+    if not all(map(len, slots)) or not all(map(len, cubes := _in_reach(system, slots)[1])):
+        return False  # an empty slot, or a cut that leaves one empty
     windows = _reach(system.n, cubes)
     reach = np.array([0], dtype=np.int64)
     for j, (c, (a, b)) in enumerate(zip(cubes, windows[1:])):
         pairs = len(c) * (np.count_nonzero(reach) if reach.dtype == bool else len(reach))
         if pairs > REFINE_CAP:
-            raise ResourceLimitError("reachability set too large")
+            raise ResourceLimitError(f"reachability set would form {pairs} pairs, cap is {REFINE_CAP}")
         # keep the sums that slots j+1..8 can still complete to n
         if reach.dtype == bool:  # a bitmap over windows[j]
             reach = _shift_or(reach, windows[j][0], c, a, b)

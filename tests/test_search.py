@@ -586,9 +586,26 @@ def test_enum_cap_refuses_before_expanding(monkeypatch):
 
     monkeypatch.setattr(search, "_least_keys", forbidden)
     monkeypatch.setattr(search, "ENUM_CAP", 11**4 + 11**5 - 1)
-    system = CoefficientSystem.make([1] * 9, 3)
+    # n = 100001 leaves every term of the 11 primes below 31 in reach: the cut
+    # keeps them all and the cap counts all their states
+    system = CoefficientSystem.make([1] * 9, 100001)
     with pytest.raises(ResourceLimitError, match=f"visit {11**4 + 11**5} states"):
         search._search_at(system, search._slot_primes(system, 31, None), 31, None)
+    # n = 3 lies below every sum: the cut is empty, so the cap counts no state
+    # and the step reports the exhaustion of all the uncut states
+    system = CoefficientSystem.make([1] * 9, 3)
+    got = search._search_at(system, search._slot_primes(system, 31, None), 31, None)
+    assert isinstance(got, SearchExhausted) and got.states_visited == 11**4 + 11**5
+
+
+def test_caps_count_the_cut_slots():
+    # n = 1001 at the default bound: 1229 primes a slot, but eight cubes of 2
+    # leave a ninth term of at most 937, so each slot is cut to 2, 3, 5, 7 and
+    # the step forms 4^4 + 4^5 states; the exhaustion counts the uncut ones
+    system = CoefficientSystem.make([1] * 9, 1001)
+    got = find_solution(system, prime_bound=10**4)
+    assert isinstance(got, SearchExhausted) and got.states_visited == 1229**4 + 1229**5
+    assert not solution_exists(system, prime_bound=10**4)
 
 
 def test_failed_solution_check_is_typed():
@@ -648,7 +665,7 @@ def test_exists_matches_oracle_on_the_set_and_the_bitmap(monkeypatch):
 
         monkeypatch.setattr(search, name, spy)
     rng = np.random.default_rng(35)
-    seen = set()
+    cases = []
     for _ in range(80):
         coeffs = tuple(int(rng.choice([1, -1, 2, -2, 3, -3, 5])) for _ in range(9))
         bound = int(rng.integers(5, 14))
@@ -661,10 +678,19 @@ def test_exists_matches_oracle_on_the_set_and_the_bitmap(monkeypatch):
             n = sum(a * int(rng.choice(ps)) ** 3 for a, ps in zip(coeffs, slots))
         else:
             n = int(rng.integers(-30000, 60000))
+        cases.append((coeffs, n, bound, window))
+    # in reach, and the cut leaves one or two primes a slot: the set path
+    # runs all nine steps and reaches no n
+    cases.append(((-11, 11, 2, 1, -11, 2, 1, 7, -2), 2733, 6, None))
+    seen = set()
+    for coeffs, n, bound, window in cases:
         steps.append([])
         got = solution_exists(CoefficientSystem.make(coeffs, n), prime_bound=bound, window=window)
         assert got == (n in least_max_by_sum(coeffs, bound, window))
-        if not all(slots):  # refused before any step
+        slots = small_slots(coeffs, bound, window)
+        terms = [[a * p**3 for p in ps] for a, ps in zip(coeffs, slots)]
+        if not all(slots) or not sum(map(min, terms)) <= n <= sum(map(max, terms)):
+            assert steps[-1] == []  # refused, or n out of reach: no step runs
             continue
         sets, bitmaps = steps[-1].count("_distinct"), steps[-1].count("_shift_or")
         assert sets == 9 or sets + 1 + bitmaps == 9  # one switch, one way
@@ -695,7 +721,7 @@ def test_exists_cap_counts_the_pairs_of_the_set_path(monkeypatch):
     monkeypatch.setattr(search, "REFINE_CAP", max(pairs))
     assert solution_exists(system, prime_bound=bound) == reached
     monkeypatch.setattr(search, "REFINE_CAP", max(pairs) - 1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=f"would form {max(pairs)} pairs, cap is {max(pairs) - 1}$"):
         solution_exists(system, prime_bound=bound)
 
 
