@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation failure, 2 resource or cap error,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import io
 import json
@@ -168,13 +169,6 @@ def _json_ready(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csv_escape(value) -> str:
-    text = "" if value is None else str(value)
-    if any(ch in text for ch in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def emit(report, config: RunConfig) -> bytes:
     """Canonical bytes for a report: sorted-key JSON or the subcommand's CSV table."""
     if config.format == "json":
@@ -185,8 +179,7 @@ def emit(report, config: RunConfig) -> bytes:
     if table is None:
         raise UsageError(f"csv output is not defined for {config.subcommand}; use json")
     buf = io.StringIO()
-    for row in table(report):
-        buf.write(",".join(_csv_escape(_json_ready(v)) for v in row) + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(map(_json_ready, row) for row in table(report))
     return buf.getvalue().encode("utf-8")
 
 
@@ -266,25 +259,10 @@ def _run_search(config: RunConfig):
         _require(config, "M", "N")
         window = (config.M, config.N)
     result = search.find_solution(system, config.prime_bound, window)
-    if isinstance(result, search.SolutionRecord):
-        report = {
-            "found": True,
-            "coeffs": system.a,
-            "n": system.n,
-            "primes": result.primes,
-            "max_p": result.max_p,
-            "n_cuberoot": result.n_cuberoot,
-            "found_by": result.found_by,
-        }
-    else:
-        report = {
-            "found": False,
-            "coeffs": system.a,
-            "n": system.n,
-            "prime_bound": result.prime_bound,
-            "states_visited": result.states_visited,
-        }
-    return report, 0
+    # the result's own fields, its system as coeffs and n; the window is the command line's
+    fields = {k: v for k, v in vars(result).items() if k not in ("system", "window")}
+    found = isinstance(result, search.SolutionRecord)
+    return {"found": found, "coeffs": system.a, "n": system.n, **fields}, 0
 
 
 def _run_thresholds(config: RunConfig):

@@ -172,7 +172,7 @@ def _char_sum_block(q: int, block: int) -> np.ndarray:
     hist = np.zeros((stop - start, q), dtype=np.complex128)
     hist[:, cube[order[::d]]] = acc
     del vals, acc
-    hist = np.fft.ifft(hist, axis=1)  # no out=: numpy 1.x has none
+    np.fft.ifft(hist, axis=1, out=hist)  # in place: no second block-sized array
     hist *= q
     hist.flags.writeable = False
     return hist

@@ -209,19 +209,16 @@ def _best_match(system: CoefficientSystem, slots: list[np.ndarray], cubes: list,
 
 
 def _search_at(
-    system: CoefficientSystem,
-    slots: list[np.ndarray],
-    prime_bound: int,
-    window: tuple[int, int] | None,
-    best_max: int | None = None,
-) -> SolutionRecord | SearchExhausted:
-    """One step over the slots; a best_max given is the least max of any solution in them."""
+    system: CoefficientSystem, slots: list[np.ndarray], best_max: int | None = None
+) -> SolutionRecord | int:
+    """One step over the slots: its solution, or the count of the uncut states
+    it exhausts; a best_max given is the least max of any solution in them."""
     if any(len(ps) == 0 for ps in slots):
-        return SearchExhausted(system, prime_bound, window, 0)
+        return 0
     cut, cubes = _in_reach(system, slots)
     visits, states = (math.prod(map(len, s[:4])) + math.prod(map(len, s[4:])) for s in (slots, cut))
     if not all(map(len, cut)):  # no solution in the slots
-        return SearchExhausted(system, prime_bound, window, visits)
+        return visits
     if states > ENUM_CAP:
         raise ResourceLimitError(f"search would visit {states} states, cap is {ENUM_CAP}")
 
@@ -229,7 +226,7 @@ def _search_at(
     if best_max is None:
         best_max = _best_match(system, cut, cubes, lex=False)
     if best_max is None:
-        return SearchExhausted(system, prime_bound, window, visits)
+        return visits
 
     # pass 2: every solution with all primes <= best_max attains it, and
     # for a fixed pair of half sums the lex-least left and mid tuples give
@@ -237,7 +234,7 @@ def _search_at(
     slots = [ps[ps <= best_max] for ps in cut]
     least = _best_match(system, slots, [c[: len(ps)] for c, ps in zip(cubes, slots)], lex=True)
     if least is None:  # only where best_max was given
-        return SearchExhausted(system, prime_bound, window, visits)
+        return visits
     left, mid, p9 = least
     primes = [
         int(ps[i])
@@ -248,7 +245,7 @@ def _search_at(
         system=system,
         primes=tuple(primes + [p9]),
         max_p=best_max,
-        n_cuberoot=abs(system.n) ** (1.0 / 3.0) if system.n else 0.0,
+        n_cuberoot=abs(system.n) ** (1.0 / 3.0),
         found_by="meet_in_the_middle+lex",
     )
 
@@ -274,7 +271,7 @@ def find_solution(
     prime_bound = _check_prime_bound(prime_bound)
     slots = _slot_primes(system, prime_bound, window)
     if not (all(map(len, slots)) and _reachable(system, slots, [prime_bound])[0]):
-        return _search_at(system, slots, prime_bound, window)  # exhausts before pass 1
+        return SearchExhausted(system, prime_bound, window, _search_at(system, slots))  # before pass 1
     caps = _distinct(np.concatenate(slots), (max(ps[0] for ps in slots), prime_bound))
     i0 = int(np.argmax(_reachable(system, slots, caps)))
     rungs = np.searchsorted(caps, [8, 32, 128, 512, 2048], side="right") - 1
@@ -283,10 +280,10 @@ def find_solution(
     for j, i in zip([i0 - 1] + at, at):
         cap = int(caps[i])
         best_max = cap if i == j + 1 else None  # no solution below cap
-        result = _search_at(system, [ps[ps <= cap] for ps in slots], cap, window, best_max)
+        result = _search_at(system, [ps[ps <= cap] for ps in slots], best_max)
         if isinstance(result, SolutionRecord):
             return result
-    return replace(result, prime_bound=prime_bound)
+    return SearchExhausted(system, prime_bound, window, result)
 
 
 def _reachable(system: CoefficientSystem, slots: list[np.ndarray], caps) -> np.ndarray:
@@ -318,7 +315,10 @@ def solution_exists(
     """Independent reachability check via a running set of partial sums,
     each kept only while the remaining slots can still complete it to n:
     sorted int64 sums, and from the first slot whose window has no more
-    cells than the bytes of the step's int64 (sum, cube) pairs, a bitmap."""
+    cells than the bytes of the step's int64 (sum, cube) pairs, a bitmap.
+    Its one pass at the full bound can meet REFINE_CAP on an input that
+    find_solution's ladder answers at the same bound, in a step capped near
+    the answer's max."""
     slots = _slot_primes(system, _check_prime_bound(prime_bound), window)
     if not all(map(len, slots)) or not all(map(len, cubes := _in_reach(system, slots)[1])):
         return False  # an empty slot, or a cut that leaves one empty

@@ -93,7 +93,7 @@ def check_fourier_direct(rng: np.random.Generator) -> tuple[bool, str]:
             N = 10**5
             system = random_valid_system(rng, 1, 10, max_prime_slots=0)
         M = N // 10
-        sups = [expsum.cube_support(aj, M, N) for aj in system.a]
+        sups = expsum._supports(system, M, N)
         if trial % 2 == 0 and all(len(s) for s in sups):
             n = sum(int(rng.choice(s.indices)) for s in sups)
         else:
@@ -366,7 +366,7 @@ def check_search_consistency(rng: np.random.Generator) -> tuple[bool, str]:
     soluble = 0
     for trial in range(20):
         system = random_valid_system(rng, 1, 10, max_prime_slots=2)
-        sups = [expsum.cube_support(aj, M, N) for aj in system.a]
+        sups = expsum._supports(system, M, N)
         if any(len(s) == 0 for s in sups):
             continue
         if trial % 2 == 0:

@@ -416,12 +416,13 @@ def windows_between(cubes, lo, hi):
 
 
 def spy_steps(monkeypatch):
-    """The steps find_solution runs, in order: (bound, best_max given)."""
+    """The steps find_solution runs, in order: (the largest prime of its
+    slots, best_max given)."""
     steps, real = [], search._search_at
 
-    def spy(system, slots, prime_bound, window, best_max=None):
-        steps.append((prime_bound, best_max))
-        return real(system, slots, prime_bound, window, best_max)
+    def spy(system, slots, best_max=None):
+        steps.append((max(int(ps[-1]) for ps in slots if len(ps)), best_max))
+        return real(system, slots, best_max)
 
     monkeypatch.setattr(search, "_search_at", spy)
     return steps
@@ -448,7 +449,7 @@ def test_index_holds_distinct_sums(monkeypatch):
     out = find_solution(CoefficientSystem.make([1] * 9, 3), prime_bound=128)
     assert isinstance(out, SearchExhausted)
     assert out.states_visited == 31**4 + 31**5
-    assert steps == [(128, None)]
+    assert steps == [(127, None)]  # the bound's step: 127 is the last prime below 128
 
 
 def test_steps_start_at_the_least_prime_that_reaches_n(monkeypatch):
@@ -484,7 +485,7 @@ def test_small_step_answers_past_the_int64_span_of_the_bound():
     got = find_solution(system, prime_bound=10**4)
     assert (got.max_p, got.primes) == (2, (2,) * 9)
     with pytest.raises(ResourceLimitError, match="64-bit"):
-        search._search_at(system, search._slot_primes(system, 10**4, None), 10**4, None)
+        search._search_at(system, search._slot_primes(system, 10**4, None))
     # a window leaves 2 and 3 in every slot: each step spans its own largest
     # prime, not the bound, so the step that holds them all is not refused
     system = CoefficientSystem.make([10**6] * 9, 8 * 8 * 10**6 + 27 * 10**6)
@@ -511,13 +512,13 @@ def test_ladder_matches_one_step_at_the_bound():
             n = int(rng.integers(-10**5, 10**5))
         system = CoefficientSystem.make(coeffs, n)
         got = find_solution(system, prime_bound=bound, window=window)
-        want = search._search_at(system, search._slot_primes(system, bound, window), bound, window)
-        assert type(got) is type(want)
+        want = search._search_at(system, search._slot_primes(system, bound, window))
+        assert type(got) is (SolutionRecord if isinstance(want, SolutionRecord) else SearchExhausted)
         if isinstance(want, SolutionRecord):
             assert (got.primes, got.max_p) == (want.primes, want.max_p)
             found += 1
         else:
-            assert (got.prime_bound, got.states_visited) == (want.prime_bound, want.states_visited)
+            assert (got.prime_bound, got.states_visited) == (bound, want)
     assert 60 <= found <= 180
 
 
@@ -575,7 +576,7 @@ def test_later_last_prime_lowers_max():
     # p9 = 2, 3 and 5 each complete a solution with max 13; only p9 = 7
     # reaches the optimum 7, so the scan must not stop at the first hit
     system = CoefficientSystem.make([1, 2, 2, 1, -1, -1, 1, 1, -1], -655)
-    got = search._search_at(system, search._slot_primes(system, 13, None), 13, None)
+    got = search._search_at(system, search._slot_primes(system, 13, None))
     assert got.max_p == 7 and got.primes[8] == 7
     assert (got.max_p, got.primes) == dict_oracle(system, 13)
 
@@ -590,12 +591,11 @@ def test_enum_cap_refuses_before_expanding(monkeypatch):
     # keeps them all and the cap counts all their states
     system = CoefficientSystem.make([1] * 9, 100001)
     with pytest.raises(ResourceLimitError, match=f"visit {11**4 + 11**5} states"):
-        search._search_at(system, search._slot_primes(system, 31, None), 31, None)
+        search._search_at(system, search._slot_primes(system, 31, None))
     # n = 3 lies below every sum: the cut is empty, so the cap counts no state
     # and the step reports the exhaustion of all the uncut states
     system = CoefficientSystem.make([1] * 9, 3)
-    got = search._search_at(system, search._slot_primes(system, 31, None), 31, None)
-    assert isinstance(got, SearchExhausted) and got.states_visited == 11**4 + 11**5
+    assert search._search_at(system, search._slot_primes(system, 31, None)) == 11**4 + 11**5
 
 
 def test_caps_count_the_cut_slots():
@@ -606,6 +606,18 @@ def test_caps_count_the_cut_slots():
     got = find_solution(system, prime_bound=10**4)
     assert isinstance(got, SearchExhausted) and got.states_visited == 1229**4 + 1229**5
     assert not solution_exists(system, prime_bound=10**4)
+
+
+def test_routes_disagree_on_what_lies_within_the_caps():
+    # the routes do not yet agree on this input: solution_exists runs one pass
+    # at the full bound and meets REFINE_CAP, while find_solution's ladder
+    # answers in a step capped near the answer's max 419
+    system = CoefficientSystem.make([-1, -2, 2, -3, -5, 7, -3, 5, -1], -998381486)
+    got = find_solution(system, prime_bound=7020)
+    assert (got.max_p, got.primes) == (419, (359, 401, 61, 401, 419, 2, 409, 103, 397))
+    with pytest.raises(ResourceLimitError, match="736299879 pairs"):
+        solution_exists(system, prime_bound=7020)
+    assert not solution_exists(system, prime_bound=418)
 
 
 def test_failed_solution_check_is_typed():
@@ -828,7 +840,7 @@ def test_match_pass_stays_within_the_halves(monkeypatch):
     # Slack: 64 KiB for Python objects
     system = CoefficientSystem.make([1] * 9, 9 * 101**3)
     slots = search._slot_primes(system, 128, None)
-    search._search_at(system, slots, 128, None)  # caches warm
+    search._search_at(system, slots)  # caches warm
     sizes, extra, real = [], [], search._least_keys
 
     def spy(*args):
@@ -842,7 +854,7 @@ def test_match_pass_stays_within_the_halves(monkeypatch):
     monkeypatch.setattr(search, "_least_keys", spy)
     tracemalloc.start()
     try:
-        assert search._search_at(system, slots, 128, None).max_p == 101
+        assert search._search_at(system, slots).max_p == 101
     finally:
         tracemalloc.stop()
     cells = 2 * sizes[0][0]
