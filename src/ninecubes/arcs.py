@@ -108,7 +108,13 @@ def build_dissection(N: int, D: int, epsilon: float = 0.01, c: float = 1.0) -> A
     P = max(1, int((Decimal(N) / D) ** Decimal(0.1 - epsilon)))
     if P > P_CAP:
         raise ResourceLimitError(f"P = {P} exceeds the arc cap {P_CAP}")
-    Q = N // Fraction(P * L**c)
+    try:
+        scale = P * L**c
+    except OverflowError:
+        scale = math.inf
+    if not 0 < scale < math.inf:  # NaN too
+        raise DomainError(f"P L^c must be a positive finite float, got c={c}")
+    Q = N // Fraction(scale)
     if 2 * P >= Q:
         raise DomainError(f"arc parameters degenerate: 2P = {2 * P} >= Q = {Q}")
     phis = [arith.euler_phi(q) for q in range(1, P + 1)]

@@ -175,11 +175,9 @@ def emit(report, config: RunConfig) -> bytes:
         payload = _json_ready(report)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         return text.encode("utf-8")
-    table = COMMANDS[config.subcommand].csv
-    if table is None:
-        raise UsageError(f"csv output is not defined for {config.subcommand}; use json")
+    table = COMMANDS[config.subcommand].csv(report)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(map(_json_ready, row) for row in table(report))
+    csv.writer(buf, lineterminator="\n").writerows(map(_json_ready, row) for row in table)
     return buf.getvalue().encode("utf-8")
 
 
@@ -371,6 +369,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             values[name] = value
     config = RunConfig(**values)
     _require(config, *(name for name, default in defaults.items() if default is REQUIRED))
+    if config.format == "csv" and COMMANDS[args.subcommand].csv is None:
+        raise UsageError(f"csv output is not defined for {config.subcommand}; use json")
     return config
 
 

@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .arith import icbrt
 from .errors import DomainError, ResourceLimitError
 
 CELL_CAP = 2 * 10**8
@@ -106,8 +107,12 @@ def _sumset(first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.n
     return sums[starts], np.bincount(np.cumsum(starts) - 1, products)
 
 
-def _fft_length(n: int, modulus: int = 1) -> int:
-    """Least 2^a 3^b 5^c multiple of the 5-smooth modulus that is >= n."""
+def _fft_length(n: int, strides=()) -> int:
+    """Least 2^a 3^b 5^c multiple of the strides' 5-smooth parts that is
+    >= n, so each strided factor is transformed at its compact length.  The
+    5-smooth part of 0 < d < 2^64 is gcd(d, 30^64); a stride of 0 adds
+    nothing."""
+    modulus = math.lcm(*(math.gcd(d, 30**64) for d in strides if d))
     n = -(-n // modulus)
     best = 1 << (n - 1).bit_length()
     p5 = 1
@@ -118,15 +123,6 @@ def _fft_length(n: int, modulus: int = 1) -> int:
             p35 *= 3
         p5 *= 5
     return modulus * best
-
-
-def _smooth_part(d: int) -> int:
-    """Greatest 2^a 3^b 5^c dividing d; 1 for d = 0."""
-    part = 1
-    for f in (2, 3, 5):
-        while d and d % (part * f) == 0:
-            part *= f
-    return part
 
 
 def _stride(cells: np.ndarray) -> tuple[int, int]:
@@ -155,13 +151,6 @@ def _factor_groups(parts: Sequence[IndexedWeights]) -> list[list]:
     for group in groups:
         group += _stride(np.flatnonzero(group[0] != 0))  # a mask scans faster than nonzero on floats
     return groups
-
-
-def _stride_modulus(strides) -> int:
-    """Least common multiple of the strides' 5-smooth parts: the transform
-    length is a multiple of it, so each strided factor is transformed at
-    its compact length."""
-    return math.lcm(*(_smooth_part(d) for d in strides))
 
 
 def _strided_spectrum(
@@ -213,11 +202,9 @@ def _product_spectrum(groups: list[list], nfft: int) -> tuple[np.ndarray, int]:
 
 
 def _read_block(nfft: int) -> int:
-    """Least b with b^3 >= nfft/2 + 1, the twiddle block of _coefficient."""
-    b = 1
-    while b**3 < nfft // 2 + 1:
-        b += 1
-    return b
+    """Least b with b^3 >= nfft/2 + 1, the twiddle block of _coefficient
+    (nfft may be a numpy integer, which icbrt does not take)."""
+    return icbrt(int(nfft) // 2) + 1
 
 
 def _coefficient(spectrum: np.ndarray, nfft: int, t: int) -> float:
@@ -306,7 +293,7 @@ def convolve_read(parts: Sequence[IndexedWeights], target: int) -> tuple[float, 
     t = target - sum(p.lo for p in cropped)
     groups = _factor_groups(cropped)
     need = max(t + 1, span - t + 1, *(len(p.values) for p in cropped))
-    nfft = _fft_length(need, _stride_modulus(group[4] for group in groups))
+    nfft = _fft_length(need, (group[4] for group in groups))
     spectrum, shift = _product_spectrum(groups, nfft)
     return _coefficient(spectrum, nfft, (t - shift) % nfft), rounding_bound(cropped, nfft)
 
@@ -333,27 +320,21 @@ def convolve_full(parts: Sequence[IndexedWeights]) -> IndexedWeights:
     # mask scans faster than nonzero on floats
     arrays = {id(p.values): p.values for p in parts}
     scanned = {key: np.flatnonzero(values != 0) for key, values in arrays.items()}
-    counts = [len(scanned[id(p.values)]) for p in parts]
     # the spectral remainder's length, checked before any stage runs
-    nfft = _fft_length(total, _stride_modulus(_stride(c)[1] for c in scanned.values()))
+    nfft = _fft_length(total, (_stride(c)[1] for c in scanned.values()))
     if nfft > CELL_CAP:
         raise ResourceLimitError(f"FFT length {nfft} of product span {total} exceeds cap {CELL_CAP}")
-    # A direct stage forms at most `total` pairs and the accumulator keeps
-    # at least the first part's nonzeros, so a part with more than
-    # total / min(counts) nonzeros never takes one: its positions are freed
-    # here, before any stage allocates, and only its count is kept.
-    least = min(counts)
-    cells = [scanned[id(p.values)] if c * least <= total else None for p, c in zip(parts, counts)]
+    cells = [scanned[id(p.values)] for p in parts]
     del scanned
     acc, offset, span = parts[0], parts[0].offset, len(parts[0].values)
     # the accumulator's nonzeros while every stage is merged
-    sparse = None if cells[0] is None else (cells[0], acc.values[cells[0]])
+    sparse = (cells[0], acc.values[cells[0]])
     for k, p in enumerate(parts[1:], 1):
-        if sparse is None or len(sparse[0]) * counts[k] > min(span + len(p.values) - 1, _DIRECT_COST_LIMIT):
+        if len(sparse[0]) * len(cells[k]) > min(span + len(p.values) - 1, _DIRECT_COST_LIMIT):
             if acc is None:
                 acc = IndexedWeights(offset, np.zeros(span))
                 acc.values[sparse[0]] = sparse[1]
-            del cells  # the index arrays are not needed by the transforms
+            del cells, sparse  # the index arrays are not needed by the transforms
             return _spectral_product([acc, *parts[k:]], total, nfft)
         factor = (cells[k], p.values[cells[k]])
         short, long_ = (sparse, factor) if span <= len(p.values) else (factor, sparse)

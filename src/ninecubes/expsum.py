@@ -159,11 +159,11 @@ def minor_arc_sup(
     before the support is built, and one whose points times support
     primes pass convolve.CELL_CAP before the first point.
     """
-    if grid_step <= 0 or grid_step >= 1:
+    if not 0 < grid_step < 1:  # NaN too
         raise DomainError(f"grid step must lie in (0, 1), got {grid_step}")
-    npts = int(math.ceil(1.0 / grid_step))
-    if npts > SCAN_POINTS_CAP:
-        raise ResourceLimitError(f"scan of {npts} points exceeds cap {SCAN_POINTS_CAP}")
+    if 1.0 / grid_step > SCAN_POINTS_CAP:  # inf too, for a subnormal step
+        raise ResourceLimitError(f"scan of 1/{grid_step} points exceeds cap {SCAN_POINTS_CAP}")
+    npts = math.ceil(1.0 / grid_step)
     sup = cube_support(system.a[8], M, N)
     if npts * len(sup) > convolve.CELL_CAP:
         raise ResourceLimitError(

@@ -421,6 +421,8 @@ def run_all(
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     """Run the selected checks (all by default), each with its own seeded rng."""
+    if seed < 0:  # each check seeds default_rng, which takes no negative seed
+        raise DomainError(f"seed must be >= 0, got {seed}")
     table = dict(CHECKS)
     if names is None:
         names = [name for name, _ in CHECKS]

@@ -77,6 +77,13 @@ def test_dissection_guards():
         build_dissection(16, 2, 0.01, 3.0)  # Q collapses below 2P
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, 300.0, -300.0])
+def test_dissection_refuses_a_scale_that_is_no_positive_finite_float(c):
+    # P L^c is NaN, infinite, past the float range or rounded to 0
+    with pytest.raises(DomainError, match="positive finite"):
+        build_dissection(10**6, 2, 0.01, c)
+
+
 def test_dissection_past_the_float_range():
     # N / D = 5e399 has no float: P and Q come from decimal and exact
     # rational arithmetic, and P meets its cap as for any other window

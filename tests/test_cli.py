@@ -333,6 +333,18 @@ def test_csv_unsupported_for_rn(tmp_path):
     assert code == 64
 
 
+def test_csv_unsupported_is_refused_before_the_run(tmp_path, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the runner was called")
+
+    monkeypatch.setitem(cli.COMMANDS, "rn", dataclasses.replace(cli.COMMANDS["rn"], runner=no_run))
+    argv = ["rn", "--coeffs", ONES, "--n", "72", "--M", "7", "--N", "8"]
+    assert run(argv + ["--format", "csv"]) == 64
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text("format=csv\n")
+    assert run(argv + ["--config", str(cfg)]) == 64
+
+
 def test_empty_selftest_selection_csv(tmp_path):
     code, data = run_to_file(tmp_path, ["selftest", "--only", ",", "--format", "csv"], "empty.csv")
     assert code == 0

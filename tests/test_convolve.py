@@ -184,7 +184,7 @@ def test_full_route_on_window_tables(monkeypatch):
     sumsets.clear()
     got = convolve_full(parts)
     assert (len(calls), sumsets) == (3, [])
-    length = convolve._fft_length(len(got.values), 6)
+    length = convolve._fft_length(len(got.values), [6])
     assert calls == [length, length // 2, length // 3]
     offset, want = numpy_chain(parts)
     assert got.offset == offset
@@ -370,7 +370,7 @@ def test_spectral_cap_covers_padded_length(monkeypatch):
     # 51200 plain, but to 51840 = 9 * 5760 with the stride
     strided = IndexedWeights(0, np.zeros(45001))
     strided.values[::9] = 1.0
-    assert convolve._fft_length(51000) == 51200 and convolve._fft_length(51000, 9) == 51840
+    assert convolve._fft_length(51000) == 51200 and convolve._fft_length(51000, [9]) == 51840
     calls.clear()
     monkeypatch.setattr(convolve, "CELL_CAP", 51200)
     with pytest.raises(ResourceLimitError):
@@ -406,7 +406,7 @@ def test_full_cap_refuses_before_direct_stages(monkeypatch):
     strided = IndexedWeights(2, np.zeros(9 * 5009 + 1))
     strided.values[::9] = 1.0
     parts[2] = strided
-    assert convolve._fft_length(51080) == 51200 and convolve._fft_length(51080, 9) == 51840
+    assert convolve._fft_length(51080) == 51200 and convolve._fft_length(51080, [9]) == 51840
     rffts.clear(), sumsets.clear()
     monkeypatch.setattr(convolve, "CELL_CAP", 51200)
     with pytest.raises(ResourceLimitError):
@@ -431,14 +431,14 @@ def test_fft_length_is_least_5_smooth():
     # with a 5-smooth modulus m: the least 5-smooth multiple of m
     for m in filter(smooth, range(2, 61)):
         for n in range(1, 400):
-            length = convolve._fft_length(n, m)
+            length = convolve._fft_length(n, [m])
             assert smooth(length) and length % m == 0 and length >= n
             assert not any(smooth(k) for k in range(-(-n // m) * m, length, m))
 
 
 def test_stride_modulus_takes_5_smooth_parts():
     # 7 and 11 add nothing; a single nonzero (stride 0) adds nothing
-    assert convolve._stride_modulus([14, 9, 0, 1, 55]) == 90
+    assert convolve._fft_length(1, [14, 9, 0, 1, 55]) == 90
     assert convolve._stride(np.array([3, 9, 21])) == (3, 6)
     assert convolve._stride(np.array([4])) == (4, 0)
 

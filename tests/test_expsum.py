@@ -326,6 +326,20 @@ def test_minor_scan_report_shape():
         assert rep.ratio == pytest.approx(rep.sup_abs / rep.reference_power)
 
 
+def test_minor_scan_refuses_a_nan_or_subnormal_grid_step(monkeypatch):
+    def no_support(*args):
+        raise AssertionError("support built for a refused grid")
+
+    monkeypatch.setattr(expsum, "cube_support", no_support)
+    dis = build_dissection(20000, 2, 0.01, 1.0)
+    with pytest.raises(DomainError, match="grid step"):
+        minor_arc_sup(ONES, dis, 100, 20000, grid_step=math.nan)
+    # 1 / 1e-320 is inf: refused by the point cap, as 1e-308 is
+    for step in (1e-320, 1e-308):
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            minor_arc_sup(ONES, dis, 100, 20000, grid_step=step)
+
+
 @pytest.mark.parametrize(
     "system, N, D, eps, c, step",
     [

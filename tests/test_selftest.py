@@ -82,6 +82,16 @@ def test_run_all_rejects_unknown_name():
         run_all(names=["definitely_not_a_check"])
 
 
+def test_run_all_refuses_a_negative_seed_before_any_check(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(selftest, "_run_one", no_run)
+    for names in (["fourier_direct"], None):
+        with pytest.raises(DomainError, match="seed"):
+            run_all(names=names, seed=-100)
+
+
 def test_failures_are_reported_not_raised(monkeypatch):
     def boom(rng):
         raise ValueError("synthetic breakage")
